@@ -1,8 +1,9 @@
 """Command-line front end: flat key=value configs, subcommands, CSV output.
 
-Exit codes: 0 success, 2 configuration error, 3 output I/O error, 4 solver
-non-convergence when --strict is given. All randomness is controlled by the
-seed key (default 0); identical invocations produce byte-identical output.
+Exit codes: 0 success, 1 library error (a PowerGameError, e.g. no feasible
+draw), 2 configuration error, 3 output I/O error, 4 solver non-convergence
+when --strict is given. All randomness is controlled by the seed key
+(default 0); identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -54,6 +55,8 @@ def _parse_float(key, text, positive=False):
         value = float(text)
     except ValueError:
         raise ConfigError(key, f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(key, f"must be finite, got {text!r}")
     if positive and value <= 0:
         raise ConfigError(key, f"must be positive, got {value}")
     return value
@@ -241,6 +244,11 @@ def emit_csv(rows, output_path: str) -> None:
         for row in rows:
             lines.append(",".join(_format_cell(getattr(row, n)) for n in names))
         text = "\n".join(lines) + "\n"
+    _write_text(text, output_path)
+
+
+def _write_text(text: str, output_path: str) -> None:
+    """Write text to a file with LF endings, or to stdout for '-'."""
     if output_path == "-":
         sys.stdout.write(text)
         return
@@ -255,8 +263,8 @@ def emit_csv(rows, output_path: str) -> None:
 def _cmd_gamma_star(config, args):
     gstar = solve_gamma_star(config.model)
     db = 10.0 * math.log10(gstar)
-    sys.stdout.write(f"gamma-star: {gstar:.2f} ({db:.1f} dB)\n")
-    sys.stdout.write(f"exact: {gstar!r} linear, {db!r} dB\n")
+    _write_text(f"gamma-star: {gstar:.2f} ({db:.1f} dB)\n"
+                f"exact: {gstar!r} linear, {db!r} dB\n", args.output)
     return 0
 
 
@@ -362,7 +370,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--set", dest="sets", action="append", default=[],
                         metavar="KEY=VALUE", help="override one config key")
     parser.add_argument("--output", default="-", metavar="PATH",
-                        help="CSV destination, '-' for stdout")
+                        help="output destination, '-' for stdout")
     parser.add_argument("--seed", type=int, metavar="U64",
                         help="master seed (default 0)")
     parser.add_argument("--trials", type=int, metavar="N")

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import asymptotic, multiantenna
 from .efficiency import EfficiencyModel, eff_value, solve_gamma_star
-from .exceptions import InfeasibleLoadError, SingularSpreadingError
+from .exceptions import InfeasibleLoadError, SingularSpreadingError, SolverError
 from .game import solve_equilibrium
 from .system import (ChannelRealization, ReceiverKind, SystemParams,
                      generate_gains, generate_spreading,
@@ -346,7 +346,7 @@ def run_finite_vs_asymptotic(config: ScenarioConfig):
                         break
                     discarded += 1
                 else:
-                    raise RuntimeError(
+                    raise SolverError(
                         f"no feasible draw for {kind.value} at N={N}")
                 p_asym = np.array([
                     asymptotic.equilibrium_power_large(kind, load, gstar,

@@ -19,7 +19,8 @@ from .efficiency import EfficiencyModel, solve_gamma_star
 from .exceptions import InfeasibleUserError
 from .system import (ChannelRealization, ReceiverKind, SystemParams,
                      decorrelator_sirs, matched_filter_sirs, mmse_sirs,
-                     output_sir, receiver_filter, utility, _zf_columns)
+                     output_sir, receiver_filter, receiver_filters, utility,
+                     _zf_columns)
 
 INITIAL_POWER_FRACTION = 1e-2  # starting powers as a fraction of Pmax
 DEFAULT_POWER_TOL = 1e-9
@@ -138,21 +139,27 @@ def verify_nash(result: EquilibriumResult, realization: ChannelRealization,
     """Probe unilateral deviations and confirm no user can gain.
 
     Each user's power is swept over a multiplicative grid 0.5x .. 2x of its
-    equilibrium value (capped at Pmax) with everyone else frozen; the filter
-    is derived from the frozen interference, which is exact since no filter
-    depends on the deviating user's own power.
+    equilibrium value (capped at Pmax) with everyone else frozen. No filter
+    depends on the deviating user's own power, so all K filters come from one
+    factorization at the equilibrium powers (receiver_filters), and each
+    user's output SIR is its own power times a fixed SIR per watt, computed
+    from the explicit filters rather than taken from the result.
     """
     heff = _single_antenna_gains(realization)
-    S, sigma2 = realization.S, params.sigma2
-    K = S.shape[1]
-    for k in range(K):
-        c = receiver_filter(kind, k, S, heff, result.powers, sigma2)
+    S, powers = realization.S, result.powers
+    C = receiver_filters(kind, S, heff, powers, params.sigma2)
+    X = (C.T @ S) ** 2  # X[k, j] = (c_k' s_j)^2
+    own = np.diag(X).copy()
+    np.fill_diagonal(X, 0.0)
+    h2 = heff ** 2
+    noise = params.sigma2 * np.einsum("nk,nk->k", C, C)
+    sir_per_watt = h2 * own / (noise + X @ (powers * h2))
+    factors = np.geomspace(0.5, 2.0, probe_grid_size)
+    for k in range(S.shape[1]):
         base = result.utilities[k]
-        probe = result.powers.copy()
-        for factor in np.geomspace(0.5, 2.0, probe_grid_size):
-            p_k = min(result.powers[k] * factor, params.Pmax)
-            probe[k] = p_k
-            g = output_sir(c, k, S, heff, probe, sigma2)
+        for factor in factors:
+            p_k = min(powers[k] * factor, params.Pmax)
+            g = p_k * sir_per_watt[k]
             if utility(p_k, g, params, model) > base * (1.0 + rel_tol):
                 return False
     return True

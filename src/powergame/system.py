@@ -12,6 +12,7 @@ all results are deterministic functions of (S, h, p, sigma2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -57,8 +58,9 @@ class SystemParams:
             raise ValueError("K, N and m must be positive integers")
         if self.L < 1 or self.M < 1 or self.L > self.M:
             raise ValueError(f"need 1 <= L <= M, got L={self.L}, M={self.M}")
-        if self.sigma2 <= 0 or self.R <= 0 or self.Pmax <= 0:
-            raise ValueError("sigma2, R and Pmax must be positive")
+        if not all(math.isfinite(v) and v > 0
+                   for v in (self.sigma2, self.R, self.Pmax)):
+            raise ValueError("sigma2, R and Pmax must be positive and finite")
 
 
 @dataclass
@@ -166,9 +168,10 @@ def utility(p_k: float, gamma_k: float, params: SystemParams,
 
 
 # ---------------------------------------------------------------------------
-# Whole-vector SIR evaluation. These return the same numbers as
-# receiver_filter + output_sir for every user, but share the expensive
-# factorizations so the equilibrium sweeps stay fast at N ~ a few hundred.
+# Whole-vector evaluation. The *_sirs kernels return the same numbers as
+# receiver_filter + output_sir for every user, and receiver_filters returns
+# every user's filter; all share the expensive factorizations so equilibrium
+# sweeps and Nash checks stay fast at N ~ a few hundred.
 # ---------------------------------------------------------------------------
 
 def matched_filter_sirs(S, heff, p, sigma2, gram_sq=None) -> np.ndarray:
@@ -208,12 +211,26 @@ def mmse_sirs(S, heff, p, sigma2) -> np.ndarray:
     return ratio / (1.0 - ratio)
 
 
-def sir_all_users(kind: ReceiverKind, S, heff, p, sigma2) -> np.ndarray:
+def receiver_filters(kind: ReceiverKind, S, heff, p, sigma2) -> np.ndarray:
+    """Every user's receiver filter at once, as the columns of an N x K matrix.
+
+    Column k is parallel to receiver_filter(kind, k, ...), which is all the
+    output SIR depends on. Matched filter: S itself (not a copy).
+    Decorrelator: S (S'S)^-1, one rank guard for all users. MMSE: A^-1 S with
+    the full A = S diag(p h^2) S' + sigma2 I; by Sherman-Morrison
+    A^-1 s_k = A_k^-1 s_k / (1 + p_k h_k^2 s_k' A_k^-1 s_k), a positive
+    multiple of the per-user filter, so one solve serves every user.
+    """
     if kind is ReceiverKind.MATCHED_FILTER:
-        return matched_filter_sirs(S, heff, p, sigma2)
+        return S
     if kind is ReceiverKind.DECORRELATOR:
-        return decorrelator_sirs(S, heff, p, sigma2)
-    return mmse_sirs(S, heff, p, sigma2)
+        return S @ _zf_columns(S)
+    p = np.asarray(p, dtype=float)
+    if np.any(p < 0):
+        raise ValueError("powers must be nonnegative for the MMSE filter")
+    rec = p * np.asarray(heff, dtype=float) ** 2
+    A = (S * rec) @ S.T + sigma2 * np.eye(S.shape[0])
+    return np.linalg.solve(A, S)
 
 
 def utility_vs_power_curve(k: int, realization: ChannelRealization,

@@ -26,6 +26,13 @@ class TestGammaStar:
         assert abs(exact - 6.48) > 0.1
         assert exact == pytest.approx(5.6466, abs=1e-3)
 
+    def test_output_path_writes_file(self, tmp_path):
+        out = tmp_path / "gstar.txt"
+        proc = run_cli("gamma-star", "--output", str(out))
+        assert proc.returncode == 0
+        assert proc.stdout == ""
+        assert out.read_text() == run_cli("gamma-star").stdout
+
 
 class TestConfigErrors:
     def test_unknown_key_lists_valid_keys(self):
@@ -56,6 +63,13 @@ class TestConfigErrors:
         assert proc.returncode == 0
         assert "trials_used" in proc.stdout.splitlines()[0]
         assert ",7,0" in proc.stdout.splitlines()[1]
+
+    @pytest.mark.parametrize("setting", ["sigma2=nan", "R=inf", "Pmax=-inf"])
+    def test_non_finite_value_rejected(self, setting):
+        proc = run_cli("sweep", "--set", setting, "--trials", "2")
+        assert proc.returncode == EXIT_CONFIG
+        assert "finite" in proc.stderr
+        assert proc.stdout == ""
 
     def test_missing_config_file(self):
         proc = run_cli("sweep", "--config", "/nonexistent/run.cfg")
@@ -153,6 +167,16 @@ class TestSubcommands:
         lines = proc.stdout.strip().split("\n")
         assert lines[0] == "N,kind,mean_rel_power_error"
         assert lines[1].startswith("25,DE,")
+
+
+class TestLibraryErrors:
+    def test_no_feasible_draw_exits_1_without_traceback(self):
+        proc = run_cli("validate-asymptotic", "--set", "Pmax=1e-12",
+                       "--receiver", "MF", "--trials", "2")
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: no feasible draw")
+        assert len(proc.stderr.splitlines()) == 1
 
 
 class TestMainEntry:

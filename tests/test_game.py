@@ -247,7 +247,9 @@ class TestVerifyNash:
                        params.sigma2)
         assert utility(perturbed[k], g, params, model) < result.utilities[k]
 
-    def test_detects_non_equilibrium(self, model, gamma_star):
+    @staticmethod
+    def deviated_profile(kind, factor, model, gamma_star):
+        """A converged equilibrium with user 4's power scaled by factor."""
         from dataclasses import replace
 
         from powergame.game import make_sir_engine
@@ -255,18 +257,33 @@ class TestVerifyNash:
 
         params = make_params(K=10, N=64)
         realization, result = feasible_instance(
-            lambda a: np.random.default_rng((18, a)), MMSE, params, model,
+            lambda a: np.random.default_rng((18, a)), kind, params, model,
             gamma_star, 64, 10)
-        # user 4 overspends; rebuild the profile so utilities are consistent
+        # rebuild the profile so utilities are consistent with the powers
         powers = result.powers.copy()
-        powers[4] *= 3.0
-        engine = make_sir_engine(MMSE, realization.S, realization.H[0],
+        powers[4] *= factor
+        engine = make_sir_engine(kind, realization.S, realization.H[0],
                                  params.sigma2)
         sirs = engine(powers)
         utilities = np.array([utility(powers[k], sirs[k], params, model)
                               for k in range(10)])
         broken = replace(result, powers=powers, sirs=sirs, utilities=utilities)
-        assert not verify_nash(broken, realization, MMSE, params, model)
+        return broken, realization, params
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_detects_non_equilibrium(self, kind, model, gamma_star):
+        # user 4 overspends
+        broken, realization, params = self.deviated_profile(
+            kind, 3.0, model, gamma_star)
+        assert not verify_nash(broken, realization, kind, params, model)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_detects_underspending_user(self, kind, model, gamma_star):
+        # only a probe above the current power gains, which a check that
+        # underestimates the deviating user's SIR would miss
+        broken, realization, params = self.deviated_profile(
+            kind, 0.5, model, gamma_star)
+        assert not verify_nash(broken, realization, kind, params, model)
 
 
 class TestOverloadedMmse:

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from powergame.exceptions import SingularSpreadingError
+from powergame.game import make_sir_engine
 from powergame.system import (ChannelRealization, ReceiverKind,
                               generate_gains, generate_spreading, output_sir,
-                              receiver_filter, sir_all_users, utility,
+                              receiver_filter, receiver_filters, utility,
                               utility_vs_power_curve)
 
 from conftest import draw_realization, make_params
@@ -228,7 +229,7 @@ class TestSirEngines:
             h = generate_gains(np.full(K, 100.0), 1, rng)[0]
             p = rng.uniform(1e-7, 1e-5, K)
             try:
-                fast = sir_all_users(kind, S, h, p, 5e-16)
+                fast = make_sir_engine(kind, S, h, 5e-16)(p)
             except SingularSpreadingError:
                 continue
             ref = np.array([
@@ -236,6 +237,35 @@ class TestSirEngines:
                            k, S, h, p, 5e-16)
                 for k in range(K)])
             assert np.allclose(fast, ref, rtol=1e-9)
+
+
+class TestReceiverFilters:
+    @pytest.mark.parametrize("kind", [MF, DE, MMSE])
+    def test_columns_match_per_user_filters(self, kind):
+        rng = np.random.default_rng(24)
+        shapes = set()
+        for _ in range(10):
+            N = int(rng.integers(8, 33))
+            # MMSE also gets overloaded draws (K > N), where A_k stays regular
+            K = int(rng.integers(2, (2 * N if kind is MMSE else N) + 1))
+            S = generate_spreading(N, K, rng)
+            h = generate_gains(np.full(K, 100.0), 1, rng)[0]
+            p = rng.uniform(1e-7, 1e-5, K)
+            try:
+                C = receiver_filters(kind, S, h, p, 5e-16)
+            except SingularSpreadingError:
+                continue
+            assert C.shape == (N, K)
+            for k in range(K):
+                ref = receiver_filter(kind, k, S, h, p, 5e-16)
+                cos = C[:, k] @ ref / (np.linalg.norm(C[:, k]) * np.linalg.norm(ref))
+                assert abs(cos) >= 1 - 1e-12
+                assert output_sir(C[:, k], k, S, h, p, 5e-16) == pytest.approx(
+                    output_sir(ref, k, S, h, p, 5e-16), rel=1e-9)
+            shapes.add((N, K))
+        assert len(shapes) >= 5
+        if kind is MMSE:
+            assert any(K > N for N, K in shapes)
 
 
 @pytest.fixture(scope="module")
@@ -294,3 +324,12 @@ class TestRealizationValidation:
         S = generate_spreading(8, 2, np.random.default_rng(23))
         with pytest.raises(ValueError):
             ChannelRealization(S=S, H=np.ones((1, 3)), distances=np.ones(3))
+
+
+class TestSystemParamsValidation:
+    @pytest.mark.parametrize("key,value", [
+        ("sigma2", float("nan")), ("R", float("inf")), ("Pmax", float("inf")),
+        ("Pmax", float("nan"))])
+    def test_non_finite_rejected(self, key, value):
+        with pytest.raises(ValueError, match="finite"):
+            make_params(**{key: value})
