@@ -313,7 +313,10 @@ def run_finite_vs_asymptotic(config: ScenarioConfig):
     error is |mean ratio - 1|, i.e. how far the average equilibrium power sits
     from the prediction once per-realization spreading noise averages out.
     Degenerate draws (singular crosscorrelation or non-convergence) are
-    discarded deterministically and redrawn from the next substream.
+    discarded deterministically and redrawn from the next substream. A
+    (receiver, N) cell whose load K/N is at or above the receiver's
+    feasibility bound is omitted rather than raised, as in run_load_sweep;
+    InfeasibleLoadError is raised only when every cell is omitted.
     """
     alpha = config.alpha_grid[0]
     p, model = config.params, config.model
@@ -323,6 +326,13 @@ def run_finite_vs_asymptotic(config: ScenarioConfig):
         for N in config.n_grid:
             K = max(1, round(alpha * N))
             load = K / N
+            if load >= asymptotic.feasibility_bound(kind, gstar):
+                log.info("omitting infeasible cell load=%g kind=%s N=%d",
+                         load, kind.value, N)
+                continue
+            # the closed-form received power depends on the load only
+            q_asym = asymptotic.balanced_received_power(kind, load, gstar,
+                                                        p.sigma2)
             trial_mean_ratios = []
             discarded = 0
             for t in range(config.trials):
@@ -348,15 +358,16 @@ def run_finite_vs_asymptotic(config: ScenarioConfig):
                 else:
                     raise SolverError(
                         f"no feasible draw for {kind.value} at N={N}")
-                p_asym = np.array([
-                    asymptotic.equilibrium_power_large(kind, load, gstar,
-                                                       p.sigma2, h * h)
-                    for h in H[0]])
+                p_asym = q_asym / (H[0] * H[0])
                 trial_mean_ratios.append(_mean((res.powers / p_asym).tolist()))
             if discarded:
                 log.info("redrew %d degenerate draws for %s at N=%d",
                          discarded, kind.value, N)
             rows.append(FiniteVsAsymptoticRow(
                 N, kind, abs(_mean(trial_mean_ratios) - 1.0)))
+    if not rows:
+        raise InfeasibleLoadError(
+            f"no feasible cell: every load K/N from alpha={alpha:g} is at or "
+            "above the receivers' feasibility bounds")
     rows.sort(key=lambda r: (r.N, r.kind.value))
     return rows

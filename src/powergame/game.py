@@ -67,9 +67,10 @@ def make_sir_engine(kind: ReceiverKind, S: np.ndarray, heff: np.ndarray,
     """Return a powers -> SIRs function with filter structure precomputed.
 
     Matched filter and decorrelator geometry does not depend on powers, so
-    their crosscorrelation pieces are built once. MMSE refactorizes per call
-    (the filter tracks the interference), sharing one factorization across
-    users. Each engine reproduces receiver_filter + output_sir exactly.
+    their crosscorrelation pieces are built once. MMSE keeps G = S'S and
+    solves one K x K system per call (the filter tracks the interference),
+    shared by all users; see mmse_sirs. Each engine reproduces
+    receiver_filter + output_sir up to rounding.
     """
     if kind is ReceiverKind.MATCHED_FILTER:
         gram_sq = (S.T @ S) ** 2
@@ -78,7 +79,8 @@ def make_sir_engine(kind: ReceiverKind, S: np.ndarray, heff: np.ndarray,
     if kind is ReceiverKind.DECORRELATOR:
         noise_diag = np.diag(_zf_columns(S)).copy()
         return lambda p: decorrelator_sirs(S, heff, p, sigma2, noise_diag=noise_diag)
-    return lambda p: mmse_sirs(S, heff, p, sigma2)
+    gram = S.T @ S
+    return lambda p: mmse_sirs(S, heff, p, sigma2, gram=gram)
 
 
 def solve_from_engine(sirs_fn: Callable[[np.ndarray], np.ndarray], K: int,
@@ -86,7 +88,14 @@ def solve_from_engine(sirs_fn: Callable[[np.ndarray], np.ndarray], K: int,
                       gamma_star: float, sir_tol: float = 1e-6,
                       power_tol: float = DEFAULT_POWER_TOL,
                       max_iter: int = DEFAULT_MAX_ITER) -> EquilibriumResult:
-    """Run synchronous best-response sweeps until the powers settle."""
+    """Run synchronous best-response sweeps until the powers settle.
+
+    The result is converged when the sweeps settled within max_iter, every
+    user below Pmax sits at gamma_star within sir_tol, and at least one user
+    is below Pmax. A result with every user clamped at Pmax is not
+    converged: no one reaches the target SIR, so it is not the equilibrium
+    the game describes.
+    """
     Pmax = params.Pmax
     p = np.full(K, INITIAL_POWER_FRACTION * Pmax)
     iterations = 0
@@ -109,7 +118,7 @@ def solve_from_engine(sirs_fn: Callable[[np.ndarray], np.ndarray], K: int,
     utilities = np.array([utility(p[k], sirs[k], params, model) for k in range(K)])
     return EquilibriumResult(powers=p, sirs=sirs, utilities=utilities,
                              iterations=iterations,
-                             converged=settled and sir_ok,
+                             converged=settled and sir_ok and bool(unclamped),
                              clamped_users=clamped)
 
 

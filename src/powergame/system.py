@@ -197,16 +197,28 @@ def decorrelator_sirs(S, heff, p, sigma2, noise_diag=None) -> np.ndarray:
     return rec / (sigma2 * noise_diag)
 
 
-def mmse_sirs(S, heff, p, sigma2) -> np.ndarray:
+def _mmse_system(gram: np.ndarray, rec: np.ndarray, sigma2: float) -> np.ndarray:
+    """The K x K matrix G D + sigma2 I, with G = S'S and D = diag(rec)."""
+    M = gram * rec  # scales column j by rec_j
+    M.flat[::M.shape[0] + 1] += sigma2
+    return M
+
+
+def mmse_sirs(S, heff, p, sigma2, gram=None) -> np.ndarray:
     """SIRs of all users under per-user MMSE filtering.
 
-    Uses the rank-one downdate identity: with A = S diag(p h^2) S' + sigma2 I
-    (all users included), s_k' A_k^-1 s_k = q_k / (1 - p_k h_k^2 q_k) where
-    q_k = s_k' A^-1 s_k, so a single factorization serves every user.
+    Uses the rank-one downdate identity: with A = S D S' + sigma2 I and
+    D = diag(p h^2) (all users included),
+    s_k' A_k^-1 s_k = q_k / (1 - p_k h_k^2 q_k) where q_k = s_k' A^-1 s_k.
+    The push-through identity A^-1 S = S (D G + sigma2 I)^-1 with G = S'S
+    gives S' A^-1 S = (G D + sigma2 I)^-1 G, so every q_k comes from one
+    K x K solve instead of an N x N one. ``gram`` may carry a precomputed
+    S'S; passing it avoids rebuilding the K x K matrix every sweep.
     """
     rec = np.asarray(p, float) * np.asarray(heff, float) ** 2
-    A = (S * rec) @ S.T + sigma2 * np.eye(S.shape[0])
-    q = np.einsum("nk,nk->k", S, np.linalg.solve(A, S))
+    if gram is None:
+        gram = S.T @ S
+    q = np.diagonal(np.linalg.solve(_mmse_system(gram, rec, sigma2), gram))
     ratio = rec * q  # equals gamma/(1+gamma), always in [0, 1)
     return ratio / (1.0 - ratio)
 
@@ -217,9 +229,10 @@ def receiver_filters(kind: ReceiverKind, S, heff, p, sigma2) -> np.ndarray:
     Column k is parallel to receiver_filter(kind, k, ...), which is all the
     output SIR depends on. Matched filter: S itself (not a copy).
     Decorrelator: S (S'S)^-1, one rank guard for all users. MMSE: A^-1 S with
-    the full A = S diag(p h^2) S' + sigma2 I; by Sherman-Morrison
-    A^-1 s_k = A_k^-1 s_k / (1 + p_k h_k^2 s_k' A_k^-1 s_k), a positive
-    multiple of the per-user filter, so one solve serves every user.
+    the full A = S D S' + sigma2 I, D = diag(p h^2), computed as
+    S (D G + sigma2 I)^-1 (push-through, G = S'S) from one K x K solve; by
+    Sherman-Morrison A^-1 s_k = A_k^-1 s_k / (1 + p_k h_k^2 s_k' A_k^-1 s_k),
+    a positive multiple of the per-user filter.
     """
     if kind is ReceiverKind.MATCHED_FILTER:
         return S
@@ -229,8 +242,8 @@ def receiver_filters(kind: ReceiverKind, S, heff, p, sigma2) -> np.ndarray:
     if np.any(p < 0):
         raise ValueError("powers must be nonnegative for the MMSE filter")
     rec = p * np.asarray(heff, dtype=float) ** 2
-    A = (S * rec) @ S.T + sigma2 * np.eye(S.shape[0])
-    return np.linalg.solve(A, S)
+    # (D G + sigma2 I)' = G D + sigma2 I since G is symmetric
+    return np.linalg.solve(_mmse_system(S.T @ S, rec, sigma2), S.T).T
 
 
 def utility_vs_power_curve(k: int, realization: ChannelRealization,

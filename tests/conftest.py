@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,26 @@ from powergame.efficiency import EfficiencyKind, EfficiencyModel, solve_gamma_st
 from powergame.system import (ChannelRealization, SystemParams,
                               generate_gains, generate_spreading)
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
 BASE = dict(K=30, N=100, sigma2=5e-16, R=1e5, L=100, M=100, Pmax=1.0)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def child_import_path():
+    """Put this checkout's src first on the import path of child processes.
+
+    pyproject's pythonpath covers the test process only; the CLI tests run
+    `python -m powergame` as a child, which reads PYTHONPATH instead.
+    """
+    inherited = os.environ.get("PYTHONPATH")
+    os.environ["PYTHONPATH"] = (SRC + os.pathsep + inherited if inherited
+                                else SRC)
+    yield
+    if inherited is None:
+        del os.environ["PYTHONPATH"]
+    else:
+        os.environ["PYTHONPATH"] = inherited
 
 
 @pytest.fixture(scope="session")

@@ -132,6 +132,17 @@ class TestSubcommands:
         assert relaxed.returncode == 0
         assert ",false" in relaxed.stdout
 
+    def test_equilibrium_all_clamped_is_not_converged(self):
+        # at Pmax = 1e-15 every user is capped far below the target SIR
+        args = ("equilibrium", "--set", "Pmax=1e-15", "--set", "K=5")
+        proc = run_cli(*args, "--strict")
+        assert proc.returncode == EXIT_NOCONV
+        lines = proc.stdout.strip().split("\n")
+        assert lines[0] == "kind,user,power,sir,utility,iterations,converged"
+        assert len(lines) == 6
+        assert all(ln.split(",")[6] == "false" for ln in lines[1:])
+        assert run_cli(*args).returncode == 0
+
     def test_pareto_emits_both_modes(self):
         proc = run_cli("pareto", "--trials", "5", "--alpha-range",
                        "0.1:0.2:0.1", "--receiver", "MMSE")
@@ -168,6 +179,16 @@ class TestSubcommands:
         assert lines[0] == "N,kind,mean_rel_power_error"
         assert lines[1].startswith("25,DE,")
 
+    def test_validate_asymptotic_skips_receiver_infeasible_load(self):
+        # alpha = 1.1 is above the MF and DE bounds but below MMSE's
+        proc = run_cli("validate-asymptotic", "--set", "alpha=1.1",
+                       "--trials", "2")
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.strip().split("\n")
+        assert lines[0] == "N,kind,mean_rel_power_error"
+        assert [ln.split(",")[:2] for ln in lines[1:]] == [
+            ["25", "MMSE"], ["50", "MMSE"], ["100", "MMSE"]]
+
 
 class TestLibraryErrors:
     def test_no_feasible_draw_exits_1_without_traceback(self):
@@ -176,6 +197,17 @@ class TestLibraryErrors:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: no feasible draw")
+        assert len(proc.stderr.splitlines()) == 1
+
+    def test_every_cell_infeasible_exits_1(self):
+        # alpha sits just below the MF bound, but K = round(alpha N) rounds
+        # every load K/N above it
+        proc = run_cli("validate-asymptotic", "--set", "alpha=0.1544",
+                       "--set", "n_grid=25,50", "--receiver", "MF",
+                       "--trials", "2")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: no feasible cell")
         assert len(proc.stderr.splitlines()) == 1
 
 

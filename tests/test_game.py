@@ -4,7 +4,7 @@ import pytest
 from powergame.asymptotic import feasibility_bound
 from powergame.exceptions import InfeasibleUserError
 from powergame.game import (best_response_power, solve_equilibrium,
-                            verify_nash)
+                            solve_from_engine, verify_nash)
 from powergame.system import (ChannelRealization, ReceiverKind,
                               generate_gains, generate_spreading)
 
@@ -120,6 +120,26 @@ class TestSolveEquilibrium:
         from powergame.efficiency import solve_gamma_star
         gs = solve_gamma_star(model)
         assert np.max(np.abs(result.sirs - gs) / gs) > 1e-3  # not balanced
+
+    def test_all_clamped_reports_not_converged(self, model, gamma_star):
+        # every user sits at Pmax with an SIR far below target: the sweeps
+        # settle at once, but no user reaches gamma_star
+        K = 5
+        params = make_params(K=K, Pmax=1e-15)
+        result = solve_from_engine(lambda p: 1e6 * p, K, params, model,
+                                   gamma_star)
+        assert result.clamped_users == frozenset(range(K))
+        assert np.all(result.powers == params.Pmax)
+        assert not result.converged
+
+    def test_partly_clamped_can_converge(self, model, gamma_star):
+        # user 0 is capped, user 1 meets the target: converged as before
+        params = make_params(K=2, Pmax=1.0)
+        sir_per_watt = np.array([0.5, 1e3]) * gamma_star  # user 0: 0.5 g* at Pmax
+        result = solve_from_engine(lambda p: sir_per_watt * p, 2, params,
+                                   model, gamma_star)
+        assert result.clamped_users == frozenset({0})
+        assert result.converged
 
     def test_max_iter_reports_not_converged(self, model):
         params = make_params(K=20)
