@@ -16,12 +16,12 @@ from enum import Enum
 
 import numpy as np
 
-from . import asymptotic, experiments
+from . import experiments
 from .efficiency import EfficiencyKind, EfficiencyModel, solve_gamma_star
 from .exceptions import PowerGameError
 from .experiments import ScenarioConfig, SweepMode, trial_rng
 from .game import solve_equilibrium
-from .multiantenna import solve_equilibrium_ma
+from .multiantenna import is_feasible_ma, load_limit_ma, solve_equilibrium_ma
 from .system import (ChannelRealization, ReceiverKind, SystemParams,
                      generate_gains, generate_spreading)
 
@@ -216,10 +216,10 @@ def _require_feasible_cell(config: ScenarioConfig) -> None:
     bounds = []
     for kind in config.kinds:
         for m in config.antennas:
-            bound = (asymptotic.feasibility_bound(kind, gstar)
-                     * (m if kind is not ReceiverKind.DECORRELATOR else 1))
-            bounds.append(f"{kind.value} m={m}: alpha < {bound:g}")
-            if any(alpha < bound for alpha in config.alpha_grid):
+            bounds.append(f"{kind.value} m={m}: "
+                          f"alpha < {load_limit_ma(kind, m, gstar):g}")
+            if any(is_feasible_ma(kind, alpha, m, gstar)
+                   for alpha in config.alpha_grid):
                 return
     raise ConfigError("alpha", "no feasible load point; " + "; ".join(bounds))
 

@@ -30,7 +30,7 @@ from .efficiency import EfficiencyModel, eff_value, solve_gamma_star
 from .exceptions import InfeasibleLoadError, SingularSpreadingError, SolverError
 from .game import solve_equilibrium
 from .system import (ChannelRealization, ReceiverKind, SystemParams,
-                     generate_gains, generate_spreading,
+                     generate_gains, generate_spreading, rayleigh_scale,
                      utility_vs_power_curve)
 
 log = logging.getLogger(__name__)
@@ -41,6 +41,10 @@ _STREAM_ADMISSION = 1
 _STREAM_FINITE = 2
 _STREAM_CURVE = 3
 _STREAM_EQUILIBRIUM = 4
+
+# trials per vectorised block of gain draws; whole-run arrays are no faster
+# and would tie peak memory to the trial count
+_BLOCK = 32
 
 
 class SweepMode(Enum):
@@ -145,15 +149,46 @@ def _std(values, mean: float) -> float:
     return math.sqrt(math.fsum((v - mean) ** 2 for v in values) / (len(values) - 1))
 
 
+def _utility_coef(params: SystemParams, model: EfficiencyModel,
+                  gamma: float) -> float:
+    """Closed-form utility per unit of Gamma * h^2 at target SIR gamma:
+    L R f(gamma) / (M gamma sigma2)."""
+    return (params.L * params.R * eff_value(model, gamma)
+            / (params.M * gamma * params.sigma2))
+
+
+def _draw_blocks(config: ScenarioConfig, stream: int, count: int,
+                 uniforms: bool):
+    """Raw per-trial draws, ``_BLOCK`` trials at a time.
+
+    Trial t takes, from trial_rng(master_seed, stream, t) and in this order,
+    ``count`` uniforms (only if ``uniforms``) and then ``count`` unit-scale
+    Rayleigh amplitudes: the draws generate_gains makes for ``count`` gains
+    at one scale. Rayleigh variates are scale * sqrt(2 E), so multiplying a
+    unit draw by the scale afterwards gives the same floats, which lets the
+    callers apply distances and scales to a whole block at once. Yields
+    (first trial, uniforms or None, unit draws), both arrays of shape
+    (block trials, count).
+    """
+    for start in range(0, config.trials, _BLOCK):
+        rows = min(_BLOCK, config.trials - start)
+        u = np.empty((rows, count)) if uniforms else None
+        unit = np.empty((rows, count))
+        for i in range(rows):
+            rng = trial_rng(config.master_seed, stream, start + i)
+            if uniforms:
+                rng.random(out=u[i])
+            unit[i] = rng.rayleigh(size=count)
+        yield start, u, unit
+
+
 def _sweep_gains(config: ScenarioConfig) -> np.ndarray:
     """Per-trial squared gains of the observed user, one row per antenna."""
+    scale = rayleigh_scale([config.distance], config.gain_mean_semantics)
     m_max = max(config.antennas)
     h2 = np.empty((config.trials, m_max))
-    for t in range(config.trials):
-        rng = trial_rng(config.master_seed, _STREAM_SWEEP, t)
-        g = generate_gains([config.distance], m_max, rng,
-                           config.gain_mean_semantics)
-        h2[t] = g[:, 0] ** 2
+    for start, _, unit in _draw_blocks(config, _STREAM_SWEEP, m_max, False):
+        h2[start:start + len(unit)] = (scale * unit) ** 2
     return h2
 
 
@@ -185,10 +220,9 @@ def run_load_sweep(config: ScenarioConfig):
                              alpha, kind.value, m)
                     continue
                 if config.mode in (SweepMode.NONCOOPERATIVE, SweepMode.BOTH):
-                    coef = (p.L * p.R * eff_value(model, gstar)
-                            / (p.M * gstar * p.sigma2) * gamma_bar)
-                    utilities = [coef * v for v in hbar2]
-                    powers = [gstar * p.sigma2 / (v * gamma_bar) for v in hbar2]
+                    coef = _utility_coef(p, model, gstar) * gamma_bar
+                    utilities = (coef * hbar2).tolist()
+                    powers = ((gstar * p.sigma2) / (hbar2 * gamma_bar)).tolist()
                     mu = _mean(utilities)
                     rows.append(SweepRow(alpha, kind, m, SweepMode.NONCOOPERATIVE,
                                          mu, _std(utilities, mu), _mean(powers),
@@ -199,10 +233,9 @@ def run_load_sweep(config: ScenarioConfig):
                     # cooperative target equals the tangent solution, come
                     # out bit-identical to the non-cooperative ones
                     factor = asymptotic.gamma_factor(kind, alpha, g_opt)
-                    coef = (p.L * p.R * eff_value(model, g_opt)
-                            / (p.M * g_opt * p.sigma2) * factor)
-                    utilities = [coef * v for v in hbar2]
-                    powers = [g_opt * p.sigma2 / (v * factor) for v in hbar2]
+                    coef = _utility_coef(p, model, g_opt) * factor
+                    utilities = (coef * hbar2).tolist()
+                    powers = ((g_opt * p.sigma2) / (hbar2 * factor)).tolist()
                     mu = _mean(utilities)
                     rows.append(SweepRow(alpha, kind, m, SweepMode.PARETO,
                                          mu, _std(utilities, mu), _mean(powers),
@@ -226,11 +259,20 @@ def run_target_sir_comparison(config: ScenarioConfig):
     return rows
 
 
-def _annulus_distances(rng: np.random.Generator, count: int, d_min: float,
-                       d_max: float) -> np.ndarray:
-    # uniform over the annulus area
-    u = rng.random(count)
+def _annulus_distances(u: np.ndarray, d_min: float, d_max: float) -> np.ndarray:
+    # uniforms u in [0, 1) to distances uniform over the annulus area
     return np.sqrt(d_min ** 2 + u * (d_max ** 2 - d_min ** 2))
+
+
+def _pooled_mean_h2(config: ScenarioConfig) -> float:
+    """E[h^2] over the per-trial placement pools of N annulus users."""
+    pool = config.params.N
+    mean_h2 = []
+    for _, u, unit in _draw_blocks(config, _STREAM_ADMISSION, pool, True):
+        d = _annulus_distances(u, config.d_min, config.d_max)
+        h = rayleigh_scale(d, config.gain_mean_semantics) * unit
+        mean_h2.extend(_mean(row.tolist()) for row in h ** 2)
+    return _mean(mean_h2)
 
 
 def run_admission_curve(config: ScenarioConfig):
@@ -244,17 +286,9 @@ def run_admission_curve(config: ScenarioConfig):
     """
     kind = config.kinds[0]
     m = config.antennas[0]
-    p, model = config.params, config.model
-    gstar = solve_gamma_star(model)
-    pool = p.N  # users per placement realization
-    mean_h2 = []
-    for t in range(config.trials):
-        rng = trial_rng(config.master_seed, _STREAM_ADMISSION, t)
-        d = _annulus_distances(rng, pool, config.d_min, config.d_max)
-        h = generate_gains(d, 1, rng, config.gain_mean_semantics)
-        mean_h2.append(_mean((h[0] ** 2).tolist()))
-    e_h2 = _mean(mean_h2)
-    coef = p.L * p.R * eff_value(model, gstar) / (p.M * gstar * p.sigma2)
+    gstar = solve_gamma_star(config.model)
+    e_h2 = _pooled_mean_h2(config)
+    coef = _utility_coef(config.params, config.model, gstar)
     rows = []
     for alpha in config.alpha_grid:
         try:

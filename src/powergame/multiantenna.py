@@ -80,20 +80,33 @@ def _effective_load(kind: ReceiverKind, alpha: float, m: int) -> float:
     return alpha if kind is ReceiverKind.DECORRELATOR else alpha / m
 
 
+def load_limit_ma(kind: ReceiverKind, m: int, gamma_star: float) -> float:
+    """Supremum of the feasible loads alpha with m receive antennas, for
+    messages; feasibility itself is decided by ``is_feasible_ma``."""
+    bound = asymptotic.feasibility_bound(kind, gamma_star)
+    return bound if kind is ReceiverKind.DECORRELATOR else m * bound
+
+
+def is_feasible_ma(kind: ReceiverKind, alpha: float, m: int,
+                   gamma_star: float) -> bool:
+    """Whether load alpha admits the SIR target with m receive antennas:
+    the effective load lies below the single-antenna feasibility bound."""
+    if m < 1:
+        raise ValueError(f"m must be a positive integer, got {m}")
+    return (_effective_load(kind, alpha, m)
+            < asymptotic.feasibility_bound(kind, gamma_star))
+
+
 def gamma_factor_ma(kind: ReceiverKind, alpha: float, m: int,
                     gamma_star: float) -> float:
     """m-antenna load penalty: the single-antenna Gamma at load alpha/m
     (matched filter, MMSE) or at alpha unchanged (decorrelator)."""
-    if m < 1:
-        raise ValueError(f"m must be a positive integer, got {m}")
-    alpha_eff = _effective_load(kind, alpha, m)
-    bound = asymptotic.feasibility_bound(kind, gamma_star)
-    if alpha_eff >= bound:
-        limit = bound if kind is ReceiverKind.DECORRELATOR else m * bound
+    if not is_feasible_ma(kind, alpha, m, gamma_star):
         raise InfeasibleLoadError(
             f"load alpha={alpha:g} infeasible for {kind.value} with m={m}: "
-            f"requires alpha < {limit:g}")
-    return asymptotic.gamma_factor(kind, alpha_eff, gamma_star)
+            f"requires alpha < {load_limit_ma(kind, m, gamma_star):g}")
+    return asymptotic.gamma_factor(kind, _effective_load(kind, alpha, m),
+                                   gamma_star)
 
 
 def utility_ma(kind: ReceiverKind, alpha: float, m: int, params: SystemParams,

@@ -89,11 +89,9 @@ def generate_spreading(N: int, K: int, rng: np.random.Generator) -> np.ndarray:
     return chips / np.sqrt(N)
 
 
-def generate_gains(distances, m: int, rng: np.random.Generator,
-                   mean_semantics: str = "amplitude") -> np.ndarray:
-    """Draw an m x K matrix of i.i.d. Rayleigh channel amplitude gains.
+def rayleigh_scale(distances, mean_semantics: str = "amplitude") -> np.ndarray:
+    """Rayleigh scale per user from distance d through the 0.3/d^2 law.
 
-    The per-user distribution is tied to distance d through the 0.3/d^2 law.
     With ``mean_semantics="amplitude"`` the amplitude mean E[h] equals
     0.3/d^2 (Rayleigh mean = scale * sqrt(pi/2)); with ``"mean_square"`` the
     power mean E[h^2] equals 0.3/d^2 instead (E[h^2] = 2 scale^2).
@@ -103,12 +101,18 @@ def generate_gains(distances, m: int, rng: np.random.Generator,
         raise ValueError("distances must be strictly positive")
     mean = 0.3 / d ** 2
     if mean_semantics == "amplitude":
-        scale = mean * np.sqrt(2.0 / np.pi)
-    elif mean_semantics == "mean_square":
-        scale = np.sqrt(mean / 2.0)
-    else:
-        raise ValueError(f"unknown mean_semantics {mean_semantics!r}")
-    return rng.rayleigh(scale=np.broadcast_to(scale, (m, d.size)))
+        return mean * np.sqrt(2.0 / np.pi)
+    if mean_semantics == "mean_square":
+        return np.sqrt(mean / 2.0)
+    raise ValueError(f"unknown mean_semantics {mean_semantics!r}")
+
+
+def generate_gains(distances, m: int, rng: np.random.Generator,
+                   mean_semantics: str = "amplitude") -> np.ndarray:
+    """Draw an m x K matrix of i.i.d. Rayleigh channel amplitude gains whose
+    per-user scale follows ``rayleigh_scale``."""
+    scale = rayleigh_scale(distances, mean_semantics)
+    return rng.rayleigh(scale=np.broadcast_to(scale, (m, scale.size)))
 
 
 def _zf_columns(S: np.ndarray) -> np.ndarray:
@@ -153,9 +157,12 @@ def output_sir(c: np.ndarray, k: int, S: np.ndarray, heff: np.ndarray,
         raise ValueError("filter vector must be nonzero")
     cross = c @ S
     rec = np.asarray(p, dtype=float) * np.asarray(heff, dtype=float) ** 2
-    signal = rec[k] * cross[k] ** 2
     interference = rec * cross ** 2
-    denom = sigma2 * (c @ c) + interference.sum() - interference[k]
+    signal = interference[k]
+    # zero user k's term rather than subtract it from the total: when it
+    # dominates, the difference cancels and loses the filter-scale invariance
+    interference[k] = 0.0
+    denom = sigma2 * (c @ c) + interference.sum()
     return float(signal / denom)
 
 

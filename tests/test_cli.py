@@ -3,7 +3,10 @@ import sys
 
 import pytest
 
+from powergame.asymptotic import feasibility_bound
 from powergame.cli import EXIT_CONFIG, EXIT_IO, EXIT_NOCONV, main
+from powergame.efficiency import EfficiencyKind, EfficiencyModel, solve_gamma_star
+from powergame.system import ReceiverKind
 
 
 def run_cli(*args, **kwargs):
@@ -54,6 +57,23 @@ class TestConfigErrors:
         proc = run_cli("sweep", "--set", "alpha=1.5", "--receiver", "DE")
         assert proc.returncode == EXIT_CONFIG
         assert "alpha < 1" in proc.stderr
+
+    def test_rounding_edge_load_rejected_not_emptied(self, capsys):
+        # alpha < 5 * bound holds in floating point but alpha / 5 < bound does
+        # not; the sweep gates cells on the latter, so the CLI must too
+        # rather than accept the grid and print an empty table
+        alpha = 0.7722484334136034
+        bound = feasibility_bound(ReceiverKind.MATCHED_FILTER,
+                                  solve_gamma_star(EfficiencyModel(
+                                      EfficiencyKind.EXP_APPROX, 100)))
+        assert alpha < 5 * bound and alpha / 5 >= bound  # still an edge case
+        code = main(["sweep", "--set", f"alpha={alpha!r}", "--antennas", "5",
+                     "--receiver", "MF", "--trials", "2"])
+        out, err = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err == ("config error: alpha: no feasible load point; "
+                       "MF m=5: alpha < 0.772248\n")
 
     def test_config_file_and_comments(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -3,12 +3,13 @@ import pytest
 
 from powergame.asymptotic import feasibility_bound, gamma_factor
 from powergame.efficiency import EfficiencyKind, EfficiencyModel, eff_value
+from powergame import experiments
 from powergame.experiments import (ScenarioConfig, SweepMode,
                                    run_admission_curve, run_efficiency_curve,
                                    run_finite_vs_asymptotic, run_load_sweep,
                                    run_target_sir_comparison,
                                    run_utility_power_curve, trial_rng)
-from powergame.system import ReceiverKind
+from powergame.system import ReceiverKind, generate_gains
 
 from conftest import make_params
 
@@ -41,6 +42,49 @@ class TestTrialRng:
         a = trial_rng(7, 0, 3).random(4)
         b = trial_rng(7, 1, 3).random(4)
         assert not np.array_equal(a, b)
+
+
+BLOCK = experiments._BLOCK
+
+
+class TestBatchedDraws:
+    """Block-batched gain arithmetic against a per-trial generate_gains oracle.
+
+    Equality is exact: the batched path multiplies unit Rayleigh draws by the
+    scale afterwards, which matches numpy's own scale * sqrt(2 E) bit for bit.
+    """
+
+    @pytest.mark.parametrize("semantics", ["amplitude", "mean_square"])
+    @pytest.mark.parametrize("m_max", [1, 8])
+    @pytest.mark.parametrize("trials", [1, BLOCK - 1, BLOCK, BLOCK + 1])
+    def test_sweep_gains_equal_per_trial_draws(self, semantics, m_max, trials):
+        cfg = config(trials=trials, master_seed=11, antennas=(m_max,),
+                     gain_mean_semantics=semantics)
+        expected = np.array([
+            generate_gains([cfg.distance], m_max,
+                           trial_rng(11, experiments._STREAM_SWEEP, t),
+                           semantics)[:, 0] ** 2
+            for t in range(trials)])
+        got = experiments._sweep_gains(cfg)
+        assert got.shape == (trials, m_max)
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("semantics", ["amplitude", "mean_square"])
+    @pytest.mark.parametrize("trials", [1, BLOCK - 1, BLOCK, BLOCK + 1])
+    def test_admission_pooled_gain_equals_per_trial_draws(self, semantics,
+                                                          trials):
+        cfg = config(trials=trials, master_seed=5,
+                     gain_mean_semantics=semantics)
+        pool = cfg.params.N
+        per_trial = []
+        for t in range(trials):
+            rng = trial_rng(5, experiments._STREAM_ADMISSION, t)
+            d = experiments._annulus_distances(rng.random(pool), cfg.d_min,
+                                               cfg.d_max)
+            h = generate_gains(d, 1, rng, semantics)
+            per_trial.append(experiments._mean((h[0] ** 2).tolist()))
+        assert experiments._pooled_mean_h2(cfg) == \
+            experiments._mean(per_trial)
 
 
 class TestLoadSweep:

@@ -6,6 +6,7 @@ from powergame.asymptotic import (equilibrium_utility_large,
 from powergame.exceptions import InfeasibleLoadError, SingularSpreadingError
 from powergame.game import solve_equilibrium
 from powergame.multiantenna import (effective_signatures, gamma_factor_ma,
+                                    is_feasible_ma, load_limit_ma,
                                     solve_equilibrium_ma, utility_ma)
 from powergame.system import (ChannelRealization, ReceiverKind,
                               generate_gains, generate_spreading)
@@ -158,6 +159,23 @@ class TestGammaFactorMa:
         with pytest.raises(InfeasibleLoadError):
             gamma_factor_ma(MMSE, bound * 1.5, 1, gamma_star)
         assert gamma_factor_ma(MMSE, bound * 1.5, 2, gamma_star) > 0
+
+    def test_feasibility_test_gates_gamma_factor(self, gamma_star):
+        for kind in KINDS:
+            for m in (1, 2, 3, 5, 8):
+                limit = load_limit_ma(kind, m, gamma_star)
+                assert is_feasible_ma(kind, limit * (1 - 1e-9), m, gamma_star)
+                assert not is_feasible_ma(kind, limit * (1 + 1e-9), m,
+                                          gamma_star)
+                for alpha in (np.nextafter(limit, 0.0), limit,
+                              np.nextafter(limit, 2 * limit)):
+                    if is_feasible_ma(kind, alpha, m, gamma_star):
+                        assert gamma_factor_ma(kind, alpha, m, gamma_star) > 0
+                    else:
+                        with pytest.raises(InfeasibleLoadError):
+                            gamma_factor_ma(kind, alpha, m, gamma_star)
+            assert load_limit_ma(kind, 1, gamma_star) == \
+                feasibility_bound(kind, gamma_star)
 
     def test_monotone_in_antennas(self, gamma_star):
         for kind in (MF, MMSE):

@@ -1,4 +1,5 @@
-"""Property tests: the whole-vector SIR engines against the per-user oracle.
+"""Property tests: the whole-vector SIR engines against the per-user oracle,
+filter scale invariance and byte-identical CLI reruns.
 
 receiver_filter + output_sir build each user's filter from an N x N (or
 mN x mN) system and stay the independent reference; the engines, including
@@ -6,9 +7,14 @@ the K x K MMSE form, must reproduce them on arbitrary draws, overloaded
 (K > N) ones included.
 """
 
-import numpy as np
-from hypothesis import given, settings, strategies as st
+import contextlib
+import io
 
+import numpy as np
+from hypothesis import given, reject, settings, strategies as st
+
+from powergame import cli
+from powergame.exceptions import SingularSpreadingError
 from powergame.game import make_sir_engine
 from powergame.multiantenna import effective_signatures
 from powergame.system import (ReceiverKind, generate_gains,
@@ -85,3 +91,45 @@ class TestEngineEquivalences:
         sirs = make_sir_engine(kind, S, H[0], SIGMA2)(p)
         permuted = make_sir_engine(kind, S[:, perm], H[0][perm], SIGMA2)(p[perm])
         np.testing.assert_allclose(permuted, sirs[perm], rtol=RTOL)
+
+
+class TestFilterScaleInvariance:
+    @PROPERTY
+    @given(draws(), st.sampled_from(list(ReceiverKind)), st.data(),
+           st.floats(-6.0, 6.0), st.booleans())
+    def test_output_sir_ignores_filter_scale(self, draw, kind, data, log_mag,
+                                             negative):
+        S, H, p = draw
+        k = data.draw(st.integers(0, S.shape[1] - 1))
+        try:
+            c = receiver_filter(kind, k, S, H[0], p, SIGMA2)
+        except SingularSpreadingError:
+            reject()
+        lam = (-1.0 if negative else 1.0) * 10.0 ** log_mag
+        np.testing.assert_allclose(output_sir(lam * c, k, S, H[0], p, SIGMA2),
+                                   output_sir(c, k, S, H[0], p, SIGMA2),
+                                   rtol=1e-12)
+
+
+def _cli_stdout(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    return code, buf.getvalue()
+
+
+class TestRerunDeterminism:
+    @PROPERTY
+    @given(st.sampled_from(["sweep", "admission"]),
+           st.integers(0, 2 ** 64 - 1), st.integers(1, 80),
+           st.lists(st.integers(1, 8), min_size=1, max_size=3, unique=True),
+           st.sampled_from(["amplitude", "mean_square"]))
+    def test_same_config_gives_same_bytes(self, sub, seed, trials, antennas,
+                                          semantics):
+        argv = [sub, "--seed", str(seed), "--trials", str(trials),
+                "--antennas", ",".join(map(str, antennas)),
+                "--set", f"gain_mean_semantics={semantics}",
+                "--set", "N=20"]
+        code, first = _cli_stdout(argv)
+        assert code == 0 and first.count("\n") > 1
+        assert _cli_stdout(argv) == (code, first)
