@@ -7,7 +7,6 @@ utilities, cooperative targets, admission limits, receive-diversity gains),
 and reproduces the reference numerical experiments as seeded CSV sweeps.
 """
 
-from .asymptotic import AsymptoticResult, operating_point
 from .efficiency import (EfficiencyKind, EfficiencyModel, eff_derivative,
                          eff_value, solve_gamma_star)
 from .exceptions import (InfeasibleLoadError, InfeasibleUserError,
@@ -21,13 +20,13 @@ from .system import (ChannelRealization, ReceiverKind, SystemParams,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsymptoticResult", "ChannelRealization", "EffectiveSystem",
-    "EfficiencyKind", "EfficiencyModel", "EquilibriumResult",
+    "ChannelRealization", "EffectiveSystem", "EfficiencyKind",
+    "EfficiencyModel", "EquilibriumResult",
     "InfeasibleLoadError", "InfeasibleUserError", "PowerGameError",
     "ReceiverKind", "SingularSpreadingError", "SolverError", "SystemParams",
     "best_response_power", "eff_derivative", "eff_value",
     "effective_signatures", "generate_gains", "generate_spreading",
-    "operating_point", "output_sir", "receiver_filter", "solve_equilibrium",
+    "output_sir", "receiver_filter", "solve_equilibrium",
     "solve_equilibrium_ma", "solve_gamma_star", "utility",
     "utility_vs_power_curve", "verify_nash",
 ]

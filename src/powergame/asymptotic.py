@@ -11,7 +11,6 @@ or as one-dimensional root solves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,17 +22,6 @@ from .system import ReceiverKind, SystemParams
 
 FIXED_POINT_TOL = 1e-10
 FIXED_POINT_MAX_ITER = 10_000
-
-
-@dataclass(frozen=True)
-class AsymptoticResult:
-    """One large-system operating point of a receiver at a given load."""
-
-    alpha: float
-    gamma_target: float
-    Gamma: float          # load penalty, in (0, 1]
-    q: float              # W, balanced received power
-    utility_coeff: float  # bits/joule per unit squared channel gain
 
 
 def feasibility_bound(kind: ReceiverKind, gamma: float) -> float:
@@ -71,38 +59,19 @@ def balanced_received_power(kind: ReceiverKind, alpha: float, gamma: float,
     return gamma * sigma2 / gamma_factor(kind, alpha, gamma)
 
 
-def equilibrium_power_large(kind: ReceiverKind, alpha: float, gamma_star: float,
-                            sigma2: float, h2: float) -> float:
-    """Per-user transmit power q/h^2 achieving gamma_star at load alpha."""
-    if h2 <= 0:
-        raise ValueError(f"h2 must be positive, got {h2}")
-    return balanced_received_power(kind, alpha, gamma_star, sigma2) / h2
+def utility_coef(params: SystemParams, model: EfficiencyModel,
+                 gamma: float) -> float:
+    """Large-system utility per unit of Gamma h^2 at target SIR gamma:
+    L R f(gamma) / (M gamma sigma2), bits/joule.
 
-
-def equilibrium_utility_large(kind: ReceiverKind, alpha: float,
-                              params: SystemParams, model: EfficiencyModel,
-                              gamma_star: float, h2: float) -> float:
-    """Equilibrium utility L R f(g*) h^2 Gamma / (M g* sigma2), bits/joule."""
-    return (params.L * params.R * eff_value(model, gamma_star) * h2
-            / (params.M * gamma_star * params.sigma2)
-            * gamma_factor(kind, alpha, gamma_star))
-
-
-def operating_point(kind: ReceiverKind, alpha: float, params: SystemParams,
-                    model: EfficiencyModel,
-                    gamma_target: float | None = None) -> AsymptoticResult:
-    """Bundle the large-system quantities at one (receiver, load) point.
-
-    Defaults to the non-cooperative target SIR; pass a cooperative target to
-    evaluate the social-optimum point instead. Raises on infeasible loads.
+    Every user at SIR gamma transmits q/h^2 with q = gamma sigma2 / Gamma, so
+    its utility (L/M) R f(gamma) h^2 / q is this coefficient times Gamma h^2.
+    The non-cooperative, cooperative and m-antenna utilities all take this
+    form, at gamma* or the Pareto target and with gamma_factor or
+    multiantenna.gamma_factor_ma as Gamma (h^2 pooled over the antennas).
     """
-    if gamma_target is None:
-        gamma_target = solve_gamma_star(model)
-    Gamma = gamma_factor(kind, alpha, gamma_target)
-    q = gamma_target * params.sigma2 / Gamma
-    coeff = (params.L / params.M) * params.R * eff_value(model, gamma_target) / q
-    return AsymptoticResult(alpha=alpha, gamma_target=gamma_target,
-                            Gamma=Gamma, q=q, utility_coeff=coeff)
+    return (params.L * params.R * eff_value(model, gamma)
+            / (params.M * gamma * params.sigma2))
 
 
 def mmse_sir_fixed_point_large(received_powers, k: int, sigma2: float,
@@ -185,14 +154,6 @@ def solve_pareto_target(kind: ReceiverKind, alpha: float,
         return eff_value(model, g) / balanced_received_power(kind, alpha, g, 1.0)
 
     return max(roots, key=ratio)
-
-
-def pareto_utility(kind: ReceiverKind, alpha: float, params: SystemParams,
-                   model: EfficiencyModel, h2: float) -> float:
-    """Per-user utility at the cooperative SIR-balanced optimum."""
-    g_opt = solve_pareto_target(kind, alpha, model)
-    q = balanced_received_power(kind, alpha, g_opt, params.sigma2)
-    return (params.L / params.M) * params.R * eff_value(model, g_opt) * h2 / q
 
 
 def optimal_load(kind: ReceiverKind, gamma_star: float, m: int = 1) -> float:

@@ -75,6 +75,8 @@ def _parse_antennas(key, text):
         raise ConfigError(key, f"expected comma-separated integers, got {text!r}") from None
     if not counts or any(c < 1 for c in counts):
         raise ConfigError(key, "antenna counts must be positive integers")
+    if len(set(counts)) != len(counts):
+        raise ConfigError(key, f"repeated value in {text!r}")
     return counts
 
 
@@ -208,14 +210,16 @@ def parse_config(path: str | None, overrides, subcommand_defaults=None) -> Scena
         raise ConfigError("config", str(exc)) from None
 
 
-def _require_feasible_cell(config: ScenarioConfig) -> None:
-    """Reject configs whose every requested (load, receiver, m) cell is infeasible."""
+def _require_feasible_cell(config: ScenarioConfig, kinds, antennas) -> None:
+    """Reject configs in which every (load, receiver, m) cell the subcommand
+    tabulates, receivers ``kinds`` times antenna counts ``antennas``, is
+    infeasible."""
     if not config.alpha_grid:
         raise ConfigError("alpha", "this subcommand needs alpha or alpha_range")
     gstar = solve_gamma_star(config.model)
     bounds = []
-    for kind in config.kinds:
-        for m in config.antennas:
+    for kind in kinds:
+        for m in antennas:
             bounds.append(f"{kind.value} m={m}: "
                           f"alpha < {load_limit_ma(kind, m, gstar):g}")
             if any(is_feasible_ma(kind, alpha, m, gstar)
@@ -308,19 +312,26 @@ def _cmd_equilibrium(config, args):
 
 
 def _cmd_sweep(config, args):
-    _require_feasible_cell(config)
+    antennas = config.antennas
+    if config.mode is SweepMode.PARETO:
+        # cooperative rows are tabulated for a single antenna only
+        if 1 not in antennas:
+            raise ConfigError("antennas", "mode=pareto tabulates m=1 only, "
+                              f"got antennas={','.join(map(str, antennas))}")
+        antennas = (1,)
+    _require_feasible_cell(config, config.kinds, antennas)
     emit_csv(experiments.run_load_sweep(config), args.output)
     return 0
 
 
 def _cmd_sir_compare(config, args):
-    _require_feasible_cell(config)
+    _require_feasible_cell(config, config.kinds, (1,))
     emit_csv(experiments.run_target_sir_comparison(config), args.output)
     return 0
 
 
 def _cmd_admission(config, args):
-    _require_feasible_cell(config)
+    _require_feasible_cell(config, config.kinds[:1], config.antennas[:1])
     emit_csv(experiments.run_admission_curve(config), args.output)
     return 0
 
@@ -338,7 +349,7 @@ def _cmd_curve_efficiency(config, args):
 
 
 def _cmd_validate_asymptotic(config, args):
-    _require_feasible_cell(config)
+    _require_feasible_cell(config, config.kinds, (1,))
     emit_csv(experiments.run_finite_vs_asymptotic(config), args.output)
     return 0
 

@@ -149,14 +149,6 @@ def _std(values, mean: float) -> float:
     return math.sqrt(math.fsum((v - mean) ** 2 for v in values) / (len(values) - 1))
 
 
-def _utility_coef(params: SystemParams, model: EfficiencyModel,
-                  gamma: float) -> float:
-    """Closed-form utility per unit of Gamma * h^2 at target SIR gamma:
-    L R f(gamma) / (M gamma sigma2)."""
-    return (params.L * params.R * eff_value(model, gamma)
-            / (params.M * gamma * params.sigma2))
-
-
 def _draw_blocks(config: ScenarioConfig, stream: int, count: int,
                  uniforms: bool):
     """Raw per-trial draws, ``_BLOCK`` trials at a time.
@@ -220,7 +212,7 @@ def run_load_sweep(config: ScenarioConfig):
                              alpha, kind.value, m)
                     continue
                 if config.mode in (SweepMode.NONCOOPERATIVE, SweepMode.BOTH):
-                    coef = _utility_coef(p, model, gstar) * gamma_bar
+                    coef = asymptotic.utility_coef(p, model, gstar) * gamma_bar
                     utilities = (coef * hbar2).tolist()
                     powers = ((gstar * p.sigma2) / (hbar2 * gamma_bar)).tolist()
                     mu = _mean(utilities)
@@ -233,7 +225,7 @@ def run_load_sweep(config: ScenarioConfig):
                     # cooperative target equals the tangent solution, come
                     # out bit-identical to the non-cooperative ones
                     factor = asymptotic.gamma_factor(kind, alpha, g_opt)
-                    coef = _utility_coef(p, model, g_opt) * factor
+                    coef = asymptotic.utility_coef(p, model, g_opt) * factor
                     utilities = (coef * hbar2).tolist()
                     powers = ((g_opt * p.sigma2) / (hbar2 * factor)).tolist()
                     mu = _mean(utilities)
@@ -249,9 +241,8 @@ def run_target_sir_comparison(config: ScenarioConfig):
     gstar = solve_gamma_star(config.model)
     rows = []
     for kind in config.kinds:
-        bound = asymptotic.feasibility_bound(kind, gstar)
         for alpha in config.alpha_grid:
-            if alpha >= bound:
+            if not multiantenna.is_feasible_ma(kind, alpha, 1, gstar):
                 continue
             g_opt = asymptotic.solve_pareto_target(kind, alpha, config.model)
             rows.append(TargetSirRow(alpha, kind, gstar, g_opt))
@@ -288,7 +279,7 @@ def run_admission_curve(config: ScenarioConfig):
     m = config.antennas[0]
     gstar = solve_gamma_star(config.model)
     e_h2 = _pooled_mean_h2(config)
-    coef = _utility_coef(config.params, config.model, gstar)
+    coef = asymptotic.utility_coef(config.params, config.model, gstar)
     rows = []
     for alpha in config.alpha_grid:
         try:
@@ -360,7 +351,7 @@ def run_finite_vs_asymptotic(config: ScenarioConfig):
         for N in config.n_grid:
             K = max(1, round(alpha * N))
             load = K / N
-            if load >= asymptotic.feasibility_bound(kind, gstar):
+            if not multiantenna.is_feasible_ma(kind, load, 1, gstar):
                 log.info("omitting infeasible cell load=%g kind=%s N=%d",
                          load, kind.value, N)
                 continue

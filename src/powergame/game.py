@@ -18,13 +18,15 @@ import numpy as np
 from .efficiency import EfficiencyModel, solve_gamma_star
 from .exceptions import InfeasibleUserError
 from .system import (ChannelRealization, ReceiverKind, SystemParams,
-                     decorrelator_sirs, matched_filter_sirs, mmse_sirs,
-                     output_sir, receiver_filter, receiver_filters, utility,
-                     _zf_columns)
+                     make_sir_engine, output_sir, receiver_filter,
+                     receiver_filters, utility)
 
 INITIAL_POWER_FRACTION = 1e-2  # starting powers as a fraction of Pmax
-DEFAULT_POWER_TOL = 1e-9
 DEFAULT_MAX_ITER = 500
+POWER_TOL = 1e-9  # largest relative power change of a settled sweep
+SIR_TOL = 1e-6    # relative SIR error allowed for users below Pmax
+PROBE_GRID_SIZE = 16  # deviations per user in verify_nash, 0.5x .. 2x
+NASH_REL_TOL = 1e-6   # relative utility gain a deviation must beat
 
 
 @dataclass
@@ -62,36 +64,14 @@ def _single_antenna_gains(realization: ChannelRealization) -> np.ndarray:
     return realization.H[0]
 
 
-def make_sir_engine(kind: ReceiverKind, S: np.ndarray, heff: np.ndarray,
-                    sigma2: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Return a powers -> SIRs function with filter structure precomputed.
-
-    Matched filter and decorrelator geometry does not depend on powers, so
-    their crosscorrelation pieces are built once. MMSE keeps G = S'S and
-    solves one K x K system per call (the filter tracks the interference),
-    shared by all users; see mmse_sirs. Each engine reproduces
-    receiver_filter + output_sir up to rounding.
-    """
-    if kind is ReceiverKind.MATCHED_FILTER:
-        gram_sq = (S.T @ S) ** 2
-        np.fill_diagonal(gram_sq, 0.0)
-        return lambda p: matched_filter_sirs(S, heff, p, sigma2, gram_sq=gram_sq)
-    if kind is ReceiverKind.DECORRELATOR:
-        noise_diag = np.diag(_zf_columns(S)).copy()
-        return lambda p: decorrelator_sirs(S, heff, p, sigma2, noise_diag=noise_diag)
-    gram = S.T @ S
-    return lambda p: mmse_sirs(S, heff, p, sigma2, gram=gram)
-
-
 def solve_from_engine(sirs_fn: Callable[[np.ndarray], np.ndarray], K: int,
                       params: SystemParams, model: EfficiencyModel,
-                      gamma_star: float, sir_tol: float = 1e-6,
-                      power_tol: float = DEFAULT_POWER_TOL,
+                      gamma_star: float,
                       max_iter: int = DEFAULT_MAX_ITER) -> EquilibriumResult:
     """Run synchronous best-response sweeps until the powers settle.
 
     The result is converged when the sweeps settled within max_iter, every
-    user below Pmax sits at gamma_star within sir_tol, and at least one user
+    user below Pmax sits at gamma_star within SIR_TOL, and at least one user
     is below Pmax. A result with every user clamped at Pmax is not
     converged: no one reaches the target SIR, so it is not the equilibrium
     the game describes.
@@ -107,14 +87,14 @@ def solve_from_engine(sirs_fn: Callable[[np.ndarray], np.ndarray], K: int,
         p_new = np.minimum(p * gamma_star / g, Pmax)
         delta = float(np.max(np.abs(p_new - p) / p))
         p = p_new
-        if delta < power_tol:
+        if delta < POWER_TOL:
             settled = True
             break
 
     sirs = sirs_fn(p)
     clamped = frozenset(np.flatnonzero(p >= Pmax * (1.0 - 1e-12)).tolist())
     unclamped = [k for k in range(K) if k not in clamped]
-    sir_ok = all(abs(sirs[k] - gamma_star) / gamma_star <= sir_tol for k in unclamped)
+    sir_ok = all(abs(sirs[k] - gamma_star) / gamma_star <= SIR_TOL for k in unclamped)
     utilities = np.array([utility(p[k], sirs[k], params, model) for k in range(K)])
     return EquilibriumResult(powers=p, sirs=sirs, utilities=utilities,
                              iterations=iterations,
@@ -124,13 +104,12 @@ def solve_from_engine(sirs_fn: Callable[[np.ndarray], np.ndarray], K: int,
 
 def solve_equilibrium(realization: ChannelRealization, kind: ReceiverKind,
                       params: SystemParams, model: EfficiencyModel,
-                      sir_tol: float = 1e-6, max_iter: int = DEFAULT_MAX_ITER,
-                      gamma_star: float | None = None,
-                      power_tol: float = DEFAULT_POWER_TOL) -> EquilibriumResult:
+                      max_iter: int = DEFAULT_MAX_ITER,
+                      gamma_star: float | None = None) -> EquilibriumResult:
     """Drive all users to the SIR-balanced equilibrium for one realization.
 
     Stops when the largest relative power change over a sweep drops below
-    power_tol or when max_iter sweeps have run; non-convergence is reported
+    POWER_TOL or when max_iter sweeps have run; non-convergence is reported
     through the result, not raised, so Monte Carlo harnesses can decide.
     """
     heff = _single_antenna_gains(realization)
@@ -138,13 +117,12 @@ def solve_equilibrium(realization: ChannelRealization, kind: ReceiverKind,
         gamma_star = solve_gamma_star(model)
     engine = make_sir_engine(kind, realization.S, heff, params.sigma2)
     return solve_from_engine(engine, realization.S.shape[1], params, model,
-                             gamma_star, sir_tol, power_tol, max_iter)
+                             gamma_star, max_iter)
 
 
 def verify_nash(result: EquilibriumResult, realization: ChannelRealization,
                 kind: ReceiverKind, params: SystemParams,
-                model: EfficiencyModel, probe_grid_size: int = 16,
-                rel_tol: float = 1e-6) -> bool:
+                model: EfficiencyModel) -> bool:
     """Probe unilateral deviations and confirm no user can gain.
 
     Each user's power is swept over a multiplicative grid 0.5x .. 2x of its
@@ -163,12 +141,12 @@ def verify_nash(result: EquilibriumResult, realization: ChannelRealization,
     h2 = heff ** 2
     noise = params.sigma2 * np.einsum("nk,nk->k", C, C)
     sir_per_watt = h2 * own / (noise + X @ (powers * h2))
-    factors = np.geomspace(0.5, 2.0, probe_grid_size)
+    factors = np.geomspace(0.5, 2.0, PROBE_GRID_SIZE)
     for k in range(S.shape[1]):
         base = result.utilities[k]
         for factor in factors:
             p_k = min(powers[k] * factor, params.Pmax)
             g = p_k * sir_per_watt[k]
-            if utility(p_k, g, params, model) > base * (1.0 + rel_tol):
+            if utility(p_k, g, params, model) > base * (1.0 + NASH_REL_TOL):
                 return False
     return True

@@ -16,11 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .efficiency import EfficiencyModel, eff_value, solve_gamma_star
+from .efficiency import EfficiencyModel, solve_gamma_star
 from .exceptions import InfeasibleLoadError
-from .game import (DEFAULT_MAX_ITER, DEFAULT_POWER_TOL, EquilibriumResult,
-                   make_sir_engine, solve_from_engine)
-from .system import ReceiverKind, SystemParams
+from .game import DEFAULT_MAX_ITER, EquilibriumResult, solve_from_engine
+from .system import ReceiverKind, SystemParams, make_sir_engine
 from . import asymptotic
 
 
@@ -50,10 +49,8 @@ def effective_signatures(S: np.ndarray, H: np.ndarray) -> EffectiveSystem:
 
 def solve_equilibrium_ma(S: np.ndarray, H: np.ndarray, kind: ReceiverKind,
                          params: SystemParams, model: EfficiencyModel,
-                         sir_tol: float = 1e-6,
                          max_iter: int = DEFAULT_MAX_ITER,
-                         gamma_star: float | None = None,
-                         power_tol: float = DEFAULT_POWER_TOL) -> EquilibriumResult:
+                         gamma_star: float | None = None) -> EquilibriumResult:
     """m-antenna SIR-balanced equilibrium; reduces exactly to the
     single-antenna solver at m = 1.
 
@@ -71,7 +68,7 @@ def solve_equilibrium_ma(S: np.ndarray, H: np.ndarray, kind: ReceiverKind,
         engine = make_sir_engine(kind, eff.Sbar, np.ones(eff.Sbar.shape[1]),
                                  params.sigma2)
     return solve_from_engine(engine, eff.Sbar.shape[1], params, model,
-                             gamma_star, sir_tol, power_tol, max_iter)
+                             gamma_star, max_iter)
 
 
 def _effective_load(kind: ReceiverKind, alpha: float, m: int) -> float:
@@ -108,11 +105,3 @@ def gamma_factor_ma(kind: ReceiverKind, alpha: float, m: int,
     return asymptotic.gamma_factor(kind, _effective_load(kind, alpha, m),
                                    gamma_star)
 
-
-def utility_ma(kind: ReceiverKind, alpha: float, m: int, params: SystemParams,
-               model: EfficiencyModel, gamma_star: float,
-               hbar2_k: float) -> float:
-    """Equilibrium utility L R f(g*) hbar2 Gammabar / (M g* sigma2)."""
-    return (params.L * params.R * eff_value(model, gamma_star) * hbar2_k
-            / (params.M * gamma_star * params.sigma2)
-            * gamma_factor_ma(kind, alpha, m, gamma_star))

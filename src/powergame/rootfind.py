@@ -13,11 +13,14 @@ import numpy as np
 
 from .exceptions import SolverError
 
+SCAN_POINTS = 400      # geometric grid points of a bracket scan
+BISECT_MAX_ITER = 200  # halvings; 1e3 wide brackets reach 1e-9 in ~40
 
-def scan_brackets(fn: Callable[[float], float], lo: float, hi: float,
-                  points: int = 400) -> List[Tuple[float, float]]:
+
+def scan_brackets(fn: Callable[[float], float], lo: float,
+                  hi: float) -> List[Tuple[float, float]]:
     """Return all [a, b] sub-intervals of a geometric grid where fn goes <=0 to >0."""
-    xs = np.geomspace(lo, hi, points)
+    xs = np.geomspace(lo, hi, SCAN_POINTS)
     vals = [fn(float(x)) for x in xs]
     brackets = []
     for a, b, fa, fb in zip(xs[:-1], xs[1:], vals[:-1], vals[1:]):
@@ -27,11 +30,11 @@ def scan_brackets(fn: Callable[[float], float], lo: float, hi: float,
 
 
 def bisect(fn: Callable[[float], float], lo: float, hi: float,
-           tol: float = 1e-9, max_iter: int = 200) -> float:
+           tol: float = 1e-9) -> float:
     """Bisect fn on [lo, hi] assuming fn(lo) <= 0 < fn(hi); absolute tolerance on x."""
     if fn(lo) > 0.0 or fn(hi) <= 0.0:
         raise SolverError(f"no sign change on [{lo}, {hi}]")
-    for _ in range(max_iter):
+    for _ in range(BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if fn(mid) <= 0.0:
             lo = mid
@@ -43,9 +46,9 @@ def bisect(fn: Callable[[float], float], lo: float, hi: float,
 
 
 def rightmost_root(fn: Callable[[float], float], lo: float, hi: float,
-                   tol: float = 1e-9, points: int = 400) -> float:
+                   tol: float = 1e-9) -> float:
     """Locate the rightmost upward (<=0 to >0) crossing of fn on [lo, hi]."""
-    brackets = scan_brackets(fn, lo, hi, points)
+    brackets = scan_brackets(fn, lo, hi)
     if not brackets:
         raise SolverError(
             f"no sign change of the target function on [{lo}, {hi}]; "

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
@@ -175,34 +176,12 @@ def utility(p_k: float, gamma_k: float, params: SystemParams,
 
 
 # ---------------------------------------------------------------------------
-# Whole-vector evaluation. The *_sirs kernels return the same numbers as
-# receiver_filter + output_sir for every user, and receiver_filters returns
-# every user's filter; all share the expensive factorizations so equilibrium
+# Whole-vector evaluation. make_sir_engine is the one place each receiver's
+# SIR is computed for all users at once; it returns the same numbers as
+# receiver_filter + output_sir for every user. receiver_filters returns every
+# user's filter. Both share the expensive factorizations so equilibrium
 # sweeps and Nash checks stay fast at N ~ a few hundred.
 # ---------------------------------------------------------------------------
-
-def matched_filter_sirs(S, heff, p, sigma2, gram_sq=None) -> np.ndarray:
-    """SIRs of all users under per-user matched filtering.
-
-    ``gram_sq`` may carry a precomputed elementwise square of S'S with zeroed
-    diagonal; passing it avoids rebuilding the K x K matrix every sweep.
-    """
-    rec = np.asarray(p, float) * np.asarray(heff, float) ** 2
-    if gram_sq is None:
-        G = S.T @ S
-        gram_sq = G ** 2
-        np.fill_diagonal(gram_sq, 0.0)
-    own = np.einsum("nk,nk->k", S, S)  # s_k's_k, equals 1 for unit-norm columns
-    return rec * own ** 2 / (sigma2 * own + gram_sq @ rec)
-
-
-def decorrelator_sirs(S, heff, p, sigma2, noise_diag=None) -> np.ndarray:
-    """SIRs under zero-forcing: gamma_k = p_k h_k^2 / (sigma2 [(S'S)^-1]_kk)."""
-    rec = np.asarray(p, float) * np.asarray(heff, float) ** 2
-    if noise_diag is None:
-        noise_diag = np.diag(_zf_columns(S)).copy()
-    return rec / (sigma2 * noise_diag)
-
 
 def _mmse_system(gram: np.ndarray, rec: np.ndarray, sigma2: float) -> np.ndarray:
     """The K x K matrix G D + sigma2 I, with G = S'S and D = diag(rec)."""
@@ -211,23 +190,63 @@ def _mmse_system(gram: np.ndarray, rec: np.ndarray, sigma2: float) -> np.ndarray
     return M
 
 
-def mmse_sirs(S, heff, p, sigma2, gram=None) -> np.ndarray:
-    """SIRs of all users under per-user MMSE filtering.
+def make_sir_engine(kind: ReceiverKind, S: np.ndarray, heff: np.ndarray,
+                    sigma2: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Return a powers -> SIRs function for one realization (S, heff, sigma2).
 
-    Uses the rank-one downdate identity: with A = S D S' + sigma2 I and
-    D = diag(p h^2) (all users included),
-    s_k' A_k^-1 s_k = q_k / (1 - p_k h_k^2 q_k) where q_k = s_k' A^-1 s_k.
-    The push-through identity A^-1 S = S (D G + sigma2 I)^-1 with G = S'S
-    gives S' A^-1 S = (G D + sigma2 I)^-1 G, so every q_k comes from one
-    K x K solve instead of an N x N one. ``gram`` may carry a precomputed
-    S'S; passing it avoids rebuilding the K x K matrix every sweep.
+    The power-independent pieces are built once, here, and every call then
+    costs one K-vector update (MF, DE) or one K x K solve (MMSE). With
+    rec = p h^2:
+
+    * matched filter: gamma_k = rec_k (s_k's_k)^2 /
+      (sigma2 s_k's_k + sum_{j!=k} rec_j (s_k's_j)^2), from the squared
+      crosscorrelations and the own norms s_k's_k (1 for unit-norm columns,
+      the pooled gain for stacked antenna signatures);
+    * decorrelator: gamma_k = rec_k / (sigma2 [(S'S)^-1]_kk);
+    * MMSE: rank-one downdate. With A = S D S' + sigma2 I, D = diag(rec)
+      (all users included), s_k' A_k^-1 s_k = q_k / (1 - rec_k q_k) where
+      q_k = s_k' A^-1 s_k. The push-through identity
+      A^-1 S = S (D G + sigma2 I)^-1 with G = S'S gives
+      S' A^-1 S = (G D + sigma2 I)^-1 G, so every q_k comes from one K x K
+      solve instead of an N x N one.
     """
-    rec = np.asarray(p, float) * np.asarray(heff, float) ** 2
-    if gram is None:
-        gram = S.T @ S
-    q = np.diagonal(np.linalg.solve(_mmse_system(gram, rec, sigma2), gram))
-    ratio = rec * q  # equals gamma/(1+gamma), always in [0, 1)
-    return ratio / (1.0 - ratio)
+    h2 = np.asarray(heff, float) ** 2
+    if kind is ReceiverKind.MATCHED_FILTER:
+        gram_sq = (S.T @ S) ** 2
+        np.fill_diagonal(gram_sq, 0.0)
+        own = np.einsum("nk,nk->k", S, S)
+        own_sq, own_noise = own ** 2, sigma2 * own
+
+        def sirs(p):
+            rec = np.asarray(p, float) * h2
+            return rec * own_sq / (own_noise + gram_sq @ rec)
+        return sirs
+    if kind is ReceiverKind.DECORRELATOR:
+        noise = sigma2 * np.diag(_zf_columns(S))
+        return lambda p: np.asarray(p, float) * h2 / noise
+    gram = S.T @ S
+
+    def sirs(p):
+        rec = np.asarray(p, float) * h2
+        q = np.diagonal(np.linalg.solve(_mmse_system(gram, rec, sigma2), gram))
+        ratio = rec * q  # equals gamma/(1+gamma), always in [0, 1)
+        return ratio / (1.0 - ratio)
+    return sirs
+
+
+def matched_filter_sirs(S, heff, p, sigma2) -> np.ndarray:
+    """SIRs of all users under per-user matched filtering."""
+    return make_sir_engine(ReceiverKind.MATCHED_FILTER, S, heff, sigma2)(p)
+
+
+def decorrelator_sirs(S, heff, p, sigma2) -> np.ndarray:
+    """SIRs under zero-forcing: gamma_k = p_k h_k^2 / (sigma2 [(S'S)^-1]_kk)."""
+    return make_sir_engine(ReceiverKind.DECORRELATOR, S, heff, sigma2)(p)
+
+
+def mmse_sirs(S, heff, p, sigma2) -> np.ndarray:
+    """SIRs of all users under per-user MMSE filtering (one K x K solve)."""
+    return make_sir_engine(ReceiverKind.MMSE, S, heff, sigma2)(p)
 
 
 def receiver_filters(kind: ReceiverKind, S, heff, p, sigma2) -> np.ndarray:

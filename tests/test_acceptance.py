@@ -9,9 +9,8 @@ import time
 import numpy as np
 import pytest
 
-from powergame.asymptotic import (equilibrium_utility_large,
-                                  feasibility_bound, gamma_factor,
-                                  pareto_utility, solve_pareto_target)
+from powergame.asymptotic import (feasibility_bound, gamma_factor,
+                                  solve_pareto_target, utility_coef)
 from powergame.efficiency import (EfficiencyKind, EfficiencyModel, eff_value,
                                   solve_gamma_star)
 from powergame.experiments import (ScenarioConfig, SweepMode,
@@ -142,9 +141,11 @@ def test_criterion_5_pareto_relations():
     for kind in (MF, MMSE):
         bound = feasibility_bound(kind, gstar)
         for alpha in np.linspace(0.01, bound * 0.995, 25):
-            coop = pareto_utility(kind, alpha, PARAMS, MODEL, MEAN_H2)
-            selfish = equilibrium_utility_large(kind, alpha, PARAMS, MODEL,
-                                                gstar, MEAN_H2)
+            g_opt = solve_pareto_target(kind, alpha, MODEL)
+            coop = (utility_coef(PARAMS, MODEL, g_opt)
+                    * gamma_factor(kind, alpha, g_opt) * MEAN_H2)
+            selfish = (utility_coef(PARAMS, MODEL, gstar)
+                       * gamma_factor(kind, alpha, gstar) * MEAN_H2)
             dominance_ok &= coop >= selfish * (1 - 1e-12)
     for alpha in np.linspace(0.05, 1.0, 20):
         g_opt = solve_pareto_target(MMSE, alpha, MODEL)

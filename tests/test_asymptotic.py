@@ -3,16 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from powergame.asymptotic import (balanced_received_power,
-                                  equilibrium_power_large,
-                                  equilibrium_utility_large,
-                                  feasibility_bound, gamma_factor,
-                                  mmse_pareto_gap, mmse_sir_fixed_point_large,
-                                  optimal_load, pareto_utility,
-                                  solve_pareto_target)
+from powergame.asymptotic import (balanced_received_power, feasibility_bound,
+                                  gamma_factor, mmse_pareto_gap,
+                                  mmse_sir_fixed_point_large, optimal_load,
+                                  solve_pareto_target, utility_coef)
 from powergame.efficiency import eff_value
 from powergame.exceptions import InfeasibleLoadError
-from powergame.system import ReceiverKind
+from powergame.system import ReceiverKind, utility
 
 from conftest import make_params
 
@@ -21,6 +18,17 @@ DE = ReceiverKind.DECORRELATOR
 MMSE = ReceiverKind.MMSE
 KINDS = [MF, DE, MMSE]
 SIGMA2 = 5e-16
+
+
+def closed_form_utility(kind, alpha, params, model, gamma, h2):
+    """Large-system utility of a user with squared gain h2 at target gamma."""
+    return utility_coef(params, model, gamma) * gamma_factor(kind, alpha, gamma) * h2
+
+
+def pareto_closed_form_utility(kind, alpha, params, model, h2):
+    """The same closed form at the cooperative (Pareto) target."""
+    g_opt = solve_pareto_target(kind, alpha, model)
+    return closed_form_utility(kind, alpha, params, model, g_opt, h2)
 
 
 class TestFeasibilityBound:
@@ -37,24 +45,21 @@ class TestFeasibilityBound:
 
 
 class TestEquilibriumPower:
+    # per-user transmit power q / h^2 at the balanced received power q
     def test_zero_load_single_user_limit(self, gamma_star):
         for kind in KINDS:
-            p = equilibrium_power_large(kind, 0.0, gamma_star, SIGMA2, 1e-9)
+            p = balanced_received_power(kind, 0.0, gamma_star, SIGMA2) / 1e-9
             assert p == pytest.approx(gamma_star * SIGMA2 / 1e-9, rel=1e-12)
 
     def test_decorrelator_half_load_doubles_power(self, gamma_star):
         base = gamma_star * SIGMA2 / 1e-9
-        assert equilibrium_power_large(DE, 0.5, gamma_star, SIGMA2, 1e-9) == \
+        assert balanced_received_power(DE, 0.5, gamma_star, SIGMA2) / 1e-9 == \
             pytest.approx(2 * base, rel=1e-12)
 
     def test_matched_filter_infeasible_load(self):
         with pytest.raises(InfeasibleLoadError) as err:
-            equilibrium_power_large(MF, 0.2, 6.48, SIGMA2, 1e-9)
+            balanced_received_power(MF, 0.2, 6.48, SIGMA2)
         assert "0.154" in str(err.value)
-
-    def test_positive_h2_required(self, gamma_star):
-        with pytest.raises(ValueError):
-            equilibrium_power_large(DE, 0.5, gamma_star, SIGMA2, 0.0)
 
 
 class TestGammaFactor:
@@ -83,8 +88,8 @@ class TestGammaFactor:
 class TestUtilityLarge:
     def test_mmse_dominates_everywhere(self, params, model, gamma_star):
         for alpha in np.arange(0.02, 1.0, 0.05):
-            u = {kind: equilibrium_utility_large(kind, alpha, params, model,
-                                                 gamma_star, 1e-9)
+            u = {kind: closed_form_utility(kind, alpha, params, model,
+                                           gamma_star, 1e-9)
                  for kind in KINDS if alpha < feasibility_bound(kind, gamma_star)}
             assert u[MMSE] >= u[DE]
             if MF in u:
@@ -92,13 +97,13 @@ class TestUtilityLarge:
                 assert u[DE] >= u[MF]  # target SIR is above 0 dB here
 
     def test_matches_power_based_evaluation(self, params, model, gamma_star):
+        # the closed form equals system.utility at the balanced power q / h^2
         for kind, alpha in ((MF, 0.1), (DE, 0.6), (MMSE, 1.0)):
-            p = equilibrium_power_large(kind, alpha, gamma_star, SIGMA2, 1e-9)
-            via_power = (params.L / params.M) * params.R * \
-                eff_value(model, gamma_star) / p
-            direct = equilibrium_utility_large(kind, alpha, params, model,
-                                               gamma_star, 1e-9)
-            assert direct == pytest.approx(via_power, rel=1e-12)
+            p = balanced_received_power(kind, alpha, gamma_star, SIGMA2) / 1e-9
+            direct = closed_form_utility(kind, alpha, params, model,
+                                         gamma_star, 1e-9)
+            assert direct == pytest.approx(
+                utility(p, gamma_star, params, model), rel=1e-12)
 
 
 class TestMmseFixedPoint:
@@ -200,33 +205,33 @@ class TestMmseParetoGap:
 class TestParetoUtility:
     def test_decorrelator_identical_to_equilibrium(self, params, model, gamma_star):
         for alpha in (0.2, 0.7):
-            assert pareto_utility(DE, alpha, params, model, 1e-9) == \
-                pytest.approx(equilibrium_utility_large(DE, alpha, params,
-                                                        model, gamma_star,
-                                                        1e-9), rel=1e-12)
+            assert pareto_closed_form_utility(DE, alpha, params, model, 1e-9) == \
+                pytest.approx(closed_form_utility(DE, alpha, params, model,
+                                                  gamma_star, 1e-9), rel=1e-12)
 
     def test_weak_dominance(self, params, model, gamma_star):
         for kind in KINDS:
             bound = feasibility_bound(kind, gamma_star)
             for alpha in np.linspace(0.01, bound * 0.99, 15):
-                coop = pareto_utility(kind, alpha, params, model, 1e-9)
-                selfish = equilibrium_utility_large(kind, alpha, params,
-                                                    model, gamma_star, 1e-9)
+                coop = pareto_closed_form_utility(kind, alpha, params, model,
+                                                  1e-9)
+                selfish = closed_form_utility(kind, alpha, params, model,
+                                              gamma_star, 1e-9)
                 assert coop >= selfish * (1 - 1e-12)
 
     def test_matched_filter_gap_grows_with_load(self, params, model, gamma_star):
         gaps = []
         for alpha in (0.02, 0.08, 0.14):
-            coop = pareto_utility(MF, alpha, params, model, 1e-9)
-            selfish = equilibrium_utility_large(MF, alpha, params, model,
-                                                gamma_star, 1e-9)
+            coop = pareto_closed_form_utility(MF, alpha, params, model, 1e-9)
+            selfish = closed_form_utility(MF, alpha, params, model,
+                                          gamma_star, 1e-9)
             gaps.append(coop / selfish)
         assert gaps[0] < gaps[1] < gaps[2]
 
     def test_mmse_gain_is_small(self, params, model, gamma_star):
-        coop = pareto_utility(MMSE, 0.9, params, model, 1e-9)
-        selfish = equilibrium_utility_large(MMSE, 0.9, params, model,
-                                            gamma_star, 1e-9)
+        coop = pareto_closed_form_utility(MMSE, 0.9, params, model, 1e-9)
+        selfish = closed_form_utility(MMSE, 0.9, params, model, gamma_star,
+                                      1e-9)
         assert 1.0 <= coop / selfish < 1.05
 
 
@@ -276,35 +281,20 @@ class TestFiniteConsistencySmoke:
             res = solve_equilibrium(realization, MMSE, params, model,
                                     gamma_star=gamma_star)
             assert res.converged
-            p_asym = np.array([
-                equilibrium_power_large(MMSE, 0.25, gamma_star, SIGMA2, h * h)
-                for h in realization.H[0]])
+            q = balanced_received_power(MMSE, 0.25, gamma_star, SIGMA2)
+            p_asym = np.array([q / (h * h) for h in realization.H[0]])
             ratios.append(float(np.mean(res.powers / p_asym)))
         assert abs(np.mean(ratios) - 1.0) < 0.05
 
 
 class TestOperatingPoint:
-    def test_bundles_consistent_values(self, params, model, gamma_star):
-        from powergame.asymptotic import operating_point
-        pt = operating_point(MMSE, 0.5, params, model)
-        assert pt.gamma_target == gamma_star
-        assert pt.Gamma == gamma_factor(MMSE, 0.5, gamma_star)
-        assert pt.q == pytest.approx(
-            balanced_received_power(MMSE, 0.5, gamma_star, SIGMA2), rel=1e-12)
-        assert pt.utility_coeff * 1e-9 == pytest.approx(
-            equilibrium_utility_large(MMSE, 0.5, params, model, gamma_star,
-                                      1e-9), rel=1e-12)
-        assert 0 < pt.Gamma <= 1 and pt.q > 0
-
-    def test_cooperative_target(self, params, model, gamma_star):
-        from powergame.asymptotic import operating_point
+    # the closed form at a target other than gamma*, and at an infeasible load
+    def test_cooperative_target(self, params, model):
         g_opt = solve_pareto_target(MMSE, 0.9, model)
-        pt = operating_point(MMSE, 0.9, params, model, gamma_target=g_opt)
-        assert pt.gamma_target == g_opt
-        assert pt.utility_coeff * 1e-9 == pytest.approx(
-            pareto_utility(MMSE, 0.9, params, model, 1e-9), rel=1e-12)
+        p = balanced_received_power(MMSE, 0.9, g_opt, SIGMA2) / 1e-9
+        assert closed_form_utility(MMSE, 0.9, params, model, g_opt, 1e-9) == \
+            pytest.approx(utility(p, g_opt, params, model), rel=1e-12)
 
-    def test_infeasible_load_raises(self, params, model):
-        from powergame.asymptotic import operating_point
+    def test_infeasible_load_raises(self, params, model, gamma_star):
         with pytest.raises(InfeasibleLoadError):
-            operating_point(DE, 1.2, params, model)
+            closed_form_utility(DE, 1.2, params, model, gamma_star, 1e-9)

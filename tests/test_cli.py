@@ -75,6 +75,44 @@ class TestConfigErrors:
         assert err == ("config error: alpha: no feasible load point; "
                        "MF m=5: alpha < 0.772248\n")
 
+    @pytest.mark.parametrize("argv", [
+        # single-antenna tables: a second antenna must not admit the load
+        ["sir-compare", "--antennas", "2", "--set", "alpha=0.2",
+         "--receiver", "MF"],
+        ["validate-asymptotic", "--set", "alpha=0.2", "--antennas", "2",
+         "--receiver", "MF", "--trials", "2"],
+        # admission tabulates the first receiver (MF) only
+        ["admission", "--receiver", "all", "--alpha-range", "0.5:1.0:0.1"],
+    ])
+    def test_only_tabulated_cells_admit_a_load(self, argv, capsys):
+        bound = feasibility_bound(ReceiverKind.MATCHED_FILTER,
+                                  solve_gamma_star(EfficiencyModel(
+                                      EfficiencyKind.EXP_APPROX, 100)))
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err == ("config error: alpha: no feasible load point; "
+                       f"MF m=1: alpha < {bound:g}\n")
+
+    @pytest.mark.parametrize("argv,fragment", [
+        # cooperative rows are single-antenna only: m=2 alone tabulates nothing
+        (["sweep", "--set", "mode=pareto", "--antennas", "2", "--set",
+          "alpha=0.1", "--trials", "2"], "antennas: mode=pareto"),
+        (["sweep", "--antennas", "1,1", "--receiver", "DE", "--set",
+          "alpha=0.5"], "antennas: repeated value"),
+        (["validate-asymptotic", "--set", "n_grid=25,50,25", "--trials",
+          "2"], "n_grid: repeated value"),
+    ])
+    def test_config_without_distinct_cells_rejected(self, argv, fragment,
+                                                    capsys):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err.startswith("config error: " + fragment)
+        assert len(err.splitlines()) == 1
+
     def test_config_file_and_comments(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("# comment line\ntrials = 7\nseed = 3  # inline\n")

@@ -172,7 +172,7 @@ class TestProperties:
                                                     gamma_star):
         # interference-function iterations climb monotonically from below
         params = make_params(K=K, N=64)
-        from powergame.game import make_sir_engine
+        from powergame.system import make_sir_engine
         rng = np.random.default_rng(11)
         checked = 0
         while checked < 100:
@@ -272,8 +272,7 @@ class TestVerifyNash:
         """A converged equilibrium with user 4's power scaled by factor."""
         from dataclasses import replace
 
-        from powergame.game import make_sir_engine
-        from powergame.system import utility
+        from powergame.system import make_sir_engine, utility
 
         params = make_params(K=10, N=64)
         realization, result = feasible_instance(

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from powergame.asymptotic import (equilibrium_utility_large,
-                                  feasibility_bound, gamma_factor)
+from powergame.asymptotic import feasibility_bound, gamma_factor, utility_coef
 from powergame.exceptions import InfeasibleLoadError, SingularSpreadingError
 from powergame.game import solve_equilibrium
 from powergame.multiantenna import (effective_signatures, gamma_factor_ma,
                                     is_feasible_ma, load_limit_ma,
-                                    solve_equilibrium_ma, utility_ma)
+                                    solve_equilibrium_ma)
 from powergame.system import (ChannelRealization, ReceiverKind,
                               generate_gains, generate_spreading)
 
@@ -184,27 +183,32 @@ class TestGammaFactorMa:
 
 
 class TestUtilityMa:
+    # m-antenna utility: the one closed form with Gammabar and pooled hbar2
+    @staticmethod
+    def utility_ma(kind, alpha, m, params, model, gamma_star, hbar2):
+        return (utility_coef(params, model, gamma_star)
+                * gamma_factor_ma(kind, alpha, m, gamma_star) * hbar2)
+
     def test_single_antenna_equals_base(self, params, model, gamma_star):
         for kind in KINDS:
-            assert utility_ma(kind, 0.1, 1, params, model, gamma_star, 1e-9) == \
-                pytest.approx(equilibrium_utility_large(kind, 0.1, params,
-                                                        model, gamma_star,
-                                                        1e-9), rel=1e-12)
-
-    def test_linear_in_pooled_gain(self, params, model, gamma_star):
-        u1 = utility_ma(DE, 0.3, 2, params, model, gamma_star, 1e-9)
-        u2 = utility_ma(DE, 0.3, 2, params, model, gamma_star, 2e-9)
-        assert u2 == pytest.approx(2 * u1, rel=1e-12)
+            single = (utility_coef(params, model, gamma_star)
+                      * gamma_factor(kind, 0.1, gamma_star) * 1e-9)
+            assert self.utility_ma(kind, 0.1, 1, params, model, gamma_star,
+                                   1e-9) == pytest.approx(single, rel=1e-12)
 
     def test_antenna_gain_decomposition(self, params, model, gamma_star):
-        # doubling antennas at fixed alpha: DE gains exactly the pooled power;
-        # MF and MMSE additionally gain the interference-reduction factor
+        # doubling antennas at fixed alpha doubles the pooled power; DE gains
+        # exactly that, MF and MMSE also gain Gamma(alpha/2) / Gamma(alpha)
         alpha, h2 = 0.1, 1e-9
         for kind in KINDS:
-            u1 = utility_ma(kind, alpha, 1, params, model, gamma_star, h2)
-            u2 = utility_ma(kind, alpha, 2, params, model, gamma_star, 2 * h2)
+            u1 = self.utility_ma(kind, alpha, 1, params, model, gamma_star, h2)
+            u2 = self.utility_ma(kind, alpha, 2, params, model, gamma_star,
+                                 2 * h2)
             ratio = u2 / u1
             if kind is DE:
                 assert ratio == pytest.approx(2.0, rel=1e-12)
             else:
-                assert ratio > 2.0
+                reduction = (gamma_factor(kind, alpha / 2, gamma_star)
+                             / gamma_factor(kind, alpha, gamma_star))
+                assert reduction > 1.0
+                assert ratio == pytest.approx(2.0 * reduction, rel=1e-12)

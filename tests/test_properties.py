@@ -15,11 +15,10 @@ from hypothesis import given, reject, settings, strategies as st
 
 from powergame import cli
 from powergame.exceptions import SingularSpreadingError
-from powergame.game import make_sir_engine
 from powergame.multiantenna import effective_signatures
 from powergame.system import (ReceiverKind, generate_gains,
-                              generate_spreading, mmse_sirs, output_sir,
-                              receiver_filter)
+                              generate_spreading, make_sir_engine, mmse_sirs,
+                              output_sir, receiver_filter)
 
 MF = ReceiverKind.MATCHED_FILTER
 MMSE = ReceiverKind.MMSE
@@ -63,13 +62,15 @@ class TestMmseKernel:
                                    rtol=RTOL)
 
     @PROPERTY
-    @given(draws(m=2))
-    def test_stacked_two_antennas_match_oracle(self, draw):
+    @given(draws(m=2), st.sampled_from([MF, MMSE]))
+    def test_stacked_two_antennas_match_oracle(self, draw, kind):
+        # stacked columns have squared norm hbar2, not 1, which exercises
+        # the matched filter's own-norm term s_k's_k
         S, H, p = draw
         Sbar = effective_signatures(S, H).Sbar
         unit = np.ones(S.shape[1])
-        np.testing.assert_allclose(make_sir_engine(MMSE, Sbar, unit, SIGMA2)(p),
-                                   oracle_sirs(MMSE, Sbar, unit, p), rtol=RTOL)
+        np.testing.assert_allclose(make_sir_engine(kind, Sbar, unit, SIGMA2)(p),
+                                   oracle_sirs(kind, Sbar, unit, p), rtol=RTOL)
 
 
 class TestEngineEquivalences:

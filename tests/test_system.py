@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from powergame.exceptions import SingularSpreadingError
-from powergame.game import make_sir_engine
 from powergame.system import (ChannelRealization, ReceiverKind,
-                              generate_gains, generate_spreading, output_sir,
-                              receiver_filter, receiver_filters, utility,
+                              generate_gains, generate_spreading,
+                              make_sir_engine, output_sir, receiver_filter,
+                              receiver_filters, utility,
                               utility_vs_power_curve)
 
 from conftest import draw_realization, make_params
