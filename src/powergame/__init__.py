@@ -12,20 +12,21 @@ from .efficiency import (EfficiencyKind, EfficiencyModel, eff_derivative,
 from .exceptions import (InfeasibleLoadError, InfeasibleUserError,
                          PowerGameError, SingularSpreadingError, SolverError)
 from .game import EquilibriumResult, best_response_power, solve_equilibrium, verify_nash
-from .multiantenna import EffectiveSystem, effective_signatures, solve_equilibrium_ma
+from .multiantenna import solve_equilibrium_ma
 from .system import (ChannelRealization, ReceiverKind, SystemParams,
-                     generate_gains, generate_spreading, output_sir,
-                     receiver_filter, utility, utility_vs_power_curve)
+                     effective_system, generate_gains, generate_spreading,
+                     output_sir, receiver_filter, utility,
+                     utility_vs_power_curve)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChannelRealization", "EffectiveSystem", "EfficiencyKind",
-    "EfficiencyModel", "EquilibriumResult",
+    "ChannelRealization", "EfficiencyKind", "EfficiencyModel",
+    "EquilibriumResult",
     "InfeasibleLoadError", "InfeasibleUserError", "PowerGameError",
     "ReceiverKind", "SingularSpreadingError", "SolverError", "SystemParams",
     "best_response_power", "eff_derivative", "eff_value",
-    "effective_signatures", "generate_gains", "generate_spreading",
+    "effective_system", "generate_gains", "generate_spreading",
     "output_sir", "receiver_filter", "solve_equilibrium",
     "solve_equilibrium_ma", "solve_gamma_star", "utility",
     "utility_vs_power_curve", "verify_nash",

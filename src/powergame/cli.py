@@ -19,11 +19,9 @@ import numpy as np
 from . import experiments
 from .efficiency import EfficiencyKind, EfficiencyModel, solve_gamma_star
 from .exceptions import PowerGameError
-from .experiments import ScenarioConfig, SweepMode, trial_rng
-from .game import solve_equilibrium
-from .multiantenna import is_feasible_ma, load_limit_ma, solve_equilibrium_ma
-from .system import (ChannelRealization, ReceiverKind, SystemParams,
-                     generate_gains, generate_spreading)
+from .experiments import ScenarioConfig, SweepMode
+from .multiantenna import is_feasible_ma, load_limit_ma
+from .system import ReceiverKind, SystemParams
 
 EXIT_CONFIG = 2
 EXIT_IO = 3
@@ -228,6 +226,14 @@ def _require_feasible_cell(config: ScenarioConfig, kinds, antennas) -> None:
     raise ConfigError("alpha", "no feasible load point; " + "; ".join(bounds))
 
 
+def _require_one_antenna_count(config: ScenarioConfig) -> None:
+    """Reject an antenna list for a subcommand that solves one realization
+    with config.params.m, the first count, receive antennas."""
+    if len(config.antennas) != 1:
+        raise ConfigError("antennas", "this subcommand solves one antenna "
+                          f"count, got {','.join(map(str, config.antennas))}")
+
+
 def _format_cell(value) -> str:
     if isinstance(value, Enum):
         return str(value.value)
@@ -284,22 +290,10 @@ class EquilibriumRow:
 
 
 def _cmd_equilibrium(config, args):
-    p = config.params
-    rng = trial_rng(config.master_seed, experiments._STREAM_EQUILIBRIUM, 0)
-    S = generate_spreading(p.N, p.K, rng)
-    distances = np.full(p.K, config.distance)
-    m = config.antennas[0]
-    H = generate_gains(distances, m, rng, config.gain_mean_semantics)
+    _require_one_antenna_count(config)
     rows = []
     all_converged = True
-    for kind in config.kinds:
-        if m == 1:
-            realization = ChannelRealization(S=S, H=H, distances=distances)
-            result = solve_equilibrium(realization, kind, p, config.model,
-                                       max_iter=config.max_iter)
-        else:
-            result = solve_equilibrium_ma(S, H, kind, p, config.model,
-                                          max_iter=config.max_iter)
+    for kind, result in experiments.run_equilibria(config):
         all_converged = all_converged and result.converged
         rows.extend(EquilibriumRow(kind, k, float(result.powers[k]),
                                    float(result.sirs[k]),
@@ -337,8 +331,8 @@ def _cmd_admission(config, args):
 
 
 def _cmd_curve_utility(config, args):
-    rows = experiments.run_utility_power_curve(config)
-    emit_csv(rows, args.output)
+    _require_one_antenna_count(config)
+    emit_csv(experiments.run_utility_power_curve(config), args.output)
     return 0
 
 

@@ -291,13 +291,26 @@ def run_admission_curve(config: ScenarioConfig):
     return rows
 
 
-def _curve_realization(config: ScenarioConfig) -> ChannelRealization:
-    p = config.params
-    rng = trial_rng(config.master_seed, _STREAM_CURVE, 0)
-    S = generate_spreading(p.N, p.K, rng)
-    distances = np.full(p.K, config.distance)
-    H = generate_gains(distances, 1, rng, config.gain_mean_semantics)
+def _draw_realization(config: ScenarioConfig, N: int, K: int, m: int,
+                      stream: int, *key: int) -> ChannelRealization:
+    """One realization from trial_rng(master_seed, stream, *key): the N x K
+    spreading first, then m x K gains for users at config.distance."""
+    rng = trial_rng(config.master_seed, stream, *key)
+    S = generate_spreading(N, K, rng)
+    distances = np.full(K, config.distance)
+    H = generate_gains(distances, m, rng, config.gain_mean_semantics)
     return ChannelRealization(S=S, H=H, distances=distances)
+
+
+def run_equilibria(config: ScenarioConfig):
+    """(receiver, equilibrium) for every configured receiver on one seeded
+    realization with config.params.m receive antennas."""
+    p = config.params
+    realization = _draw_realization(config, p.N, p.K, p.m,
+                                    _STREAM_EQUILIBRIUM, 0)
+    return [(kind, solve_equilibrium(realization, kind, p, config.model,
+                                     max_iter=config.max_iter))
+            for kind in config.kinds]
 
 
 def run_utility_power_curve(config: ScenarioConfig, k: int = 0,
@@ -305,17 +318,18 @@ def run_utility_power_curve(config: ScenarioConfig, k: int = 0,
     """Utility of one user versus its own power, interference frozen.
 
     The interferers are frozen at their equilibrium powers on a single seeded
-    realization (single receive antenna), so the curve peaks where the user's
-    SIR meets the target.
+    realization with config.params.m receive antennas, so the curve peaks
+    where the user's SIR meets the target.
     """
-    realization = _curve_realization(config)
+    p = config.params
+    realization = _draw_realization(config, p.N, p.K, p.m, _STREAM_CURVE, 0)
     kind = config.kinds[0]
-    result = solve_equilibrium(realization, kind, config.params, config.model,
+    result = solve_equilibrium(realization, kind, p, config.model,
                                max_iter=config.max_iter)
     if power_grid is None:
         power_grid = result.powers[k] * np.geomspace(1.0 / 16.0, 16.0, 65)
     curve = utility_vs_power_curve(k, realization, kind, result.powers,
-                                   power_grid, config.params, config.model)
+                                   power_grid, p, config.model)
     return [UtilityCurveRow(p_k, u) for p_k, u in curve]
 
 
@@ -362,14 +376,9 @@ def run_finite_vs_asymptotic(config: ScenarioConfig):
             discarded = 0
             for t in range(config.trials):
                 for attempt in range(100):
-                    rng = trial_rng(config.master_seed, _STREAM_FINITE,
-                                    kind_index, N, t, attempt)
-                    S = generate_spreading(N, K, rng)
-                    distances = np.full(K, config.distance)
-                    H = generate_gains(distances, 1, rng,
-                                       config.gain_mean_semantics)
-                    realization = ChannelRealization(S=S, H=H,
-                                                     distances=distances)
+                    realization = _draw_realization(
+                        config, N, K, 1, _STREAM_FINITE, kind_index, N, t,
+                        attempt)
                     try:
                         res = solve_equilibrium(realization, kind, p, model,
                                                 gamma_star=gstar,
@@ -383,7 +392,7 @@ def run_finite_vs_asymptotic(config: ScenarioConfig):
                 else:
                     raise SolverError(
                         f"no feasible draw for {kind.value} at N={N}")
-                p_asym = q_asym / (H[0] * H[0])
+                p_asym = q_asym / realization.H[0] ** 2
                 trial_mean_ratios.append(_mean((res.powers / p_asym).tolist()))
             if discarded:
                 log.info("redrew %d degenerate draws for %s at N=%d",

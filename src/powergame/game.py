@@ -18,8 +18,8 @@ import numpy as np
 from .efficiency import EfficiencyModel, solve_gamma_star
 from .exceptions import InfeasibleUserError
 from .system import (ChannelRealization, ReceiverKind, SystemParams,
-                     make_sir_engine, output_sir, receiver_filter,
-                     receiver_filters, utility)
+                     effective_system, make_sir_engine, output_sir,
+                     receiver_filter, receiver_filters, utility)
 
 INITIAL_POWER_FRACTION = 1e-2  # starting powers as a fraction of Pmax
 DEFAULT_MAX_ITER = 500
@@ -46,22 +46,18 @@ def best_response_power(k: int, powers, realization: ChannelRealization,
 
     The kind-specific filter is recomputed from the current interferer powers,
     the resulting SIR is measured, and the power that would hit gamma_star is
-    returned (clamped at Pmax). Exact because gamma is linear in p_k.
+    returned (clamped at Pmax). Exact because gamma is linear in p_k. Any
+    antenna count: the filter plays on effective_system, with sqrt(h2)
+    exactly h at m = 1.
     """
     powers = np.asarray(powers, dtype=float)
-    heff = _single_antenna_gains(realization)
-    c = receiver_filter(kind, k, realization.S, heff, powers, sigma2)
-    g = output_sir(c, k, realization.S, heff, powers, sigma2)
+    S, h2 = effective_system(kind, realization.S, realization.H)
+    heff = np.sqrt(h2)
+    c = receiver_filter(kind, k, S, heff, powers, sigma2)
+    g = output_sir(c, k, S, heff, powers, sigma2)
     if g <= 0.0:
         raise InfeasibleUserError(k)
     return float(min(powers[k] * gamma_star / g, Pmax))
-
-
-def _single_antenna_gains(realization: ChannelRealization) -> np.ndarray:
-    if realization.H.shape[0] != 1:
-        raise ValueError("realization has multiple receive antennas; "
-                         "use multiantenna.solve_equilibrium_ma")
-    return realization.H[0]
 
 
 def solve_from_engine(sirs_fn: Callable[[np.ndarray], np.ndarray], K: int,
@@ -102,22 +98,31 @@ def solve_from_engine(sirs_fn: Callable[[np.ndarray], np.ndarray], K: int,
                              clamped_users=clamped)
 
 
-def solve_equilibrium(realization: ChannelRealization, kind: ReceiverKind,
-                      params: SystemParams, model: EfficiencyModel,
-                      max_iter: int = DEFAULT_MAX_ITER,
-                      gamma_star: float | None = None) -> EquilibriumResult:
-    """Drive all users to the SIR-balanced equilibrium for one realization.
+def solve_channel(S, H, kind: ReceiverKind, params: SystemParams,
+                  model: EfficiencyModel, max_iter: int = DEFAULT_MAX_ITER,
+                  gamma_star: float | None = None) -> EquilibriumResult:
+    """SIR-balanced equilibrium for spreading S (N x K) and gains H (m x K).
 
+    Any antenna count m: the sweeps run on effective_system(kind, S, H).
     Stops when the largest relative power change over a sweep drops below
     POWER_TOL or when max_iter sweeps have run; non-convergence is reported
     through the result, not raised, so Monte Carlo harnesses can decide.
     """
-    heff = _single_antenna_gains(realization)
     if gamma_star is None:
         gamma_star = solve_gamma_star(model)
-    engine = make_sir_engine(kind, realization.S, heff, params.sigma2)
-    return solve_from_engine(engine, realization.S.shape[1], params, model,
-                             gamma_star, max_iter)
+    S, h2 = effective_system(kind, S, H)
+    return solve_from_engine(make_sir_engine(kind, S, h2, params.sigma2),
+                             S.shape[1], params, model, gamma_star, max_iter)
+
+
+def solve_equilibrium(realization: ChannelRealization, kind: ReceiverKind,
+                      params: SystemParams, model: EfficiencyModel,
+                      max_iter: int = DEFAULT_MAX_ITER,
+                      gamma_star: float | None = None) -> EquilibriumResult:
+    """Drive all users of one realization to the SIR-balanced equilibrium
+    (solve_channel on its spreading and gains)."""
+    return solve_channel(realization.S, realization.H, kind, params, model,
+                         max_iter, gamma_star)
 
 
 def verify_nash(result: EquilibriumResult, realization: ChannelRealization,
@@ -130,15 +135,15 @@ def verify_nash(result: EquilibriumResult, realization: ChannelRealization,
     depends on the deviating user's own power, so all K filters come from one
     factorization at the equilibrium powers (receiver_filters), and each
     user's output SIR is its own power times a fixed SIR per watt, computed
-    from the explicit filters rather than taken from the result.
+    from the explicit filters rather than taken from the result. Any
+    antenna count: the filters play on effective_system.
     """
-    heff = _single_antenna_gains(realization)
-    S, powers = realization.S, result.powers
-    C = receiver_filters(kind, S, heff, powers, params.sigma2)
+    S, h2 = effective_system(kind, realization.S, realization.H)
+    powers = result.powers
+    C = receiver_filters(kind, S, h2, powers, params.sigma2)
     X = (C.T @ S) ** 2  # X[k, j] = (c_k' s_j)^2
     own = np.diag(X).copy()
     np.fill_diagonal(X, 0.0)
-    h2 = heff ** 2
     noise = params.sigma2 * np.einsum("nk,nk->k", C, C)
     sir_per_watt = h2 * own / (noise + X @ (powers * h2))
     factors = np.geomspace(0.5, 2.0, PROBE_GRID_SIZE)

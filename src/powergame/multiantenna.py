@@ -1,74 +1,29 @@
-"""Receive diversity: stacked effective signatures and m-antenna equilibria.
+"""Receive diversity: m-antenna equilibria and large-system load factors.
 
-With m receive antennas the chip samples of all antennas stack into one
-length-mN vector, and user k's contribution rides on the effective signature
-sbar_k = [h_k1 s_k', ..., h_km s_k']'. The m-antenna game is then the
-single-antenna game over (sbar_k) with unit nominal gains, which is how the
-matched filter (despread + maximal ratio combining) and the MMSE receiver are
-handled below. The decorrelator is different: it zero-forces per antenna
-using only the spreading sequences and combines the antenna outputs with MRC
-weights, because it knows nothing about the interferers' channel gains.
+The m-antenna game is the single-antenna game on the effective signatures
+that system.effective_system builds; the closed forms below give its
+large-system feasibility bounds and load penalties.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .efficiency import EfficiencyModel, solve_gamma_star
+from .efficiency import EfficiencyModel
 from .exceptions import InfeasibleLoadError
-from .game import DEFAULT_MAX_ITER, EquilibriumResult, solve_from_engine
-from .system import ReceiverKind, SystemParams, make_sir_engine
+from .game import DEFAULT_MAX_ITER, EquilibriumResult, solve_channel
+from .system import ReceiverKind, SystemParams
 from . import asymptotic
-
-
-@dataclass
-class EffectiveSystem:
-    """Stacked signatures and pooled gain powers hbar2_k = sum_l h_kl^2."""
-
-    Sbar: np.ndarray   # (m N) x K
-    hbar2: np.ndarray  # K
-    m: int
-
-
-def effective_signatures(S: np.ndarray, H: np.ndarray) -> EffectiveSystem:
-    """Stack h_kl-weighted copies of each spreading sequence per antenna.
-
-    Column k of the result has squared norm hbar2_k since s_k is unit norm.
-    """
-    S = np.asarray(S, dtype=float)
-    H = np.atleast_2d(np.asarray(H, dtype=float))
-    if S.shape[1] != H.shape[1]:
-        raise ValueError("S and H disagree on the number of users")
-    m = H.shape[0]
-    N, K = S.shape
-    Sbar = (H[:, None, :] * S[None, :, :]).reshape(m * N, K)
-    return EffectiveSystem(Sbar=Sbar, hbar2=(H ** 2).sum(axis=0), m=m)
 
 
 def solve_equilibrium_ma(S: np.ndarray, H: np.ndarray, kind: ReceiverKind,
                          params: SystemParams, model: EfficiencyModel,
                          max_iter: int = DEFAULT_MAX_ITER,
                          gamma_star: float | None = None) -> EquilibriumResult:
-    """m-antenna SIR-balanced equilibrium; reduces exactly to the
-    single-antenna solver at m = 1.
-
-    Matched filter and MMSE run over the stacked effective system. The
-    decorrelator runs per antenna with MRC combining, which collapses to the
-    single-antenna zero-forcing SIR with h^2 replaced by the pooled hbar2.
-    """
-    if gamma_star is None:
-        gamma_star = solve_gamma_star(model)
-    eff = effective_signatures(S, H)
-    if kind is ReceiverKind.DECORRELATOR:
-        engine = make_sir_engine(kind, np.asarray(S, dtype=float),
-                                 np.sqrt(eff.hbar2), params.sigma2)
-    else:
-        engine = make_sir_engine(kind, eff.Sbar, np.ones(eff.Sbar.shape[1]),
-                                 params.sigma2)
-    return solve_from_engine(engine, eff.Sbar.shape[1], params, model,
-                             gamma_star, max_iter)
+    """m-antenna SIR-balanced equilibrium for spreading S and gains H
+    (m x K, signs allowed): game.solve_channel, the solver behind
+    game.solve_equilibrium, so the two agree exactly at m = 1."""
+    return solve_channel(S, H, kind, params, model, max_iter, gamma_star)
 
 
 def _effective_load(kind: ReceiverKind, alpha: float, m: int) -> float:

@@ -116,6 +116,27 @@ def generate_gains(distances, m: int, rng: np.random.Generator,
     return rng.rayleigh(scale=np.broadcast_to(scale, (m, scale.size)))
 
 
+def effective_system(kind: ReceiverKind, S, H) -> tuple[np.ndarray, np.ndarray]:
+    """The single-antenna game that m receive antennas play: (signatures, h2).
+
+    The m antennas' chips stack into one length-mN vector carrying user k on
+    sbar_k = [h_k1 s_k', ..., h_km s_k']', of squared norm
+    hbar2_k = sum_l h_kl^2. The matched filter (despread plus maximal ratio
+    combining) and MMSE play on these signatures with unit gains. The
+    decorrelator knows nothing of the interferers' gains: it zero-forces per
+    antenna on S and combines with MRC weights, i.e. plays on (S, hbar2).
+    """
+    S = np.asarray(S, dtype=float)
+    H = np.atleast_2d(np.asarray(H, dtype=float))
+    if S.shape[1] != H.shape[1]:
+        raise ValueError("S and H disagree on the number of users")
+    m, (N, K) = H.shape[0], S.shape
+    # stacking one antenna would move every single-antenna float by an ulp
+    if m == 1 or kind is ReceiverKind.DECORRELATOR:
+        return S, (H ** 2).sum(axis=0)
+    return (H[:, None, :] * S[None]).reshape(m * N, K), np.ones(K)
+
+
 def _zf_columns(S: np.ndarray) -> np.ndarray:
     """Inverse crosscorrelation matrix (S'S)^-1 with a rank guard."""
     N, K = S.shape
@@ -190,9 +211,10 @@ def _mmse_system(gram: np.ndarray, rec: np.ndarray, sigma2: float) -> np.ndarray
     return M
 
 
-def make_sir_engine(kind: ReceiverKind, S: np.ndarray, heff: np.ndarray,
+def make_sir_engine(kind: ReceiverKind, S: np.ndarray, h2: np.ndarray,
                     sigma2: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Return a powers -> SIRs function for one realization (S, heff, sigma2).
+    """Return a powers -> SIRs function for one realization (S, h2, sigma2),
+    h2 being the squared channel gains.
 
     The power-independent pieces are built once, here, and every call then
     costs one K-vector update (MF, DE) or one K x K solve (MMSE). With
@@ -201,7 +223,7 @@ def make_sir_engine(kind: ReceiverKind, S: np.ndarray, heff: np.ndarray,
     * matched filter: gamma_k = rec_k (s_k's_k)^2 /
       (sigma2 s_k's_k + sum_{j!=k} rec_j (s_k's_j)^2), from the squared
       crosscorrelations and the own norms s_k's_k (1 for unit-norm columns,
-      the pooled gain for stacked antenna signatures);
+      hbar2 for stacked antenna signatures);
     * decorrelator: gamma_k = rec_k / (sigma2 [(S'S)^-1]_kk);
     * MMSE: rank-one downdate. With A = S D S' + sigma2 I, D = diag(rec)
       (all users included), s_k' A_k^-1 s_k = q_k / (1 - rec_k q_k) where
@@ -210,7 +232,6 @@ def make_sir_engine(kind: ReceiverKind, S: np.ndarray, heff: np.ndarray,
       S' A^-1 S = (G D + sigma2 I)^-1 G, so every q_k comes from one K x K
       solve instead of an N x N one.
     """
-    h2 = np.asarray(heff, float) ** 2
     if kind is ReceiverKind.MATCHED_FILTER:
         gram_sq = (S.T @ S) ** 2
         np.fill_diagonal(gram_sq, 0.0)
@@ -236,26 +257,26 @@ def make_sir_engine(kind: ReceiverKind, S: np.ndarray, heff: np.ndarray,
 
 def matched_filter_sirs(S, heff, p, sigma2) -> np.ndarray:
     """SIRs of all users under per-user matched filtering."""
-    return make_sir_engine(ReceiverKind.MATCHED_FILTER, S, heff, sigma2)(p)
+    return make_sir_engine(ReceiverKind.MATCHED_FILTER, S, np.square(heff), sigma2)(p)
 
 
 def decorrelator_sirs(S, heff, p, sigma2) -> np.ndarray:
     """SIRs under zero-forcing: gamma_k = p_k h_k^2 / (sigma2 [(S'S)^-1]_kk)."""
-    return make_sir_engine(ReceiverKind.DECORRELATOR, S, heff, sigma2)(p)
+    return make_sir_engine(ReceiverKind.DECORRELATOR, S, np.square(heff), sigma2)(p)
 
 
 def mmse_sirs(S, heff, p, sigma2) -> np.ndarray:
     """SIRs of all users under per-user MMSE filtering (one K x K solve)."""
-    return make_sir_engine(ReceiverKind.MMSE, S, heff, sigma2)(p)
+    return make_sir_engine(ReceiverKind.MMSE, S, np.square(heff), sigma2)(p)
 
 
-def receiver_filters(kind: ReceiverKind, S, heff, p, sigma2) -> np.ndarray:
+def receiver_filters(kind: ReceiverKind, S, h2, p, sigma2) -> np.ndarray:
     """Every user's receiver filter at once, as the columns of an N x K matrix.
 
     Column k is parallel to receiver_filter(kind, k, ...), which is all the
     output SIR depends on. Matched filter: S itself (not a copy).
     Decorrelator: S (S'S)^-1, one rank guard for all users. MMSE: A^-1 S with
-    the full A = S D S' + sigma2 I, D = diag(p h^2), computed as
+    the full A = S D S' + sigma2 I, D = diag(p h2), computed as
     S (D G + sigma2 I)^-1 (push-through, G = S'S) from one K x K solve; by
     Sherman-Morrison A^-1 s_k = A_k^-1 s_k / (1 + p_k h_k^2 s_k' A_k^-1 s_k),
     a positive multiple of the per-user filter.
@@ -267,7 +288,7 @@ def receiver_filters(kind: ReceiverKind, S, heff, p, sigma2) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if np.any(p < 0):
         raise ValueError("powers must be nonnegative for the MMSE filter")
-    rec = p * np.asarray(heff, dtype=float) ** 2
+    rec = p * h2
     # (D G + sigma2 I)' = G D + sigma2 I since G is symmetric
     return np.linalg.solve(_mmse_system(S.T @ S, rec, sigma2), S.T).T
 
@@ -279,17 +300,19 @@ def utility_vs_power_curve(k: int, realization: ChannelRealization,
 
     The filter is independent of the user's own power for all three receiver
     kinds (the MMSE matrix A_k excludes user k), so it is derived once from
-    the frozen interference and reused across the grid.
+    the frozen interference and reused across the grid. Any antenna count:
+    the filter plays on effective_system, with sqrt(h2) exactly h at m = 1.
     """
     p_grid = np.asarray(p_grid, dtype=float)
     if np.any(p_grid <= 0) or np.any(np.diff(p_grid) <= 0):
         raise ValueError("power grid must be strictly positive and increasing")
-    heff = realization.H[0]
+    S, h2 = effective_system(kind, realization.S, realization.H)
+    heff = np.sqrt(h2)
     powers = np.asarray(other_powers, dtype=float).copy()
-    c = receiver_filter(kind, k, realization.S, heff, powers, params.sigma2)
+    c = receiver_filter(kind, k, S, heff, powers, params.sigma2)
     curve = []
     for p_k in p_grid:
         powers[k] = p_k
-        g = output_sir(c, k, realization.S, heff, powers, params.sigma2)
+        g = output_sir(c, k, S, heff, powers, params.sigma2)
         curve.append((float(p_k), utility(float(p_k), g, params, model)))
     return curve

@@ -1,6 +1,7 @@
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from powergame.asymptotic import feasibility_bound
@@ -112,6 +113,17 @@ class TestConfigErrors:
         assert out == ""
         assert err.startswith("config error: " + fragment)
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("sub", ["equilibrium", "curve-utility"])
+    def test_single_realization_rejects_antenna_list(self, sub, capsys):
+        # one realization has one antenna count; a list must not be cut to
+        # its first entry
+        code = main([sub, "--antennas", "1,2", "--set", "K=5"])
+        out, err = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err == ("config error: antennas: this subcommand solves one "
+                       "antenna count, got 1,2\n")
 
     def test_config_file_and_comments(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -229,6 +241,24 @@ class TestSubcommands:
         lines = proc.stdout.strip().split("\n")
         assert lines[0] == "power,utility"
         assert len(lines) > 10
+
+    def test_single_realization_honours_antennas(self, capsys):
+        def table(*argv):
+            assert main(list(argv)) == 0
+            return [ln.split(",") for ln in
+                    capsys.readouterr().out.strip().split("\n")[1:]]
+
+        one = table("equilibrium", "--set", "K=5")
+        two = table("equilibrium", "--set", "K=5", "--antennas", "2")
+        assert all(row[6] == "true" for row in two)
+        # a second antenna pools more gain, so every user needs less power
+        assert all(float(b[2]) < float(a[2]) for a, b in zip(one, two))
+        curve_one = table("curve-utility")
+        curve_two = table("curve-utility", "--antennas", "2")
+        assert curve_two != curve_one
+        # the curve peaks at its middle point, the equilibrium power
+        utilities = [float(u) for _, u in curve_two]
+        assert len(utilities) == 65 and np.argmax(utilities) == 32
 
     def test_validate_asymptotic_schema(self):
         proc = run_cli("validate-asymptotic", "--trials", "3", "--set",

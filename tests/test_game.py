@@ -6,7 +6,8 @@ from powergame.exceptions import InfeasibleUserError
 from powergame.game import (best_response_power, solve_equilibrium,
                             solve_from_engine, verify_nash)
 from powergame.system import (ChannelRealization, ReceiverKind,
-                              generate_gains, generate_spreading)
+                              effective_system, generate_gains,
+                              generate_spreading, make_sir_engine, utility)
 
 from conftest import draw_realization, make_params
 
@@ -148,11 +149,6 @@ class TestSolveEquilibrium:
         assert not result.converged
         assert result.iterations == 2
 
-    def test_multiantenna_realization_rejected(self, params, model):
-        realization = draw_realization(np.random.default_rng(9), 32, 4, m=2)
-        with pytest.raises(ValueError):
-            solve_equilibrium(realization, MMSE, params, model)
-
 
 class TestProperties:
     @pytest.mark.parametrize("kind", KINDS)
@@ -177,8 +173,8 @@ class TestProperties:
         checked = 0
         while checked < 100:
             realization = draw_realization(rng, 64, K)
-            engine = make_sir_engine(kind, realization.S, realization.H[0],
-                                     params.sigma2)
+            engine = make_sir_engine(kind, realization.S,
+                                     realization.H[0] ** 2, params.sigma2)
             p = np.full(K, 1e-12)
             ok, settled = True, False
             for _ in range(2000):
@@ -281,7 +277,7 @@ class TestVerifyNash:
         # rebuild the profile so utilities are consistent with the powers
         powers = result.powers.copy()
         powers[4] *= factor
-        engine = make_sir_engine(kind, realization.S, realization.H[0],
+        engine = make_sir_engine(kind, realization.S, realization.H[0] ** 2,
                                  params.sigma2)
         sirs = engine(powers)
         utilities = np.array([utility(powers[k], sirs[k], params, model)
@@ -314,3 +310,53 @@ class TestOverloadedMmse:
             gamma_star, 100, 110)
         assert np.max(np.abs(result.sirs - gamma_star) / gamma_star) <= 1e-6
         assert verify_nash(result, realization, MMSE, params, model)
+
+
+class TestMultiAntenna:
+    # m antennas play the single-antenna game on effective_system, so the
+    # per-user entry points take an m = 2 realization like an m = 1 one
+    K, N = 6, 32
+
+    def equilibrium(self, kind, model, gamma_star):
+        params = make_params(K=self.K, N=self.N, m=2)
+        realization = draw_realization(np.random.default_rng(25), self.N,
+                                       self.K, m=2)
+        result = solve_equilibrium(realization, kind, params, model,
+                                   gamma_star=gamma_star)
+        assert result.converged and not result.clamped_users
+        return realization, result, params
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_verify_nash_accepts_equilibrium(self, kind, model, gamma_star):
+        realization, result, params = self.equilibrium(kind, model,
+                                                       gamma_star)
+        assert verify_nash(result, realization, kind, params, model)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_verify_nash_rejects_deviation(self, kind, model, gamma_star):
+        from dataclasses import replace
+
+        realization, result, params = self.equilibrium(kind, model,
+                                                       gamma_star)
+        powers = result.powers.copy()
+        powers[2] *= 3.0
+        S, h2 = effective_system(kind, realization.S, realization.H)
+        sirs = make_sir_engine(kind, S, h2, params.sigma2)(powers)
+        utilities = np.array([utility(powers[k], sirs[k], params, model)
+                              for k in range(self.K)])
+        broken = replace(result, powers=powers, sirs=sirs, utilities=utilities)
+        assert not verify_nash(broken, realization, kind, params, model)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_async_best_responses_reach_equilibrium(self, kind, model,
+                                                    gamma_star):
+        realization, result, params = self.equilibrium(kind, model,
+                                                       gamma_star)
+        rng = np.random.default_rng(26)
+        p = np.full(self.K, 1e-2 * params.Pmax)
+        for _ in range(200):
+            for k in rng.permutation(self.K):
+                p[k] = best_response_power(k, p, realization, kind,
+                                           gamma_star, params.sigma2,
+                                           params.Pmax)
+        assert np.allclose(p, result.powers, rtol=1e-6)

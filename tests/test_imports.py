@@ -1,6 +1,7 @@
-"""Every name a powergame module imports is used in that module.
+"""Every name a powergame module imports is used in that module, and no
+module reads another module's private (``_name``) attributes.
 
-No linter is a dependency, so this stdlib-ast check stands in for one.
+No linter is a dependency, so these stdlib-ast checks stand in for one.
 ``__init__.py`` is skipped (its imports are the package's re-exports), and so
 are ``from __future__`` imports.
 """
@@ -31,6 +32,32 @@ def unused_imports(source: str):
                   if name not in used)
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_reads(source: str):
+    """(line, name) of every private name imported from another module or
+    read as an attribute of an imported name."""
+    tree = ast.parse(source)
+    imported, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0]
+                            for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                imported.add(alias.asname or alias.name)
+                if _private(alias.name):
+                    found.append((node.lineno, alias.name))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and _private(node.attr)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in imported):
+            found.append((node.lineno, f"{node.value.id}.{node.attr}"))
+    return sorted(found)
+
+
 def test_modules_found():
     assert {"cli.py", "game.py", "system.py"} <= {p.name for p in MODULES}
 
@@ -46,3 +73,17 @@ def test_checker_flags_unused_and_ignores_used():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_checker_flags_private_reads_only():
+    source = ("from . import experiments\nfrom .game import _helper, run\n"
+              "import numpy as np\n"
+              "class A:\n    def f(self):\n        return self._x\n"
+              "y = experiments._STREAM + np.__version__ + _local\n")
+    assert private_reads(source) == [(2, "_helper"),
+                                     (7, "experiments._STREAM")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_reads_across_modules(path):
+    assert private_reads(path.read_text(encoding="utf-8")) == []

@@ -4,11 +4,11 @@ import pytest
 from powergame.asymptotic import feasibility_bound, gamma_factor, utility_coef
 from powergame.exceptions import InfeasibleLoadError, SingularSpreadingError
 from powergame.game import solve_equilibrium
-from powergame.multiantenna import (effective_signatures, gamma_factor_ma,
-                                    is_feasible_ma, load_limit_ma,
-                                    solve_equilibrium_ma)
+from powergame.multiantenna import (gamma_factor_ma, is_feasible_ma,
+                                    load_limit_ma, solve_equilibrium_ma)
 from powergame.system import (ChannelRealization, ReceiverKind,
-                              generate_gains, generate_spreading)
+                              effective_system, generate_gains,
+                              generate_spreading)
 
 from conftest import make_params
 
@@ -27,31 +27,39 @@ def draw_system(rng, N, K, m, distance=100.0):
 
 class TestEffectiveSignatures:
     def test_single_antenna_reduction(self):
+        # m = 1 is the single-antenna game itself, bit for bit
         rng = np.random.default_rng(0)
         S, H = draw_system(rng, 32, 5, 1)
-        eff = effective_signatures(S, H)
-        assert np.allclose(eff.Sbar, H[0] * S)
-        assert np.allclose(eff.hbar2, H[0] ** 2)
-        assert eff.m == 1
+        for kind in KINDS:
+            sig, h2 = effective_system(kind, S, H)
+            assert sig is S
+            assert np.array_equal(h2, H[0] ** 2)
 
     def test_column_norms_equal_pooled_gain(self):
         rng = np.random.default_rng(1)
         S, H = draw_system(rng, 32, 6, 3)
-        eff = effective_signatures(S, H)
-        norms = np.einsum("nk,nk->k", eff.Sbar, eff.Sbar)
-        assert np.allclose(norms, eff.hbar2, rtol=1e-12)
+        for kind in (MF, MMSE):
+            sig, h2 = effective_system(kind, S, H)
+            assert np.array_equal(h2, np.ones(6))
+            norms = np.einsum("nk,nk->k", sig, sig)
+            assert np.allclose(norms, (H ** 2).sum(axis=0), rtol=1e-12)
 
     def test_unit_gains_pool_linearly(self):
         S = generate_spreading(16, 2, np.random.default_rng(2))
-        eff = effective_signatures(S, np.ones((2, 2)))
-        assert np.allclose(eff.hbar2, 2.0)
+        sig, h2 = effective_system(DE, S, np.ones((2, 2)))
+        assert sig is S
+        assert np.array_equal(h2, [2.0, 2.0])
+        sig, _ = effective_system(MF, S, np.ones((2, 2)))
+        assert np.allclose(np.einsum("nk,nk->k", sig, sig), 2.0)
 
     def test_block_structure(self):
         rng = np.random.default_rng(3)
         S, H = draw_system(rng, 8, 3, 2)
-        eff = effective_signatures(S, H)
-        assert np.allclose(eff.Sbar[:8, 1], H[0, 1] * S[:, 1])
-        assert np.allclose(eff.Sbar[8:, 1], H[1, 1] * S[:, 1])
+        for kind in (MF, MMSE):
+            sig, _ = effective_system(kind, S, H)
+            assert sig.shape == (16, 3)
+            assert np.array_equal(sig[:8, 1], H[0, 1] * S[:, 1])
+            assert np.array_equal(sig[8:, 1], H[1, 1] * S[:, 1])
 
 
 class TestEquilibriumMa:
@@ -64,8 +72,10 @@ class TestEquilibriumMa:
                                          distances=np.full(12, 100.0))
         base = solve_equilibrium(realization, kind, params, model)
         stacked = solve_equilibrium_ma(S, H, kind, params, model)
-        assert np.allclose(stacked.powers, base.powers, rtol=1e-12)
-        assert np.allclose(stacked.sirs, base.sirs, rtol=1e-12)
+        assert np.array_equal(stacked.powers, base.powers)
+        assert np.array_equal(stacked.sirs, base.sirs)
+        assert np.array_equal(stacked.utilities, base.utilities)
+        assert stacked.iterations == base.iterations
 
     def test_single_user_power_pooling(self, model, gamma_star):
         params = make_params(K=1)
@@ -94,6 +104,16 @@ class TestEquilibriumMa:
         expected = gamma_star * SIGMA2 * noise_amp / (H ** 2).sum(axis=0)
         assert res.converged
         assert np.allclose(res.powers, expected, rtol=1e-9)
+
+    def test_decorrelator_plays_on_pooled_gain(self, model):
+        # the engine sees hbar2 itself, not a rounded sqrt(hbar2) ** 2
+        params = make_params(K=20, N=64, m=2)
+        rng = np.random.default_rng(7)
+        S, H = draw_system(rng, 64, 20, 2)
+        res = solve_equilibrium_ma(S, H, DE, params, model)
+        hbar2 = (H ** 2).sum(axis=0)
+        noise = SIGMA2 * np.diag(np.linalg.inv(S.T @ S))
+        assert np.array_equal(res.sirs, res.powers * hbar2 / noise)
 
     def test_decorrelator_needs_k_le_n_per_antenna(self, model):
         params = make_params(K=20, N=16, m=2)

@@ -15,8 +15,7 @@ from hypothesis import given, reject, settings, strategies as st
 
 from powergame import cli
 from powergame.exceptions import SingularSpreadingError
-from powergame.multiantenna import effective_signatures
-from powergame.system import (ReceiverKind, generate_gains,
+from powergame.system import (ReceiverKind, effective_system, generate_gains,
                               generate_spreading, make_sir_engine, mmse_sirs,
                               output_sir, receiver_filter)
 
@@ -56,7 +55,7 @@ class TestMmseKernel:
     def test_engine_and_kernel_match_oracle(self, draw):
         S, H, p = draw
         ref = oracle_sirs(MMSE, S, H[0], p)
-        engine = make_sir_engine(MMSE, S, H[0], SIGMA2)
+        engine = make_sir_engine(MMSE, S, H[0] ** 2, SIGMA2)
         np.testing.assert_allclose(engine(p), ref, rtol=RTOL)
         np.testing.assert_allclose(mmse_sirs(S, H[0], p, SIGMA2), ref,
                                    rtol=RTOL)
@@ -67,30 +66,32 @@ class TestMmseKernel:
         # stacked columns have squared norm hbar2, not 1, which exercises
         # the matched filter's own-norm term s_k's_k
         S, H, p = draw
-        Sbar = effective_signatures(S, H).Sbar
-        unit = np.ones(S.shape[1])
-        np.testing.assert_allclose(make_sir_engine(kind, Sbar, unit, SIGMA2)(p),
-                                   oracle_sirs(kind, Sbar, unit, p), rtol=RTOL)
+        Sbar, h2 = effective_system(kind, S, H)
+        np.testing.assert_allclose(make_sir_engine(kind, Sbar, h2, SIGMA2)(p),
+                                   oracle_sirs(kind, Sbar, np.sqrt(h2), p),
+                                   rtol=RTOL)
 
 
 class TestEngineEquivalences:
     @PROPERTY
     @given(draws(), st.sampled_from([MF, MMSE]))
     def test_one_antenna_stack_equals_single_antenna(self, draw, kind):
+        # a stack of one antenna, built here because effective_system keeps
+        # (S, h^2) at m = 1; its columns have squared norm h^2, not 1
         S, H, p = draw
-        Sbar = effective_signatures(S, H).Sbar
+        Sbar = H[0] * S
         stacked = make_sir_engine(kind, Sbar, np.ones(S.shape[1]), SIGMA2)(p)
-        np.testing.assert_allclose(stacked,
-                                   make_sir_engine(kind, S, H[0], SIGMA2)(p),
-                                   rtol=RTOL)
+        np.testing.assert_allclose(
+            stacked, make_sir_engine(kind, S, H[0] ** 2, SIGMA2)(p), rtol=RTOL)
 
     @PROPERTY
     @given(draws(), st.sampled_from([MF, MMSE]), st.randoms())
     def test_user_permutation(self, draw, kind, random):
         S, H, p = draw
         perm = np.array(random.sample(range(S.shape[1]), S.shape[1]))
-        sirs = make_sir_engine(kind, S, H[0], SIGMA2)(p)
-        permuted = make_sir_engine(kind, S[:, perm], H[0][perm], SIGMA2)(p[perm])
+        h2 = H[0] ** 2
+        sirs = make_sir_engine(kind, S, h2, SIGMA2)(p)
+        permuted = make_sir_engine(kind, S[:, perm], h2[perm], SIGMA2)(p[perm])
         np.testing.assert_allclose(permuted, sirs[perm], rtol=RTOL)
 
 

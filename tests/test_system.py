@@ -229,7 +229,7 @@ class TestSirEngines:
             h = generate_gains(np.full(K, 100.0), 1, rng)[0]
             p = rng.uniform(1e-7, 1e-5, K)
             try:
-                fast = make_sir_engine(kind, S, h, 5e-16)(p)
+                fast = make_sir_engine(kind, S, h ** 2, 5e-16)(p)
             except SingularSpreadingError:
                 continue
             ref = np.array([
@@ -252,7 +252,7 @@ class TestReceiverFilters:
             h = generate_gains(np.full(K, 100.0), 1, rng)[0]
             p = rng.uniform(1e-7, 1e-5, K)
             try:
-                C = receiver_filters(kind, S, h, p, 5e-16)
+                C = receiver_filters(kind, S, h ** 2, p, 5e-16)
             except SingularSpreadingError:
                 continue
             assert C.shape == (N, K)
