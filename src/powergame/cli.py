@@ -332,8 +332,9 @@ def _cmd_admission(config, args):
 
 def _cmd_curve_utility(config, args):
     _require_one_antenna_count(config)
-    emit_csv(experiments.run_utility_power_curve(config), args.output)
-    return 0
+    rows, converged = experiments.run_utility_power_curve(config)
+    emit_csv(rows, args.output)
+    return 0 if (converged or not args.strict) else EXIT_NOCONV
 
 
 def _cmd_curve_efficiency(config, args):

@@ -4,7 +4,9 @@ Reproducibility contract: every random draw is a pure function of
 (master_seed, stream label, trial index), realized through numpy SeedSequence
 spawn keys, and all aggregation uses math.fsum so reported means are exact
 and independent of trial ordering. Running the same config twice therefore
-produces identical tables, bit for bit.
+produces identical tables, bit for bit. The per-trial sweep and admission
+draws come from the trial_rng streams; only their seeding is batched, one
+vectorised SeedSequence hash per chunk of consecutive trials.
 
 Variance-reduction choices that keep the desk-scale runs stable:
 
@@ -27,7 +29,8 @@ import numpy as np
 
 from . import asymptotic, multiantenna
 from .efficiency import EfficiencyModel, eff_value, solve_gamma_star
-from .exceptions import InfeasibleLoadError, SingularSpreadingError, SolverError
+from .exceptions import (InfeasibleLoadError, PowerGameError,
+                         SingularSpreadingError, SolverError)
 from .game import solve_equilibrium
 from .system import (ChannelRealization, ReceiverKind, SystemParams,
                      generate_gains, generate_spreading, rayleigh_scale,
@@ -138,6 +141,94 @@ def trial_rng(master_seed: int, stream: int, *key: int) -> np.random.Generator:
         np.random.SeedSequence(master_seed, spawn_key=(stream, *key)))
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): its constants
+# and word order are fixed by numpy's stream-compatibility policy, and
+# _trial_rngs checks them against numpy once per seeding chunk
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_SEED_CHUNK = 256  # trials per vectorised hash; 32 B of words each
+
+
+def _hashmix(value, h, mult):
+    # one hash step on uint32 words held in Python ints or uint64 arrays
+    h_next = h * mult & _M32
+    value = (value ^ h) * h_next & _M32
+    return value ^ value >> 16, h_next
+
+
+def _mix(x, y):
+    # x * L - y * R mod 2**32, with -R taken mod 2**32 so arrays never wrap
+    r = ((_MIX_L * x & _M32) + (-_MIX_R & _M32) * y) & _M32
+    return r ^ r >> 16
+
+
+def _uint32_words(n: int) -> list:
+    return [n >> s & _M32 for s in range(0, max(n.bit_length(), 1), 32)]
+
+
+def _trial_states(master_seed: int, stream: int, first: int, count: int):
+    """SeedSequence(master_seed, spawn_key=(stream, t)).generate_state(4,
+    uint64) for t = first .. first + count - 1, one row per trial.
+
+    The entropy words are the seed zero-padded to the pool size 4, the stream
+    and, last, the trial index: the prefix is mixed once in Python ints, the
+    trial word and the output words for the whole chunk in numpy.
+    """
+    if master_seed < 0 or first < 0 or first + count - 1 > _M32:
+        raise ValueError("need a seed >= 0 and trial indices below 2**32")
+    seed = _uint32_words(master_seed)
+    entropy = seed + [0] * (4 - len(seed)) + _uint32_words(stream)
+    h, pool = _INIT_A, []
+    for word in entropy[:4]:
+        value, h = _hashmix(word, h, _MULT_A)
+        pool.append(value)
+    for src in range(4):
+        for dst in range(4):
+            if dst != src:
+                value, h = _hashmix(pool[src], h, _MULT_A)
+                pool[dst] = _mix(pool[dst], value)
+    trials = np.arange(first, first + count, dtype=np.uint64)
+    for word in entropy[4:] + [trials]:
+        for dst in range(4):
+            value, h = _hashmix(word, h, _MULT_A)
+            pool[dst] = _mix(pool[dst], value)
+    words, h = [], _INIT_B
+    for i in range(8):
+        value, h = _hashmix(pool[i % 4], h, _MULT_B)
+        words.append(value)
+    # uint32 words pair up little-endian into C-ordered uint64 rows
+    return np.stack([lo | hi << 32 for lo, hi in zip(words[::2], words[1::2])],
+                    axis=1)
+
+
+def _trial_rngs(master_seed: int, stream: int, first: int, count: int):
+    """trial_rng(master_seed, stream, t) for t = first .. first + count - 1."""
+    # imported here, not with the module: numpy.random loads on first use,
+    # and gamma-star, which never draws, is spared its ~20 ms and ~6 MB
+    from numpy.random.bit_generator import ISeedSequence
+
+    class TrialSeed(ISeedSequence):
+        """One trial's precomputed words, for PCG64's one and only request,
+        generate_state(4, uint64)."""
+
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    for start in range(first, first + count, _SEED_CHUNK):
+        states = _trial_states(master_seed, stream, start,
+                               min(_SEED_CHUNK, first + count - start))
+        oracle = np.random.SeedSequence(master_seed, spawn_key=(stream, start))
+        if not np.array_equal(states[0], oracle.generate_state(4, np.uint64)):
+            raise PowerGameError("batched trial seeding disagrees with numpy")
+        for words in states:
+            yield np.random.Generator(np.random.PCG64(TrialSeed(words)))
+
+
 def _mean(values) -> float:
     return math.fsum(values) / len(values)
 
@@ -153,21 +244,23 @@ def _draw_blocks(config: ScenarioConfig, stream: int, count: int,
                  uniforms: bool):
     """Raw per-trial draws, ``_BLOCK`` trials at a time.
 
-    Trial t takes, from trial_rng(master_seed, stream, t) and in this order,
-    ``count`` uniforms (only if ``uniforms``) and then ``count`` unit-scale
-    Rayleigh amplitudes: the draws generate_gains makes for ``count`` gains
-    at one scale. Rayleigh variates are scale * sqrt(2 E), so multiplying a
-    unit draw by the scale afterwards gives the same floats, which lets the
-    callers apply distances and scales to a whole block at once. Yields
+    Trial t takes, from the trial_rng(master_seed, stream, t) stream (seeded
+    in batches by _trial_rngs) and in this order, ``count`` uniforms (only if
+    ``uniforms``) and then ``count`` unit-scale Rayleigh amplitudes: the
+    draws generate_gains makes for ``count`` gains at one scale. Rayleigh
+    variates are scale * sqrt(2 E), so multiplying a unit draw by the scale
+    afterwards gives the same floats, which lets the callers apply distances
+    and scales to a whole block at once. Yields
     (first trial, uniforms or None, unit draws), both arrays of shape
     (block trials, count).
     """
+    rngs = _trial_rngs(config.master_seed, stream, 0, config.trials)
     for start in range(0, config.trials, _BLOCK):
         rows = min(_BLOCK, config.trials - start)
         u = np.empty((rows, count)) if uniforms else None
         unit = np.empty((rows, count))
         for i in range(rows):
-            rng = trial_rng(config.master_seed, stream, start + i)
+            rng = next(rngs)
             if uniforms:
                 rng.random(out=u[i])
             unit[i] = rng.rayleigh(size=count)
@@ -313,24 +406,25 @@ def run_equilibria(config: ScenarioConfig):
             for kind in config.kinds]
 
 
-def run_utility_power_curve(config: ScenarioConfig, k: int = 0,
-                            power_grid=None):
+def run_utility_power_curve(config: ScenarioConfig, k: int = 0):
     """Utility of one user versus its own power, interference frozen.
 
     The interferers are frozen at their equilibrium powers on a single seeded
     realization with config.params.m receive antennas, so the curve peaks
-    where the user's SIR meets the target.
+    where the user's SIR meets the target. The grid is the equilibrium power
+    times 1/16 .. 16, cut at Pmax. Returns (rows, whether the equilibrium
+    converged).
     """
     p = config.params
     realization = _draw_realization(config, p.N, p.K, p.m, _STREAM_CURVE, 0)
     kind = config.kinds[0]
     result = solve_equilibrium(realization, kind, p, config.model,
                                max_iter=config.max_iter)
-    if power_grid is None:
-        power_grid = result.powers[k] * np.geomspace(1.0 / 16.0, 16.0, 65)
+    power_grid = result.powers[k] * np.geomspace(1.0 / 16.0, 16.0, 65)
     curve = utility_vs_power_curve(k, realization, kind, result.powers,
-                                   power_grid, p, config.model)
-    return [UtilityCurveRow(p_k, u) for p_k, u in curve]
+                                   power_grid[power_grid <= p.Pmax], p,
+                                   config.model)
+    return [UtilityCurveRow(p_k, u) for p_k, u in curve], result.converged
 
 
 def run_efficiency_curve(model: EfficiencyModel, gamma_grid):

@@ -202,6 +202,15 @@ class TestSubcommands:
         assert relaxed.returncode == 0
         assert ",false" in relaxed.stdout
 
+    def test_curve_utility_strict_nonconvergence_exits_4(self, capsys):
+        args = ["curve-utility", "--set", "max_iter=1"]
+        assert main([*args, "--strict"]) == EXIT_NOCONV
+        strict = capsys.readouterr().out
+        # the curve is still printed, the same as without --strict
+        assert main(args) == 0
+        assert capsys.readouterr().out == strict
+        assert main(["curve-utility", "--strict"]) == 0
+
     def test_equilibrium_all_clamped_is_not_converged(self):
         # at Pmax = 1e-15 every user is capped far below the target SIR
         args = ("equilibrium", "--set", "Pmax=1e-15", "--set", "K=5")
@@ -241,6 +250,15 @@ class TestSubcommands:
         lines = proc.stdout.strip().split("\n")
         assert lines[0] == "power,utility"
         assert len(lines) > 10
+
+    @pytest.mark.parametrize("receiver", ["MF", "DE", "MMSE"])
+    def test_curve_utility_powers_within_pmax(self, receiver, capsys):
+        assert main(["curve-utility", "--receiver", receiver]) == 0
+        powers = [float(ln.split(",")[0]) for ln in
+                  capsys.readouterr().out.strip().split("\n")[1:]]
+        assert 33 <= len(powers) <= 65
+        assert max(powers) <= 1.0  # the default Pmax, W
+        assert all(a < b for a, b in zip(powers, powers[1:]))
 
     def test_single_realization_honours_antennas(self, capsys):
         def table(*argv):

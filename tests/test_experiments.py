@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from powergame.asymptotic import feasibility_bound, gamma_factor
 from powergame.efficiency import EfficiencyKind, EfficiencyModel, eff_value
 from powergame import experiments
+from powergame.exceptions import PowerGameError
 from powergame.experiments import (ScenarioConfig, SweepMode,
                                    run_admission_curve, run_efficiency_curve,
                                    run_finite_vs_asymptotic, run_load_sweep,
@@ -45,6 +47,58 @@ class TestTrialRng:
 
 
 BLOCK = experiments._BLOCK
+CHUNK = experiments._SEED_CHUNK
+
+
+class TestBatchedSeeding:
+    """The vectorised SeedSequence hash against numpy's own, bit for bit.
+
+    Any slip in the hash (a dropped zero-pad of the seed, a wrong constant,
+    the trial word mixed in the wrong place) changes every output word, so
+    equality is asserted with ==, never a tolerance.
+    """
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 160 - 1), stream=st.integers(0, 2 ** 40 - 1),
+           count=st.integers(1, 8), data=st.data())
+    @example(seed=2 ** 160 - 1, stream=2 ** 40 - 1, count=8, data=None)
+    @example(seed=0, stream=0, count=1, data=None)
+    def test_words_and_draws_equal_trial_rng(self, seed, stream, count, data):
+        last = 2 ** 32 - 1 - count
+        first = last if data is None else data.draw(st.integers(0, last))
+        states = experiments._trial_states(seed, stream, first, count)
+        assert states.shape == (count, 4) and states.flags.c_contiguous
+        rngs = experiments._trial_rngs(seed, stream, first, count)
+        for t, words, got in zip(range(first, first + count), states, rngs):
+            oracle = np.random.SeedSequence(seed, spawn_key=(stream, t))
+            assert np.array_equal(words, oracle.generate_state(4, np.uint64))
+            ref = trial_rng(seed, stream, t)
+            assert np.array_equal(got.random(3), ref.random(3))
+            assert np.array_equal(got.rayleigh(size=3), ref.rayleigh(size=3))
+        assert next(rngs, None) is None
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 32, 2 ** 130])
+    @pytest.mark.parametrize("trials", [1, CHUNK - 1, CHUNK, CHUNK + 1])
+    def test_trial_rngs_follow_trial_rng(self, seed, trials):
+        rngs = list(experiments._trial_rngs(seed, 3, 0, trials))
+        assert len(rngs) == trials
+        for t, rng in enumerate(rngs):
+            assert np.array_equal(rng.random(2), trial_rng(seed, 3, t).random(2))
+
+    def test_guard_raises_on_a_wrong_hash_constant(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_MULT_B", experiments._MULT_B ^ 1)
+        with pytest.raises(PowerGameError, match="disagrees with numpy"):
+            next(experiments._trial_rngs(0, 0, 0, 1))
+        with pytest.raises(PowerGameError):
+            run_load_sweep(config(trials=3))
+
+    @pytest.mark.parametrize("first, count", [(2 ** 32, 1), (2 ** 32 - 2, 3),
+                                              (-1, 1)])
+    def test_trial_index_must_fit_one_word(self, first, count):
+        with pytest.raises(ValueError, match="below 2\\*\\*32"):
+            experiments._trial_states(0, 0, first, count)
+        # the last index that still fits is accepted
+        experiments._trial_states(0, 0, 2 ** 32 - 1, 1)
 
 
 class TestBatchedDraws:
@@ -56,7 +110,8 @@ class TestBatchedDraws:
 
     @pytest.mark.parametrize("semantics", ["amplitude", "mean_square"])
     @pytest.mark.parametrize("m_max", [1, 8])
-    @pytest.mark.parametrize("trials", [1, BLOCK - 1, BLOCK, BLOCK + 1])
+    @pytest.mark.parametrize("trials", [1, BLOCK - 1, BLOCK, BLOCK + 1,
+                                        CHUNK - 1, CHUNK, CHUNK + 1])
     def test_sweep_gains_equal_per_trial_draws(self, semantics, m_max, trials):
         cfg = config(trials=trials, master_seed=11, antennas=(m_max,),
                      gain_mean_semantics=semantics)
@@ -70,7 +125,8 @@ class TestBatchedDraws:
         assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("semantics", ["amplitude", "mean_square"])
-    @pytest.mark.parametrize("trials", [1, BLOCK - 1, BLOCK, BLOCK + 1])
+    @pytest.mark.parametrize("trials", [1, BLOCK - 1, BLOCK, BLOCK + 1,
+                                        CHUNK - 1, CHUNK, CHUNK + 1])
     def test_admission_pooled_gain_equals_per_trial_draws(self, semantics,
                                                           trials):
         cfg = config(trials=trials, master_seed=5,
@@ -85,6 +141,16 @@ class TestBatchedDraws:
             per_trial.append(experiments._mean((h[0] ** 2).tolist()))
         assert experiments._pooled_mean_h2(cfg) == \
             experiments._mean(per_trial)
+
+    @pytest.mark.parametrize("seed", [2 ** 32, 2 ** 130])
+    @pytest.mark.parametrize("trials", [CHUNK - 1, CHUNK, CHUNK + 1])
+    def test_large_seeds_equal_per_trial_draws(self, seed, trials):
+        cfg = config(trials=trials, master_seed=seed, antennas=(2,))
+        expected = np.array([
+            generate_gains([cfg.distance], 2,
+                           trial_rng(seed, experiments._STREAM_SWEEP, t))[:, 0] ** 2
+            for t in range(trials)])
+        assert np.array_equal(experiments._sweep_gains(cfg), expected)
 
 
 class TestLoadSweep:
@@ -235,7 +301,8 @@ class TestAdmissionCurve:
 class TestUtilityPowerCurveRun:
     def test_peak_and_shape(self, gamma_star):
         cfg = config(kinds=(MMSE,), params=make_params(K=20), trials=1)
-        rows = run_utility_power_curve(cfg)
+        rows, converged = run_utility_power_curve(cfg)
+        assert converged
         values = [r.utility for r in rows]
         i = int(np.argmax(values))
         assert 0 < i < len(rows) - 1
@@ -243,6 +310,24 @@ class TestUtilityPowerCurveRun:
         assert rows[i].power == pytest.approx(rows[len(rows) // 2].power, rel=1e-9)
         diffs = np.sign(np.diff(values))
         assert np.sum((diffs[:-1] > 0) & (diffs[1:] < 0)) == 1
+
+    def test_grid_stops_at_pmax(self):
+        cfg = config(kinds=(MMSE,), params=make_params(K=20), trials=1)
+        rows, _ = run_utility_power_curve(cfg)
+        assert len(rows) == 65
+        centre = rows[32].power
+        # on this draw every user's equilibrium power is below 13x user 0's,
+        # so a cap there clamps no one and cuts the grid, which runs to 16x
+        # in steps of 2**(1/8), after its point 2**(29/8) = 12.3x
+        cap = 13 * centre
+        capped = config(kinds=(MMSE,), params=make_params(K=20, Pmax=cap),
+                        trials=1)
+        rows, converged = run_utility_power_curve(capped)
+        powers = [r.power for r in rows]
+        assert converged
+        assert powers[32] == pytest.approx(centre, rel=1e-6)
+        assert len(rows) == 62 and max(powers) <= cap
+        assert all(a < b for a, b in zip(powers, powers[1:]))
 
 
 class TestEfficiencyCurve:
