@@ -1,9 +1,10 @@
 """Command-line front end: flat key=value configs, subcommands, CSV output.
 
 Exit codes: 0 success, 1 library error (a PowerGameError, e.g. no feasible
-draw), 2 configuration error, 3 output I/O error, 4 solver non-convergence
-when --strict is given. All randomness is controlled by the seed key
-(default 0); identical invocations produce byte-identical output.
+draw), 2 configuration error (including a load grid on which no tabulated
+cell is feasible), 3 output I/O error, 4 solver non-convergence when --strict
+is given. All randomness is controlled by the seed key (default 0); identical
+invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ import numpy as np
 
 from . import experiments
 from .efficiency import EfficiencyKind, EfficiencyModel, solve_gamma_star
-from .exceptions import PowerGameError
+from .exceptions import InfeasibleLoadError, PowerGameError
 from .experiments import ScenarioConfig, SweepMode
-from .multiantenna import is_feasible_ma, load_limit_ma
 from .system import ReceiverKind, SystemParams
 
 EXIT_CONFIG = 2
@@ -208,30 +208,20 @@ def parse_config(path: str | None, overrides, subcommand_defaults=None) -> Scena
         raise ConfigError("config", str(exc)) from None
 
 
-def _require_feasible_cell(config: ScenarioConfig, kinds, antennas) -> None:
-    """Reject configs in which every (load, receiver, m) cell the subcommand
-    tabulates, receivers ``kinds`` times antenna counts ``antennas``, is
-    infeasible."""
-    if not config.alpha_grid:
-        raise ConfigError("alpha", "this subcommand needs alpha or alpha_range")
-    gstar = solve_gamma_star(config.model)
-    bounds = []
-    for kind in kinds:
-        for m in antennas:
-            bounds.append(f"{kind.value} m={m}: "
-                          f"alpha < {load_limit_ma(kind, m, gstar):g}")
-            if any(is_feasible_ma(kind, alpha, m, gstar)
-                   for alpha in config.alpha_grid):
-                return
-    raise ConfigError("alpha", "no feasible load point; " + "; ".join(bounds))
-
-
 def _require_one_antenna_count(config: ScenarioConfig) -> None:
     """Reject an antenna list for a subcommand that solves one realization
     with config.params.m, the first count, receive antennas."""
     if len(config.antennas) != 1:
         raise ConfigError("antennas", "this subcommand solves one antenna "
                           f"count, got {','.join(map(str, config.antennas))}")
+
+
+def _require_one_load(config: ScenarioConfig) -> None:
+    """Reject a load grid for a subcommand that tabulates one load, alpha,
+    and has no column to tell loads apart."""
+    if len(config.alpha_grid) != 1:
+        raise ConfigError("alpha_range", "this subcommand tabulates one load, "
+                          f"got {len(config.alpha_grid)} loads; set alpha")
 
 
 def _format_cell(value) -> str:
@@ -306,26 +296,20 @@ def _cmd_equilibrium(config, args):
 
 
 def _cmd_sweep(config, args):
-    antennas = config.antennas
-    if config.mode is SweepMode.PARETO:
-        # cooperative rows are tabulated for a single antenna only
-        if 1 not in antennas:
-            raise ConfigError("antennas", "mode=pareto tabulates m=1 only, "
-                              f"got antennas={','.join(map(str, antennas))}")
-        antennas = (1,)
-    _require_feasible_cell(config, config.kinds, antennas)
+    # cooperative rows are tabulated for a single antenna only
+    if config.mode is SweepMode.PARETO and 1 not in config.antennas:
+        raise ConfigError("antennas", "mode=pareto tabulates m=1 only, got "
+                          f"antennas={','.join(map(str, config.antennas))}")
     emit_csv(experiments.run_load_sweep(config), args.output)
     return 0
 
 
 def _cmd_sir_compare(config, args):
-    _require_feasible_cell(config, config.kinds, (1,))
     emit_csv(experiments.run_target_sir_comparison(config), args.output)
     return 0
 
 
 def _cmd_admission(config, args):
-    _require_feasible_cell(config, config.kinds[:1], config.antennas[:1])
     emit_csv(experiments.run_admission_curve(config), args.output)
     return 0
 
@@ -344,7 +328,7 @@ def _cmd_curve_efficiency(config, args):
 
 
 def _cmd_validate_asymptotic(config, args):
-    _require_feasible_cell(config, config.kinds, (1,))
+    _require_one_load(config)
     emit_csv(experiments.run_finite_vs_asymptotic(config), args.output)
     return 0
 
@@ -418,6 +402,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         sys.stderr.write(f"i/o error: {exc}\n")
         return EXIT_IO
+    except InfeasibleLoadError as exc:
+        sys.stderr.write(f"config error: alpha: {exc}\n")
+        return EXIT_CONFIG
     except PowerGameError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -281,50 +281,71 @@ def _sort_key(row: SweepRow):
     return (row.alpha, row.kind.value, row.m, row.mode.value)
 
 
+def _feasible_cells(kinds, antennas, loads, gamma_star: float):
+    """(kind, m, load, Gamma) for each cell of kinds x antennas x loads, in
+    that order, whose load admits the SIR target gamma_star with m antennas:
+    the one feasibility gate of the tables. Each cell left out is logged; with
+    none left, InfeasibleLoadError names every cell's load limit."""
+    cells, limits = [], []
+    for kind in kinds:
+        for m in antennas:
+            limits.append(f"{kind.value} m={m}: alpha < "
+                          f"{multiantenna.load_limit_ma(kind, m, gamma_star):g}")
+            for load in loads:
+                if multiantenna.is_feasible_ma(kind, load, m, gamma_star):
+                    cells.append((kind, m, load, multiantenna.gamma_factor_ma(
+                        kind, load, m, gamma_star)))
+                else:
+                    log.info("omitting infeasible cell alpha=%g kind=%s m=%d",
+                             load, kind.value, m)
+    if not cells:
+        raise InfeasibleLoadError("no feasible load point; " + "; ".join(limits))
+    return cells
+
+
 def run_load_sweep(config: ScenarioConfig):
     """Average utility versus load per (receiver, antenna count, mode).
 
     Utilities come from the large-system closed forms evaluated on random
-    gain draws of one user at the configured distance; infeasible
-    (load, receiver) cells are omitted rather than raised. Cooperative
-    (Pareto) rows are produced for the single-antenna case only and on the
-    same feasibility grid as the non-cooperative ones.
+    gain draws of one user at the configured distance; infeasible cells are
+    omitted, and InfeasibleLoadError is raised before any draw if all are.
+    Cooperative (Pareto) rows are produced for the single-antenna case only
+    and on the same feasibility grid as the non-cooperative ones.
     """
     gstar = solve_gamma_star(config.model)
     p, model = config.params, config.model
+    antennas = config.antennas
+    if config.mode is SweepMode.PARETO:
+        if 1 not in antennas:
+            raise ValueError("mode=pareto tabulates antenna count 1 only")
+        antennas = (1,)
+    cells = _feasible_cells(config.kinds, antennas, config.alpha_grid, gstar)
     h2 = _sweep_gains(config)
+    hbar2_by_m = {m: h2[:, :m].sum(axis=1) for m in antennas}
     rows = []
-    for m in config.antennas:
-        hbar2 = h2[:, :m].sum(axis=1)
-        for kind in config.kinds:
-            for alpha in config.alpha_grid:
-                try:
-                    gamma_bar = multiantenna.gamma_factor_ma(kind, alpha, m, gstar)
-                except InfeasibleLoadError:
-                    log.info("omitting infeasible cell alpha=%g kind=%s m=%d",
-                             alpha, kind.value, m)
-                    continue
-                if config.mode in (SweepMode.NONCOOPERATIVE, SweepMode.BOTH):
-                    coef = asymptotic.utility_coef(p, model, gstar) * gamma_bar
-                    utilities = (coef * hbar2).tolist()
-                    powers = ((gstar * p.sigma2) / (hbar2 * gamma_bar)).tolist()
-                    mu = _mean(utilities)
-                    rows.append(SweepRow(alpha, kind, m, SweepMode.NONCOOPERATIVE,
-                                         mu, _std(utilities, mu), _mean(powers),
-                                         gstar, config.trials, 0))
-                if config.mode in (SweepMode.PARETO, SweepMode.BOTH) and m == 1:
-                    g_opt = asymptotic.solve_pareto_target(kind, alpha, model)
-                    # same grouping as above so the decorrelator rows, whose
-                    # cooperative target equals the tangent solution, come
-                    # out bit-identical to the non-cooperative ones
-                    factor = asymptotic.gamma_factor(kind, alpha, g_opt)
-                    coef = asymptotic.utility_coef(p, model, g_opt) * factor
-                    utilities = (coef * hbar2).tolist()
-                    powers = ((g_opt * p.sigma2) / (hbar2 * factor)).tolist()
-                    mu = _mean(utilities)
-                    rows.append(SweepRow(alpha, kind, m, SweepMode.PARETO,
-                                         mu, _std(utilities, mu), _mean(powers),
-                                         g_opt, config.trials, 0))
+    for kind, m, alpha, gamma_bar in cells:
+        hbar2 = hbar2_by_m[m]
+        if config.mode in (SweepMode.NONCOOPERATIVE, SweepMode.BOTH):
+            coef = asymptotic.utility_coef(p, model, gstar) * gamma_bar
+            utilities = (coef * hbar2).tolist()
+            powers = ((gstar * p.sigma2) / (hbar2 * gamma_bar)).tolist()
+            mu = _mean(utilities)
+            rows.append(SweepRow(alpha, kind, m, SweepMode.NONCOOPERATIVE,
+                                 mu, _std(utilities, mu), _mean(powers),
+                                 gstar, config.trials, 0))
+        if config.mode in (SweepMode.PARETO, SweepMode.BOTH) and m == 1:
+            g_opt = asymptotic.solve_pareto_target(kind, alpha, model)
+            # same grouping as above so the decorrelator rows, whose
+            # cooperative target equals the tangent solution, come
+            # out bit-identical to the non-cooperative ones
+            factor = asymptotic.gamma_factor(kind, alpha, g_opt)
+            coef = asymptotic.utility_coef(p, model, g_opt) * factor
+            utilities = (coef * hbar2).tolist()
+            powers = ((g_opt * p.sigma2) / (hbar2 * factor)).tolist()
+            mu = _mean(utilities)
+            rows.append(SweepRow(alpha, kind, m, SweepMode.PARETO,
+                                 mu, _std(utilities, mu), _mean(powers),
+                                 g_opt, config.trials, 0))
     rows.sort(key=_sort_key)
     return rows
 
@@ -332,13 +353,11 @@ def run_load_sweep(config: ScenarioConfig):
 def run_target_sir_comparison(config: ScenarioConfig):
     """Non-cooperative versus cooperative target SIR over the load grid."""
     gstar = solve_gamma_star(config.model)
-    rows = []
-    for kind in config.kinds:
-        for alpha in config.alpha_grid:
-            if not multiantenna.is_feasible_ma(kind, alpha, 1, gstar):
-                continue
-            g_opt = asymptotic.solve_pareto_target(kind, alpha, config.model)
-            rows.append(TargetSirRow(alpha, kind, gstar, g_opt))
+    rows = [TargetSirRow(alpha, kind, gstar,
+                         asymptotic.solve_pareto_target(kind, alpha,
+                                                        config.model))
+            for kind, _, alpha, _ in _feasible_cells(
+                config.kinds, (1,), config.alpha_grid, gstar)]
     rows.sort(key=lambda r: (r.alpha, r.kind.value))
     return rows
 
@@ -368,20 +387,13 @@ def run_admission_curve(config: ScenarioConfig):
     crossing regardless of sampling noise. The first configured receiver and
     antenna count are used.
     """
-    kind = config.kinds[0]
-    m = config.antennas[0]
     gstar = solve_gamma_star(config.model)
+    cells = _feasible_cells(config.kinds[:1], config.antennas[:1],
+                            config.alpha_grid, gstar)
     e_h2 = _pooled_mean_h2(config)
     coef = asymptotic.utility_coef(config.params, config.model, gstar)
-    rows = []
-    for alpha in config.alpha_grid:
-        try:
-            gamma_bar = multiantenna.gamma_factor_ma(kind, alpha, m, gstar)
-        except InfeasibleLoadError:
-            continue
-        rows.append(AdmissionRow(alpha, alpha * coef * gamma_bar * e_h2,
-                                 gamma_bar))
-    return rows
+    return [AdmissionRow(alpha, alpha * coef * gamma_bar * e_h2, gamma_bar)
+            for _, _, alpha, gamma_bar in cells]
 
 
 def _draw_realization(config: ScenarioConfig, N: int, K: int, m: int,
@@ -448,24 +460,24 @@ def run_finite_vs_asymptotic(config: ScenarioConfig):
     Degenerate draws (singular crosscorrelation or non-convergence) are
     discarded deterministically and redrawn from the next substream. A
     (receiver, N) cell whose load K/N is at or above the receiver's
-    feasibility bound is omitted rather than raised, as in run_load_sweep;
-    InfeasibleLoadError is raised only when every cell is omitted.
+    feasibility bound is omitted, as in run_load_sweep, and
+    InfeasibleLoadError is raised before any draw when every cell is.
     """
     alpha = config.alpha_grid[0]
     p, model = config.params, config.model
     gstar = solve_gamma_star(model)
+    users = {N: max(1, round(alpha * N)) for N in config.n_grid}
+    # two N can share a load K/N and still tabulate one row each
+    loads = list(dict.fromkeys(K / N for N, K in users.items()))
+    gamma_bar = {(kind, load): g for kind, _, load, g
+                 in _feasible_cells(config.kinds, (1,), loads, gstar)}
     rows = []
     for kind_index, kind in enumerate(config.kinds):
-        for N in config.n_grid:
-            K = max(1, round(alpha * N))
-            load = K / N
-            if not multiantenna.is_feasible_ma(kind, load, 1, gstar):
-                log.info("omitting infeasible cell load=%g kind=%s N=%d",
-                         load, kind.value, N)
+        for N, K in users.items():
+            if (kind, K / N) not in gamma_bar:
                 continue
-            # the closed-form received power depends on the load only
-            q_asym = asymptotic.balanced_received_power(kind, load, gstar,
-                                                        p.sigma2)
+            # the closed-form balanced received power depends on the load only
+            q_asym = gstar * p.sigma2 / gamma_bar[kind, K / N]
             trial_mean_ratios = []
             discarded = 0
             for t in range(config.trials):
@@ -493,9 +505,5 @@ def run_finite_vs_asymptotic(config: ScenarioConfig):
                          discarded, kind.value, N)
             rows.append(FiniteVsAsymptoticRow(
                 N, kind, abs(_mean(trial_mean_ratios) - 1.0)))
-    if not rows:
-        raise InfeasibleLoadError(
-            f"no feasible cell: every load K/N from alpha={alpha:g} is at or "
-            "above the receivers' feasibility bounds")
     rows.sort(key=lambda r: (r.N, r.kind.value))
     return rows

@@ -104,6 +104,9 @@ class TestConfigErrors:
           "alpha=0.5"], "antennas: repeated value"),
         (["validate-asymptotic", "--set", "n_grid=25,50,25", "--trials",
           "2"], "n_grid: repeated value"),
+        # the table has no alpha column, so a grid must not shrink to alpha[0]
+        (["validate-asymptotic", "--alpha-range", "0.05:0.5:0.05",
+          "--trials", "2"], "alpha_range: this subcommand tabulates one load"),
     ])
     def test_config_without_distinct_cells_rejected(self, argv, fragment,
                                                     capsys):
@@ -113,6 +116,18 @@ class TestConfigErrors:
         assert out == ""
         assert err.startswith("config error: " + fragment)
         assert len(err.splitlines()) == 1
+
+    def test_every_cell_infeasible_exits_2(self):
+        # alpha sits just below the MF bound, but K = round(alpha N) rounds
+        # every load K/N above it
+        proc = run_cli("validate-asymptotic", "--set", "alpha=0.1544",
+                       "--set", "n_grid=25,50", "--receiver", "MF",
+                       "--trials", "2")
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stdout == ""
+        assert proc.stderr == ("config error: alpha: no feasible load point; "
+                               "MF m=1: alpha < 0.15445\n")
+        assert len(proc.stderr.splitlines()) == 1
 
     @pytest.mark.parametrize("sub", ["equilibrium", "curve-utility"])
     def test_single_realization_rejects_antenna_list(self, sub, capsys):
@@ -295,6 +310,26 @@ class TestSubcommands:
         assert [ln.split(",")[:2] for ln in lines[1:]] == [
             ["25", "MMSE"], ["50", "MMSE"], ["100", "MMSE"]]
 
+    def test_validate_asymptotic_gates_on_rounded_load(self, capsys):
+        # alpha = 0.156 is above the MF bound 0.15445, but the one tabulated
+        # cell, K = 2 of N = 13, has load 0.1538 below it
+        code = main(["validate-asymptotic", "--set", "alpha=0.156", "--set",
+                     "n_grid=13", "--receiver", "MF", "--trials", "2"])
+        out, err = capsys.readouterr()
+        assert code == 0, err
+        lines = out.splitlines()
+        assert lines[0] == "N,kind,mean_rel_power_error"
+        assert [ln.split(",")[:2] for ln in lines[1:]] == [["13", "MF"]]
+
+    def test_validate_asymptotic_row_per_n_sharing_a_load(self, capsys):
+        # 2/25 and 4/50 are the same load; each N keeps its own row
+        code = main(["validate-asymptotic", "--set", "alpha=0.08", "--set",
+                     "n_grid=25,50", "--receiver", "MMSE", "--trials", "2"])
+        out, err = capsys.readouterr()
+        assert code == 0, err
+        assert [ln.split(",")[:2] for ln in out.splitlines()[1:]] == [
+            ["25", "MMSE"], ["50", "MMSE"]]
+
 
 class TestLibraryErrors:
     def test_no_feasible_draw_exits_1_without_traceback(self):
@@ -303,17 +338,6 @@ class TestLibraryErrors:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: no feasible draw")
-        assert len(proc.stderr.splitlines()) == 1
-
-    def test_every_cell_infeasible_exits_1(self):
-        # alpha sits just below the MF bound, but K = round(alpha N) rounds
-        # every load K/N above it
-        proc = run_cli("validate-asymptotic", "--set", "alpha=0.1544",
-                       "--set", "n_grid=25,50", "--receiver", "MF",
-                       "--trials", "2")
-        assert proc.returncode == 1
-        assert proc.stdout == ""
-        assert proc.stderr.startswith("error: no feasible cell")
         assert len(proc.stderr.splitlines()) == 1
 
 

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 from powergame.asymptotic import feasibility_bound, gamma_factor
 from powergame.efficiency import EfficiencyKind, EfficiencyModel, eff_value
 from powergame import experiments
-from powergame.exceptions import PowerGameError
+from powergame.exceptions import InfeasibleLoadError, PowerGameError
 from powergame.experiments import (ScenarioConfig, SweepMode,
                                    run_admission_curve, run_efficiency_curve,
                                    run_finite_vs_asymptotic, run_load_sweep,
@@ -153,6 +153,50 @@ class TestBatchedDraws:
         assert np.array_equal(experiments._sweep_gains(cfg), expected)
 
 
+def _no_draw(*args, **kwargs):
+    raise AssertionError("a trial was drawn")
+
+
+class TestFeasibilityGate:
+    MF_ONLY = "no feasible load point; MF m=1: alpha < 0.15445"
+
+    @pytest.mark.parametrize("run,overrides,message", [
+        (run_load_sweep, dict(kinds=(MF,), alpha_grid=(0.2,)), MF_ONLY),
+        # every tabulated (receiver, m) cell is named, in loop order
+        (run_load_sweep, dict(kinds=(MF, DE), antennas=(1, 2),
+                              alpha_grid=(1.5,)),
+         "no feasible load point; MF m=1: alpha < 0.15445; MF m=2: "
+         "alpha < 0.308899; DE m=1: alpha < 1; DE m=2: alpha < 1"),
+        # cooperative rows have one antenna, whatever else is configured
+        (run_load_sweep, dict(kinds=(MF,), antennas=(1, 2), alpha_grid=(0.2,),
+                              mode=SweepMode.PARETO), MF_ONLY),
+        (run_target_sir_comparison, dict(kinds=(MF,), antennas=(2,),
+                                         alpha_grid=(0.2,)), MF_ONLY),
+        # admission tabulates the first receiver only
+        (run_admission_curve, dict(kinds=(MF, MMSE), alpha_grid=(0.5, 1.0)),
+         MF_ONLY),
+        # 0.1544 is below the bound, but K/N is 4/25 = 8/50 = 0.16
+        (run_finite_vs_asymptotic, dict(kinds=(MF,), alpha_grid=(0.1544,),
+                                        n_grid=(25, 50)), MF_ONLY),
+    ], ids=["sweep", "sweep-every-cell", "pareto", "sir-compare", "admission",
+            "finite"])
+    def test_all_infeasible_raises_before_any_draw(self, run, overrides,
+                                                   message, monkeypatch):
+        monkeypatch.setattr(experiments, "_trial_rngs", _no_draw)
+        monkeypatch.setattr(experiments, "trial_rng", _no_draw)
+        with pytest.raises(InfeasibleLoadError) as err:
+            run(config(**overrides))
+        assert str(err.value) == message
+
+    def test_cells_keep_loop_order_and_gamma(self, gamma_star):
+        cells = experiments._feasible_cells((MF, MMSE), (1, 2), (0.1, 0.2),
+                                            gamma_star)
+        assert [(k, m, a) for k, m, a, _ in cells] == [
+            (MF, 1, 0.1), (MF, 2, 0.1), (MF, 2, 0.2),
+            (MMSE, 1, 0.1), (MMSE, 1, 0.2), (MMSE, 2, 0.1), (MMSE, 2, 0.2)]
+        assert cells[0][3] == gamma_factor(MF, 0.1, gamma_star)
+
+
 class TestLoadSweep:
     def test_deterministic(self):
         assert run_load_sweep(config()) == run_load_sweep(config())
@@ -230,6 +274,10 @@ class TestLoadSweep:
                                      antennas=(1, 2), alpha_grid=(0.1,)))
         assert all(r.m == 1 for r in rows if r.mode is SweepMode.PARETO)
         assert any(r.m == 2 for r in rows)
+
+    def test_pareto_without_single_antenna_rejected(self):
+        with pytest.raises(ValueError, match="antenna count 1 only"):
+            run_load_sweep(config(mode=SweepMode.PARETO, antennas=(2,)))
 
     def test_antenna_ratio_decomposition(self, gamma_star):
         # power pooling alone doubles DE utility; MF and MMSE gain more

@@ -7,7 +7,8 @@ from powergame.game import (best_response_power, solve_equilibrium,
                             solve_from_engine, verify_nash)
 from powergame.system import (ChannelRealization, ReceiverKind,
                               effective_system, generate_gains,
-                              generate_spreading, make_sir_engine, utility)
+                              generate_spreading, make_sir_engine, output_sir,
+                              receiver_filter, utility)
 
 from conftest import draw_realization, make_params
 
@@ -299,6 +300,47 @@ class TestVerifyNash:
         broken, realization, params = self.deviated_profile(
             kind, 0.5, model, gamma_star)
         assert not verify_nash(broken, realization, kind, params, model)
+
+
+class TestReceiverSwitching:
+    """The paper's headline: at an MF or DE equilibrium every user would
+    reach a higher SIR with the MMSE receiver at the same powers, and at the
+    MMSE equilibrium no user's MF or DE SIR beats its MMSE SIR."""
+
+    K, N = 8, 64  # load 0.125, under the MF limit 0.154
+
+    @staticmethod
+    def sir(kind, k, realization, powers, sigma2):
+        S, heff = realization.S, realization.H[0]
+        c = receiver_filter(kind, k, S, heff, powers, sigma2)
+        return output_sir(c, k, S, heff, powers, sigma2)
+
+    def equilibrium(self, kind, seed, model, gamma_star):
+        params = make_params(K=self.K, N=self.N)
+        realization, result = feasible_instance(
+            lambda a: np.random.default_rng((20, seed, a)), kind, params,
+            model, gamma_star, self.N, self.K)
+        return realization, result.powers, params.sigma2
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("kind", [MF, DE])
+    def test_switching_to_mmse_pays(self, kind, seed, model, gamma_star):
+        realization, powers, sigma2 = self.equilibrium(kind, seed, model,
+                                                       gamma_star)
+        for k in range(self.K):
+            assert (self.sir(MMSE, k, realization, powers, sigma2)
+                    > gamma_star * (1 + 1e-9))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_leaving_mmse_never_pays(self, seed, model, gamma_star):
+        realization, powers, sigma2 = self.equilibrium(MMSE, seed, model,
+                                                       gamma_star)
+        for k in range(self.K):
+            best = self.sir(MMSE, k, realization, powers, sigma2)
+            assert best == pytest.approx(gamma_star, rel=1e-6)
+            for kind in (MF, DE):
+                assert (self.sir(kind, k, realization, powers, sigma2)
+                        <= best * (1 + 1e-9))
 
 
 class TestOverloadedMmse:

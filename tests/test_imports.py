@@ -1,5 +1,6 @@
-"""Every name a powergame module imports is used in that module, and no
-module reads another module's private (``_name``) attributes.
+"""Every name a powergame module imports is used in that module, no module
+reads another module's private (``_name``) attributes, and the CLI leaves
+feasibility to the experiment drivers.
 
 No linter is a dependency, so these stdlib-ast checks stand in for one.
 ``__init__.py`` is skipped (its imports are the package's re-exports), and so
@@ -87,3 +88,32 @@ def test_checker_flags_private_reads_only():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_private_reads_across_modules(path):
     assert private_reads(path.read_text(encoding="utf-8")) == []
+
+
+def imported_modules(source: str):
+    """Every dotted-name component of the modules source imports from, plus
+    the names of ``from . import name``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                found.update(alias.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            found.update((node.module or "").split("."))
+            if node.module is None:
+                found.update(alias.name for alias in node.names)
+    return found - {""}
+
+
+def test_checker_finds_relative_and_absolute_modules():
+    source = ("from . import experiments\nfrom .multiantenna import f\n"
+              "import powergame.asymptotic as a\n")
+    assert imported_modules(source) == {"experiments", "multiantenna",
+                                        "powergame", "asymptotic"}
+
+
+def test_cli_leaves_feasibility_to_experiments():
+    # the drivers decide which (receiver, m, load) cells a table holds; a CLI
+    # that reached the closed forms could grow a second, disagreeing gate
+    source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    assert imported_modules(source).isdisjoint({"asymptotic", "multiantenna"})
