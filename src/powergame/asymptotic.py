@@ -24,33 +24,42 @@ FIXED_POINT_TOL = 1e-10
 FIXED_POINT_MAX_ITER = 10_000
 
 
-def feasibility_bound(kind: ReceiverKind, gamma: float) -> float:
-    """Maximum load below which SIR gamma is reachable by all users."""
+def feasibility_bound(kind: ReceiverKind, gamma: float, m: int = 1) -> float:
+    """Supremum of the loads at which SIR gamma is reachable by all users
+    with m receive antennas: the single-antenna bound times m for the matched
+    filter and MMSE receiver, unchanged for the decorrelator. Feasibility
+    itself is decided by gamma_factor."""
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
+    if m < 1:
+        raise ValueError(f"m must be a positive integer, got {m}")
     if kind is ReceiverKind.MATCHED_FILTER:
-        return 1.0 / gamma
+        return m * (1.0 / gamma)
     if kind is ReceiverKind.DECORRELATOR:
         return 1.0
-    return 1.0 + 1.0 / gamma
+    return m * (1.0 + 1.0 / gamma)
 
 
-def _check_feasible(kind: ReceiverKind, alpha: float, gamma: float) -> None:
-    bound = feasibility_bound(kind, gamma)
-    if alpha >= bound:
+def gamma_factor(kind: ReceiverKind, alpha: float, gamma_star: float,
+                 m: int = 1) -> float:
+    """Load penalty Gamma in (0, 1] with m receive antennas: MF 1 - a g*,
+    DE 1 - a, MMSE 1 - a g*/(1+g*) at the effective load a = alpha/m (MF,
+    MMSE) or a = alpha (DE, whose per-antenna nulling burns m degrees of
+    freedom per interferer). Raises InfeasibleLoadError unless a lies below
+    the single-antenna feasibility bound."""
+    limit = feasibility_bound(kind, gamma_star, m)
+    # compare a with the single-antenna bound, never alpha with the limit:
+    # the two round differently at m > 1
+    load = alpha if kind is ReceiverKind.DECORRELATOR else alpha / m
+    if load >= feasibility_bound(kind, gamma_star):
         raise InfeasibleLoadError(
-            f"load alpha={alpha:g} infeasible for {kind.value}: "
-            f"requires alpha < {bound:g} at gamma={gamma:g}")
-
-
-def gamma_factor(kind: ReceiverKind, alpha: float, gamma_star: float) -> float:
-    """Load penalty Gamma in (0, 1]: MF 1 - a g*, DE 1 - a, MMSE 1 - a g*/(1+g*)."""
-    _check_feasible(kind, alpha, gamma_star)
+            f"load alpha={alpha:g} infeasible for {kind.value} with m={m}: "
+            f"requires alpha < {limit:g} at gamma={gamma_star:g}")
     if kind is ReceiverKind.MATCHED_FILTER:
-        return 1.0 - alpha * gamma_star
+        return 1.0 - load * gamma_star
     if kind is ReceiverKind.DECORRELATOR:
-        return 1.0 - alpha
-    return 1.0 - alpha * gamma_star / (1.0 + gamma_star)
+        return 1.0 - load
+    return 1.0 - load * gamma_star / (1.0 + gamma_star)
 
 
 def balanced_received_power(kind: ReceiverKind, alpha: float, gamma: float,
@@ -67,8 +76,8 @@ def utility_coef(params: SystemParams, model: EfficiencyModel,
     Every user at SIR gamma transmits q/h^2 with q = gamma sigma2 / Gamma, so
     its utility (L/M) R f(gamma) h^2 / q is this coefficient times Gamma h^2.
     The non-cooperative, cooperative and m-antenna utilities all take this
-    form, at gamma* or the Pareto target and with gamma_factor or
-    multiantenna.gamma_factor_ma as Gamma (h^2 pooled over the antennas).
+    form, at gamma* or the Pareto target and with gamma_factor at the antenna
+    count as Gamma (h^2 pooled over the antennas).
     """
     return (params.L * params.R * eff_value(model, gamma)
             / (params.M * gamma * params.sigma2))
@@ -159,16 +168,9 @@ def solve_pareto_target(kind: ReceiverKind, alpha: float,
 def optimal_load(kind: ReceiverKind, gamma_star: float, m: int = 1) -> float:
     """Load maximizing total utility per degree of freedom (solves Gamma = 1/2).
 
-    With m receive antennas the effective load is alpha/m for the matched
-    filter and MMSE receiver, so their admission limits scale with m; the
-    decorrelator pools power only and stays at 1/2.
+    Gamma falls linearly from 1 at zero load to 0 at the feasibility bound,
+    so the optimum is half the bound: with m receive antennas it scales with
+    m for the matched filter and MMSE receiver and stays at 1/2 for the
+    decorrelator.
     """
-    if gamma_star <= 0:
-        raise ValueError(f"gamma_star must be positive, got {gamma_star}")
-    if m < 1:
-        raise ValueError(f"m must be a positive integer, got {m}")
-    if kind is ReceiverKind.MATCHED_FILTER:
-        return m / (2.0 * gamma_star)
-    if kind is ReceiverKind.DECORRELATOR:
-        return 0.5
-    return m * (0.5 + 1.0 / (2.0 * gamma_star))
+    return feasibility_bound(kind, gamma_star, m) / 2.0

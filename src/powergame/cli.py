@@ -394,8 +394,12 @@ def main(argv=None) -> int:
     if args.alpha_range is not None:
         overrides.append(("alpha_range", args.alpha_range))
     try:
-        config = parse_config(args.config, overrides, sub_defaults)
-        return handler(config, args)
+        # an overflow, division by zero or NaN anywhere in numpy would
+        # otherwise end in an inf or nan table with exit 0; Python floats
+        # raise their own ArithmeticError subclasses
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            config = parse_config(args.config, overrides, sub_defaults)
+            return handler(config, args)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
@@ -405,7 +409,7 @@ def main(argv=None) -> int:
     except InfeasibleLoadError as exc:
         sys.stderr.write(f"config error: alpha: {exc}\n")
         return EXIT_CONFIG
-    except PowerGameError as exc:
+    except (PowerGameError, ArithmeticError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -27,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from . import asymptotic, multiantenna
+from . import asymptotic
 from .efficiency import EfficiencyModel, eff_value, solve_gamma_star
 from .exceptions import (InfeasibleLoadError, PowerGameError,
                          SingularSpreadingError, SolverError)
@@ -283,19 +283,20 @@ def _sort_key(row: SweepRow):
 
 def _feasible_cells(kinds, antennas, loads, gamma_star: float):
     """(kind, m, load, Gamma) for each cell of kinds x antennas x loads, in
-    that order, whose load admits the SIR target gamma_star with m antennas:
-    the one feasibility gate of the tables. Each cell left out is logged; with
-    none left, InfeasibleLoadError names every cell's load limit."""
+    that order, whose load admits the SIR target gamma_star with m antennas,
+    as asymptotic.gamma_factor decides: the one feasibility gate of the
+    tables. Each cell left out is logged; with none left, InfeasibleLoadError
+    names every cell's load limit."""
     cells, limits = [], []
     for kind in kinds:
         for m in antennas:
             limits.append(f"{kind.value} m={m}: alpha < "
-                          f"{multiantenna.load_limit_ma(kind, m, gamma_star):g}")
+                          f"{asymptotic.feasibility_bound(kind, gamma_star, m):g}")
             for load in loads:
-                if multiantenna.is_feasible_ma(kind, load, m, gamma_star):
-                    cells.append((kind, m, load, multiantenna.gamma_factor_ma(
-                        kind, load, m, gamma_star)))
-                else:
+                try:
+                    cells.append((kind, m, load, asymptotic.gamma_factor(
+                        kind, load, gamma_star, m)))
+                except InfeasibleLoadError:
                     log.info("omitting infeasible cell alpha=%g kind=%s m=%d",
                              load, kind.value, m)
     if not cells:
@@ -462,7 +463,11 @@ def run_finite_vs_asymptotic(config: ScenarioConfig):
     (receiver, N) cell whose load K/N is at or above the receiver's
     feasibility bound is omitted, as in run_load_sweep, and
     InfeasibleLoadError is raised before any draw when every cell is.
+    ValueError is raised unless config.alpha_grid holds exactly one load.
     """
+    if len(config.alpha_grid) != 1:
+        raise ValueError("run_finite_vs_asymptotic tabulates one load, got "
+                         f"{len(config.alpha_grid)} loads")
     alpha = config.alpha_grid[0]
     p, model = config.params, config.model
     gstar = solve_gamma_star(model)

@@ -43,6 +43,16 @@ class TestFeasibilityBound:
         with pytest.raises(ValueError):
             feasibility_bound(MF, 0.0)
 
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_requires_at_least_one_antenna(self, gamma_star, m):
+        for kind in KINDS:
+            with pytest.raises(ValueError):
+                feasibility_bound(kind, gamma_star, m)
+            with pytest.raises(ValueError):
+                gamma_factor(kind, 0.01, gamma_star, m)
+            with pytest.raises(ValueError):
+                optimal_load(kind, gamma_star, m)
+
 
 class TestEquilibriumPower:
     # per-user transmit power q / h^2 at the balanced received power q

@@ -340,6 +340,20 @@ class TestLibraryErrors:
         assert proc.stderr.startswith("error: no feasible draw")
         assert len(proc.stderr.splitlines()) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--set", "distance=1e-200", "--trials", "2",
+         "--receiver", "MF"],
+        ["admission", "--set", "d_min=1e-200", "--set", "d_max=1e-100",
+         "--trials", "2"],
+        ["admission", "--set", "d_max=1e300", "--trials", "2"],
+    ])
+    def test_overflow_exits_1_not_inf_table(self, argv, capsys):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ")
+        assert len(err.splitlines()) == 1
+
 
 class TestMainEntry:
     def test_callable_without_subprocess(self, capsys):

@@ -415,6 +415,11 @@ class TestFiniteVsAsymptotic:
         cfg = config(kinds=(DE,), alpha_grid=(0.3,), trials=10, n_grid=(32,))
         assert run_finite_vs_asymptotic(cfg) == run_finite_vs_asymptotic(cfg)
 
+    @pytest.mark.parametrize("grid", [(), (0.1, 0.5)])
+    def test_requires_exactly_one_load(self, grid):
+        with pytest.raises(ValueError, match=f"one load, got {len(grid)}"):
+            run_finite_vs_asymptotic(config(alpha_grid=grid, trials=2))
+
 
 class TestAggregation:
     def test_mean_is_order_independent(self):

@@ -114,6 +114,9 @@ def test_checker_finds_relative_and_absolute_modules():
 
 def test_cli_leaves_feasibility_to_experiments():
     # the drivers decide which (receiver, m, load) cells a table holds; a CLI
-    # that reached the closed forms could grow a second, disagreeing gate
-    source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
-    assert imported_modules(source).isdisjoint({"asymptotic", "multiantenna"})
+    # that reached the closed forms could grow a second, disagreeing gate,
+    # and the drivers take the antenna count's load limits from asymptotic
+    for module, banned in (("cli.py", {"asymptotic", "multiantenna"}),
+                           ("experiments.py", {"multiantenna"})):
+        source = (PACKAGE / module).read_text(encoding="utf-8")
+        assert imported_modules(source).isdisjoint(banned), module

@@ -4,8 +4,7 @@ import pytest
 from powergame.asymptotic import feasibility_bound, gamma_factor, utility_coef
 from powergame.exceptions import InfeasibleLoadError, SingularSpreadingError
 from powergame.game import solve_equilibrium
-from powergame.multiantenna import (gamma_factor_ma, is_feasible_ma,
-                                    load_limit_ma, solve_equilibrium_ma)
+from powergame.multiantenna import solve_equilibrium_ma
 from powergame.system import (ChannelRealization, ReceiverKind,
                               effective_system, generate_gains,
                               generate_spreading)
@@ -148,57 +147,68 @@ class TestEquilibriumMa:
             assert res.converged
             hbar2 = (H ** 2).sum(axis=0)
             implied = gamma_star * SIGMA2 / (
-                hbar2 * gamma_factor_ma(MMSE, K / N, m, gamma_star))
+                hbar2 * gamma_factor(MMSE, K / N, gamma_star, m))
             ratios.append(float(np.mean(res.powers / implied)))
         assert abs(np.mean(ratios) - 1.0) < 0.05
 
 
 class TestGammaFactorMa:
     def test_single_antenna_equals_base(self, gamma_star):
-        for kind in KINDS:
-            for alpha in (0.02, 0.1):
-                assert gamma_factor_ma(kind, alpha, 1, gamma_star) == \
-                    gamma_factor(kind, alpha, gamma_star)
+        # one antenna is the single-antenna closed form, bit for bit
+        for alpha in (0.02, 0.1):
+            expected = {MF: 1.0 - alpha * gamma_star, DE: 1.0 - alpha,
+                        MMSE: 1.0 - alpha * gamma_star / (1.0 + gamma_star)}
+            for kind in KINDS:
+                assert gamma_factor(kind, alpha, gamma_star, 1) == \
+                    expected[kind]
 
     def test_decorrelator_ignores_antennas(self, gamma_star):
         for m in (1, 2, 8):
-            assert gamma_factor_ma(DE, 0.4, m, gamma_star) == \
+            assert gamma_factor(DE, 0.4, gamma_star, m) == \
                 pytest.approx(0.6, rel=1e-12)
 
     def test_matched_filter_two_antennas(self):
-        got = gamma_factor_ma(MF, 0.2, 2, 6.48)
+        got = gamma_factor(MF, 0.2, 6.48, 2)
         assert got == pytest.approx(1 - 0.1 * 6.48, rel=1e-12)
 
     def test_capacity_region_scales_with_antennas(self, gamma_star):
         # alpha = 0.2 breaks the single-antenna MF bound but not the 2-antenna one
         with pytest.raises(InfeasibleLoadError):
-            gamma_factor_ma(MF, 0.2, 1, gamma_star)
-        assert 0 < gamma_factor_ma(MF, 0.2, 2, gamma_star) < 1
+            gamma_factor(MF, 0.2, gamma_star, 1)
+        assert 0 < gamma_factor(MF, 0.2, gamma_star, 2) < 1
         bound = feasibility_bound(MMSE, gamma_star)
         with pytest.raises(InfeasibleLoadError):
-            gamma_factor_ma(MMSE, bound * 1.5, 1, gamma_star)
-        assert gamma_factor_ma(MMSE, bound * 1.5, 2, gamma_star) > 0
+            gamma_factor(MMSE, bound * 1.5, gamma_star, 1)
+        assert gamma_factor(MMSE, bound * 1.5, gamma_star, 2) > 0
 
     def test_feasibility_test_gates_gamma_factor(self, gamma_star):
+        # gamma_factor raises exactly when the effective load reaches the
+        # single-antenna bound; at the limit's float neighbours that differs
+        # from alpha >= feasibility_bound(kind, gamma_star, m) for MF, m = 5
+        split = []
         for kind in KINDS:
+            bound = feasibility_bound(kind, gamma_star)
             for m in (1, 2, 3, 5, 8):
-                limit = load_limit_ma(kind, m, gamma_star)
-                assert is_feasible_ma(kind, limit * (1 - 1e-9), m, gamma_star)
-                assert not is_feasible_ma(kind, limit * (1 + 1e-9), m,
-                                          gamma_star)
+                limit = feasibility_bound(kind, gamma_star, m)
+                assert gamma_factor(kind, limit * (1 - 1e-9), gamma_star, m) > 0
+                with pytest.raises(InfeasibleLoadError):
+                    gamma_factor(kind, limit * (1 + 1e-9), gamma_star, m)
                 for alpha in (np.nextafter(limit, 0.0), limit,
                               np.nextafter(limit, 2 * limit)):
-                    if is_feasible_ma(kind, alpha, m, gamma_star):
-                        assert gamma_factor_ma(kind, alpha, m, gamma_star) > 0
+                    load = alpha if kind is DE else alpha / m
+                    if load < bound:
+                        assert gamma_factor(kind, alpha, gamma_star, m) > 0
                     else:
                         with pytest.raises(InfeasibleLoadError):
-                            gamma_factor_ma(kind, alpha, m, gamma_star)
-            assert load_limit_ma(kind, 1, gamma_star) == \
-                feasibility_bound(kind, gamma_star)
+                            gamma_factor(kind, alpha, gamma_star, m)
+                        if alpha < limit:
+                            split.append((kind, m))
+            assert feasibility_bound(kind, gamma_star, 1) == bound
+        assert split == [(MF, 5)]
 
     def test_monotone_in_antennas(self, gamma_star):
         for kind in (MF, MMSE):
-            vals = [gamma_factor_ma(kind, 0.1, m, gamma_star) for m in (1, 2, 4, 8)]
+            vals = [gamma_factor(kind, 0.1, gamma_star, m) for m in (1, 2, 4, 8)]
             assert all(a <= b for a, b in zip(vals, vals[1:]))
 
 
@@ -207,7 +217,7 @@ class TestUtilityMa:
     @staticmethod
     def utility_ma(kind, alpha, m, params, model, gamma_star, hbar2):
         return (utility_coef(params, model, gamma_star)
-                * gamma_factor_ma(kind, alpha, m, gamma_star) * hbar2)
+                * gamma_factor(kind, alpha, gamma_star, m) * hbar2)
 
     def test_single_antenna_equals_base(self, params, model, gamma_star):
         for kind in KINDS:
