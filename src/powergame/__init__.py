@@ -9,8 +9,9 @@ and reproduces the reference numerical experiments as seeded CSV sweeps.
 
 from .efficiency import (EfficiencyKind, EfficiencyModel, eff_derivative,
                          eff_value, solve_gamma_star)
-from .exceptions import (InfeasibleLoadError, InfeasibleUserError,
-                         PowerGameError, SingularSpreadingError, SolverError)
+from .exceptions import (ConfigError, InfeasibleLoadError,
+                         InfeasibleUserError, PowerGameError,
+                         SingularSpreadingError, SolverError)
 from .game import EquilibriumResult, best_response_power, solve_equilibrium, verify_nash
 from .multiantenna import solve_equilibrium_ma
 from .system import (ChannelRealization, ReceiverKind, SystemParams,
@@ -21,7 +22,7 @@ from .system import (ChannelRealization, ReceiverKind, SystemParams,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChannelRealization", "EfficiencyKind", "EfficiencyModel",
+    "ChannelRealization", "ConfigError", "EfficiencyKind", "EfficiencyModel",
     "EquilibriumResult",
     "InfeasibleLoadError", "InfeasibleUserError", "PowerGameError",
     "ReceiverKind", "SingularSpreadingError", "SolverError", "SystemParams",

@@ -1,10 +1,15 @@
 """Command-line front end: flat key=value configs, subcommands, CSV output.
 
+The CLI parses a config and hands it to the experiment driver of the
+subcommand; the drivers decide which cells a table holds and which configs
+it cannot use (raising ConfigError or InfeasibleLoadError), so every
+subcommand is one entry in SUBCOMMANDS.
+
 Exit codes: 0 success, 1 library error (a PowerGameError, e.g. no feasible
-draw), 2 configuration error (including a load grid on which no tabulated
-cell is feasible), 3 output I/O error, 4 solver non-convergence when --strict
-is given. All randomness is controlled by the seed key (default 0); identical
-invocations produce byte-identical output.
+draw, or a non-finite table cell), 2 configuration error (including a load
+grid on which no tabulated cell is feasible), 3 output I/O error, 4 solver
+non-convergence when --strict is given. All randomness is controlled by the
+seed key (default 0); identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -12,14 +17,14 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import fields as dataclass_fields
 from enum import Enum
 
 import numpy as np
 
 from . import experiments
 from .efficiency import EfficiencyKind, EfficiencyModel, solve_gamma_star
-from .exceptions import InfeasibleLoadError, PowerGameError
+from .exceptions import ConfigError, InfeasibleLoadError, PowerGameError
 from .experiments import ScenarioConfig, SweepMode
 from .system import ReceiverKind, SystemParams
 
@@ -30,12 +35,6 @@ EXIT_NOCONV = 4
 KIND_NAMES = {"MF": ReceiverKind.MATCHED_FILTER,
               "DE": ReceiverKind.DECORRELATOR,
               "MMSE": ReceiverKind.MMSE}
-
-
-class ConfigError(Exception):
-    def __init__(self, key: str, message: str):
-        self.key = key
-        super().__init__(f"{key}: {message}")
 
 
 def _parse_int(key, text, minimum=None):
@@ -66,13 +65,13 @@ def _parse_choice(key, text, choices):
     return text
 
 
-def _parse_antennas(key, text):
+def _parse_counts(key, text):
     try:
         counts = tuple(int(tok) for tok in text.split(","))
     except ValueError:
         raise ConfigError(key, f"expected comma-separated integers, got {text!r}") from None
-    if not counts or any(c < 1 for c in counts):
-        raise ConfigError(key, "antenna counts must be positive integers")
+    if any(c < 1 for c in counts):
+        raise ConfigError(key, f"expected positive integers, got {text!r}")
     if len(set(counts)) != len(counts):
         raise ConfigError(key, f"repeated value in {text!r}")
     return counts
@@ -107,13 +106,13 @@ CONFIG_KEYS = {
     "seed": lambda t: _parse_int("seed", t, 0),
     "eff": lambda t: _parse_choice("eff", t, {"exp", "bpsk"}),
     "receiver": lambda t: _parse_choice("receiver", t, set(KIND_NAMES) | {"all"}),
-    "antennas": lambda t: _parse_antennas("antennas", t),
+    "antennas": lambda t: _parse_counts("antennas", t),
     "alpha": lambda t: _parse_float("alpha", t, positive=True),
     "alpha_range": lambda t: _parse_alpha_range("alpha_range", t),
     "mode": lambda t: _parse_choice("mode", t, {"noncoop", "pareto", "both"}),
     "gain_mean_semantics": lambda t: _parse_choice(
         "gain_mean_semantics", t, {"amplitude", "mean_square"}),
-    "n_grid": lambda t: _parse_antennas("n_grid", t),
+    "n_grid": lambda t: _parse_counts("n_grid", t),
     "max_iter": lambda t: _parse_int("max_iter", t, 1),
 }
 
@@ -182,7 +181,7 @@ def parse_config(path: str | None, overrides, subcommand_defaults=None) -> Scena
         params = SystemParams(K=settings["K"], N=settings["N"],
                               sigma2=settings["sigma2"], R=settings["R"],
                               L=L, M=settings["M"],
-                              Pmax=settings["Pmax"], m=settings["antennas"][0])
+                              Pmax=settings["Pmax"])
     except ValueError as exc:
         raise ConfigError("params", str(exc)) from None
     kinds = (tuple(KIND_NAMES.values()) if settings["receiver"] == "all"
@@ -208,41 +207,33 @@ def parse_config(path: str | None, overrides, subcommand_defaults=None) -> Scena
         raise ConfigError("config", str(exc)) from None
 
 
-def _require_one_antenna_count(config: ScenarioConfig) -> None:
-    """Reject an antenna list for a subcommand that solves one realization
-    with config.params.m, the first count, receive antennas."""
-    if len(config.antennas) != 1:
-        raise ConfigError("antennas", "this subcommand solves one antenna "
-                          f"count, got {','.join(map(str, config.antennas))}")
-
-
-def _require_one_load(config: ScenarioConfig) -> None:
-    """Reject a load grid for a subcommand that tabulates one load, alpha,
-    and has no column to tell loads apart."""
-    if len(config.alpha_grid) != 1:
-        raise ConfigError("alpha_range", "this subcommand tabulates one load, "
-                          f"got {len(config.alpha_grid)} loads; set alpha")
-
-
-def _format_cell(value) -> str:
+def _format_cell(name: str, value) -> str:
     if isinstance(value, Enum):
         return str(value.value)
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
+        # Python float arithmetic overflows to inf without raising
+        if not math.isfinite(value):
+            raise PowerGameError(f"{name} is {value!r}; a config value is "
+                                 "outside the float range")
         return repr(value)  # shortest exact round-trip, locale independent
     return str(value)
 
 
 def emit_csv(rows, output_path: str) -> None:
-    """Write dataclass rows as CSV with a single header line and LF endings."""
+    """Write dataclass rows as CSV with a single header line and LF endings.
+
+    A non-finite float cell raises PowerGameError before anything is written.
+    """
     if not rows:
         text = ""
     else:
         names = [f.name for f in dataclass_fields(rows[0])]
         lines = [",".join(names)]
         for row in rows:
-            lines.append(",".join(_format_cell(getattr(row, n)) for n in names))
+            lines.append(",".join(_format_cell(n, getattr(row, n))
+                                  for n in names))
         text = "\n".join(lines) + "\n"
     _write_text(text, output_path)
 
@@ -268,84 +259,45 @@ def _cmd_gamma_star(config, args):
     return 0
 
 
-@dataclass(frozen=True)
-class EquilibriumRow:
-    kind: ReceiverKind
-    user: int
-    power: float
-    sir: float
-    utility: float
-    iterations: int
-    converged: bool
+def _table(run):
+    """Handler writing the rows run(config) returns."""
+    def handler(config, args):
+        emit_csv(run(config), args.output)
+        return 0
+    return handler
 
 
-def _cmd_equilibrium(config, args):
-    _require_one_antenna_count(config)
-    rows = []
-    all_converged = True
-    for kind, result in experiments.run_equilibria(config):
-        all_converged = all_converged and result.converged
-        rows.extend(EquilibriumRow(kind, k, float(result.powers[k]),
-                                   float(result.sirs[k]),
-                                   float(result.utilities[k]),
-                                   result.iterations, result.converged)
-                    for k in range(len(result.powers)))
-    rows.sort(key=lambda r: (r.kind.value, r.user))
-    emit_csv(rows, args.output)
-    return 0 if (all_converged or not args.strict) else EXIT_NOCONV
+def _checked_table(run):
+    """Handler writing the rows of run(config) -> (rows, converged); under
+    --strict it exits 4 when the solve did not converge."""
+    def handler(config, args):
+        rows, converged = run(config)
+        emit_csv(rows, args.output)
+        return 0 if (converged or not args.strict) else EXIT_NOCONV
+    return handler
 
 
-def _cmd_sweep(config, args):
-    # cooperative rows are tabulated for a single antenna only
-    if config.mode is SweepMode.PARETO and 1 not in config.antennas:
-        raise ConfigError("antennas", "mode=pareto tabulates m=1 only, got "
-                          f"antennas={','.join(map(str, config.antennas))}")
-    emit_csv(experiments.run_load_sweep(config), args.output)
-    return 0
-
-
-def _cmd_sir_compare(config, args):
-    emit_csv(experiments.run_target_sir_comparison(config), args.output)
-    return 0
-
-
-def _cmd_admission(config, args):
-    emit_csv(experiments.run_admission_curve(config), args.output)
-    return 0
-
-
-def _cmd_curve_utility(config, args):
-    _require_one_antenna_count(config)
-    rows, converged = experiments.run_utility_power_curve(config)
-    emit_csv(rows, args.output)
-    return 0 if (converged or not args.strict) else EXIT_NOCONV
-
-
-def _cmd_curve_efficiency(config, args):
-    grid = np.linspace(0.0, 20.0, 201)
-    emit_csv(experiments.run_efficiency_curve(config.model, grid), args.output)
-    return 0
-
-
-def _cmd_validate_asymptotic(config, args):
-    _require_one_load(config)
-    emit_csv(experiments.run_finite_vs_asymptotic(config), args.output)
-    return 0
-
-
+# subcommand -> (handler(config, args) -> exit code, config defaults)
 SUBCOMMANDS = {
     "gamma-star": (_cmd_gamma_star, {}),
-    "equilibrium": (_cmd_equilibrium, {"receiver": "MMSE"}),
-    "sweep": (_cmd_sweep, {"alpha_range": "0.05:1.15:0.05"}),
-    "pareto": (_cmd_sweep, {"alpha_range": "0.05:1.15:0.05", "mode": "both"}),
-    "sir-compare": (_cmd_sir_compare, {"alpha_range": "0.05:1.0:0.05"}),
-    "antennas": (_cmd_sweep, {"alpha_range": "0.05:1.15:0.05",
-                              "antennas": "1,2"}),
-    "admission": (_cmd_admission, {"receiver": "MMSE",
-                                   "alpha_range": "0.01:1.15:0.01"}),
-    "curve-utility": (_cmd_curve_utility, {"receiver": "MMSE"}),
-    "curve-efficiency": (_cmd_curve_efficiency, {}),
-    "validate-asymptotic": (_cmd_validate_asymptotic, {"alpha": "0.07"}),
+    "equilibrium": (_checked_table(experiments.run_equilibria),
+                    {"receiver": "MMSE"}),
+    "sweep": (_table(experiments.run_load_sweep),
+              {"alpha_range": "0.05:1.15:0.05"}),
+    "pareto": (_table(experiments.run_load_sweep),
+               {"alpha_range": "0.05:1.15:0.05", "mode": "both"}),
+    "sir-compare": (_table(experiments.run_target_sir_comparison),
+                    {"alpha_range": "0.05:1.0:0.05"}),
+    "antennas": (_table(experiments.run_load_sweep),
+                 {"alpha_range": "0.05:1.15:0.05", "antennas": "1,2"}),
+    "admission": (_table(experiments.run_admission_curve),
+                  {"receiver": "MMSE", "alpha_range": "0.01:1.15:0.01"}),
+    "curve-utility": (_checked_table(experiments.run_utility_power_curve),
+                      {"receiver": "MMSE"}),
+    "curve-efficiency": (_table(lambda config: experiments.run_efficiency_curve(
+        config.model, np.linspace(0.0, 20.0, 201))), {}),
+    "validate-asymptotic": (_table(experiments.run_finite_vs_asymptotic),
+                            {"alpha": "0.07"}),
 }
 
 
@@ -383,16 +335,9 @@ def main(argv=None) -> int:
             sys.stderr.write(f"config error: --set expects KEY=VALUE, got {item!r}\n")
             return EXIT_CONFIG
         overrides.append((key.strip(), text.strip()))
-    if args.seed is not None:
-        overrides.append(("seed", str(args.seed)))
-    if args.trials is not None:
-        overrides.append(("trials", str(args.trials)))
-    if args.receiver is not None:
-        overrides.append(("receiver", args.receiver))
-    if args.antennas is not None:
-        overrides.append(("antennas", args.antennas))
-    if args.alpha_range is not None:
-        overrides.append(("alpha_range", args.alpha_range))
+    for key in ("seed", "trials", "receiver", "antennas", "alpha_range"):
+        if getattr(args, key) is not None:
+            overrides.append((key, str(getattr(args, key))))
     try:
         # an overflow, division by zero or NaN anywhere in numpy would
         # otherwise end in an inf or nan table with exit 0; Python floats

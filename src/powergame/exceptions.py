@@ -5,6 +5,15 @@ class PowerGameError(Exception):
     """Base class for all library-specific errors."""
 
 
+class ConfigError(PowerGameError, ValueError):
+    """A configuration value, or a combination of values, that the table
+    asked for cannot use; ``key`` names the config key to change."""
+
+    def __init__(self, key: str, message: str):
+        self.key = key
+        super().__init__(f"{key}: {message}")
+
+
 class SolverError(PowerGameError):
     """A numerical solver failed to bracket or converge."""
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import asymptotic
 from .efficiency import EfficiencyModel, eff_value, solve_gamma_star
-from .exceptions import (InfeasibleLoadError, PowerGameError,
+from .exceptions import (ConfigError, InfeasibleLoadError, PowerGameError,
                          SingularSpreadingError, SolverError)
 from .game import solve_equilibrium
 from .system import (ChannelRealization, ReceiverKind, SystemParams,
@@ -76,11 +76,15 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.trials < 1 or self.max_iter < 1:
             raise ValueError("trials and max_iter must be >= 1")
+        if not (self.kinds and self.antennas and self.n_grid):
+            raise ValueError("kinds, antennas and n_grid must not be empty")
         grid = np.asarray(self.alpha_grid, dtype=float)
         if grid.size and (np.any(grid <= 0) or np.any(np.diff(grid) <= 0)):
             raise ValueError("alpha_grid must be strictly positive and increasing")
         if any(m < 1 for m in self.antennas):
             raise ValueError("antenna counts must be positive")
+        if any(n < 1 for n in self.n_grid):
+            raise ValueError("n_grid entries must be positive")
         if not 0 < self.d_min < self.d_max:
             raise ValueError("need 0 < d_min < d_max")
         if self.distance <= 0:
@@ -99,6 +103,17 @@ class SweepRow:
     target_sir: float
     trials_used: int
     trials_discarded: int
+
+
+@dataclass(frozen=True)
+class EquilibriumRow:
+    kind: ReceiverKind
+    user: int
+    power: float
+    sir: float
+    utility: float
+    iterations: int
+    converged: bool
 
 
 @dataclass(frozen=True)
@@ -311,15 +326,17 @@ def run_load_sweep(config: ScenarioConfig):
     gain draws of one user at the configured distance; infeasible cells are
     omitted, and InfeasibleLoadError is raised before any draw if all are.
     Cooperative (Pareto) rows are produced for the single-antenna case only
-    and on the same feasibility grid as the non-cooperative ones.
+    and on the same feasibility grid as the non-cooperative ones, so
+    mode=pareto without antenna count 1 raises ConfigError.
     """
-    gstar = solve_gamma_star(config.model)
-    p, model = config.params, config.model
     antennas = config.antennas
     if config.mode is SweepMode.PARETO:
         if 1 not in antennas:
-            raise ValueError("mode=pareto tabulates antenna count 1 only")
+            raise ConfigError("antennas", "mode=pareto tabulates m=1 only, "
+                              f"got antennas={','.join(map(str, antennas))}")
         antennas = (1,)
+    gstar = solve_gamma_star(config.model)
+    p, model = config.params, config.model
     cells = _feasible_cells(config.kinds, antennas, config.alpha_grid, gstar)
     h2 = _sweep_gains(config)
     hbar2_by_m = {m: h2[:, :m].sum(axis=1) for m in antennas}
@@ -408,28 +425,49 @@ def _draw_realization(config: ScenarioConfig, N: int, K: int, m: int,
     return ChannelRealization(S=S, H=H, distances=distances)
 
 
+def _one_antenna_count(config: ScenarioConfig) -> int:
+    """The antenna count of a table solved on one realization; a list is
+    rejected rather than cut to its first entry."""
+    if len(config.antennas) != 1:
+        raise ConfigError("antennas", "this subcommand solves one antenna "
+                          f"count, got {','.join(map(str, config.antennas))}")
+    return config.antennas[0]
+
+
 def run_equilibria(config: ScenarioConfig):
-    """(receiver, equilibrium) for every configured receiver on one seeded
-    realization with config.params.m receive antennas."""
+    """Per-user equilibrium rows for every configured receiver on one seeded
+    realization with the one configured antenna count, sorted by receiver
+    and user. Returns (rows, whether every equilibrium converged)."""
+    m = _one_antenna_count(config)
     p = config.params
-    realization = _draw_realization(config, p.N, p.K, p.m,
+    realization = _draw_realization(config, p.N, p.K, m,
                                     _STREAM_EQUILIBRIUM, 0)
-    return [(kind, solve_equilibrium(realization, kind, p, config.model,
-                                     max_iter=config.max_iter))
-            for kind in config.kinds]
+    rows, converged = [], True
+    for kind in config.kinds:
+        result = solve_equilibrium(realization, kind, p, config.model,
+                                   max_iter=config.max_iter)
+        converged = converged and result.converged
+        rows.extend(EquilibriumRow(kind, k, float(result.powers[k]),
+                                   float(result.sirs[k]),
+                                   float(result.utilities[k]),
+                                   result.iterations, result.converged)
+                    for k in range(len(result.powers)))
+    rows.sort(key=lambda r: (r.kind.value, r.user))
+    return rows, converged
 
 
 def run_utility_power_curve(config: ScenarioConfig, k: int = 0):
     """Utility of one user versus its own power, interference frozen.
 
     The interferers are frozen at their equilibrium powers on a single seeded
-    realization with config.params.m receive antennas, so the curve peaks
+    realization with the one configured antenna count, so the curve peaks
     where the user's SIR meets the target. The grid is the equilibrium power
     times 1/16 .. 16, cut at Pmax. Returns (rows, whether the equilibrium
     converged).
     """
+    m = _one_antenna_count(config)
     p = config.params
-    realization = _draw_realization(config, p.N, p.K, p.m, _STREAM_CURVE, 0)
+    realization = _draw_realization(config, p.N, p.K, m, _STREAM_CURVE, 0)
     kind = config.kinds[0]
     result = solve_equilibrium(realization, kind, p, config.model,
                                max_iter=config.max_iter)
@@ -463,11 +501,12 @@ def run_finite_vs_asymptotic(config: ScenarioConfig):
     (receiver, N) cell whose load K/N is at or above the receiver's
     feasibility bound is omitted, as in run_load_sweep, and
     InfeasibleLoadError is raised before any draw when every cell is.
-    ValueError is raised unless config.alpha_grid holds exactly one load.
+    The table has no alpha column, so ConfigError is raised unless
+    config.alpha_grid holds exactly one load.
     """
     if len(config.alpha_grid) != 1:
-        raise ValueError("run_finite_vs_asymptotic tabulates one load, got "
-                         f"{len(config.alpha_grid)} loads")
+        raise ConfigError("alpha_range", "this subcommand tabulates one load, "
+                          f"got {len(config.alpha_grid)} loads; set alpha")
     alpha = config.alpha_grid[0]
     p, model = config.params, config.model
     gstar = solve_gamma_star(model)

@@ -107,6 +107,9 @@ class TestConfigErrors:
         # the table has no alpha column, so a grid must not shrink to alpha[0]
         (["validate-asymptotic", "--alpha-range", "0.05:0.5:0.05",
           "--trials", "2"], "alpha_range: this subcommand tabulates one load"),
+        # the count parser serves n_grid too, so its message names no noun
+        (["validate-asymptotic", "--set", "n_grid=0", "--trials", "2"],
+         "n_grid: expected positive integers, got '0'"),
     ])
     def test_config_without_distinct_cells_rejected(self, argv, fragment,
                                                     capsys):
@@ -346,6 +349,10 @@ class TestLibraryErrors:
         ["admission", "--set", "d_min=1e-200", "--set", "d_max=1e-100",
          "--trials", "2"],
         ["admission", "--set", "d_max=1e300", "--trials", "2"],
+        # Python float arithmetic overflows to inf silently; emit_csv
+        # refuses the non-finite cell
+        ["sweep", "--set", "sigma2=1e-320", "--trials", "2",
+         "--receiver", "MF"],
     ])
     def test_overflow_exits_1_not_inf_table(self, argv, capsys):
         assert main(argv) == 1

@@ -5,11 +5,12 @@ from hypothesis import example, given, settings, strategies as st
 from powergame.asymptotic import feasibility_bound, gamma_factor
 from powergame.efficiency import EfficiencyKind, EfficiencyModel, eff_value
 from powergame import experiments
-from powergame.exceptions import InfeasibleLoadError, PowerGameError
+from powergame.exceptions import (ConfigError, InfeasibleLoadError,
+                                  PowerGameError)
 from powergame.experiments import (ScenarioConfig, SweepMode,
                                    run_admission_curve, run_efficiency_curve,
-                                   run_finite_vs_asymptotic, run_load_sweep,
-                                   run_target_sir_comparison,
+                                   run_equilibria, run_finite_vs_asymptotic,
+                                   run_load_sweep, run_target_sir_comparison,
                                    run_utility_power_curve, trial_rng)
 from powergame.system import ReceiverKind, generate_gains
 
@@ -197,6 +198,43 @@ class TestFeasibilityGate:
         assert cells[0][3] == gamma_factor(MF, 0.1, gamma_star)
 
 
+class TestTableShape:
+    """Each driver rejects a config its table cannot hold, before any draw,
+    with the config key to change."""
+
+    @pytest.mark.parametrize("run,overrides,key,message", [
+        # one realization has one antenna count; a list must not be cut to
+        # its first entry
+        (run_equilibria, dict(antennas=(1, 2)), "antennas",
+         "this subcommand solves one antenna count, got 1,2"),
+        (run_utility_power_curve, dict(antennas=(1, 2)), "antennas",
+         "this subcommand solves one antenna count, got 1,2"),
+        (run_load_sweep, dict(antennas=(2, 4), mode=SweepMode.PARETO),
+         "antennas", "mode=pareto tabulates m=1 only, got antennas=2,4"),
+        # the table has no alpha column
+        (run_finite_vs_asymptotic, dict(alpha_grid=(0.1, 0.5)), "alpha_range",
+         "this subcommand tabulates one load, got 2 loads; set alpha"),
+    ], ids=["equilibria", "curve", "pareto", "finite"])
+    def test_config_error_names_key(self, run, overrides, key, message,
+                                    monkeypatch):
+        monkeypatch.setattr(experiments, "_trial_rngs", _no_draw)
+        monkeypatch.setattr(experiments, "trial_rng", _no_draw)
+        with pytest.raises(ConfigError) as err:
+            run(config(**overrides))
+        assert err.value.key == key
+        assert str(err.value) == f"{key}: {message}"
+
+    def test_single_realization_uses_the_antenna_count(self):
+        # the realization is drawn with config.antennas, not SystemParams.m
+        one = config(kinds=(MMSE,), params=make_params(K=5), trials=1)
+        two = config(kinds=(MMSE,), params=make_params(K=5), trials=1,
+                     antennas=(2,))
+        rows_one, _ = run_equilibria(one)
+        rows_two, converged = run_equilibria(two)
+        assert converged and len(rows_two) == 5
+        assert all(b.power < a.power for a, b in zip(rows_one, rows_two))
+
+
 class TestLoadSweep:
     def test_deterministic(self):
         assert run_load_sweep(config()) == run_load_sweep(config())
@@ -276,7 +314,7 @@ class TestLoadSweep:
         assert any(r.m == 2 for r in rows)
 
     def test_pareto_without_single_antenna_rejected(self):
-        with pytest.raises(ValueError, match="antenna count 1 only"):
+        with pytest.raises(ValueError, match="mode=pareto tabulates m=1 only"):
             run_load_sweep(config(mode=SweepMode.PARETO, antennas=(2,)))
 
     def test_antenna_ratio_decomposition(self, gamma_star):
@@ -452,6 +490,14 @@ class TestConfigValidation:
     def test_annulus_radii_ordered(self):
         with pytest.raises(ValueError):
             config(d_min=50.0, d_max=10.0)
+
+    @pytest.mark.parametrize("overrides", [
+        dict(kinds=()), dict(antennas=()), dict(n_grid=()), dict(n_grid=(0,)),
+        dict(n_grid=(25, -1)),
+    ], ids=["kinds", "antennas", "n_grid", "n_grid-zero", "n_grid-negative"])
+    def test_empty_or_nonpositive_lists_rejected(self, overrides):
+        with pytest.raises(ValueError, match="must not be empty|positive"):
+            config(**overrides)
 
 
 class TestAntennaScaling:

@@ -1,6 +1,6 @@
 """Every name a powergame module imports is used in that module, no module
 reads another module's private (``_name``) attributes, and the CLI leaves
-feasibility to the experiment drivers.
+feasibility and every other table decision to the experiment drivers.
 
 No linter is a dependency, so these stdlib-ast checks stand in for one.
 ``__init__.py`` is skipped (its imports are the package's re-exports), and so
@@ -120,3 +120,25 @@ def test_cli_leaves_feasibility_to_experiments():
                            ("experiments.py", {"multiantenna"})):
         source = (PACKAGE / module).read_text(encoding="utf-8")
         assert imported_modules(source).isdisjoint(banned), module
+
+
+def config_reads(source: str):
+    """(line, attribute) of every attribute read from a name ``config``."""
+    return sorted((node.lineno, node.attr)
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id == "config")
+
+
+def test_checker_finds_config_reads():
+    source = ("def f(config, args):\n    return config.model, args.output\n"
+              "g = lambda config: len(config.antennas)\n")
+    assert config_reads(source) == [(2, "model"), (3, "antennas")]
+
+
+def test_cli_reads_only_the_model_of_a_config():
+    # which loads, antennas and modes a table can hold is the driver's
+    # decision; a CLI reading them could grow a second, disagreeing rule
+    source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    assert {attr for _, attr in config_reads(source)} <= {"model"}
