@@ -10,8 +10,8 @@ and reproduces the reference numerical experiments as seeded CSV sweeps.
 from .efficiency import (EfficiencyKind, EfficiencyModel, eff_derivative,
                          eff_value, solve_gamma_star)
 from .exceptions import (ConfigError, InfeasibleLoadError,
-                         InfeasibleUserError, PowerGameError,
-                         SingularSpreadingError, SolverError)
+                         InfeasibleUserError, NoTargetSirError,
+                         PowerGameError, SingularSpreadingError, SolverError)
 from .game import EquilibriumResult, best_response_power, solve_equilibrium, verify_nash
 from .multiantenna import solve_equilibrium_ma
 from .system import (ChannelRealization, ReceiverKind, SystemParams,
@@ -24,7 +24,8 @@ __version__ = "0.1.0"
 __all__ = [
     "ChannelRealization", "ConfigError", "EfficiencyKind", "EfficiencyModel",
     "EquilibriumResult",
-    "InfeasibleLoadError", "InfeasibleUserError", "PowerGameError",
+    "InfeasibleLoadError", "InfeasibleUserError", "NoTargetSirError",
+    "PowerGameError",
     "ReceiverKind", "SingularSpreadingError", "SolverError", "SystemParams",
     "best_response_power", "eff_derivative", "eff_value",
     "effective_system", "generate_gains", "generate_spreading",

@@ -2,8 +2,8 @@
 
 The CLI parses a config and hands it to the experiment driver of the
 subcommand; the drivers decide which cells a table holds and which configs
-it cannot use (raising ConfigError or InfeasibleLoadError), so every
-subcommand is one entry in SUBCOMMANDS.
+it cannot use (raising ConfigError), so every subcommand is one entry in
+SUBCOMMANDS.
 
 Exit codes: 0 success, 1 library error (a PowerGameError, e.g. no feasible
 draw, or a non-finite table cell), 2 configuration error (including a load
@@ -19,12 +19,13 @@ import math
 import sys
 from dataclasses import fields as dataclass_fields
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
 from . import experiments
 from .efficiency import EfficiencyKind, EfficiencyModel, solve_gamma_star
-from .exceptions import ConfigError, InfeasibleLoadError, PowerGameError
+from .exceptions import ConfigError, PowerGameError
 from .experiments import ScenarioConfig, SweepMode
 from .system import ReceiverKind, SystemParams
 
@@ -32,17 +33,13 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NOCONV = 4
 
-KIND_NAMES = {"MF": ReceiverKind.MATCHED_FILTER,
-              "DE": ReceiverKind.DECORRELATOR,
-              "MMSE": ReceiverKind.MMSE}
 
-
-def _parse_int(key, text, minimum=None):
+def _parse_int(key, text, minimum):
     try:
         value = int(text)
     except ValueError:
         raise ConfigError(key, f"expected an integer, got {text!r}") from None
-    if minimum is not None and value < minimum:
+    if value < minimum:
         raise ConfigError(key, f"must be >= {minimum}, got {value}")
     return value
 
@@ -59,10 +56,13 @@ def _parse_float(key, text, positive=False):
     return value
 
 
-def _parse_choice(key, text, choices):
-    if text not in choices:
-        raise ConfigError(key, f"expected one of {sorted(choices)}, got {text!r}")
-    return text
+def _choice(choices):
+    """Parser of a name in choices, giving the value the name maps to."""
+    def parse(key, text):
+        if text not in choices:
+            raise ConfigError(key, f"expected one of {sorted(choices)}, got {text!r}")
+        return choices[text]
+    return parse
 
 
 def _parse_counts(key, text):
@@ -90,41 +90,42 @@ def _parse_alpha_range(key, text):
     return grid
 
 
-# key -> parser; unknown keys are rejected with this list in the message
-CONFIG_KEYS = {
-    "K": lambda t: _parse_int("K", t, 1),
-    "N": lambda t: _parse_int("N", t, 1),
-    "L": lambda t: _parse_int("L", t, 1),
-    "M": lambda t: _parse_int("M", t, 1),
-    "sigma2": lambda t: _parse_float("sigma2", t, positive=True),
-    "R": lambda t: _parse_float("R", t, positive=True),
-    "Pmax": lambda t: _parse_float("Pmax", t, positive=True),
-    "distance": lambda t: _parse_float("distance", t, positive=True),
-    "d_min": lambda t: _parse_float("d_min", t, positive=True),
-    "d_max": lambda t: _parse_float("d_max", t, positive=True),
-    "trials": lambda t: _parse_int("trials", t, 1),
-    "seed": lambda t: _parse_int("seed", t, 0),
-    "eff": lambda t: _parse_choice("eff", t, {"exp", "bpsk"}),
-    "receiver": lambda t: _parse_choice("receiver", t, set(KIND_NAMES) | {"all"}),
-    "antennas": lambda t: _parse_counts("antennas", t),
-    "alpha": lambda t: _parse_float("alpha", t, positive=True),
-    "alpha_range": lambda t: _parse_alpha_range("alpha_range", t),
-    "mode": lambda t: _parse_choice("mode", t, {"noncoop", "pareto", "both"}),
-    "gain_mean_semantics": lambda t: _parse_choice(
-        "gain_mean_semantics", t, {"amplitude", "mean_square"}),
-    "n_grid": lambda t: _parse_counts("n_grid", t),
-    "max_iter": lambda t: _parse_int("max_iter", t, 1),
-}
+_COUNT = partial(_parse_int, minimum=1)
+_POSITIVE = partial(_parse_float, positive=True)
+# receiver name -> the receivers a table holds
+RECEIVERS = {**{kind.value: (kind,) for kind in ReceiverKind},
+             "all": tuple(ReceiverKind)}
 
-# the published baseline parameter set; L = None tracks M unless set
-DEFAULTS = {
-    "K": 30, "N": 100, "L": None, "M": 100,
-    "sigma2": 5e-16, "R": 1e5, "Pmax": 1.0,
-    "distance": 100.0, "d_min": 10.0, "d_max": 1000.0,
-    "trials": 500, "seed": 0, "eff": "exp", "receiver": "all",
-    "antennas": (1,), "alpha": None, "alpha_range": None,
-    "mode": "noncoop", "gain_mean_semantics": "amplitude",
-    "n_grid": (25, 50, 100), "max_iter": 500,
+# key -> (parser(key, text), default): the one place a config value is
+# checked. The defaults are the published baseline parameter set; L = None
+# tracks M. Unknown keys are rejected with this list in the message.
+CONFIG_KEYS = {
+    "K": (_COUNT, 30),
+    "N": (_COUNT, 100),
+    "L": (_COUNT, None),
+    "M": (_COUNT, 100),
+    "sigma2": (_POSITIVE, 5e-16),
+    "R": (_POSITIVE, 1e5),
+    "Pmax": (_POSITIVE, 1.0),
+    "distance": (_POSITIVE, 100.0),
+    "d_min": (_POSITIVE, 10.0),
+    "d_max": (_POSITIVE, 1000.0),
+    "trials": (_COUNT, 500),
+    "seed": (partial(_parse_int, minimum=0), 0),
+    "eff": (_choice({kind.value: kind for kind in EfficiencyKind}),
+            EfficiencyKind.EXP_APPROX),
+    "receiver": (_choice(RECEIVERS), RECEIVERS["all"]),
+    "antennas": (_parse_counts, (1,)),
+    # stored as a one-load alpha_range, so the last load key given wins
+    "alpha": (lambda key, text: (_POSITIVE(key, text),), None),
+    "alpha_range": (_parse_alpha_range, ()),
+    "mode": (_choice({mode.value: mode for mode in SweepMode}),
+             SweepMode.NONCOOPERATIVE),
+    "gain_mean_semantics": (_choice({"amplitude": "amplitude",
+                                     "mean_square": "mean_square"}),
+                            "amplitude"),
+    "n_grid": (_parse_counts, (25, 50, 100)),
+    "max_iter": (_COUNT, 500),
 }
 
 
@@ -146,24 +147,21 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-def _apply(settings: dict, key: str, text) -> None:
+def _apply(settings: dict, key: str, text: str) -> None:
     if key not in CONFIG_KEYS:
         raise ConfigError(key, f"unknown key; valid keys: {', '.join(sorted(CONFIG_KEYS))}")
-    settings[key] = CONFIG_KEYS[key](text) if isinstance(text, str) else text
-    # a single load and a load range are alternatives: last writer wins
-    if key == "alpha":
-        settings["alpha_range"] = None
-    elif key == "alpha_range":
-        settings["alpha"] = None
+    parse, _ = CONFIG_KEYS[key]
+    settings["alpha_range" if key == "alpha" else key] = parse(key, text)
 
 
 def parse_config(path: str | None, overrides, subcommand_defaults=None) -> ScenarioConfig:
     """Build a ScenarioConfig from defaults, an optional file, and overrides.
 
     Precedence: built-in defaults, then per-subcommand defaults, then the
-    config file, then the overrides in order.
+    config file, then the overrides in order. Every value but the built-in
+    defaults is text.
     """
-    settings = dict(DEFAULTS)
+    settings = {key: default for key, (_, default) in CONFIG_KEYS.items()}
     for key, text in (subcommand_defaults or {}).items():
         _apply(settings, key, text)
     if path is not None:
@@ -172,10 +170,7 @@ def parse_config(path: str | None, overrides, subcommand_defaults=None) -> Scena
     for key, text in overrides:
         _apply(settings, key, text)
 
-    model = EfficiencyModel(
-        kind=EfficiencyKind.EXP_APPROX if settings["eff"] == "exp"
-        else EfficiencyKind.BPSK_AWGN,
-        M=settings["M"])
+    model = EfficiencyModel(kind=settings["eff"], M=settings["M"])
     L = settings["L"] if settings["L"] is not None else settings["M"]
     try:
         params = SystemParams(K=settings["K"], N=settings["N"],
@@ -184,21 +179,15 @@ def parse_config(path: str | None, overrides, subcommand_defaults=None) -> Scena
                               Pmax=settings["Pmax"])
     except ValueError as exc:
         raise ConfigError("params", str(exc)) from None
-    kinds = (tuple(KIND_NAMES.values()) if settings["receiver"] == "all"
-             else (KIND_NAMES[settings["receiver"]],))
-    if settings["alpha"] is not None:
-        alpha_grid = (settings["alpha"],)
-    elif settings["alpha_range"] is not None:
-        alpha_grid = settings["alpha_range"]
-    else:
-        alpha_grid = ()
     try:
-        return ScenarioConfig(params=params, model=model, kinds=kinds,
-                              alpha_grid=alpha_grid, trials=settings["trials"],
+        return ScenarioConfig(params=params, model=model,
+                              kinds=settings["receiver"],
+                              alpha_grid=settings["alpha_range"],
+                              trials=settings["trials"],
                               master_seed=settings["seed"],
                               distance=settings["distance"],
                               antennas=settings["antennas"],
-                              mode=SweepMode(settings["mode"]),
+                              mode=settings["mode"],
                               d_min=settings["d_min"], d_max=settings["d_max"],
                               gain_mean_semantics=settings["gain_mean_semantics"],
                               n_grid=settings["n_grid"],
@@ -313,12 +302,12 @@ def _build_parser() -> argparse.ArgumentParser:
                         metavar="KEY=VALUE", help="override one config key")
     parser.add_argument("--output", default="-", metavar="PATH",
                         help="output destination, '-' for stdout")
-    parser.add_argument("--seed", type=int, metavar="U64",
+    parser.add_argument("--seed", metavar="U64",
                         help="master seed (default 0)")
-    parser.add_argument("--trials", type=int, metavar="N")
+    parser.add_argument("--trials", metavar="N")
     parser.add_argument("--strict", action="store_true",
                         help="exit 4 when a solver fails to converge")
-    parser.add_argument("--receiver", choices=["MF", "DE", "MMSE", "all"])
+    parser.add_argument("--receiver", metavar="{MF|DE|MMSE|all}")
     parser.add_argument("--antennas", metavar="LIST",
                         help="comma-separated antenna counts")
     parser.add_argument("--alpha-range", metavar="START:STOP:STEP")
@@ -328,17 +317,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     handler, sub_defaults = SUBCOMMANDS[args.subcommand]
-    overrides = []
-    for item in args.sets:
-        key, sep, text = item.partition("=")
-        if not sep:
-            sys.stderr.write(f"config error: --set expects KEY=VALUE, got {item!r}\n")
-            return EXIT_CONFIG
-        overrides.append((key.strip(), text.strip()))
-    for key in ("seed", "trials", "receiver", "antennas", "alpha_range"):
-        if getattr(args, key) is not None:
-            overrides.append((key, str(getattr(args, key))))
     try:
+        overrides = []
+        for item in args.sets:
+            key, sep, text = item.partition("=")
+            if not sep:
+                raise ConfigError("--set", f"expects KEY=VALUE, got {item!r}")
+            overrides.append((key.strip(), text.strip()))
+        # the shortcut flags are text for the config key of the same name
+        overrides += [(key, getattr(args, key)) for key in
+                      ("seed", "trials", "receiver", "antennas", "alpha_range")
+                      if getattr(args, key) is not None]
         # an overflow, division by zero or NaN anywhere in numpy would
         # otherwise end in an inf or nan table with exit 0; Python floats
         # raise their own ArithmeticError subclasses
@@ -351,9 +340,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         sys.stderr.write(f"i/o error: {exc}\n")
         return EXIT_IO
-    except InfeasibleLoadError as exc:
-        sys.stderr.write(f"config error: alpha: {exc}\n")
-        return EXIT_CONFIG
     except (PowerGameError, ArithmeticError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+from .exceptions import NoTargetSirError, SolverError
 from .rootfind import rightmost_root
 
 GAMMA_BRACKET = (1e-6, 1e3)  # search window for the tangent condition
@@ -96,8 +97,9 @@ def solve_gamma_star(model: EfficiencyModel, tol: float = 1e-9) -> float:
     maximizes f(g)/g away from the origin; the shifted BPSK curve has a
     spurious sliver of positive residual at tiny g that this skips.
 
-    Raises SolverError when no crossing exists (the model is not S-shaped,
-    e.g. EXP_APPROX with M = 1 is concave everywhere).
+    Raises NoTargetSirError, a SolverError and a ConfigError on key M, when
+    no crossing exists: the model is not S-shaped, e.g. EXP_APPROX with
+    M = 1 is concave everywhere, and BPSK_AWGN needs M >= 7.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -105,4 +107,10 @@ def solve_gamma_star(model: EfficiencyModel, tol: float = 1e-9) -> float:
     def residual(g: float) -> float:
         return eff_value(model, g) - g * eff_derivative(model, g)
 
-    return rightmost_root(residual, *GAMMA_BRACKET, tol=tol)
+    try:
+        return rightmost_root(residual, *GAMMA_BRACKET, tol=tol)
+    except SolverError:
+        raise NoTargetSirError("M", f"eff={model.kind.value} has no target "
+                               f"SIR at M={model.M}: f(g) = g f'(g) has no "
+                               "root, the efficiency is not S-shaped; use a "
+                               "larger M") from None

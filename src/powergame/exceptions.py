@@ -18,8 +18,17 @@ class SolverError(PowerGameError):
     """A numerical solver failed to bracket or converge."""
 
 
-class InfeasibleLoadError(PowerGameError):
-    """A requested system load violates the receiver's feasibility bound."""
+class NoTargetSirError(ConfigError, SolverError):
+    """The efficiency model has no tangent point, hence no target SIR; the
+    packet size M is the key to change."""
+
+
+class InfeasibleLoadError(ConfigError):
+    """A requested system load violates the receiver's feasibility bound;
+    the load, alpha, is the key to change."""
+
+    def __init__(self, message: str):
+        super().__init__("alpha", message)
 
 
 class SingularSpreadingError(PowerGameError):

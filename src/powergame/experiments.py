@@ -255,6 +255,22 @@ def _std(values, mean: float) -> float:
     return math.sqrt(math.fsum((v - mean) ** 2 for v in values) / (len(values) - 1))
 
 
+# messages of _one, with {} for the values given
+_ONE_COUNT = "this subcommand solves one antenna count, got {}"
+_ONE_RECEIVER = "this subcommand solves one receiver, got {}"
+_M1_ONLY = "this subcommand tabulates m=1 only, got antennas={}"
+
+
+def _one(key: str, values: tuple, message: str, only=None):
+    """The one value of ``key`` that a table with no column for it takes,
+    which must be ``only`` if that is given. Any other tuple is a ConfigError
+    naming the key, never cut to its first entry."""
+    if len(values) != 1 or (only is not None and values[0] != only):
+        raise ConfigError(key, message.format(",".join(
+            str(v.value if isinstance(v, Enum) else v) for v in values)))
+    return values[0]
+
+
 def _draw_blocks(config: ScenarioConfig, stream: int, count: int,
                  uniforms: bool):
     """Raw per-trial draws, ``_BLOCK`` trials at a time.
@@ -327,19 +343,17 @@ def run_load_sweep(config: ScenarioConfig):
     omitted, and InfeasibleLoadError is raised before any draw if all are.
     Cooperative (Pareto) rows are produced for the single-antenna case only
     and on the same feasibility grid as the non-cooperative ones, so
-    mode=pareto without antenna count 1 raises ConfigError.
+    mode=pareto, whose rows are all cooperative, takes antennas=(1,) only.
     """
-    antennas = config.antennas
     if config.mode is SweepMode.PARETO:
-        if 1 not in antennas:
-            raise ConfigError("antennas", "mode=pareto tabulates m=1 only, "
-                              f"got antennas={','.join(map(str, antennas))}")
-        antennas = (1,)
+        _one("antennas", config.antennas,
+             "mode=pareto tabulates m=1 only, got antennas={}", only=1)
     gstar = solve_gamma_star(config.model)
     p, model = config.params, config.model
-    cells = _feasible_cells(config.kinds, antennas, config.alpha_grid, gstar)
+    cells = _feasible_cells(config.kinds, config.antennas, config.alpha_grid,
+                            gstar)
     h2 = _sweep_gains(config)
-    hbar2_by_m = {m: h2[:, :m].sum(axis=1) for m in antennas}
+    hbar2_by_m = {m: h2[:, :m].sum(axis=1) for m in config.antennas}
     rows = []
     for kind, m, alpha, gamma_bar in cells:
         hbar2 = hbar2_by_m[m]
@@ -370,6 +384,7 @@ def run_load_sweep(config: ScenarioConfig):
 
 def run_target_sir_comparison(config: ScenarioConfig):
     """Non-cooperative versus cooperative target SIR over the load grid."""
+    _one("antennas", config.antennas, _M1_ONLY, only=1)
     gstar = solve_gamma_star(config.model)
     rows = [TargetSirRow(alpha, kind, gstar,
                          asymptotic.solve_pareto_target(kind, alpha,
@@ -402,13 +417,14 @@ def run_admission_curve(config: ScenarioConfig):
     Users are placed uniformly in an annulus around the receiver; the same
     per-trial placement pool feeds every load point so the reported curve is
     exactly proportional to alpha * Gamma(alpha) and peaks at the Gamma = 1/2
-    crossing regardless of sampling noise. The first configured receiver and
-    antenna count are used.
+    crossing regardless of sampling noise. The table has no receiver or
+    antenna column, so it takes one of each; m antennas pool m E[h^2].
     """
+    kind = _one("receiver", config.kinds, _ONE_RECEIVER)
+    m = _one("antennas", config.antennas, _ONE_COUNT)
     gstar = solve_gamma_star(config.model)
-    cells = _feasible_cells(config.kinds[:1], config.antennas[:1],
-                            config.alpha_grid, gstar)
-    e_h2 = _pooled_mean_h2(config)
+    cells = _feasible_cells((kind,), (m,), config.alpha_grid, gstar)
+    e_h2 = m * _pooled_mean_h2(config)
     coef = asymptotic.utility_coef(config.params, config.model, gstar)
     return [AdmissionRow(alpha, alpha * coef * gamma_bar * e_h2, gamma_bar)
             for _, _, alpha, gamma_bar in cells]
@@ -425,20 +441,11 @@ def _draw_realization(config: ScenarioConfig, N: int, K: int, m: int,
     return ChannelRealization(S=S, H=H, distances=distances)
 
 
-def _one_antenna_count(config: ScenarioConfig) -> int:
-    """The antenna count of a table solved on one realization; a list is
-    rejected rather than cut to its first entry."""
-    if len(config.antennas) != 1:
-        raise ConfigError("antennas", "this subcommand solves one antenna "
-                          f"count, got {','.join(map(str, config.antennas))}")
-    return config.antennas[0]
-
-
 def run_equilibria(config: ScenarioConfig):
     """Per-user equilibrium rows for every configured receiver on one seeded
     realization with the one configured antenna count, sorted by receiver
     and user. Returns (rows, whether every equilibrium converged)."""
-    m = _one_antenna_count(config)
+    m = _one("antennas", config.antennas, _ONE_COUNT)
     p = config.params
     realization = _draw_realization(config, p.N, p.K, m,
                                     _STREAM_EQUILIBRIUM, 0)
@@ -465,10 +472,10 @@ def run_utility_power_curve(config: ScenarioConfig, k: int = 0):
     times 1/16 .. 16, cut at Pmax. Returns (rows, whether the equilibrium
     converged).
     """
-    m = _one_antenna_count(config)
+    m = _one("antennas", config.antennas, _ONE_COUNT)
+    kind = _one("receiver", config.kinds, _ONE_RECEIVER)
     p = config.params
     realization = _draw_realization(config, p.N, p.K, m, _STREAM_CURVE, 0)
-    kind = config.kinds[0]
     result = solve_equilibrium(realization, kind, p, config.model,
                                max_iter=config.max_iter)
     power_grid = result.powers[k] * np.geomspace(1.0 / 16.0, 16.0, 65)
@@ -501,13 +508,13 @@ def run_finite_vs_asymptotic(config: ScenarioConfig):
     (receiver, N) cell whose load K/N is at or above the receiver's
     feasibility bound is omitted, as in run_load_sweep, and
     InfeasibleLoadError is raised before any draw when every cell is.
-    The table has no alpha column, so ConfigError is raised unless
-    config.alpha_grid holds exactly one load.
+    The table has no alpha or antenna column, so it takes one load and
+    antennas=(1,).
     """
-    if len(config.alpha_grid) != 1:
-        raise ConfigError("alpha_range", "this subcommand tabulates one load, "
-                          f"got {len(config.alpha_grid)} loads; set alpha")
-    alpha = config.alpha_grid[0]
+    alpha = _one("alpha_range", config.alpha_grid, "this subcommand "
+                 f"tabulates one load, got {len(config.alpha_grid)} loads; "
+                 "set alpha")
+    _one("antennas", config.antennas, _M1_ONLY, only=1)
     p, model = config.params, config.model
     gstar = solve_gamma_star(model)
     users = {N: max(1, round(alpha * N)) for N in config.n_grid}

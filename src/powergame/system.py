@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .efficiency import EfficiencyModel, eff_value
-from .exceptions import SingularSpreadingError
+from .exceptions import SingularSpreadingError, SolverError
 
 COND_LIMIT = 1e12  # condition estimate above which S'S is declared singular
 
@@ -204,11 +204,19 @@ def utility(p_k: float, gamma_k: float, params: SystemParams,
 # sweeps and Nash checks stay fast at N ~ a few hundred.
 # ---------------------------------------------------------------------------
 
-def _mmse_system(gram: np.ndarray, rec: np.ndarray, sigma2: float) -> np.ndarray:
-    """The K x K matrix G D + sigma2 I, with G = S'S and D = diag(rec)."""
+def _mmse_solve(gram: np.ndarray, rec: np.ndarray, sigma2: float,
+                rhs: np.ndarray) -> np.ndarray:
+    """(G D + sigma2 I)^-1 rhs, with G = S'S and D = diag(rec). With K > N,
+    G is rank deficient, and a noise power far below the received powers
+    leaves the K x K matrix singular to working precision: SolverError."""
     M = gram * rec  # scales column j by rec_j
     M.flat[::M.shape[0] + 1] += sigma2
-    return M
+    try:
+        return np.linalg.solve(M, rhs)
+    except np.linalg.LinAlgError:
+        raise SolverError(f"the MMSE system of K={len(rec)} users is "
+                          f"singular at sigma2={sigma2:g}; raise sigma2 "
+                          "or N") from None
 
 
 def make_sir_engine(kind: ReceiverKind, S: np.ndarray, h2: np.ndarray,
@@ -249,7 +257,7 @@ def make_sir_engine(kind: ReceiverKind, S: np.ndarray, h2: np.ndarray,
 
     def sirs(p):
         rec = np.asarray(p, float) * h2
-        q = np.diagonal(np.linalg.solve(_mmse_system(gram, rec, sigma2), gram))
+        q = np.diagonal(_mmse_solve(gram, rec, sigma2, gram))
         ratio = rec * q  # equals gamma/(1+gamma), always in [0, 1)
         return ratio / (1.0 - ratio)
     return sirs
@@ -290,7 +298,7 @@ def receiver_filters(kind: ReceiverKind, S, h2, p, sigma2) -> np.ndarray:
         raise ValueError("powers must be nonnegative for the MMSE filter")
     rec = p * h2
     # (D G + sigma2 I)' = G D + sigma2 I since G is symmetric
-    return np.linalg.solve(_mmse_system(S.T @ S, rec, sigma2), S.T).T
+    return _mmse_solve(S.T @ S, rec, sigma2, S.T).T
 
 
 def utility_vs_power_curve(k: int, realization: ChannelRealization,

@@ -1,5 +1,7 @@
 import subprocess
 import sys
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,24 +79,27 @@ class TestConfigErrors:
                        "MF m=5: alpha < 0.772248\n")
 
     @pytest.mark.parametrize("argv", [
-        # single-antenna tables: a second antenna must not admit the load
+        # single-antenna tables reject a second antenna rather than let it
+        # admit the load
         ["sir-compare", "--antennas", "2", "--set", "alpha=0.2",
          "--receiver", "MF"],
         ["validate-asymptotic", "--set", "alpha=0.2", "--antennas", "2",
          "--receiver", "MF", "--trials", "2"],
-        # admission tabulates the first receiver (MF) only
+        # admission has no receiver column, so it takes one receiver
         ["admission", "--receiver", "all", "--alpha-range", "0.5:1.0:0.1"],
     ])
     def test_only_tabulated_cells_admit_a_load(self, argv, capsys):
-        bound = feasibility_bound(ReceiverKind.MATCHED_FILTER,
-                                  solve_gamma_star(EfficiencyModel(
-                                      EfficiencyKind.EXP_APPROX, 100)))
+        single_antenna = ("antennas: this subcommand tabulates m=1 only, "
+                          "got antennas=2")
+        expected = {"sir-compare": single_antenna,
+                    "validate-asymptotic": single_antenna,
+                    "admission": "receiver: this subcommand solves one "
+                                 "receiver, got MF,DE,MMSE"}[argv[0]]
         code = main(argv)
         out, err = capsys.readouterr()
         assert code == EXIT_CONFIG
         assert out == ""
-        assert err == ("config error: alpha: no feasible load point; "
-                       f"MF m=1: alpha < {bound:g}\n")
+        assert err == f"config error: {expected}\n"
 
     @pytest.mark.parametrize("argv,fragment", [
         # cooperative rows are single-antenna only: m=2 alone tabulates nothing
@@ -110,6 +115,20 @@ class TestConfigErrors:
         # the count parser serves n_grid too, so its message names no noun
         (["validate-asymptotic", "--set", "n_grid=0", "--trials", "2"],
          "n_grid: expected positive integers, got '0'"),
+        # a table with no column for a key takes one value of it
+        (["admission", "--receiver", "all"], "receiver: this subcommand "
+         "solves one receiver, got MF,DE,MMSE"),
+        (["admission", "--antennas", "1,2"], "antennas: this subcommand "
+         "solves one antenna count, got 1,2"),
+        (["curve-utility", "--receiver", "all"], "receiver: this subcommand "
+         "solves one receiver"),
+        (["sir-compare", "--antennas", "2"], "antennas: this subcommand "
+         "tabulates m=1 only, got antennas=2"),
+        (["validate-asymptotic", "--antennas", "2", "--trials", "2"],
+         "antennas: this subcommand tabulates m=1 only"),
+        (["sweep", "--set", "mode=pareto", "--antennas", "1,2", "--set",
+          "alpha=0.1"], "antennas: mode=pareto tabulates m=1 only, got "
+         "antennas=1,2"),
     ])
     def test_config_without_distinct_cells_rejected(self, argv, fragment,
                                                     capsys):
@@ -142,6 +161,26 @@ class TestConfigErrors:
         assert out == ""
         assert err == ("config error: antennas: this subcommand solves one "
                        "antenna count, got 1,2\n")
+
+    @pytest.mark.parametrize("argv,fragment", [
+        # the shortcut flags are parsed by the config keys they stand for
+        (["gamma-star", "--seed", "abc"], "seed: expected an integer"),
+        (["sweep", "--trials", "abc"], "trials: expected an integer"),
+        (["sweep", "--receiver", "XX"], "receiver: expected one of"),
+        (["sweep", "--antennas", "2,x"], "antennas: expected comma-separated"),
+        (["sweep", "--alpha-range", "0.5:0.1"], "alpha_range: expected START"),
+        # an efficiency with no target SIR
+        (["gamma-star", "--set", "M=1"], "M: eff=exp has no target SIR at M=1"),
+        (["sweep", "--set", "eff=bpsk", "--set", "M=6", "--trials", "2"],
+         "M: eff=bpsk has no target SIR at M=6"),
+    ])
+    def test_bad_value_is_one_line_naming_the_key(self, argv, fragment,
+                                                  capsys):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err.startswith("config error: " + fragment)
+        assert len(err.splitlines()) == 1
 
     def test_config_file_and_comments(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -361,6 +400,15 @@ class TestLibraryErrors:
         assert err.startswith("error: ")
         assert len(err.splitlines()) == 1
 
+    def test_singular_mmse_system_exits_1_without_traceback(self, capsys):
+        # K = 30 users on N = 3 chips: the noise power is all that keeps the
+        # K x K MMSE system regular
+        assert main(["equilibrium", "--set", "N=3", "--set",
+                     "sigma2=1e-200"]) == 1
+        assert capsys.readouterr() == (
+            "", "error: the MMSE system of K=30 users is singular at "
+            "sigma2=1e-200; raise sigma2 or N\n")
+
 
 class TestMainEntry:
     def test_callable_without_subprocess(self, capsys):
@@ -369,6 +417,8 @@ class TestMainEntry:
 
     def test_bad_set_syntax(self, capsys):
         assert main(["sweep", "--set", "novalue"]) == EXIT_CONFIG
+        assert capsys.readouterr() == (
+            "", "config error: --set: expects KEY=VALUE, got 'novalue'\n")
 
 
 class TestLoadSelection:
@@ -398,3 +448,31 @@ class TestBpskModel:
                        "--alpha-range", "0.1:0.2:0.1", "--receiver", "MMSE")
         assert proc.returncode == 0
         assert len(proc.stdout.splitlines()) == 3
+
+
+def _load_workloads():
+    """perfbench/workloads.py as a module, compiled from its text so that
+    nothing, not even a bytecode cache, is written under perfbench."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    module = types.ModuleType("perfbench_workloads")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"),
+         module.__dict__)
+    return module
+
+
+WORKLOADS = _load_workloads()
+
+
+class TestBenchmarkTraffic:
+    """The README examples the benchmark's cli_tables workload runs, in
+    process, judged by the benchmark's own output check: a change that
+    would fail a benchmark unit fails here first."""
+
+    @pytest.mark.parametrize("sub,args", [
+        (sub, args) for sub, args, _ in WORKLOADS.EXAMPLES],
+        ids=[sub for sub, _, _ in WORKLOADS.EXAMPLES])
+    def test_example_passes_the_benchmark_check(self, sub, args, capsys):
+        code = main([sub, *args, "--seed", "0"])
+        out, err = capsys.readouterr()
+        assert code == 0, err
+        assert WORKLOADS.check_output(sub, out)

@@ -7,7 +7,7 @@ import pytest
 from powergame.efficiency import (GAMMA_BRACKET, EfficiencyKind,
                                   EfficiencyModel, eff_derivative, eff_value,
                                   solve_gamma_star)
-from powergame.exceptions import SolverError
+from powergame.exceptions import ConfigError, NoTargetSirError, SolverError
 
 EXP = EfficiencyKind.EXP_APPROX
 BPSK = EfficiencyKind.BPSK_AWGN
@@ -126,6 +126,19 @@ class TestGammaStar:
         # (1 - e^-g) is concave, so f > g f' everywhere and no root exists
         with pytest.raises(SolverError):
             solve_gamma_star(exp_model(1))
+
+    @pytest.mark.parametrize("kind,smallest", [(EXP, 2), (BPSK, 7)])
+    def test_no_target_sir_is_a_config_error_on_m(self, kind, smallest):
+        # below the smallest packet size the efficiency is not S-shaped
+        for M in range(1, smallest):
+            with pytest.raises(NoTargetSirError) as err:
+                solve_gamma_star(EfficiencyModel(kind, M))
+            assert isinstance(err.value, ConfigError)
+            assert isinstance(err.value, SolverError)
+            assert err.value.key == "M"
+            assert str(err.value).startswith(
+                f"M: eff={kind.value} has no target SIR at M={M}: ")
+        assert solve_gamma_star(EfficiencyModel(kind, smallest)) > 0
 
     def test_refinement_consistency(self):
         m = exp_model(100)

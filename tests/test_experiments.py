@@ -159,22 +159,20 @@ def _no_draw(*args, **kwargs):
 
 
 class TestFeasibilityGate:
-    MF_ONLY = "no feasible load point; MF m=1: alpha < 0.15445"
+    MF_ONLY = "alpha: no feasible load point; MF m=1: alpha < 0.15445"
 
     @pytest.mark.parametrize("run,overrides,message", [
         (run_load_sweep, dict(kinds=(MF,), alpha_grid=(0.2,)), MF_ONLY),
         # every tabulated (receiver, m) cell is named, in loop order
         (run_load_sweep, dict(kinds=(MF, DE), antennas=(1, 2),
                               alpha_grid=(1.5,)),
-         "no feasible load point; MF m=1: alpha < 0.15445; MF m=2: "
+         "alpha: no feasible load point; MF m=1: alpha < 0.15445; MF m=2: "
          "alpha < 0.308899; DE m=1: alpha < 1; DE m=2: alpha < 1"),
-        # cooperative rows have one antenna, whatever else is configured
-        (run_load_sweep, dict(kinds=(MF,), antennas=(1, 2), alpha_grid=(0.2,),
+        (run_load_sweep, dict(kinds=(MF,), alpha_grid=(0.2,),
                               mode=SweepMode.PARETO), MF_ONLY),
-        (run_target_sir_comparison, dict(kinds=(MF,), antennas=(2,),
-                                         alpha_grid=(0.2,)), MF_ONLY),
-        # admission tabulates the first receiver only
-        (run_admission_curve, dict(kinds=(MF, MMSE), alpha_grid=(0.5, 1.0)),
+        (run_target_sir_comparison, dict(kinds=(MF,), alpha_grid=(0.2,)),
+         MF_ONLY),
+        (run_admission_curve, dict(kinds=(MF,), alpha_grid=(0.5, 1.0)),
          MF_ONLY),
         # 0.1544 is below the bound, but K/N is 4/25 = 8/50 = 0.16
         (run_finite_vs_asymptotic, dict(kinds=(MF,), alpha_grid=(0.1544,),
@@ -187,6 +185,7 @@ class TestFeasibilityGate:
         monkeypatch.setattr(experiments, "trial_rng", _no_draw)
         with pytest.raises(InfeasibleLoadError) as err:
             run(config(**overrides))
+        assert err.value.key == "alpha"
         assert str(err.value) == message
 
     def test_cells_keep_loop_order_and_gamma(self, gamma_star):
@@ -214,7 +213,23 @@ class TestTableShape:
         # the table has no alpha column
         (run_finite_vs_asymptotic, dict(alpha_grid=(0.1, 0.5)), "alpha_range",
          "this subcommand tabulates one load, got 2 loads; set alpha"),
-    ], ids=["equilibria", "curve", "pareto", "finite"])
+        # a table with no column for a key takes one value of it
+        (run_admission_curve, dict(), "receiver",
+         "this subcommand solves one receiver, got MF,DE,MMSE"),
+        (run_admission_curve, dict(kinds=(MMSE,), antennas=(1, 2)),
+         "antennas", "this subcommand solves one antenna count, got 1,2"),
+        (run_utility_power_curve, dict(kinds=(MF, MMSE)), "receiver",
+         "this subcommand solves one receiver, got MF,MMSE"),
+        (run_load_sweep, dict(antennas=(1, 2), mode=SweepMode.PARETO),
+         "antennas", "mode=pareto tabulates m=1 only, got antennas=1,2"),
+        # single-antenna tables take antennas=(1,) and nothing else
+        (run_target_sir_comparison, dict(antennas=(2,)), "antennas",
+         "this subcommand tabulates m=1 only, got antennas=2"),
+        (run_finite_vs_asymptotic, dict(alpha_grid=(0.1,), antennas=(2,)),
+         "antennas", "this subcommand tabulates m=1 only, got antennas=2"),
+    ], ids=["equilibria", "curve", "pareto", "finite", "admission-receiver",
+            "admission-antennas", "curve-receiver", "pareto-list",
+            "sir-compare-antennas", "finite-antennas"])
     def test_config_error_names_key(self, run, overrides, key, message,
                                     monkeypatch):
         monkeypatch.setattr(experiments, "_trial_rngs", _no_draw)
@@ -382,6 +397,20 @@ class TestAdmissionCurve:
     def test_deterministic(self):
         cfg = config(kinds=(MMSE,), alpha_grid=(0.2, 0.5), trials=40)
         assert run_admission_curve(cfg) == run_admission_curve(cfg)
+
+    def test_antennas_pool_their_gains(self, gamma_star):
+        # m antennas sum m squared gains, so the total utility gains the
+        # factor m on top of the load penalty ratio Gamma_m / Gamma_1
+        alpha = 0.5
+        one, = run_admission_curve(config(kinds=(MMSE,), alpha_grid=(alpha,),
+                                          trials=40))
+        two, = run_admission_curve(config(kinds=(MMSE,), alpha_grid=(alpha,),
+                                          trials=40, antennas=(2,)))
+        ratio = (2 * gamma_factor(MMSE, alpha, gamma_star, 2)
+                 / gamma_factor(MMSE, alpha, gamma_star))
+        assert two.mean_total_utility_per_dof / one.mean_total_utility_per_dof \
+            == pytest.approx(ratio, rel=1e-12)
+        assert two.Gamma == gamma_factor(MMSE, alpha, gamma_star, 2)
 
 
 class TestUtilityPowerCurveRun:

@@ -1,5 +1,6 @@
 """Property tests: the whole-vector SIR engines against the per-user oracle,
-filter scale invariance and byte-identical CLI reruns.
+filter scale invariance, byte-identical CLI reruns and the CLI's exit-code
+contract.
 
 receiver_filter + output_sir build each user's filter from an N x N (or
 mN x mN) system and stay the independent reference; the engines, including
@@ -9,9 +10,10 @@ the K x K MMSE form, must reproduce them on arbitrary draws, overloaded
 
 import contextlib
 import io
+import re
 
 import numpy as np
-from hypothesis import given, reject, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 from powergame import cli
 from powergame.exceptions import SingularSpreadingError
@@ -128,6 +130,8 @@ class TestRerunDeterminism:
            st.sampled_from(["amplitude", "mean_square"]))
     def test_same_config_gives_same_bytes(self, sub, seed, trials, antennas,
                                           semantics):
+        if sub == "admission":
+            antennas = antennas[:1]  # no antenna column: one count only
         argv = [sub, "--seed", str(seed), "--trials", str(trials),
                 "--antennas", ",".join(map(str, antennas)),
                 "--set", f"gain_mean_semantics={semantics}",
@@ -135,3 +139,81 @@ class TestRerunDeterminism:
         code, first = _cli_stdout(argv)
         assert code == 0 and first.count("\n") > 1
         assert _cli_stdout(argv) == (code, first)
+
+
+# ordinary and extreme values for some --set keys and every shortcut flag,
+# plus malformed text of which an example takes at most one; trials stays
+# at most 5 so that every example is cheap
+SET_VALUES = {
+    "K": ["1", "2", "30", "150"],
+    "N": ["1", "3", "100", "300"],
+    "L": ["1", "100", "200"],
+    "M": ["1", "2", "6", "7", "5000"],
+    "sigma2": ["5e-16", "1e-200", "1e-300", "1e-320", "1e300"],
+    "R": ["1e5", "1e-300", "1e308"],
+    "Pmax": ["1", "1e-15", "1e-300", "1e300"],
+    "distance": ["100", "1e-3", "1e-200", "1e200"],
+    "d_min": ["10", "999", "1e-200"],
+    "d_max": ["1000", "11", "1e300"],
+    "eff": ["exp", "bpsk"],
+    "mode": ["noncoop", "pareto", "both"],
+    "gain_mean_semantics": ["amplitude", "mean_square"],
+    "n_grid": ["25", "13,50", "2"],
+    "max_iter": ["1", "50", "500"],
+    "alpha": ["0.07", "1e-9", "0.5", "1.1", "5"],
+}
+FLAGS = {
+    "--seed": ["0", "7", "18446744073709551615"],
+    "--receiver": ["MF", "DE", "MMSE", "all"],
+    "--antennas": ["1", "2", "1,2", "1,2,4"],
+    "--alpha-range": ["0.05:0.3:0.05", "0.1:0.1:0.1", "0.5:1.2:0.35"],
+}
+MALFORMED = [
+    ("--set", "K=x"), ("--set", "N=-2"), ("--set", "sigma2=0"),
+    ("--set", "sigma2=nan"), ("--set", "distance=inf"), ("--set", "d_max=5"),
+    ("--set", "eff=qam"), ("--set", "mode=coop"), ("--set", "n_grid=25,25"),
+    ("--set", "max_iter=0"), ("--set", "alpha=-1"), ("--set", "bogus=1"),
+    ("--set", "novalue"), ("--seed", "-1"), ("--seed", "abc"), ("--seed", ""),
+    ("--trials", "0"), ("--trials", "abc"), ("--receiver", "XX"),
+    ("--antennas", "1,1"), ("--antennas", "0"), ("--antennas", "a"),
+    ("--alpha-range", "0.3:0.1:0.1"), ("--alpha-range", "1:2"),
+]
+
+
+@st.composite
+def invocations(draw):
+    argv = [draw(st.sampled_from(sorted(cli.SUBCOMMANDS))), "--trials",
+            draw(st.sampled_from(["1", "2", "5"]))]
+    for key in draw(st.lists(st.sampled_from(sorted(SET_VALUES)), min_size=1,
+                             max_size=4, unique=True)):
+        argv += ["--set", f"{key}={draw(st.sampled_from(SET_VALUES[key]))}"]
+    for flag in draw(st.lists(st.sampled_from(sorted(FLAGS)), max_size=3,
+                              unique=True)):
+        argv += [flag, draw(st.sampled_from(FLAGS[flag]))]
+    if draw(st.integers(0, 3)) == 3:
+        argv += draw(st.sampled_from(MALFORMED))
+    return argv
+
+
+class TestCliContract:
+    """Every invocation ends in a documented exit code: one stderr line and
+    no stdout for an error, a finite table otherwise. In process only."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(invocations())
+    # a singular K x K MMSE system, and a malformed shortcut flag, which
+    # once ended in a traceback and in argparse's usage block
+    @example(["equilibrium", "--set", "N=3", "--set", "sigma2=1e-200"])
+    @example(["sweep", "--trials", "abc"])
+    def test_exit_code_and_output(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2, 3, 4)
+        if code in (1, 2, 3):
+            assert out == ""
+            assert err.endswith("\n") and len(err.splitlines()) == 1
+        else:
+            assert len(out.splitlines()) >= 2  # a header and a row
+            assert not re.search(r"\b(nan|inf)\b", out)

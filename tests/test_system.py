@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from powergame.exceptions import SingularSpreadingError
+from powergame.exceptions import SingularSpreadingError, SolverError
 from powergame.system import (ChannelRealization, ReceiverKind,
                               generate_gains, generate_spreading,
                               make_sir_engine, output_sir, receiver_filter,
@@ -237,6 +237,20 @@ class TestSirEngines:
                            k, S, h, p, 5e-16)
                 for k in range(K)])
             assert np.allclose(fast, ref, rtol=1e-9)
+
+
+    def test_singular_mmse_system_is_a_solver_error(self):
+        # two identical signatures make G D singular, and a noise power
+        # below the float spacing of the received powers cannot lift it
+        S = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        h2, p = np.ones(3), np.full(3, 1e-6)
+        with pytest.raises(SolverError, match="MMSE system of K=3 users is "
+                           "singular at sigma2=1e-200"):
+            make_sir_engine(MMSE, S, h2, 1e-200)(p)
+        with pytest.raises(SolverError, match="singular"):
+            receiver_filters(MMSE, S, h2, p, 1e-200)
+        # a noise power on the scale of the received powers keeps it regular
+        assert np.all(np.isfinite(make_sir_engine(MMSE, S, h2, 1e-6)(p)))
 
 
 class TestReceiverFilters:
