@@ -5,31 +5,41 @@ uplink power game under matched-filter, decorrelator and MMSE receivers,
 evaluates the matching large-system closed forms (equilibrium powers,
 utilities, cooperative targets, admission limits, receive-diversity gains),
 and reproduces the reference numerical experiments as seeded CSV sweeps.
+
+Each name below loads its module on first use (PEP 562), so importing the
+package loads no numpy and the command-line entry point can still pin the
+BLAS thread count that numpy reads when it loads.
 """
 
-from .efficiency import (EfficiencyKind, EfficiencyModel, eff_derivative,
-                         eff_value, solve_gamma_star)
-from .exceptions import (ConfigError, InfeasibleLoadError,
-                         InfeasibleUserError, NoTargetSirError,
-                         PowerGameError, SingularSpreadingError, SolverError)
-from .game import EquilibriumResult, best_response_power, solve_equilibrium, verify_nash
-from .multiantenna import solve_equilibrium_ma
-from .system import (ChannelRealization, ReceiverKind, SystemParams,
-                     effective_system, generate_gains, generate_spreading,
-                     output_sir, receiver_filter, utility,
-                     utility_vs_power_curve)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ChannelRealization", "ConfigError", "EfficiencyKind", "EfficiencyModel",
-    "EquilibriumResult",
-    "InfeasibleLoadError", "InfeasibleUserError", "NoTargetSirError",
-    "PowerGameError",
-    "ReceiverKind", "SingularSpreadingError", "SolverError", "SystemParams",
-    "best_response_power", "eff_derivative", "eff_value",
-    "effective_system", "generate_gains", "generate_spreading",
-    "output_sir", "receiver_filter", "solve_equilibrium",
-    "solve_equilibrium_ma", "solve_gamma_star", "utility",
-    "utility_vs_power_curve", "verify_nash",
-]
+# module -> the public names it defines
+_EXPORTS = {
+    "efficiency": ("EfficiencyKind", "EfficiencyModel", "eff_derivative",
+                   "eff_value", "solve_gamma_star"),
+    "exceptions": ("ConfigError", "InfeasibleLoadError",
+                   "InfeasibleUserError", "NoTargetSirError",
+                   "PowerGameError", "SingularSpreadingError", "SolverError"),
+    "game": ("EquilibriumResult", "best_response_power", "solve_equilibrium",
+             "verify_nash"),
+    "multiantenna": ("solve_equilibrium_ma",),
+    "system": ("ChannelRealization", "ReceiverKind", "SystemParams",
+               "effective_system", "generate_gains", "generate_spreading",
+               "output_sir", "receiver_filter", "utility",
+               "utility_vs_power_curve"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__),
+                    name)
+    globals()[name] = value
+    return value

@@ -19,13 +19,12 @@ import math
 import sys
 from dataclasses import fields as dataclass_fields
 from enum import Enum
-from functools import partial
 
 import numpy as np
 
 from . import experiments
 from .efficiency import EfficiencyKind, EfficiencyModel, solve_gamma_star
-from .exceptions import ConfigError, PowerGameError
+from .exceptions import ConfigError, PowerGameError, check_value
 from .experiments import ScenarioConfig, SweepMode
 from .system import ReceiverKind, SystemParams
 
@@ -34,26 +33,20 @@ EXIT_IO = 3
 EXIT_NOCONV = 4
 
 
-def _parse_int(key, text, minimum):
-    try:
-        value = int(text)
-    except ValueError:
-        raise ConfigError(key, f"expected an integer, got {text!r}") from None
-    if value < minimum:
-        raise ConfigError(key, f"must be >= {minimum}, got {value}")
-    return value
+def _converter(convert, expected):
+    """Parser of text that convert turns into a value, naming what it expected."""
+    def parse(key, text):
+        try:
+            return convert(text)
+        except ValueError:
+            raise ConfigError(key, f"expected {expected}, got {text!r}") from None
+    return parse
 
 
-def _parse_float(key, text, positive=False):
-    try:
-        value = float(text)
-    except ValueError:
-        raise ConfigError(key, f"expected a number, got {text!r}") from None
-    if not math.isfinite(value):
-        raise ConfigError(key, f"must be finite, got {text!r}")
-    if positive and value <= 0:
-        raise ConfigError(key, f"must be positive, got {value}")
-    return value
+_parse_int = _converter(int, "an integer")
+_parse_float = _converter(float, "a number")
+_parse_counts = _converter(lambda text: tuple(int(tok) for tok in text.split(",")),
+                           "comma-separated integers")
 
 
 def _choice(choices):
@@ -65,59 +58,52 @@ def _choice(choices):
     return parse
 
 
-def _parse_counts(key, text):
-    try:
-        counts = tuple(int(tok) for tok in text.split(","))
-    except ValueError:
-        raise ConfigError(key, f"expected comma-separated integers, got {text!r}") from None
-    if any(c < 1 for c in counts):
-        raise ConfigError(key, f"expected positive integers, got {text!r}")
-    if len(set(counts)) != len(counts):
-        raise ConfigError(key, f"repeated value in {text!r}")
-    return counts
+# the most loads one grid may hold; the largest README grid holds 115
+_MAX_LOADS = 10_000
 
 
 def _parse_alpha_range(key, text):
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(key, f"expected START:STOP:STEP, got {text!r}")
-    start, stop, step = (_parse_float(key, tok) for tok in parts)
-    if start <= 0 or step <= 0 or stop < start:
-        raise ConfigError(key, "need 0 < START <= STOP and STEP > 0")
-    count = int(round((stop - start) / step)) + 1
-    grid = tuple(round(start + i * step, 12) for i in range(count)
+    start, stop, step = bounds = [_parse_float(key, tok) for tok in parts]
+    if not all(map(math.isfinite, bounds)) or step <= 0 or stop < start:
+        raise ConfigError(key, "need finite START <= STOP and STEP > 0")
+    # counted before the grid is built; a tiny STEP makes the ratio inf
+    count = int(round(min((stop - start) / step, _MAX_LOADS))) + 1
+    if count > _MAX_LOADS:
+        raise ConfigError(key, f"{text!r} holds more than {_MAX_LOADS} loads")
+    return tuple(round(start + i * step, 12) for i in range(count)
                  if start + i * step <= stop + 1e-12)
-    return grid
 
 
-_COUNT = partial(_parse_int, minimum=1)
-_POSITIVE = partial(_parse_float, positive=True)
 # receiver name -> the receivers a table holds
 RECEIVERS = {**{kind.value: (kind,) for kind in ReceiverKind},
              "all": tuple(ReceiverKind)}
 
-# key -> (parser(key, text), default): the one place a config value is
-# checked. The defaults are the published baseline parameter set; L = None
-# tracks M. Unknown keys are rejected with this list in the message.
+# key -> (parser(key, text), default): text to values only, which
+# exceptions.check_value, also run by the config dataclasses, checks. The
+# defaults are the published baseline set; L = None tracks M. Unknown keys
+# are rejected with this list.
 CONFIG_KEYS = {
-    "K": (_COUNT, 30),
-    "N": (_COUNT, 100),
-    "L": (_COUNT, None),
-    "M": (_COUNT, 100),
-    "sigma2": (_POSITIVE, 5e-16),
-    "R": (_POSITIVE, 1e5),
-    "Pmax": (_POSITIVE, 1.0),
-    "distance": (_POSITIVE, 100.0),
-    "d_min": (_POSITIVE, 10.0),
-    "d_max": (_POSITIVE, 1000.0),
-    "trials": (_COUNT, 500),
-    "seed": (partial(_parse_int, minimum=0), 0),
+    "K": (_parse_int, 30),
+    "N": (_parse_int, 100),
+    "L": (_parse_int, None),
+    "M": (_parse_int, 100),
+    "sigma2": (_parse_float, 5e-16),
+    "R": (_parse_float, 1e5),
+    "Pmax": (_parse_float, 1.0),
+    "distance": (_parse_float, 100.0),
+    "d_min": (_parse_float, 10.0),
+    "d_max": (_parse_float, 1000.0),
+    "trials": (_parse_int, 500),
+    "seed": (_parse_int, 0),
     "eff": (_choice({kind.value: kind for kind in EfficiencyKind}),
             EfficiencyKind.EXP_APPROX),
     "receiver": (_choice(RECEIVERS), RECEIVERS["all"]),
     "antennas": (_parse_counts, (1,)),
     # stored as a one-load alpha_range, so the last load key given wins
-    "alpha": (lambda key, text: (_POSITIVE(key, text),), None),
+    "alpha": (lambda key, text: (_parse_float(key, text),), None),
     "alpha_range": (_parse_alpha_range, ()),
     "mode": (_choice({mode.value: mode for mode in SweepMode}),
              SweepMode.NONCOOPERATIVE),
@@ -125,7 +111,7 @@ CONFIG_KEYS = {
                                      "mean_square": "mean_square"}),
                             "amplitude"),
     "n_grid": (_parse_counts, (25, 50, 100)),
-    "max_iter": (_COUNT, 500),
+    "max_iter": (_parse_int, 500),
 }
 
 
@@ -151,7 +137,10 @@ def _apply(settings: dict, key: str, text: str) -> None:
     if key not in CONFIG_KEYS:
         raise ConfigError(key, f"unknown key; valid keys: {', '.join(sorted(CONFIG_KEYS))}")
     parse, _ = CONFIG_KEYS[key]
-    settings["alpha_range" if key == "alpha" else key] = parse(key, text)
+    value = parse(key, text)
+    key = "alpha_range" if key == "alpha" else key
+    check_value(key, value)  # also a value a later setting replaces
+    settings[key] = value
 
 
 def parse_config(path: str | None, overrides, subcommand_defaults=None) -> ScenarioConfig:
@@ -172,28 +161,21 @@ def parse_config(path: str | None, overrides, subcommand_defaults=None) -> Scena
 
     model = EfficiencyModel(kind=settings["eff"], M=settings["M"])
     L = settings["L"] if settings["L"] is not None else settings["M"]
-    try:
-        params = SystemParams(K=settings["K"], N=settings["N"],
-                              sigma2=settings["sigma2"], R=settings["R"],
-                              L=L, M=settings["M"],
-                              Pmax=settings["Pmax"])
-    except ValueError as exc:
-        raise ConfigError("params", str(exc)) from None
-    try:
-        return ScenarioConfig(params=params, model=model,
-                              kinds=settings["receiver"],
-                              alpha_grid=settings["alpha_range"],
-                              trials=settings["trials"],
-                              master_seed=settings["seed"],
-                              distance=settings["distance"],
-                              antennas=settings["antennas"],
-                              mode=settings["mode"],
-                              d_min=settings["d_min"], d_max=settings["d_max"],
-                              gain_mean_semantics=settings["gain_mean_semantics"],
-                              n_grid=settings["n_grid"],
-                              max_iter=settings["max_iter"])
-    except ValueError as exc:
-        raise ConfigError("config", str(exc)) from None
+    params = SystemParams(K=settings["K"], N=settings["N"],
+                          sigma2=settings["sigma2"], R=settings["R"],
+                          L=L, M=settings["M"], Pmax=settings["Pmax"])
+    return ScenarioConfig(params=params, model=model,
+                          kinds=settings["receiver"],
+                          alpha_grid=settings["alpha_range"],
+                          trials=settings["trials"],
+                          master_seed=settings["seed"],
+                          distance=settings["distance"],
+                          antennas=settings["antennas"],
+                          mode=settings["mode"],
+                          d_min=settings["d_min"], d_max=settings["d_max"],
+                          gain_mean_semantics=settings["gain_mean_semantics"],
+                          n_grid=settings["n_grid"],
+                          max_iter=settings["max_iter"])
 
 
 def _format_cell(name: str, value) -> str:
@@ -344,6 +326,3 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 
-
-if __name__ == "__main__":
-    sys.exit(main())

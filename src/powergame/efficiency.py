@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .exceptions import NoTargetSirError, SolverError
+from .exceptions import NoTargetSirError, SolverError, check_value
 from .rootfind import rightmost_root
 
 GAMMA_BRACKET = (1e-6, 1e3)  # search window for the tangent condition
@@ -37,8 +37,7 @@ class EfficiencyModel:
     M: int
 
     def __post_init__(self):
-        if self.M < 1:
-            raise ValueError(f"M must be a positive integer, got {self.M}")
+        check_value("M", self.M)
 
 
 def _log_exp_base(gamma: float) -> float:

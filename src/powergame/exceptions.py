@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the config value checks."""
+
+import math
 
 
 class PowerGameError(Exception):
@@ -12,6 +14,31 @@ class ConfigError(PowerGameError, ValueError):
     def __init__(self, key: str, message: str):
         self.key = key
         super().__init__(f"{key}: {message}")
+
+
+# config key -> the least value it takes; the other one-key rules below
+_MINIMUM = dict(K=1, N=1, L=1, M=1, trials=1, max_iter=1, seed=0)
+_POSITIVE = ("sigma2", "R", "Pmax", "distance", "d_min", "d_max")
+
+
+def check_value(key: str, value) -> None:
+    """Raise ConfigError on key unless value meets the one-key rule of key;
+    the config dataclasses run it on their fields, the CLI on every value."""
+    if key in _MINIMUM and value < _MINIMUM[key]:
+        raise ConfigError(key, f"must be >= {_MINIMUM[key]}, got {value}")
+    if key in _POSITIVE or key == "alpha_range":
+        grid = value if key == "alpha_range" else (value,)
+        for low, high in zip((0.0, *grid), grid):
+            if not (math.isfinite(high) and high > 0):
+                raise ConfigError(key, f"must be positive and finite, got {high}")
+            if high <= low:
+                raise ConfigError(key, f"must increase, got {high} after {low}")
+    if key in ("antennas", "n_grid"):
+        listing = ",".join(map(str, value))
+        if not value or min(value) < 1:
+            raise ConfigError(key, f"expected positive integers, got {listing!r}")
+        if len(set(value)) != len(value):
+            raise ConfigError(key, f"repeated value in {listing!r}")
 
 
 class SolverError(PowerGameError):

@@ -30,7 +30,7 @@ import numpy as np
 from . import asymptotic
 from .efficiency import EfficiencyModel, eff_value, solve_gamma_star
 from .exceptions import (ConfigError, InfeasibleLoadError, PowerGameError,
-                         SingularSpreadingError, SolverError)
+                         SingularSpreadingError, SolverError, check_value)
 from .game import solve_equilibrium
 from .system import (ChannelRealization, ReceiverKind, SystemParams,
                      generate_gains, generate_spreading, rayleigh_scale,
@@ -74,21 +74,17 @@ class ScenarioConfig:
     max_iter: int = 500      # best-response sweep cap for finite solves
 
     def __post_init__(self):
-        if self.trials < 1 or self.max_iter < 1:
-            raise ValueError("trials and max_iter must be >= 1")
-        if not (self.kinds and self.antennas and self.n_grid):
-            raise ValueError("kinds, antennas and n_grid must not be empty")
-        grid = np.asarray(self.alpha_grid, dtype=float)
-        if grid.size and (np.any(grid <= 0) or np.any(np.diff(grid) <= 0)):
-            raise ValueError("alpha_grid must be strictly positive and increasing")
-        if any(m < 1 for m in self.antennas):
-            raise ValueError("antenna counts must be positive")
-        if any(n < 1 for n in self.n_grid):
-            raise ValueError("n_grid entries must be positive")
-        if not 0 < self.d_min < self.d_max:
-            raise ValueError("need 0 < d_min < d_max")
-        if self.distance <= 0:
-            raise ValueError("distance must be positive")
+        # each ConfigError names the config key that sets the field
+        for key, value in (("trials", self.trials), ("max_iter", self.max_iter),
+                           ("seed", self.master_seed), ("distance", self.distance),
+                           ("d_min", self.d_min), ("d_max", self.d_max),
+                           ("alpha_range", self.alpha_grid),
+                           ("antennas", self.antennas), ("n_grid", self.n_grid)):
+            check_value(key, value)
+        if self.d_min >= self.d_max:
+            raise ConfigError("d_min", f"must be below d_max={self.d_max}, got {self.d_min}")
+        if not self.kinds:
+            raise ConfigError("receiver", "must not be empty")
 
 
 @dataclass(frozen=True)
@@ -356,28 +352,25 @@ def run_load_sweep(config: ScenarioConfig):
     hbar2_by_m = {m: h2[:, :m].sum(axis=1) for m in config.antennas}
     rows = []
     for kind, m, alpha, gamma_bar in cells:
-        hbar2 = hbar2_by_m[m]
+        # (mode, target SIR, Gamma) of each row of the cell
+        targets = []
         if config.mode in (SweepMode.NONCOOPERATIVE, SweepMode.BOTH):
-            coef = asymptotic.utility_coef(p, model, gstar) * gamma_bar
-            utilities = (coef * hbar2).tolist()
-            powers = ((gstar * p.sigma2) / (hbar2 * gamma_bar)).tolist()
-            mu = _mean(utilities)
-            rows.append(SweepRow(alpha, kind, m, SweepMode.NONCOOPERATIVE,
-                                 mu, _std(utilities, mu), _mean(powers),
-                                 gstar, config.trials, 0))
+            targets.append((SweepMode.NONCOOPERATIVE, gstar, gamma_bar))
         if config.mode in (SweepMode.PARETO, SweepMode.BOTH) and m == 1:
             g_opt = asymptotic.solve_pareto_target(kind, alpha, model)
-            # same grouping as above so the decorrelator rows, whose
-            # cooperative target equals the tangent solution, come
-            # out bit-identical to the non-cooperative ones
-            factor = asymptotic.gamma_factor(kind, alpha, g_opt)
-            coef = asymptotic.utility_coef(p, model, g_opt) * factor
+            targets.append((SweepMode.PARETO, g_opt,
+                            asymptotic.gamma_factor(kind, alpha, g_opt)))
+        hbar2 = hbar2_by_m[m]
+        # one grouping for both modes, so the decorrelator rows, whose
+        # cooperative target equals the tangent solution, come out
+        # bit-identical to the non-cooperative ones
+        for mode, gamma, factor in targets:
+            coef = asymptotic.utility_coef(p, model, gamma) * factor
             utilities = (coef * hbar2).tolist()
-            powers = ((g_opt * p.sigma2) / (hbar2 * factor)).tolist()
+            powers = ((gamma * p.sigma2) / (hbar2 * factor)).tolist()
             mu = _mean(utilities)
-            rows.append(SweepRow(alpha, kind, m, SweepMode.PARETO,
-                                 mu, _std(utilities, mu), _mean(powers),
-                                 g_opt, config.trials, 0))
+            rows.append(SweepRow(alpha, kind, m, mode, mu, _std(utilities, mu),
+                                 _mean(powers), gamma, config.trials, 0))
     rows.sort(key=_sort_key)
     return rows
 
@@ -520,15 +513,16 @@ def run_finite_vs_asymptotic(config: ScenarioConfig):
     users = {N: max(1, round(alpha * N)) for N in config.n_grid}
     # two N can share a load K/N and still tabulate one row each
     loads = list(dict.fromkeys(K / N for N, K in users.items()))
-    gamma_bar = {(kind, load): g for kind, _, load, g
-                 in _feasible_cells(config.kinds, (1,), loads, gstar)}
+    feasible = {(kind, load) for kind, _, load, _
+                in _feasible_cells(config.kinds, (1,), loads, gstar)}
     rows = []
     for kind_index, kind in enumerate(config.kinds):
         for N, K in users.items():
-            if (kind, K / N) not in gamma_bar:
+            if (kind, K / N) not in feasible:
                 continue
             # the closed-form balanced received power depends on the load only
-            q_asym = gstar * p.sigma2 / gamma_bar[kind, K / N]
+            q_asym = asymptotic.balanced_received_power(kind, K / N, gstar,
+                                                        p.sigma2)
             trial_mean_ratios = []
             discarded = 0
             for t in range(config.trials):

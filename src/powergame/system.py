@@ -12,7 +12,6 @@ all results are deterministic functions of (S, h, p, sigma2).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -20,7 +19,8 @@ from typing import Callable
 import numpy as np
 
 from .efficiency import EfficiencyModel, eff_value
-from .exceptions import SingularSpreadingError, SolverError
+from .exceptions import (ConfigError, SingularSpreadingError, SolverError,
+                         check_value)
 
 COND_LIMIT = 1e12  # condition estimate above which S'S is declared singular
 
@@ -55,13 +55,11 @@ class SystemParams:
     m: int = 1
 
     def __post_init__(self):
-        if self.K < 1 or self.N < 1 or self.m < 1:
-            raise ValueError("K, N and m must be positive integers")
-        if self.L < 1 or self.M < 1 or self.L > self.M:
-            raise ValueError(f"need 1 <= L <= M, got L={self.L}, M={self.M}")
-        if not all(math.isfinite(v) and v > 0
-                   for v in (self.sigma2, self.R, self.Pmax)):
-            raise ValueError("sigma2, R and Pmax must be positive and finite")
+        for key in ("K", "N", "L", "M", "sigma2", "R", "Pmax"):
+            check_value(key, getattr(self, key))
+        check_value("antennas", (self.m,))  # no config key sets m
+        if self.L > self.M:
+            raise ConfigError("L", f"must be <= M, got L={self.L}, M={self.M}")
 
 
 @dataclass

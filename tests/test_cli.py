@@ -1,15 +1,19 @@
+import os
 import subprocess
 import sys
 import types
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from powergame.asymptotic import feasibility_bound
-from powergame.cli import EXIT_CONFIG, EXIT_IO, EXIT_NOCONV, main
+from powergame.cli import (CONFIG_KEYS, EXIT_CONFIG, EXIT_IO, EXIT_NOCONV,
+                           main, parse_config)
 from powergame.efficiency import EfficiencyKind, EfficiencyModel, solve_gamma_star
-from powergame.system import ReceiverKind
+from powergame.exceptions import ConfigError
+from powergame.system import ReceiverKind, SystemParams
 
 
 def run_cli(*args, **kwargs):
@@ -201,6 +205,109 @@ class TestConfigErrors:
     def test_missing_config_file(self):
         proc = run_cli("sweep", "--config", "/nonexistent/run.cfg")
         assert proc.returncode == EXIT_CONFIG
+
+
+# KEY=VALUE settings, each breaking one value rule of the config
+# dataclasses, and the config key its error names
+VALUE_RULES = [
+    ("K=0", "K"), ("N=-2", "N"), ("L=0", "L"), ("L=200", "L"), ("M=0", "M"),
+    ("sigma2=0", "sigma2"), ("sigma2=nan", "sigma2"), ("R=inf", "R"),
+    ("Pmax=-1", "Pmax"), ("distance=inf", "distance"), ("d_min=0", "d_min"),
+    ("d_min=2000", "d_min"), ("d_max=inf", "d_max"), ("trials=0", "trials"),
+    ("max_iter=0", "max_iter"), ("seed=-1", "seed"),
+    ("antennas=0", "antennas"), ("antennas=1,1", "antennas"),
+    ("n_grid=-1", "n_grid"), ("n_grid=25,25", "n_grid"),
+    # a single load is a one-load alpha_range
+    ("alpha=nan", "alpha_range"), ("alpha=0", "alpha_range"),
+    ("alpha_range=0:0.5:0.1", "alpha_range"),
+    # a STEP below the grid's 12-digit rounding repeats a load
+    ("alpha_range=1:1.000000000001:1e-13", "alpha_range"),
+]
+PARAM_KEYS = {f.name for f in fields(SystemParams)}
+# config key -> the ScenarioConfig field it sets, where the names differ
+SCENARIO_FIELD = {"seed": "master_seed", "alpha": "alpha_grid",
+                  "alpha_range": "alpha_grid"}
+
+
+class TestValueRules:
+    """The config dataclasses hold every value rule and name the key; the
+    CLI converts text and runs the same one-key rules on every value given,
+    so both callers meet the same rule."""
+
+    @pytest.mark.parametrize("setting,key", VALUE_RULES)
+    def test_rule_names_its_key_in_cli_and_library(self, setting, key,
+                                                   capsys):
+        assert main(["gamma-star", "--set", setting]) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"config error: {key}: ")
+        assert len(err.splitlines()) == 1
+        name, _, text = setting.partition("=")
+        value = CONFIG_KEYS[name][0](name, text)
+        baseline = parse_config(None, [])
+        with pytest.raises(ConfigError) as exc:
+            if name in PARAM_KEYS:
+                replace(baseline.params, **{name: value})
+            else:
+                replace(baseline, **{SCENARIO_FIELD.get(name, name): value})
+        assert exc.value.key == key
+
+    def test_fields_no_key_sets_name_the_key_that_does(self):
+        params = parse_config(None, []).params
+        with pytest.raises(ConfigError) as exc:
+            replace(params, m=0)
+        assert exc.value.key == "antennas"
+        with pytest.raises(ConfigError) as exc:
+            EfficiencyModel(EfficiencyKind.EXP_APPROX, 0)
+        assert exc.value.key == "M"
+
+    @pytest.mark.parametrize("file_text,args,message", [
+        ("", ["--set", "trials=0", "--set", "trials=5"],
+         "trials: must be >= 1, got 0"),
+        ("trials = 0\n", ["--trials", "5"], "trials: must be >= 1, got 0"),
+        ("alpha = 0\n", ["--alpha-range", "0.1:0.2:0.1"],
+         "alpha_range: must be positive and finite, got 0.0"),
+    ], ids=["repeated-set", "file-under-flag", "alpha-under-range"])
+    def test_a_replaced_value_is_still_checked(self, file_text, args, message,
+                                               tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text(file_text)
+        assert main(["gamma-star", "--config", str(path), *args]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
+
+    def test_alpha_range_holds_at_most_10000_loads(self, capsys):
+        grid = parse_config(None, [("alpha_range", "0.0001:1:0.0001")])
+        assert len(grid.alpha_grid) == 10_000
+        assert main(["gamma-star", "--alpha-range",
+                     "0.0001:1.0001:0.0001"]) == EXIT_CONFIG
+        assert capsys.readouterr() == (
+            "", "config error: alpha_range: '0.0001:1.0001:0.0001' holds "
+            "more than 10000 loads\n")
+
+
+class TestBlasThreads:
+    """The CLI runs on one BLAS thread whatever its environment asks for:
+    these tables differ in their last digits between 1 and 2 threads."""
+
+    @pytest.mark.parametrize("args", [
+        ["equilibrium", "--set", "K=150", "--set", "N=300", "--receiver",
+         "all"],
+        ["curve-utility"],
+    ], ids=["equilibrium", "curve-utility"])
+    def test_stdout_independent_of_thread_setting(self, args):
+        # `python -m powergame`, and the function the powergame script runs
+        module = [sys.executable, "-m", "powergame"]
+        script = [sys.executable, "-c", "import sys; from powergame.__main__ "
+                  "import main; sys.exit(main())"]
+        outputs = set()
+        for entry, threads in ((module, "1"), (module, "2"), (script, "2")):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads)
+            proc = subprocess.run([*entry, *args], capture_output=True,
+                                  text=True, env=env, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1
 
 
 class TestCsvContract:

@@ -142,3 +142,33 @@ def test_cli_reads_only_the_model_of_a_config():
     # decision; a CLI reading them could grow a second, disagreeing rule
     source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
     assert {attr for _, attr in config_reads(source)} <= {"model"}
+
+
+def ordered_compares(tree, skip=()):
+    """Line numbers of <, <=, > and >= comparisons in tree outside the
+    functions named in skip."""
+    skipped = {id(node) for fn in ast.walk(tree)
+               if isinstance(fn, ast.FunctionDef) and fn.name in skip
+               for node in ast.walk(fn)}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Compare) and id(node) not in skipped
+                  and any(isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE))
+                          for op in node.ops))
+
+
+def test_checker_finds_ordered_compares():
+    source = ("def grid(a):\n    return a < 1\n"
+              "def f(a, b):\n    return a == b or a >= 0\n")
+    assert ordered_compares(ast.parse(source), skip={"grid"}) == [4]
+
+
+def test_cli_checks_no_config_value():
+    # the config dataclasses hold every value rule; the CLI only converts
+    # text, and the alpha-range parser orders numbers only to build its grid
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    assert ordered_compares(tree, skip={"_parse_alpha_range"}) == []
+    parse_config = next(node for node in ast.walk(tree)
+                        if isinstance(node, ast.FunctionDef)
+                        and node.name == "parse_config")
+    assert not any(isinstance(node, ast.Try)
+                   for node in ast.walk(parse_config))
