@@ -296,8 +296,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the config keys with a flag of their own, --alpha-range for alpha_range
+SHORTCUT_KEYS = ("seed", "trials", "receiver", "antennas", "alpha_range")
+
+
+def _attach_values(argv):
+    """argv with each shortcut flag and a following value that starts with a
+    single '-' joined as --flag=value. argparse takes a separate '-1,2' or
+    '-0.5:0.5:0.1' for an option; attached, it reaches the config checks,
+    which name the key."""
+    flags = {"--" + key.replace("_", "-") for key in SHORTCUT_KEYS}
+    joined = []
+    for token in argv:
+        if (joined and joined[-1] in flags and token.startswith("-")
+                and not token.startswith("--")):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(
+        _attach_values(sys.argv[1:] if argv is None else argv))
     handler, sub_defaults = SUBCOMMANDS[args.subcommand]
     try:
         overrides = []
@@ -307,8 +328,7 @@ def main(argv=None) -> int:
                 raise ConfigError("--set", f"expects KEY=VALUE, got {item!r}")
             overrides.append((key.strip(), text.strip()))
         # the shortcut flags are text for the config key of the same name
-        overrides += [(key, getattr(args, key)) for key in
-                      ("seed", "trials", "receiver", "antennas", "alpha_range")
+        overrides += [(key, getattr(args, key)) for key in SHORTCUT_KEYS
                       if getattr(args, key) is not None]
         # an overflow, division by zero or NaN anywhere in numpy would
         # otherwise end in an inf or nan table with exit 0; Python floats

@@ -144,6 +144,8 @@ class FiniteVsAsymptoticRow:
     N: int
     kind: ReceiverKind
     mean_rel_power_error: float
+    std_error: float  # standard error of the mean power ratio
+    redrawn: int      # draws discarded and redrawn for the cell
 
 
 def trial_rng(master_seed: int, stream: int, *key: int) -> np.random.Generator:
@@ -496,8 +498,13 @@ def run_finite_vs_asymptotic(config: ScenarioConfig):
     prediction at load K/N is averaged over users and trials; the reported
     error is |mean ratio - 1|, i.e. how far the average equilibrium power sits
     from the prediction once per-realization spreading noise averages out.
-    Degenerate draws (singular crosscorrelation or non-convergence) are
-    discarded deterministically and redrawn from the next substream. A
+    Each row also reports the standard error of that mean ratio over the
+    trials, and how many draws the cell redrew. A draw is redrawn, from the
+    next substream, when its crosscorrelation is singular or its equilibrium
+    is not physical: some power is not strictly between 0 and Pmax. The
+    Newton solve balances every physical draw in a few steps, however slowly
+    the best-response sweeps would settle, so which draws are kept does not
+    depend on max_iter beyond those few steps. A
     (receiver, N) cell whose load K/N is at or above the receiver's
     feasibility bound is omitted, as in run_load_sweep, and
     InfeasibleLoadError is raised before any draw when every cell is.
@@ -545,10 +552,10 @@ def run_finite_vs_asymptotic(config: ScenarioConfig):
                         f"no feasible draw for {kind.value} at N={N}")
                 p_asym = q_asym / realization.H[0] ** 2
                 trial_mean_ratios.append(_mean((res.powers / p_asym).tolist()))
-            if discarded:
-                log.info("redrew %d degenerate draws for %s at N=%d",
-                         discarded, kind.value, N)
+            mean_ratio = _mean(trial_mean_ratios)
             rows.append(FiniteVsAsymptoticRow(
-                N, kind, abs(_mean(trial_mean_ratios) - 1.0)))
+                N, kind, abs(mean_ratio - 1.0),
+                _std(trial_mean_ratios, mean_ratio) / math.sqrt(config.trials),
+                discarded))
     rows.sort(key=lambda r: (r.N, r.kind.value))
     return rows

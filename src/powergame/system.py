@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -217,48 +217,83 @@ def _mmse_solve(gram: np.ndarray, rec: np.ndarray, sigma2: float,
                           "or N") from None
 
 
+class SirEngine(NamedTuple):
+    """One realization's whole-vector SIR map and the tangent of its balance.
+
+    With rec = p h^2 the received powers, every receiver's SIR is
+    gamma_k = rec_k / I_k(rec), I being the interference-plus-noise it sees
+    (noise and cross terms scaled by the filter's own gain). The equilibrium
+    balances rec = gamma* I(rec).
+
+    sirs(p)        powers -> SIRs; engine(p) calls it
+    tangent(rec)   received powers -> (SIRs, dI/drec), the Jacobian being a
+                   K x K matrix, or None for the decorrelator, whose I is
+                   constant
+    """
+
+    sirs: Callable[[np.ndarray], np.ndarray]
+    tangent: Callable[[np.ndarray], tuple]
+
+    def __call__(self, p):
+        return self.sirs(p)
+
+
 def make_sir_engine(kind: ReceiverKind, S: np.ndarray, h2: np.ndarray,
-                    sigma2: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Return a powers -> SIRs function for one realization (S, h2, sigma2),
-    h2 being the squared channel gains.
+                    sigma2: float) -> SirEngine:
+    """Return the SirEngine of one realization (S, h2, sigma2), h2 being the
+    squared channel gains.
 
     The power-independent pieces are built once, here, and every call then
-    costs one K-vector update (MF, DE) or one K x K solve (MMSE). With
-    rec = p h^2:
+    costs one K-vector update (MF, DE) or one K x K solve (MMSE), whose
+    matrix also gives the MMSE tangent. With rec = p h^2:
 
     * matched filter: gamma_k = rec_k (s_k's_k)^2 /
       (sigma2 s_k's_k + sum_{j!=k} rec_j (s_k's_j)^2), from the squared
       crosscorrelations and the own norms s_k's_k (1 for unit-norm columns,
-      hbar2 for stacked antenna signatures);
+      hbar2 for stacked antenna signatures); I is affine, with the constant
+      Jacobian (s_k's_j)^2 / (s_k's_k)^2 off the diagonal;
     * decorrelator: gamma_k = rec_k / (sigma2 [(S'S)^-1]_kk);
     * MMSE: rank-one downdate. With A = S D S' + sigma2 I, D = diag(rec)
       (all users included), s_k' A_k^-1 s_k = q_k / (1 - rec_k q_k) where
       q_k = s_k' A^-1 s_k. The push-through identity
       A^-1 S = S (D G + sigma2 I)^-1 with G = S'S gives
       S' A^-1 S = (G D + sigma2 I)^-1 G, so every q_k comes from one K x K
-      solve instead of an N x N one.
+      solve instead of an N x N one. I_k = 1 / (s_k' A_k^-1 s_k), and by
+      Sherman-Morrison its Jacobian is (P_kj / P_kk)^2 off the diagonal,
+      P = S' A^-1 S being the matrix that solve returns in full (Ulukus and
+      Yates, Wireless Networks 1998).
     """
     if kind is ReceiverKind.MATCHED_FILTER:
         gram_sq = (S.T @ S) ** 2
         np.fill_diagonal(gram_sq, 0.0)
         own = np.einsum("nk,nk->k", S, S)
         own_sq, own_noise = own ** 2, sigma2 * own
+        jacobian = gram_sq / own_sq[:, None]
+
+        def tangent(rec):
+            return rec * own_sq / (own_noise + gram_sq @ rec), jacobian
+    elif kind is ReceiverKind.DECORRELATOR:
+        noise = sigma2 * np.diag(_zf_columns(S))
+
+        def tangent(rec):
+            return rec / noise, None
+    else:
+        gram = S.T @ S
+
+        def tangent(rec):
+            P = _mmse_solve(gram, rec, sigma2, gram)
+            q = np.diagonal(P)
+            ratio = rec * q  # equals gamma/(1+gamma), always in [0, 1)
+            jacobian = (P / q[:, None]) ** 2
+            np.fill_diagonal(jacobian, 0.0)
+            return ratio / (1.0 - ratio), jacobian
 
         def sirs(p):
             rec = np.asarray(p, float) * h2
-            return rec * own_sq / (own_noise + gram_sq @ rec)
-        return sirs
-    if kind is ReceiverKind.DECORRELATOR:
-        noise = sigma2 * np.diag(_zf_columns(S))
-        return lambda p: np.asarray(p, float) * h2 / noise
-    gram = S.T @ S
-
-    def sirs(p):
-        rec = np.asarray(p, float) * h2
-        q = np.diagonal(_mmse_solve(gram, rec, sigma2, gram))
-        ratio = rec * q  # equals gamma/(1+gamma), always in [0, 1)
-        return ratio / (1.0 - ratio)
-    return sirs
+            ratio = rec * np.diagonal(_mmse_solve(gram, rec, sigma2, gram))
+            return ratio / (1.0 - ratio)
+        return SirEngine(sirs, tangent)
+    return SirEngine(lambda p: tangent(np.asarray(p, float) * h2)[0], tangent)
 
 
 def matched_filter_sirs(S, heff, p, sigma2) -> np.ndarray:

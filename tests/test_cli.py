@@ -16,6 +16,9 @@ from powergame.exceptions import ConfigError
 from powergame.system import ReceiverKind, SystemParams
 
 
+VALIDATE_HEADER = "N,kind,mean_rel_power_error,std_error,redrawn"
+
+
 def run_cli(*args, **kwargs):
     return subprocess.run([sys.executable, "-m", "powergame", *args],
                           capture_output=True, text=True, **kwargs)
@@ -205,6 +208,19 @@ class TestConfigErrors:
     def test_missing_config_file(self):
         proc = run_cli("sweep", "--config", "/nonexistent/run.cfg")
         assert proc.returncode == EXIT_CONFIG
+
+    @pytest.mark.parametrize("argv,key", [
+        (["--antennas", "-1,2"], "antennas"),
+        (["--alpha-range", "-0.5:0.5:0.1"], "alpha_range"),
+    ])
+    def test_shortcut_value_led_by_a_dash_names_its_key(self, argv, key,
+                                                        capsys):
+        # argparse alone takes such a value for an option and prints usage
+        assert main(["sweep", *argv]) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"config error: {key}: ")
+        assert len(err.splitlines()) == 1
 
 
 # KEY=VALUE settings, each breaking one value rule of the config
@@ -446,8 +462,29 @@ class TestSubcommands:
         proc = run_cli("validate-asymptotic", "--trials", "3", "--set",
                        "n_grid=25", "--receiver", "DE")
         lines = proc.stdout.strip().split("\n")
-        assert lines[0] == "N,kind,mean_rel_power_error"
+        assert lines[0] == VALIDATE_HEADER
         assert lines[1].startswith("25,DE,")
+
+    def test_validate_asymptotic_reports_spread_and_redraws(self, capsys):
+        assert main(["validate-asymptotic", "--receiver", "MF", "--trials",
+                     "20", "--set", "n_grid=25,50"]) == 0
+        rows = [ln.split(",") for ln in
+                capsys.readouterr().out.splitlines()[1:]]
+        assert [row[:2] for row in rows] == [["25", "MF"], ["50", "MF"]]
+        assert all(float(row[3]) > 0.0 for row in rows)
+        # at N = 25, K = 2: two sequences correlated enough to leave no
+        # positive MF balance are common
+        assert int(rows[0][4]) > 0
+
+    def test_validate_asymptotic_independent_of_max_iter(self, capsys):
+        # a feasible draw is kept however slowly its sweeps would settle
+        tables = []
+        for max_iter in ("500", "5000"):
+            assert main(["validate-asymptotic", "--receiver", "MF",
+                         "--trials", "50", "--set",
+                         f"max_iter={max_iter}"]) == 0
+            tables.append(capsys.readouterr().out)
+        assert tables[0] == tables[1]
 
     def test_validate_asymptotic_skips_receiver_infeasible_load(self):
         # alpha = 1.1 is above the MF and DE bounds but below MMSE's
@@ -455,7 +492,7 @@ class TestSubcommands:
                        "--trials", "2")
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.strip().split("\n")
-        assert lines[0] == "N,kind,mean_rel_power_error"
+        assert lines[0] == VALIDATE_HEADER
         assert [ln.split(",")[:2] for ln in lines[1:]] == [
             ["25", "MMSE"], ["50", "MMSE"], ["100", "MMSE"]]
 
@@ -467,7 +504,7 @@ class TestSubcommands:
         out, err = capsys.readouterr()
         assert code == 0, err
         lines = out.splitlines()
-        assert lines[0] == "N,kind,mean_rel_power_error"
+        assert lines[0] == VALIDATE_HEADER
         assert [ln.split(",")[:2] for ln in lines[1:]] == [["13", "MF"]]
 
     def test_validate_asymptotic_row_per_n_sharing_a_load(self, capsys):

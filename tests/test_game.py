@@ -151,6 +151,102 @@ class TestSolveEquilibrium:
         assert result.iterations == 2
 
 
+class TestNewtonBalance:
+    """solve_channel balances by Newton steps and sweeps only where a user
+    meets Pmax; the equality with the sweeps is a property test."""
+
+    @pytest.mark.parametrize("kind,K", [(MF, 8), (DE, 50)])
+    def test_linear_receivers_balance_in_one_step(self, kind, K, model,
+                                                  gamma_star):
+        # the matched filter's balance is affine and the decorrelator's
+        # constant, so one Newton step lands on it
+        params = make_params(K=K)
+        _, result = feasible_instance(
+            lambda a: np.random.default_rng((30, a)), kind, params, model,
+            gamma_star, 100, K)
+        assert result.iterations == 1
+
+    def test_mmse_balances_in_few_steps(self, model, gamma_star):
+        # criterion 3's MMSE load; the sweeps take 11-12 here
+        params = make_params(K=58)
+        for t in range(5):
+            _, result = feasible_instance(
+                lambda a: np.random.default_rng((31, t, a)), MMSE, params,
+                model, gamma_star, 100, 58)
+            assert result.iterations <= 5
+
+    def test_slow_sweeps_do_not_limit_matched_filter(self, model, gamma_star):
+        # a feasible draw whose sweeps contract at rho close to 1 balances
+        # at any max_iter; the sweeps alone stop short of it at 500
+        params = make_params(K=14)
+        realization = draw_realization(np.random.default_rng((32, 12)),
+                                       100, 14)
+        S, h2 = realization.S, realization.H[0] ** 2
+        engine = make_sir_engine(MF, S, h2, params.sigma2)
+        rho = max(abs(np.linalg.eigvals(gamma_star * engine.tangent(h2)[1])))
+        assert 0.97 < rho < 1.0
+        sweeps = solve_from_engine(engine, 14, params, model, gamma_star)
+        assert not sweeps.converged
+        for max_iter in (1, 500, 5000):
+            result = solve_equilibrium(realization, MF, params, model,
+                                       max_iter, gamma_star)
+            assert result.converged and not result.clamped_users
+            assert result.iterations == 1
+
+    @pytest.mark.parametrize("kind", [MF, MMSE])
+    def test_tangent_is_the_interference_jacobian(self, kind, gamma_star):
+        # I = rec / sirs; its Jacobian against central differences
+        S = generate_spreading(32, 12, np.random.default_rng(33))
+        rec = 1e-15 * (1.0 + np.random.default_rng(34).random(12))
+        engine = make_sir_engine(kind, S, np.ones(12), 5e-16)
+        sirs, jacobian = engine.tangent(rec)
+        step = 1e-6 * rec
+        numeric = np.empty((12, 12))
+        for j in range(12):
+            up, down = rec.copy(), rec.copy()
+            up[j] += step[j]
+            down[j] -= step[j]
+            numeric[:, j] = (up / engine.tangent(up)[0]
+                             - down / engine.tangent(down)[0]) / (2 * step[j])
+        np.fill_diagonal(numeric, 0.0)  # I_k does not depend on rec_k
+        assert np.allclose(jacobian, numeric, rtol=1e-6, atol=1e-9)
+
+    @staticmethod
+    def assert_same_result(result, sweeps):
+        assert np.array_equal(result.powers, sweeps.powers)
+        assert np.array_equal(result.sirs, sweeps.sirs)
+        assert np.array_equal(result.utilities, sweeps.utilities)
+        assert result.iterations == sweeps.iterations
+        assert result.converged == sweeps.converged
+        assert result.clamped_users == sweeps.clamped_users
+
+    def test_overloaded_matched_filter_falls_back(self, model, gamma_star):
+        # rho(g* F) >= 1: no positive balance exists, the sweeps clamp
+        params = make_params(K=30)
+        realization = draw_realization(np.random.default_rng(7), 100, 30)
+        S, h2 = realization.S, realization.H[0] ** 2
+        engine = make_sir_engine(MF, S, h2, params.sigma2)
+        assert max(abs(np.linalg.eigvals(gamma_star
+                                         * engine.tangent(h2)[1]))) >= 1.0
+        result = solve_equilibrium(realization, MF, params, model,
+                                   gamma_star=gamma_star)
+        assert result.clamped_users
+        self.assert_same_result(result, solve_from_engine(
+            engine, 30, params, model, gamma_star))
+
+    def test_infeasible_overloaded_mmse_falls_back(self, model, gamma_star):
+        # K = 2N is beyond the MMSE load limit 1.15
+        params = make_params(K=40, N=20)
+        realization = draw_realization(np.random.default_rng(35), 20, 40)
+        result = solve_equilibrium(realization, MMSE, params, model,
+                                   gamma_star=gamma_star)
+        assert result.clamped_users
+        engine = make_sir_engine(MMSE, realization.S, realization.H[0] ** 2,
+                                 params.sigma2)
+        self.assert_same_result(result, solve_from_engine(
+            engine, 40, params, model, gamma_star))
+
+
 class TestProperties:
     @pytest.mark.parametrize("kind", KINDS)
     def test_sir_balanced_at_target(self, kind, model, gamma_star):

@@ -1,6 +1,6 @@
 """Property tests: the whole-vector SIR engines against the per-user oracle,
-filter scale invariance, byte-identical CLI reruns and the CLI's exit-code
-contract.
+filter scale invariance, the Newton equilibrium against the capped sweeps,
+byte-identical CLI reruns and the CLI's exit-code contract.
 
 receiver_filter + output_sir build each user's filter from an N x N (or
 mN x mN) system and stay the independent reference; the engines, including
@@ -16,10 +16,16 @@ import numpy as np
 from hypothesis import example, given, reject, settings, strategies as st
 
 from powergame import cli
-from powergame.exceptions import SingularSpreadingError
-from powergame.system import (ReceiverKind, effective_system, generate_gains,
-                              generate_spreading, make_sir_engine, mmse_sirs,
-                              output_sir, receiver_filter)
+from powergame.asymptotic import feasibility_bound
+from powergame.efficiency import (EfficiencyKind, EfficiencyModel,
+                                  solve_gamma_star)
+from powergame.exceptions import PowerGameError, SingularSpreadingError
+from powergame.game import (POWER_TOL, _newton_balance, solve_channel,
+                            solve_from_engine)
+from powergame.system import (ReceiverKind, SystemParams, effective_system,
+                              generate_gains, generate_spreading,
+                              make_sir_engine, mmse_sirs, output_sir,
+                              receiver_filter)
 
 MF = ReceiverKind.MATCHED_FILTER
 MMSE = ReceiverKind.MMSE
@@ -115,6 +121,88 @@ class TestFilterScaleInvariance:
                                    rtol=1e-12)
 
 
+MODEL = EfficiencyModel(EfficiencyKind.EXP_APPROX, 100)
+GAMMA_STAR = solve_gamma_star(MODEL)
+# the largest load each receiver's draws take: the matched filter's
+# feasibility bound, the decorrelator's K <= N, and twice MMSE's bound of
+# 1.15, so that infeasible MMSE draws are drawn too
+MAX_LOAD = {ReceiverKind.MATCHED_FILTER: feasibility_bound(
+    ReceiverKind.MATCHED_FILTER, GAMMA_STAR), ReceiverKind.DECORRELATOR: 1.0,
+    ReceiverKind.MMSE: 2.0}
+
+
+@st.composite
+def systems(draw):
+    """(kind, S, H): a receiver and an N x K, m x K draw for it."""
+    kind = draw(st.sampled_from(list(ReceiverKind)))
+    m = draw(st.integers(1, 2))
+    N = draw(st.integers(2, 64))
+    K = draw(st.integers(1, max(1, int(MAX_LOAD[kind] * N))))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return (kind, generate_spreading(N, K, rng),
+            generate_gains(rng.uniform(30.0, 300.0, K), m, rng))
+
+
+class TestNewtonBalance:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(systems())
+    def test_newton_equals_capped_sweeps(self, system):
+        kind, S, H = system
+        N, K = S.shape
+        params = SystemParams(K=K, N=N, sigma2=SIGMA2, R=1e5, L=100, M=100,
+                              Pmax=1.0)
+        Sbar, h2 = effective_system(kind, S, H)
+        try:
+            engine = make_sir_engine(kind, Sbar, h2, SIGMA2)
+        except SingularSpreadingError:
+            reject()
+        sweeps = solve_from_engine(engine, K, params, MODEL, GAMMA_STAR,
+                                   max_iter=5000)
+        result = solve_channel(S, H, kind, params, MODEL, max_iter=5000,
+                               gamma_star=GAMMA_STAR)
+        if sweeps.clamped_users:
+            # a user at Pmax: the fallback runs the very same sweeps
+            assert result.iterations == sweeps.iterations
+            assert np.array_equal(result.powers, sweeps.powers)
+            return
+        assert result.converged and not result.clamped_users
+        # one more best response leaves the Newton powers where they are
+        response = result.powers * GAMMA_STAR / engine(result.powers)
+        assert np.max(np.abs(response / result.powers - 1.0)) < 1.001 * POWER_TOL
+        if not sweeps.converged:
+            return  # sweeps too slow to settle within 5000
+        # both stop once a best response moves no power by POWER_TOL, which
+        # leaves each within POWER_TOL / (1 - rho) of the fixed point, rho
+        # being the spectral radius of the balance's Jacobian there
+        _, jacobian = engine.tangent(result.powers * h2)
+        rho = 0.0 if jacobian is None else float(
+            np.max(np.abs(np.linalg.eigvals(GAMMA_STAR * jacobian))))
+        np.testing.assert_allclose(
+            result.powers, sweeps.powers,
+            rtol=max(1e-8, 2.0 * POWER_TOL / (1.0 - rho)))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(systems(), st.sampled_from([5e-16, 1e-200, 1e-300, 1e-320]),
+           st.sampled_from([1.0, 1e-15, 1e-300, 1e300]),
+           st.sampled_from([1, 3, 500]))
+    def test_no_error_escapes_a_newton_step(self, system, sigma2, Pmax,
+                                            max_iter):
+        # the CLI solves under errstate(all="raise"); a step that breaks
+        # down must hand over to the sweeps, not raise
+        kind, S, H = system
+        Sbar, h2 = effective_system(kind, S, H)
+        try:
+            engine = make_sir_engine(kind, Sbar, h2, sigma2)
+        except PowerGameError:
+            reject()
+        with np.errstate(all="raise"):
+            newton = _newton_balance(engine, h2, Pmax, GAMMA_STAR, max_iter)
+        if newton is not None:
+            powers, sirs, steps, _ = newton
+            assert np.all((powers > 0) & (powers <= Pmax))
+            assert 0 <= steps <= max_iter
+
+
 def _cli_stdout(argv):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -177,6 +265,7 @@ MALFORMED = [
     ("--trials", "0"), ("--trials", "abc"), ("--receiver", "XX"),
     ("--antennas", "1,1"), ("--antennas", "0"), ("--antennas", "a"),
     ("--alpha-range", "0.3:0.1:0.1"), ("--alpha-range", "1:2"),
+    ("--antennas", "-1,2"), ("--alpha-range", "-0.5:0.5:0.1"),
 ]
 
 
