@@ -27,8 +27,7 @@ _EXPORTS = {
     "multiantenna": ("solve_equilibrium_ma",),
     "system": ("ChannelRealization", "ReceiverKind", "SystemParams",
                "effective_system", "generate_gains", "generate_spreading",
-               "output_sir", "receiver_filter", "utility",
-               "utility_vs_power_curve"),
+               "output_sir", "receiver_filter", "sir_per_watt", "utility"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}

@@ -12,16 +12,11 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .efficiency import (GAMMA_BRACKET, EfficiencyModel, eff_derivative,
                          eff_value, solve_gamma_star)
 from .exceptions import InfeasibleLoadError, SolverError
 from .rootfind import bisect, scan_brackets
 from .system import ReceiverKind, SystemParams
-
-FIXED_POINT_TOL = 1e-10
-FIXED_POINT_MAX_ITER = 10_000
 
 
 def feasibility_bound(kind: ReceiverKind, gamma: float, m: int = 1) -> float:
@@ -81,30 +76,6 @@ def utility_coef(params: SystemParams, model: EfficiencyModel,
     """
     return (params.L * params.R * eff_value(model, gamma)
             / (params.M * gamma * params.sigma2))
-
-
-def mmse_sir_fixed_point_large(received_powers, k: int, sigma2: float,
-                               N_effective: float) -> float:
-    """Solve the large-system MMSE SIR fixed point for user k.
-
-    gamma = b / (sigma2 + (1/N) sum_{j!=k} a_j b / (b + a_j gamma)) where
-    b = p_k h_k^2 and a_j are the interferers' received powers. The map is
-    increasing and bounded by b/sigma2, so a damped iteration started there
-    descends monotonically onto the fixed point.
-    """
-    rec = np.asarray(received_powers, dtype=float)
-    if np.any(rec < 0):
-        raise ValueError("received powers must be nonnegative")
-    b = rec[k]
-    others = np.delete(rec, k)
-    g = b / sigma2
-    for _ in range(FIXED_POINT_MAX_ITER):
-        interference = np.sum(others * b / (b + others * g)) / N_effective
-        g_next = 0.5 * g + 0.5 * b / (sigma2 + interference)
-        if abs(g_next - g) <= FIXED_POINT_TOL * g:
-            return float(g_next)
-        g = g_next
-    raise SolverError("MMSE SIR fixed point did not converge")
 
 
 def mmse_pareto_gap(gamma: float, alpha: float) -> float:

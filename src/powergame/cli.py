@@ -107,9 +107,6 @@ CONFIG_KEYS = {
     "alpha_range": (_parse_alpha_range, ()),
     "mode": (_choice({mode.value: mode for mode in SweepMode}),
              SweepMode.NONCOOPERATIVE),
-    "gain_mean_semantics": (_choice({"amplitude": "amplitude",
-                                     "mean_square": "mean_square"}),
-                            "amplitude"),
     "n_grid": (_parse_counts, (25, 50, 100)),
     "max_iter": (_parse_int, 500),
 }
@@ -173,7 +170,6 @@ def parse_config(path: str | None, overrides, subcommand_defaults=None) -> Scena
                           antennas=settings["antennas"],
                           mode=settings["mode"],
                           d_min=settings["d_min"], d_max=settings["d_max"],
-                          gain_mean_semantics=settings["gain_mean_semantics"],
                           n_grid=settings["n_grid"],
                           max_iter=settings["max_iter"])
 

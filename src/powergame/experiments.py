@@ -34,7 +34,7 @@ from .exceptions import (ConfigError, InfeasibleLoadError, PowerGameError,
 from .game import solve_equilibrium
 from .system import (ChannelRealization, ReceiverKind, SystemParams,
                      generate_gains, generate_spreading, rayleigh_scale,
-                     utility_vs_power_curve)
+                     sir_per_watt, utility)
 
 log = logging.getLogger(__name__)
 
@@ -69,7 +69,6 @@ class ScenarioConfig:
     mode: SweepMode
     d_min: float = 10.0      # annulus placement radii for admission runs
     d_max: float = 1000.0
-    gain_mean_semantics: str = "amplitude"
     n_grid: tuple = (25, 50, 100)
     max_iter: int = 500      # best-response sweep cap for finite solves
 
@@ -298,7 +297,7 @@ def _draw_blocks(config: ScenarioConfig, stream: int, count: int,
 
 def _sweep_gains(config: ScenarioConfig) -> np.ndarray:
     """Per-trial squared gains of the observed user, one row per antenna."""
-    scale = rayleigh_scale([config.distance], config.gain_mean_semantics)
+    scale = rayleigh_scale([config.distance])
     m_max = max(config.antennas)
     h2 = np.empty((config.trials, m_max))
     for start, _, unit in _draw_blocks(config, _STREAM_SWEEP, m_max, False):
@@ -401,7 +400,7 @@ def _pooled_mean_h2(config: ScenarioConfig) -> float:
     mean_h2 = []
     for _, u, unit in _draw_blocks(config, _STREAM_ADMISSION, pool, True):
         d = _annulus_distances(u, config.d_min, config.d_max)
-        h = rayleigh_scale(d, config.gain_mean_semantics) * unit
+        h = rayleigh_scale(d) * unit
         mean_h2.extend(_mean(row.tolist()) for row in h ** 2)
     return _mean(mean_h2)
 
@@ -432,7 +431,7 @@ def _draw_realization(config: ScenarioConfig, N: int, K: int, m: int,
     rng = trial_rng(config.master_seed, stream, *key)
     S = generate_spreading(N, K, rng)
     distances = np.full(K, config.distance)
-    H = generate_gains(distances, m, rng, config.gain_mean_semantics)
+    H = generate_gains(distances, m, rng)
     return ChannelRealization(S=S, H=H, distances=distances)
 
 
@@ -463,9 +462,10 @@ def run_utility_power_curve(config: ScenarioConfig, k: int = 0):
 
     The interferers are frozen at their equilibrium powers on a single seeded
     realization with the one configured antenna count, so the curve peaks
-    where the user's SIR meets the target. The grid is the equilibrium power
-    times 1/16 .. 16, cut at Pmax. Returns (rows, whether the equilibrium
-    converged).
+    where the user's SIR meets the target. At power x that SIR is
+    x * sir_per_watt, no filter depending on the user's own power. The grid
+    is the equilibrium power times 1/16 .. 16, cut at Pmax. Returns (rows,
+    whether the equilibrium converged).
     """
     m = _one("antennas", config.antennas, _ONE_COUNT)
     kind = _one("receiver", config.kinds, _ONE_RECEIVER)
@@ -473,11 +473,12 @@ def run_utility_power_curve(config: ScenarioConfig, k: int = 0):
     realization = _draw_realization(config, p.N, p.K, m, _STREAM_CURVE, 0)
     result = solve_equilibrium(realization, kind, p, config.model,
                                max_iter=config.max_iter)
-    power_grid = result.powers[k] * np.geomspace(1.0 / 16.0, 16.0, 65)
-    curve = utility_vs_power_curve(k, realization, kind, result.powers,
-                                   power_grid[power_grid <= p.Pmax], p,
-                                   config.model)
-    return [UtilityCurveRow(p_k, u) for p_k, u in curve], result.converged
+    rate = float(sir_per_watt(kind, realization.S, realization.H,
+                              result.powers, p.sigma2)[k])
+    grid = result.powers[k] * np.geomspace(1.0 / 16.0, 16.0, 65)
+    rows = [UtilityCurveRow(x, utility(x, x * rate, p, config.model))
+            for x in grid[grid <= p.Pmax].tolist()]
+    return rows, result.converged
 
 
 def run_efficiency_curve(model: EfficiencyModel, gamma_grid):

@@ -26,7 +26,7 @@ from .efficiency import EfficiencyModel, solve_gamma_star
 from .exceptions import InfeasibleUserError, SolverError
 from .system import (ChannelRealization, ReceiverKind, SirEngine,
                      SystemParams, effective_system, make_sir_engine,
-                     output_sir, receiver_filter, receiver_filters, utility)
+                     sir_per_watt, utility)
 
 INITIAL_POWER_FRACTION = 1e-2  # starting powers as a fraction of Pmax
 DEFAULT_MAX_ITER = 500
@@ -49,22 +49,15 @@ class EquilibriumResult:
 def best_response_power(k: int, powers, realization: ChannelRealization,
                         kind: ReceiverKind, gamma_star: float, sigma2: float,
                         Pmax: float) -> float:
-    """One exact best-response step for user k against the current powers.
-
-    The kind-specific filter is recomputed from the current interferer powers,
-    the resulting SIR is measured, and the power that would hit gamma_star is
-    returned (clamped at Pmax). Exact because gamma is linear in p_k. Any
-    antenna count: the filter plays on effective_system, with sqrt(h2)
-    exactly h at m = 1.
+    """User k's best response to the others' powers: the power that puts it
+    at gamma_star, gamma_star / sir_per_watt, clamped at Pmax. Exact because
+    no filter depends on p_k, so its SIR is linear in p_k; hence the response
+    does not depend on powers[k] either. Any antenna count.
     """
-    powers = np.asarray(powers, dtype=float)
-    S, h2 = effective_system(kind, realization.S, realization.H)
-    heff = np.sqrt(h2)
-    c = receiver_filter(kind, k, S, heff, powers, sigma2)
-    g = output_sir(c, k, S, heff, powers, sigma2)
-    if g <= 0.0:
+    rate = sir_per_watt(kind, realization.S, realization.H, powers, sigma2)[k]
+    if not rate > 0.0:
         raise InfeasibleUserError(k)
-    return float(min(powers[k] * gamma_star / g, Pmax))
+    return float(min(gamma_star / rate, Pmax))
 
 
 def _result(p: np.ndarray, sirs: np.ndarray, iterations: int, settled: bool,
@@ -200,27 +193,19 @@ def verify_nash(result: EquilibriumResult, realization: ChannelRealization,
     """Probe unilateral deviations and confirm no user can gain.
 
     Each user's power is swept over a multiplicative grid 0.5x .. 2x of its
-    equilibrium value (capped at Pmax) with everyone else frozen. No filter
-    depends on the deviating user's own power, so all K filters come from one
-    factorization at the equilibrium powers (receiver_filters), and each
-    user's output SIR is its own power times a fixed SIR per watt, computed
-    from the explicit filters rather than taken from the result. Any
-    antenna count: the filters play on effective_system.
+    equilibrium value (capped at Pmax) with everyone else frozen, its SIR
+    being its power times its sir_per_watt at the equilibrium powers, read
+    off explicit filters rather than taken from the result.
     """
-    S, h2 = effective_system(kind, realization.S, realization.H)
     powers = result.powers
-    C = receiver_filters(kind, S, h2, powers, params.sigma2)
-    X = (C.T @ S) ** 2  # X[k, j] = (c_k' s_j)^2
-    own = np.diag(X).copy()
-    np.fill_diagonal(X, 0.0)
-    noise = params.sigma2 * np.einsum("nk,nk->k", C, C)
-    sir_per_watt = h2 * own / (noise + X @ (powers * h2))
+    rate = sir_per_watt(kind, realization.S, realization.H, powers,
+                        params.sigma2)
     factors = np.geomspace(0.5, 2.0, PROBE_GRID_SIZE)
-    for k in range(S.shape[1]):
+    for k in range(len(powers)):
         base = result.utilities[k]
         for factor in factors:
             p_k = min(powers[k] * factor, params.Pmax)
-            g = p_k * sir_per_watt[k]
+            g = p_k * rate[k]
             if utility(p_k, g, params, model) > base * (1.0 + NASH_REL_TOL):
                 return False
     return True

@@ -88,29 +88,19 @@ def generate_spreading(N: int, K: int, rng: np.random.Generator) -> np.ndarray:
     return chips / np.sqrt(N)
 
 
-def rayleigh_scale(distances, mean_semantics: str = "amplitude") -> np.ndarray:
-    """Rayleigh scale per user from distance d through the 0.3/d^2 law.
-
-    With ``mean_semantics="amplitude"`` the amplitude mean E[h] equals
-    0.3/d^2 (Rayleigh mean = scale * sqrt(pi/2)); with ``"mean_square"`` the
-    power mean E[h^2] equals 0.3/d^2 instead (E[h^2] = 2 scale^2).
-    """
+def rayleigh_scale(distances) -> np.ndarray:
+    """Rayleigh scale per user from distance d: the amplitude mean E[h]
+    equals 0.3/d^2 (Rayleigh mean = scale * sqrt(pi/2))."""
     d = np.asarray(distances, dtype=float)
     if np.any(d <= 0):
         raise ValueError("distances must be strictly positive")
-    mean = 0.3 / d ** 2
-    if mean_semantics == "amplitude":
-        return mean * np.sqrt(2.0 / np.pi)
-    if mean_semantics == "mean_square":
-        return np.sqrt(mean / 2.0)
-    raise ValueError(f"unknown mean_semantics {mean_semantics!r}")
+    return 0.3 / d ** 2 * np.sqrt(2.0 / np.pi)
 
 
-def generate_gains(distances, m: int, rng: np.random.Generator,
-                   mean_semantics: str = "amplitude") -> np.ndarray:
+def generate_gains(distances, m: int, rng: np.random.Generator) -> np.ndarray:
     """Draw an m x K matrix of i.i.d. Rayleigh channel amplitude gains whose
     per-user scale follows ``rayleigh_scale``."""
-    scale = rayleigh_scale(distances, mean_semantics)
+    scale = rayleigh_scale(distances)
     return rng.rayleigh(scale=np.broadcast_to(scale, (m, scale.size)))
 
 
@@ -198,8 +188,9 @@ def utility(p_k: float, gamma_k: float, params: SystemParams,
 # Whole-vector evaluation. make_sir_engine is the one place each receiver's
 # SIR is computed for all users at once; it returns the same numbers as
 # receiver_filter + output_sir for every user. receiver_filters returns every
-# user's filter. Both share the expensive factorizations so equilibrium
-# sweeps and Nash checks stay fast at N ~ a few hundred.
+# user's filter, and sir_per_watt every user's SIR per watt of its own power
+# against frozen interferers. They share the expensive factorizations so
+# equilibrium solves and Nash checks stay fast at N ~ a few hundred.
 # ---------------------------------------------------------------------------
 
 def _mmse_solve(gram: np.ndarray, rec: np.ndarray, sigma2: float,
@@ -334,26 +325,22 @@ def receiver_filters(kind: ReceiverKind, S, h2, p, sigma2) -> np.ndarray:
     return _mmse_solve(S.T @ S, rec, sigma2, S.T).T
 
 
-def utility_vs_power_curve(k: int, realization: ChannelRealization,
-                           kind: ReceiverKind, other_powers, p_grid,
-                           params: SystemParams, model: EfficiencyModel):
-    """Utility of user k along a power grid with all other powers frozen.
+def sir_per_watt(kind: ReceiverKind, S, H, powers, sigma2) -> np.ndarray:
+    """Each user's output SIR per watt of its own power, the others' frozen.
 
-    The filter is independent of the user's own power for all three receiver
-    kinds (the MMSE matrix A_k excludes user k), so it is derived once from
-    the frozen interference and reused across the grid. Any antenna count:
-    the filter plays on effective_system, with sqrt(h2) exactly h at m = 1.
+    No filter depends on user k's own power, so at the others' given powers
+    its SIR is p_k times entry k of this K-vector for any p_k, and the MMSE
+    filter maximizes that entry over all linear filters. Any antenna count:
+    S (N x K) and H (m x K) play on effective_system, and all K filters come
+    from one receiver_filters call. The SIRs are read off the explicit
+    filters, independently of make_sir_engine, so the Nash check does not
+    take the solver's word for them.
     """
-    p_grid = np.asarray(p_grid, dtype=float)
-    if np.any(p_grid <= 0) or np.any(np.diff(p_grid) <= 0):
-        raise ValueError("power grid must be strictly positive and increasing")
-    S, h2 = effective_system(kind, realization.S, realization.H)
-    heff = np.sqrt(h2)
-    powers = np.asarray(other_powers, dtype=float).copy()
-    c = receiver_filter(kind, k, S, heff, powers, params.sigma2)
-    curve = []
-    for p_k in p_grid:
-        powers[k] = p_k
-        g = output_sir(c, k, S, heff, powers, params.sigma2)
-        curve.append((float(p_k), utility(float(p_k), g, params, model)))
-    return curve
+    S, h2 = effective_system(kind, S, H)
+    powers = np.asarray(powers, dtype=float)
+    C = receiver_filters(kind, S, h2, powers, sigma2)
+    X = (C.T @ S) ** 2  # X[k, j] = (c_k' s_j)^2
+    own = np.diag(X).copy()
+    np.fill_diagonal(X, 0.0)
+    noise = sigma2 * np.einsum("nk,nk->k", C, C)
+    return h2 * own / (noise + X @ (powers * h2))

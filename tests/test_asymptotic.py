@@ -5,8 +5,8 @@ import pytest
 
 from powergame.asymptotic import (balanced_received_power, feasibility_bound,
                                   gamma_factor, mmse_pareto_gap,
-                                  mmse_sir_fixed_point_large, optimal_load,
-                                  solve_pareto_target, utility_coef)
+                                  optimal_load, solve_pareto_target,
+                                  utility_coef)
 from powergame.efficiency import eff_value
 from powergame.exceptions import InfeasibleLoadError
 from powergame.system import ReceiverKind, utility
@@ -117,34 +117,16 @@ class TestUtilityLarge:
 
 
 class TestMmseFixedPoint:
-    def test_no_interference(self):
-        rec = np.array([3e-9, 0.0, 0.0])
-        got = mmse_sir_fixed_point_large(rec, 0, SIGMA2, 100)
-        assert got == pytest.approx(3e-9 / SIGMA2, rel=1e-9)
-
     def test_balanced_power_consistency(self, gamma_star):
-        # K = alpha N + 1 users at the closed-form received power q: the
-        # fixed point lands exactly on the balanced target
+        # K = alpha N + 1 users at the closed-form received power q: gamma*
+        # solves the large-system MMSE SIR equation
+        # gamma (sigma2 + (1/N) sum_{j!=k} q_j q / (q + q_j gamma)) = q
         alpha, N = 0.6, 1000
         q = balanced_received_power(MMSE, alpha, gamma_star, SIGMA2)
         rec = np.full(int(alpha * N) + 1, q)
-        got = mmse_sir_fixed_point_large(rec, 0, SIGMA2, N)
-        assert got == pytest.approx(gamma_star, rel=1e-9)
-        # residual of the defining equation
-        interference = np.sum(rec[1:] * q / (q + rec[1:] * got)) / N
-        assert got * (SIGMA2 + interference) == pytest.approx(q, rel=1e-10)
-
-    def test_increasing_in_own_power(self):
-        rec = np.full(60, 2e-9)
-        lo = mmse_sir_fixed_point_large(rec, 0, SIGMA2, 100)
-        rec2 = rec.copy()
-        rec2[0] *= 2.0
-        hi = mmse_sir_fixed_point_large(rec2, 0, SIGMA2, 100)
-        assert hi > lo
-
-    def test_rejects_negative_power(self):
-        with pytest.raises(ValueError):
-            mmse_sir_fixed_point_large(np.array([1e-9, -1e-9]), 0, SIGMA2, 10)
+        interference = np.sum(rec[1:] * q / (q + rec[1:] * gamma_star)) / N
+        assert gamma_star * (SIGMA2 + interference) == pytest.approx(
+            q, rel=1e-10)
 
 
 class TestBalancedReceivedPower:

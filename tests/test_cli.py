@@ -54,6 +54,14 @@ class TestConfigErrors:
         assert "bogus" in proc.stderr
         assert "sigma2" in proc.stderr  # the valid-keys list
 
+    def test_removed_gain_law_key_is_unknown(self, capsys):
+        # gains follow the amplitude law 0.3/d^2 only; the key that chose a
+        # mean-square law is gone
+        args = ["gamma-star", "--set", "gain_mean_semantics=amplitude"]
+        assert main(args) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            "config error: gain_mean_semantics: unknown key")
+
     def test_malformed_value(self):
         proc = run_cli("sweep", "--set", "trials=abc")
         assert proc.returncode == EXIT_CONFIG

@@ -109,36 +109,30 @@ class TestBatchedDraws:
     scale afterwards, which matches numpy's own scale * sqrt(2 E) bit for bit.
     """
 
-    @pytest.mark.parametrize("semantics", ["amplitude", "mean_square"])
     @pytest.mark.parametrize("m_max", [1, 8])
     @pytest.mark.parametrize("trials", [1, BLOCK - 1, BLOCK, BLOCK + 1,
                                         CHUNK - 1, CHUNK, CHUNK + 1])
-    def test_sweep_gains_equal_per_trial_draws(self, semantics, m_max, trials):
-        cfg = config(trials=trials, master_seed=11, antennas=(m_max,),
-                     gain_mean_semantics=semantics)
+    def test_sweep_gains_equal_per_trial_draws(self, m_max, trials):
+        cfg = config(trials=trials, master_seed=11, antennas=(m_max,))
         expected = np.array([
             generate_gains([cfg.distance], m_max,
-                           trial_rng(11, experiments._STREAM_SWEEP, t),
-                           semantics)[:, 0] ** 2
-            for t in range(trials)])
+                           trial_rng(11, experiments._STREAM_SWEEP, t))[:, 0]
+            for t in range(trials)]) ** 2
         got = experiments._sweep_gains(cfg)
         assert got.shape == (trials, m_max)
         assert np.array_equal(got, expected)
 
-    @pytest.mark.parametrize("semantics", ["amplitude", "mean_square"])
     @pytest.mark.parametrize("trials", [1, BLOCK - 1, BLOCK, BLOCK + 1,
                                         CHUNK - 1, CHUNK, CHUNK + 1])
-    def test_admission_pooled_gain_equals_per_trial_draws(self, semantics,
-                                                          trials):
-        cfg = config(trials=trials, master_seed=5,
-                     gain_mean_semantics=semantics)
+    def test_admission_pooled_gain_equals_per_trial_draws(self, trials):
+        cfg = config(trials=trials, master_seed=5)
         pool = cfg.params.N
         per_trial = []
         for t in range(trials):
             rng = trial_rng(5, experiments._STREAM_ADMISSION, t)
             d = experiments._annulus_distances(rng.random(pool), cfg.d_min,
                                                cfg.d_max)
-            h = generate_gains(d, 1, rng, semantics)
+            h = generate_gains(d, 1, rng)
             per_trial.append(experiments._mean((h[0] ** 2).tolist()))
         assert experiments._pooled_mean_h2(cfg) == \
             experiments._mean(per_trial)

@@ -66,6 +66,19 @@ class TestBestResponse:
                                 gamma_star, params.sigma2, params.Pmax)
         assert p == pytest.approx(result.powers[k], rel=1e-6)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_response_ignores_own_power(self, kind, params, gamma_star):
+        # no filter depends on p_k, so neither does the response, even at 0
+        realization = draw_realization(np.random.default_rng(6), 64, 8, m=2)
+        powers = np.full(8, 1e-6)
+        ref = best_response_power(2, powers, realization, kind, gamma_star,
+                                  params.sigma2, params.Pmax)
+        for own in (0.0, 1e-9, 1e-3):
+            powers[2] = own
+            assert best_response_power(
+                2, powers, realization, kind, gamma_star, params.sigma2,
+                params.Pmax) == pytest.approx(ref, rel=1e-12)
+
     def test_zero_gain_is_infeasible(self, params, model, gamma_star):
         S = generate_spreading(16, 2, np.random.default_rng(3))
         realization = ChannelRealization(

@@ -1,6 +1,8 @@
 """Every name a powergame module imports is used in that module, no module
-reads another module's private (``_name``) attributes, and the CLI leaves
-feasibility and every other table decision to the experiment drivers.
+reads another module's private (``_name``) attributes, the CLI leaves
+feasibility and every other table decision to the experiment drivers, only
+``system`` uses the per-user filter reference, and every exported name
+resolves.
 
 No linter is a dependency, so these stdlib-ast checks stand in for one.
 ``__init__.py`` is skipped (its imports are the package's re-exports), and so
@@ -120,6 +122,42 @@ def test_cli_leaves_feasibility_to_experiments():
                            ("experiments.py", {"multiantenna"})):
         source = (PACKAGE / module).read_text(encoding="utf-8")
         assert imported_modules(source).isdisjoint(banned), module
+
+
+def names_used(source: str):
+    """Every name source loads, imports or reads as an attribute."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.update(alias.name.split(".")[-1] for alias in node.names)
+    return found
+
+
+def test_checker_finds_names_imports_and_attributes():
+    source = ("from .system import output_sir as o\nimport numpy.linalg\n"
+              "x = system.receiver_filter(y)\nz = 'sir_per_watt'\n")
+    assert names_used(source) == {"output_sir", "linalg", "system",
+                                  "receiver_filter", "y", "x", "z"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_system_uses_the_per_user_reference(path):
+    # a user's SIR against frozen interferers lives in system.sir_per_watt;
+    # the per-user filter and its output SIR stay the tests' reference
+    if path.name != "system.py":
+        used = names_used(path.read_text(encoding="utf-8"))
+        assert used.isdisjoint({"receiver_filter", "output_sir"})
+
+
+def test_every_exported_name_resolves():
+    # the package loads each export lazily from the module its table names
+    import powergame
+    for name in powergame.__all__:
+        assert hasattr(powergame, name), name
 
 
 def config_reads(source: str):

@@ -1,6 +1,7 @@
-"""Property tests: the whole-vector SIR engines against the per-user oracle,
-filter scale invariance, the Newton equilibrium against the capped sweeps,
-byte-identical CLI reruns and the CLI's exit-code contract.
+"""Property tests: the whole-vector SIR engines and sir_per_watt against the
+per-user oracle, filter scale invariance, the MMSE receiver's optimality,
+the Newton equilibrium against the capped sweeps, byte-identical CLI reruns
+and the CLI's exit-code contract.
 
 receiver_filter + output_sir build each user's filter from an N x N (or
 mN x mN) system and stay the independent reference; the engines, including
@@ -19,15 +20,17 @@ from powergame import cli
 from powergame.asymptotic import feasibility_bound
 from powergame.efficiency import (EfficiencyKind, EfficiencyModel,
                                   solve_gamma_star)
-from powergame.exceptions import PowerGameError, SingularSpreadingError
+from powergame.exceptions import (PowerGameError, SingularSpreadingError,
+                                  SolverError)
 from powergame.game import (POWER_TOL, _newton_balance, solve_channel,
                             solve_from_engine)
 from powergame.system import (ReceiverKind, SystemParams, effective_system,
                               generate_gains, generate_spreading,
                               make_sir_engine, mmse_sirs, output_sir,
-                              receiver_filter)
+                              receiver_filter, receiver_filters, sir_per_watt)
 
 MF = ReceiverKind.MATCHED_FILTER
+DE = ReceiverKind.DECORRELATOR
 MMSE = ReceiverKind.MMSE
 SIGMA2 = 5e-16
 RTOL = 1e-9
@@ -49,11 +52,11 @@ def draws(draw, m=1, max_load=2.0):
     return S, H, p
 
 
-def oracle_sirs(kind, S, heff, p):
+def oracle_sirs(kind, S, heff, p, sigma2=SIGMA2):
     K = S.shape[1]
     return np.array([
-        output_sir(receiver_filter(kind, k, S, heff, p, SIGMA2),
-                   k, S, heff, p, SIGMA2)
+        output_sir(receiver_filter(kind, k, S, heff, p, sigma2),
+                   k, S, heff, p, sigma2)
         for k in range(K)])
 
 
@@ -119,6 +122,67 @@ class TestFilterScaleInvariance:
         np.testing.assert_allclose(output_sir(lam * c, k, S, H[0], p, SIGMA2),
                                    output_sir(c, k, S, H[0], p, SIGMA2),
                                    rtol=1e-12)
+
+
+@st.composite
+def frozen_powers(draw, kinds=tuple(ReceiverKind)):
+    """(kind, S, H, p, sigma2): a receiver, a draw with m = 1 or 2 antennas
+    of up to K = 2N users (K <= N for the decorrelator) and a noise power."""
+    kind = draw(st.sampled_from(kinds))
+    S, H, p = draw(draws(m=draw(st.integers(1, 2)),
+                         max_load=1.0 if kind is DE else 2.0))
+    return kind, S, H, p, 10.0 ** draw(st.floats(-18.0, -13.0))
+
+
+class TestSirPerWatt:
+    """sir_per_watt against the per-user oracle, and the paper's headline
+    claim on it: with the others' powers frozen, no linear filter gives a
+    user more SIR per watt than MMSE (Verdu, Multiuser Detection, 1998)."""
+
+    @PROPERTY
+    @given(frozen_powers())
+    def test_power_times_rate_is_the_oracle_sir(self, system):
+        kind, S, H, p, sigma2 = system
+        try:
+            rate = sir_per_watt(kind, S, H, p, sigma2)
+        except (SingularSpreadingError, SolverError):
+            reject()
+        Sbar, h2 = effective_system(kind, S, H)
+        rtol = 1e-12
+        if kind is DE:
+            # the decorrelator's SIR is 1 / [(S'S)^-1]_kk, which two ways of
+            # inverting S'S agree on only to eps times its condition number
+            rtol = max(rtol, np.finfo(float).eps * np.linalg.cond(S.T @ S))
+        np.testing.assert_allclose(
+            p * rate, oracle_sirs(kind, Sbar, np.sqrt(h2), p, sigma2),
+            rtol=rtol)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(frozen_powers(kinds=(MMSE,)), st.integers(0, 2 ** 32 - 1),
+           st.floats(-4.0, 1.0))
+    def test_mmse_maximizes_sir_per_watt(self, system, seed, log_step):
+        _, S, H, p, sigma2 = system
+        try:
+            best = sir_per_watt(MMSE, S, H, p, sigma2)
+        except SolverError:
+            reject()
+        rivals = [sir_per_watt(MF, S, H, p, sigma2)]
+        if S.shape[0] >= S.shape[1]:
+            try:
+                rivals.append(sir_per_watt(DE, S, H, p, sigma2))
+            except SingularSpreadingError:
+                pass
+        # random filters on the chips of every antenna: the MMSE filters
+        # moved by a random step of 1e-4 to 10 times their own length
+        Sbar, h2 = effective_system(MMSE, S, H)
+        C = receiver_filters(MMSE, Sbar, h2, p, sigma2)
+        step = np.random.default_rng(seed).standard_normal(C.shape)
+        C = C + 10.0 ** log_step * step * (np.linalg.norm(C, axis=0)
+                                           / np.linalg.norm(step, axis=0))
+        rivals.append([output_sir(C[:, k], k, Sbar, np.sqrt(h2), p, sigma2)
+                       / p[k] for k in range(S.shape[1])])
+        for rival in rivals:
+            assert np.all(best >= np.asarray(rival) * (1.0 - 1e-12))
 
 
 MODEL = EfficiencyModel(EfficiencyKind.EXP_APPROX, 100)
@@ -214,15 +278,12 @@ class TestRerunDeterminism:
     @PROPERTY
     @given(st.sampled_from(["sweep", "admission"]),
            st.integers(0, 2 ** 64 - 1), st.integers(1, 80),
-           st.lists(st.integers(1, 8), min_size=1, max_size=3, unique=True),
-           st.sampled_from(["amplitude", "mean_square"]))
-    def test_same_config_gives_same_bytes(self, sub, seed, trials, antennas,
-                                          semantics):
+           st.lists(st.integers(1, 8), min_size=1, max_size=3, unique=True))
+    def test_same_config_gives_same_bytes(self, sub, seed, trials, antennas):
         if sub == "admission":
             antennas = antennas[:1]  # no antenna column: one count only
         argv = [sub, "--seed", str(seed), "--trials", str(trials),
                 "--antennas", ",".join(map(str, antennas)),
-                "--set", f"gain_mean_semantics={semantics}",
                 "--set", "N=20"]
         code, first = _cli_stdout(argv)
         assert code == 0 and first.count("\n") > 1
@@ -245,7 +306,6 @@ SET_VALUES = {
     "d_max": ["1000", "11", "1e300"],
     "eff": ["exp", "bpsk"],
     "mode": ["noncoop", "pareto", "both"],
-    "gain_mean_semantics": ["amplitude", "mean_square"],
     "n_grid": ["25", "13,50", "2"],
     "max_iter": ["1", "50", "500"],
     "alpha": ["0.07", "1e-9", "0.5", "1.1", "5"],

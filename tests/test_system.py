@@ -5,8 +5,7 @@ from powergame.exceptions import SingularSpreadingError, SolverError
 from powergame.system import (ChannelRealization, ReceiverKind,
                               generate_gains, generate_spreading,
                               make_sir_engine, output_sir, receiver_filter,
-                              receiver_filters, utility,
-                              utility_vs_power_curve)
+                              receiver_filters, sir_per_watt, utility)
 
 from conftest import draw_realization, make_params
 
@@ -41,11 +40,6 @@ class TestGains:
         rng = np.random.default_rng(2)
         h = generate_gains(np.full(100_000, 100.0), 1, rng)
         assert h.mean() == pytest.approx(0.3 / 100.0 ** 2, rel=0.02)
-
-    def test_mean_square_semantics(self):
-        rng = np.random.default_rng(3)
-        h = generate_gains(np.full(100_000, 100.0), 1, rng, "mean_square")
-        assert (h ** 2).mean() == pytest.approx(0.3 / 100.0 ** 2, rel=0.02)
 
     def test_antennas_independent(self):
         rng = np.random.default_rng(4)
@@ -289,8 +283,11 @@ def curve(model):
     realization = draw_realization(rng, 100, 10)
     others = np.full(10, 3e-6)
     grid = np.geomspace(1e-8, 1e-4, 120)
-    return utility_vs_power_curve(0, realization, MMSE, others, grid,
-                                  params, model), realization, params
+    # the user's SIR is its own power times a rate its filter fixes
+    rate = sir_per_watt(MMSE, realization.S, realization.H, others,
+                        params.sigma2)[0]
+    rows = [(x, utility(x, x * rate, params, model)) for x in grid]
+    return rows, realization, params
 
 
 class TestUtilityPowerCurve:
@@ -319,12 +316,6 @@ class TestUtilityPowerCurve:
     def test_vanishes_at_low_power(self, curve):
         values = [u for _, u in curve[0]]
         assert values[0] < 1e-6 * max(values)
-
-    def test_rejects_bad_grid(self, curve, model):
-        _, realization, params = curve
-        with pytest.raises(ValueError):
-            utility_vs_power_curve(0, realization, MMSE, np.full(10, 1e-6),
-                                   [1e-6, 1e-6], params, model)
 
 
 class TestRealizationValidation:
