@@ -268,8 +268,18 @@ SUBCOMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse that raises ConfigError where it would print its usage block
+    and exit, so a malformed command line is one config error line (exit 2);
+    --help still prints the help and exits 0."""
+
+    def error(self, message):
+        key, _, detail = message.partition(": ")
+        raise ConfigError(key, detail)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="powergame",
         description="Energy-efficiency power control simulator for the "
                     "DS-CDMA uplink (bits per joule).")
@@ -313,10 +323,10 @@ def _attach_values(argv):
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(
-        _attach_values(sys.argv[1:] if argv is None else argv))
-    handler, sub_defaults = SUBCOMMANDS[args.subcommand]
     try:
+        args = _build_parser().parse_args(
+            _attach_values(sys.argv[1:] if argv is None else argv))
+        handler, sub_defaults = SUBCOMMANDS[args.subcommand]
         overrides = []
         for item in args.sets:
             key, sep, text = item.partition("=")

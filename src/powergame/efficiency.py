@@ -18,8 +18,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .exceptions import NoTargetSirError, SolverError, check_value
-from .rootfind import rightmost_root
+from .exceptions import NoTargetSirError, check_value
+from .rootfind import bisect, scan_brackets
 
 GAMMA_BRACKET = (1e-6, 1e3)  # search window for the tangent condition
 
@@ -106,10 +106,10 @@ def solve_gamma_star(model: EfficiencyModel, tol: float = 1e-9) -> float:
     def residual(g: float) -> float:
         return eff_value(model, g) - g * eff_derivative(model, g)
 
-    try:
-        return rightmost_root(residual, *GAMMA_BRACKET, tol=tol)
-    except SolverError:
+    brackets = scan_brackets(residual, *GAMMA_BRACKET)
+    if not brackets:
         raise NoTargetSirError("M", f"eff={model.kind.value} has no target "
                                f"SIR at M={model.M}: f(g) = g f'(g) has no "
                                "root, the efficiency is not S-shaped; use a "
-                               "larger M") from None
+                               "larger M")
+    return bisect(residual, *brackets[-1], tol=tol)

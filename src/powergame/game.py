@@ -24,9 +24,8 @@ import numpy as np
 
 from .efficiency import EfficiencyModel, solve_gamma_star
 from .exceptions import InfeasibleUserError, SolverError
-from .system import (ChannelRealization, ReceiverKind, SirEngine,
-                     SystemParams, effective_system, make_sir_engine,
-                     sir_per_watt, utility)
+from .system import (ChannelRealization, ReceiverKind, SystemParams,
+                     effective_system, make_sir_engine, sir_per_watt, utility)
 
 INITIAL_POWER_FRACTION = 1e-2  # starting powers as a fraction of Pmax
 DEFAULT_MAX_ITER = 500
@@ -70,15 +69,16 @@ def _result(p: np.ndarray, sirs: np.ndarray, iterations: int, settled: bool,
     with every user clamped at Pmax is not converged: no one reaches the
     target SIR, so it is not the equilibrium the game describes.
     """
-    K = len(p)
-    clamped = frozenset(np.flatnonzero(p >= params.Pmax * (1.0 - 1e-12)).tolist())
-    unclamped = [k for k in range(K) if k not in clamped]
-    sir_ok = all(abs(sirs[k] - gamma_star) / gamma_star <= SIR_TOL for k in unclamped)
-    utilities = np.array([utility(p[k], sirs[k], params, model) for k in range(K)])
+    clamped = p >= params.Pmax * (1.0 - 1e-12)
+    free_sirs = sirs[~clamped]
+    sir_ok = (abs(free_sirs - gamma_star) / gamma_star <= SIR_TOL).all()
+    utilities = np.array([utility(x, g, params, model)
+                          for x, g in zip(p.tolist(), sirs.tolist())])
     return EquilibriumResult(powers=p, sirs=sirs, utilities=utilities,
                              iterations=iterations,
-                             converged=settled and sir_ok and bool(unclamped),
-                             clamped_users=clamped)
+                             converged=bool(settled and sir_ok and free_sirs.size),
+                             clamped_users=frozenset(
+                                 clamped.nonzero()[0].tolist()))
 
 
 def solve_from_engine(sirs_fn: Callable[[np.ndarray], np.ndarray], K: int,
@@ -108,8 +108,8 @@ def solve_from_engine(sirs_fn: Callable[[np.ndarray], np.ndarray], K: int,
                    gamma_star)
 
 
-def _newton_balance(engine: SirEngine, h2: np.ndarray, Pmax: float,
-                    gamma_star: float, max_iter: int):
+def _newton_balance(balance: Callable[[np.ndarray], tuple], h2: np.ndarray,
+                    Pmax: float, gamma_star: float, max_iter: int):
     """Newton iteration on the uncapped balance rec = gamma* I(rec).
 
     It starts from equal received powers, the weakest user's at the sweeps'
@@ -117,8 +117,9 @@ def _newton_balance(engine: SirEngine, h2: np.ndarray, Pmax: float,
     seeded MMSE draws with K = 110 users at N = 100 then reach it in 4-5
     steps on 24 of 30 draws, where equal transmit powers reach it on none.
 
-    Each step is rec + solve(Id - gamma* dI/drec, gamma* I(rec) - rec), or
-    gamma* I(rec) itself when I is constant. The balance is settled when the
+    balance is make_sir_engine's map rec -> (SIRs, dI/drec). Each step is
+    rec + solve(Id - gamma* dI/drec, gamma* I(rec) - rec), or gamma* I(rec)
+    itself when I is constant. The balance is settled when the
     best response would move no power by POWER_TOL or more relative, the
     sweeps' rule; a step counts toward max_iter. Returns
     (powers, SIRs, steps, settled), or None when a step fails: a singular
@@ -134,7 +135,7 @@ def _newton_balance(engine: SirEngine, h2: np.ndarray, Pmax: float,
             if not np.all((rec > 0.0) & (rec < cap)):  # also rejects NaN
                 return None
             try:
-                sirs, jacobian = engine.tangent(rec)
+                sirs, jacobian = balance(rec)
             except SolverError:
                 return None
             target = gamma_star * rec / sirs
@@ -159,8 +160,8 @@ def solve_channel(S, H, kind: ReceiverKind, params: SystemParams,
     """SIR-balanced equilibrium for spreading S (N x K) and gains H (m x K).
 
     Any antenna count m: the solver plays on effective_system(kind, S, H),
-    with one engine, hence one factorization, for the Newton steps and any
-    fallback sweeps. Newton steps run while every power stays below Pmax;
+    with one balance map, hence one factorization, for the Newton steps and
+    any fallback sweeps. Newton steps run while every power stays below Pmax;
     otherwise solve_from_engine sweeps from the start, so such a draw gives
     what the sweeps alone give. Stops once the powers settle or max_iter
     steps (or sweeps) have run; non-convergence is reported through the
@@ -169,11 +170,11 @@ def solve_channel(S, H, kind: ReceiverKind, params: SystemParams,
     if gamma_star is None:
         gamma_star = solve_gamma_star(model)
     S, h2 = effective_system(kind, S, H)
-    engine = make_sir_engine(kind, S, h2, params.sigma2)
-    newton = _newton_balance(engine, h2, params.Pmax, gamma_star, max_iter)
+    balance = make_sir_engine(kind, S, params.sigma2)
+    newton = _newton_balance(balance, h2, params.Pmax, gamma_star, max_iter)
     if newton is None:
-        return solve_from_engine(engine.sirs, S.shape[1], params, model,
-                                 gamma_star, max_iter)
+        return solve_from_engine(lambda p: balance(p * h2)[0], S.shape[1],
+                                 params, model, gamma_star, max_iter)
     return _result(*newton, params, model, gamma_star)
 
 

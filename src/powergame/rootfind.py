@@ -19,7 +19,8 @@ BISECT_MAX_ITER = 200  # halvings; 1e3 wide brackets reach 1e-9 in ~40
 
 def scan_brackets(fn: Callable[[float], float], lo: float,
                   hi: float) -> List[Tuple[float, float]]:
-    """Return all [a, b] sub-intervals of a geometric grid where fn goes <=0 to >0."""
+    """Return all [a, b] sub-intervals of a geometric grid where fn goes <=0
+    to >0, in ascending order, so the last holds the rightmost crossing."""
     xs = np.geomspace(lo, hi, SCAN_POINTS)
     vals = [fn(float(x)) for x in xs]
     brackets = []
@@ -44,14 +45,3 @@ def bisect(fn: Callable[[float], float], lo: float, hi: float,
             break
     return 0.5 * (lo + hi)
 
-
-def rightmost_root(fn: Callable[[float], float], lo: float, hi: float,
-                   tol: float = 1e-9) -> float:
-    """Locate the rightmost upward (<=0 to >0) crossing of fn on [lo, hi]."""
-    brackets = scan_brackets(fn, lo, hi)
-    if not brackets:
-        raise SolverError(
-            f"no sign change of the target function on [{lo}, {hi}]; "
-            "the model is not S-shaped")
-    a, b = brackets[-1]
-    return bisect(fn, a, b, tol)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -208,35 +208,17 @@ def _mmse_solve(gram: np.ndarray, rec: np.ndarray, sigma2: float,
                           "or N") from None
 
 
-class SirEngine(NamedTuple):
-    """One realization's whole-vector SIR map and the tangent of its balance.
-
-    With rec = p h^2 the received powers, every receiver's SIR is
-    gamma_k = rec_k / I_k(rec), I being the interference-plus-noise it sees
-    (noise and cross terms scaled by the filter's own gain). The equilibrium
-    balances rec = gamma* I(rec).
-
-    sirs(p)        powers -> SIRs; engine(p) calls it
-    tangent(rec)   received powers -> (SIRs, dI/drec), the Jacobian being a
-                   K x K matrix, or None for the decorrelator, whose I is
-                   constant
-    """
-
-    sirs: Callable[[np.ndarray], np.ndarray]
-    tangent: Callable[[np.ndarray], tuple]
-
-    def __call__(self, p):
-        return self.sirs(p)
-
-
-def make_sir_engine(kind: ReceiverKind, S: np.ndarray, h2: np.ndarray,
-                    sigma2: float) -> SirEngine:
-    """Return the SirEngine of one realization (S, h2, sigma2), h2 being the
-    squared channel gains.
+def make_sir_engine(kind: ReceiverKind, S: np.ndarray,
+                    sigma2: float) -> Callable[[np.ndarray], tuple]:
+    """Return the balance map of one realization (S, sigma2): received powers
+    rec = p h^2 -> (SIRs, dI/drec), I(rec) = rec / SIRs being the
+    interference-plus-noise each filter sees (noise and cross terms scaled by
+    the filter's own gain) and dI/drec a K x K matrix, or None for the
+    decorrelator, whose I is constant. The equilibrium balances
+    rec = gamma* I(rec).
 
     The power-independent pieces are built once, here, and every call then
-    costs one K-vector update (MF, DE) or one K x K solve (MMSE), whose
-    matrix also gives the MMSE tangent. With rec = p h^2:
+    costs one K-vector update (MF, DE) or one K x K solve (MMSE):
 
     * matched filter: gamma_k = rec_k (s_k's_k)^2 /
       (sigma2 s_k's_k + sum_{j!=k} rec_j (s_k's_j)^2), from the squared
@@ -261,45 +243,42 @@ def make_sir_engine(kind: ReceiverKind, S: np.ndarray, h2: np.ndarray,
         own_sq, own_noise = own ** 2, sigma2 * own
         jacobian = gram_sq / own_sq[:, None]
 
-        def tangent(rec):
+        def balance(rec):
             return rec * own_sq / (own_noise + gram_sq @ rec), jacobian
     elif kind is ReceiverKind.DECORRELATOR:
         noise = sigma2 * np.diag(_zf_columns(S))
 
-        def tangent(rec):
+        def balance(rec):
             return rec / noise, None
     else:
         gram = S.T @ S
 
-        def tangent(rec):
+        def balance(rec):
             P = _mmse_solve(gram, rec, sigma2, gram)
             q = np.diagonal(P)
             ratio = rec * q  # equals gamma/(1+gamma), always in [0, 1)
             jacobian = (P / q[:, None]) ** 2
             np.fill_diagonal(jacobian, 0.0)
             return ratio / (1.0 - ratio), jacobian
-
-        def sirs(p):
-            rec = np.asarray(p, float) * h2
-            ratio = rec * np.diagonal(_mmse_solve(gram, rec, sigma2, gram))
-            return ratio / (1.0 - ratio)
-        return SirEngine(sirs, tangent)
-    return SirEngine(lambda p: tangent(np.asarray(p, float) * h2)[0], tangent)
+    return balance
 
 
 def matched_filter_sirs(S, heff, p, sigma2) -> np.ndarray:
     """SIRs of all users under per-user matched filtering."""
-    return make_sir_engine(ReceiverKind.MATCHED_FILTER, S, np.square(heff), sigma2)(p)
+    return make_sir_engine(ReceiverKind.MATCHED_FILTER, S, sigma2)(
+        np.asarray(p, float) * np.square(heff))[0]
 
 
 def decorrelator_sirs(S, heff, p, sigma2) -> np.ndarray:
     """SIRs under zero-forcing: gamma_k = p_k h_k^2 / (sigma2 [(S'S)^-1]_kk)."""
-    return make_sir_engine(ReceiverKind.DECORRELATOR, S, np.square(heff), sigma2)(p)
+    return make_sir_engine(ReceiverKind.DECORRELATOR, S, sigma2)(
+        np.asarray(p, float) * np.square(heff))[0]
 
 
 def mmse_sirs(S, heff, p, sigma2) -> np.ndarray:
     """SIRs of all users under per-user MMSE filtering (one K x K solve)."""
-    return make_sir_engine(ReceiverKind.MMSE, S, np.square(heff), sigma2)(p)
+    return make_sir_engine(ReceiverKind.MMSE, S, sigma2)(
+        np.asarray(p, float) * np.square(heff))[0]
 
 
 def receiver_filters(kind: ReceiverKind, S, h2, p, sigma2) -> np.ndarray:

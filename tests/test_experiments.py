@@ -12,7 +12,7 @@ from powergame.experiments import (ScenarioConfig, SweepMode,
                                    run_equilibria, run_finite_vs_asymptotic,
                                    run_load_sweep, run_target_sir_comparison,
                                    run_utility_power_curve, trial_rng)
-from powergame.system import ReceiverKind, generate_gains
+from powergame.system import COND_LIMIT, ReceiverKind, generate_gains
 
 from conftest import make_params
 
@@ -471,6 +471,22 @@ class TestFiniteVsAsymptotic:
         cfg = config(kinds=(DE,), alpha_grid=(0.3,), trials=60, n_grid=(100,))
         rows = run_finite_vs_asymptotic(cfg)
         assert rows[0].mean_rel_power_error < 0.10
+
+    def test_singular_spreading_is_redrawn(self):
+        # 3 users on 4 chips: about one draw in three has a singular S'S;
+        # every other draw is physical here, so those are all the redraws
+        cfg = config(kinds=(DE,), alpha_grid=(0.75,), trials=20, n_grid=(4,))
+        singular = 0
+        for t in range(cfg.trials):
+            for attempt in range(100):
+                S = experiments._draw_realization(
+                    cfg, 4, 3, 1, experiments._STREAM_FINITE, 0, 4, t,
+                    attempt).S
+                if np.linalg.cond(S.T @ S) <= COND_LIMIT:
+                    break
+                singular += 1
+        assert singular > 0
+        assert run_finite_vs_asymptotic(cfg)[0].redrawn == singular
 
     def test_deterministic(self):
         cfg = config(kinds=(DE,), alpha_grid=(0.3,), trials=10, n_grid=(32,))

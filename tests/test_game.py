@@ -3,7 +3,8 @@ import pytest
 
 from powergame.asymptotic import feasibility_bound
 from powergame.exceptions import InfeasibleUserError
-from powergame.game import (best_response_power, solve_equilibrium,
+from powergame.game import (SIR_TOL, _newton_balance, _result,
+                            best_response_power, solve_equilibrium,
                             solve_from_engine, verify_nash)
 from powergame.system import (ChannelRealization, ReceiverKind,
                               effective_system, generate_gains,
@@ -164,6 +165,29 @@ class TestSolveEquilibrium:
         assert result.iterations == 2
 
 
+class TestResult:
+    def test_masks_match_the_per_user_loop(self, model, gamma_star):
+        # the clamped set and the SIR-target check against a per-user loop,
+        # on powers at, just below and far below Pmax and SIRs on and off
+        # the target
+        rng = np.random.default_rng(40)
+        for _ in range(300):
+            K = int(rng.integers(1, 8))
+            params = make_params(K=K, Pmax=1.0)
+            p = rng.choice([1.0, 1.0 - 1e-13, 1.0 - 1e-11, 1e-3], K)
+            sirs = gamma_star * (1.0 + rng.choice([0.0, 1e-7, -1e-5], K))
+            settled = bool(rng.integers(0, 2))
+            result = _result(p, sirs, 1, settled, params, model, gamma_star)
+            clamped = {k for k in range(K) if p[k] >= 1.0 - 1e-12}
+            free = [k for k in range(K) if k not in clamped]
+            sir_ok = all(abs(sirs[k] - gamma_star) / gamma_star <= SIR_TOL
+                         for k in free)
+            assert result.clamped_users == clamped
+            assert result.converged is (settled and sir_ok and bool(free))
+            assert np.array_equal(result.utilities, [
+                utility(p[k], sirs[k], params, model) for k in range(K)])
+
+
 class TestNewtonBalance:
     """solve_channel balances by Newton steps and sweeps only where a user
     meets Pmax; the equality with the sweeps is a property test."""
@@ -195,10 +219,11 @@ class TestNewtonBalance:
         realization = draw_realization(np.random.default_rng((32, 12)),
                                        100, 14)
         S, h2 = realization.S, realization.H[0] ** 2
-        engine = make_sir_engine(MF, S, h2, params.sigma2)
-        rho = max(abs(np.linalg.eigvals(gamma_star * engine.tangent(h2)[1])))
+        engine = make_sir_engine(MF, S, params.sigma2)
+        rho = max(abs(np.linalg.eigvals(gamma_star * engine(h2)[1])))
         assert 0.97 < rho < 1.0
-        sweeps = solve_from_engine(engine, 14, params, model, gamma_star)
+        sweeps = solve_from_engine(lambda p: engine(p * h2)[0], 14, params,
+                                   model, gamma_star)
         assert not sweeps.converged
         for max_iter in (1, 500, 5000):
             result = solve_equilibrium(realization, MF, params, model,
@@ -211,18 +236,34 @@ class TestNewtonBalance:
         # I = rec / sirs; its Jacobian against central differences
         S = generate_spreading(32, 12, np.random.default_rng(33))
         rec = 1e-15 * (1.0 + np.random.default_rng(34).random(12))
-        engine = make_sir_engine(kind, S, np.ones(12), 5e-16)
-        sirs, jacobian = engine.tangent(rec)
+        engine = make_sir_engine(kind, S, 5e-16)
+        sirs, jacobian = engine(rec)
         step = 1e-6 * rec
         numeric = np.empty((12, 12))
         for j in range(12):
             up, down = rec.copy(), rec.copy()
             up[j] += step[j]
             down[j] -= step[j]
-            numeric[:, j] = (up / engine.tangent(up)[0]
-                             - down / engine.tangent(down)[0]) / (2 * step[j])
+            numeric[:, j] = (up / engine(up)[0]
+                             - down / engine(down)[0]) / (2 * step[j])
         np.fill_diagonal(numeric, 0.0)  # I_k does not depend on rec_k
         assert np.allclose(jacobian, numeric, rtol=1e-6, atol=1e-9)
+
+    @pytest.mark.parametrize("max_iter", [0, 500])
+    def test_zero_sir_is_no_balance(self, max_iter, gamma_star):
+        # a zero SIR needs an infinite power; at the last allowed step only
+        # this check keeps it from being returned as a result
+        def balance(rec):
+            return np.zeros_like(rec), None
+        assert _newton_balance(balance, np.ones(3), 1.0, gamma_star,
+                               max_iter) is None
+
+    def test_singular_newton_system_is_no_balance(self, gamma_star):
+        # Id - gamma* J = 0: the step has no solution, the sweeps take over
+        def balance(rec):
+            return rec / 1e-3, np.eye(3) / gamma_star
+        assert _newton_balance(balance, np.ones(3), 1.0, gamma_star,
+                               500) is None
 
     @staticmethod
     def assert_same_result(result, sweeps):
@@ -238,14 +279,14 @@ class TestNewtonBalance:
         params = make_params(K=30)
         realization = draw_realization(np.random.default_rng(7), 100, 30)
         S, h2 = realization.S, realization.H[0] ** 2
-        engine = make_sir_engine(MF, S, h2, params.sigma2)
+        engine = make_sir_engine(MF, S, params.sigma2)
         assert max(abs(np.linalg.eigvals(gamma_star
-                                         * engine.tangent(h2)[1]))) >= 1.0
+                                         * engine(h2)[1]))) >= 1.0
         result = solve_equilibrium(realization, MF, params, model,
                                    gamma_star=gamma_star)
         assert result.clamped_users
         self.assert_same_result(result, solve_from_engine(
-            engine, 30, params, model, gamma_star))
+            lambda p: engine(p * h2)[0], 30, params, model, gamma_star))
 
     def test_infeasible_overloaded_mmse_falls_back(self, model, gamma_star):
         # K = 2N is beyond the MMSE load limit 1.15
@@ -254,10 +295,10 @@ class TestNewtonBalance:
         result = solve_equilibrium(realization, MMSE, params, model,
                                    gamma_star=gamma_star)
         assert result.clamped_users
-        engine = make_sir_engine(MMSE, realization.S, realization.H[0] ** 2,
-                                 params.sigma2)
+        h2 = realization.H[0] ** 2
+        engine = make_sir_engine(MMSE, realization.S, params.sigma2)
         self.assert_same_result(result, solve_from_engine(
-            engine, 40, params, model, gamma_star))
+            lambda p: engine(p * h2)[0], 40, params, model, gamma_star))
 
 
 class TestProperties:
@@ -283,12 +324,13 @@ class TestProperties:
         checked = 0
         while checked < 100:
             realization = draw_realization(rng, 64, K)
-            engine = make_sir_engine(kind, realization.S,
-                                     realization.H[0] ** 2, params.sigma2)
+            h2 = realization.H[0] ** 2
+            engine = make_sir_engine(kind, realization.S, params.sigma2)
             p = np.full(K, 1e-12)
             ok, settled = True, False
             for _ in range(2000):
-                p_new = np.minimum(p * gamma_star / engine(p), params.Pmax)
+                p_new = np.minimum(p * gamma_star / engine(p * h2)[0],
+                                   params.Pmax)
                 if np.any(p_new < p * (1 - 1e-12)):
                     ok = False
                 if np.max(np.abs(p_new - p) / p) < 1e-10:
@@ -387,9 +429,8 @@ class TestVerifyNash:
         # rebuild the profile so utilities are consistent with the powers
         powers = result.powers.copy()
         powers[4] *= factor
-        engine = make_sir_engine(kind, realization.S, realization.H[0] ** 2,
-                                 params.sigma2)
-        sirs = engine(powers)
+        engine = make_sir_engine(kind, realization.S, params.sigma2)
+        sirs = engine(powers * realization.H[0] ** 2)[0]
         utilities = np.array([utility(powers[k], sirs[k], params, model)
                               for k in range(10)])
         broken = replace(result, powers=powers, sirs=sirs, utilities=utilities)
@@ -492,7 +533,7 @@ class TestMultiAntenna:
         powers = result.powers.copy()
         powers[2] *= 3.0
         S, h2 = effective_system(kind, realization.S, realization.H)
-        sirs = make_sir_engine(kind, S, h2, params.sigma2)(powers)
+        sirs = make_sir_engine(kind, S, params.sigma2)(powers * h2)[0]
         utilities = np.array([utility(powers[k], sirs[k], params, model)
                               for k in range(self.K)])
         broken = replace(result, powers=powers, sirs=sirs, utilities=utilities)

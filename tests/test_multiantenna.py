@@ -3,7 +3,7 @@ import pytest
 
 from powergame.asymptotic import feasibility_bound, gamma_factor, utility_coef
 from powergame.exceptions import InfeasibleLoadError, SingularSpreadingError
-from powergame.game import solve_equilibrium
+from powergame.game import solve_channel, solve_equilibrium
 from powergame.multiantenna import solve_equilibrium_ma
 from powergame.system import (ChannelRealization, ReceiverKind,
                               effective_system, generate_gains,
@@ -62,6 +62,9 @@ class TestEffectiveSignatures:
 
 
 class TestEquilibriumMa:
+    def test_is_the_base_solver(self):
+        assert solve_equilibrium_ma is solve_channel
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_single_antenna_reduces_to_base_solver(self, kind, model):
         params = make_params(K=12, N=64)

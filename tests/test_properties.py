@@ -66,8 +66,8 @@ class TestMmseKernel:
     def test_engine_and_kernel_match_oracle(self, draw):
         S, H, p = draw
         ref = oracle_sirs(MMSE, S, H[0], p)
-        engine = make_sir_engine(MMSE, S, H[0] ** 2, SIGMA2)
-        np.testing.assert_allclose(engine(p), ref, rtol=RTOL)
+        engine = make_sir_engine(MMSE, S, SIGMA2)
+        np.testing.assert_allclose(engine(p * H[0] ** 2)[0], ref, rtol=RTOL)
         np.testing.assert_allclose(mmse_sirs(S, H[0], p, SIGMA2), ref,
                                    rtol=RTOL)
 
@@ -78,9 +78,9 @@ class TestMmseKernel:
         # the matched filter's own-norm term s_k's_k
         S, H, p = draw
         Sbar, h2 = effective_system(kind, S, H)
-        np.testing.assert_allclose(make_sir_engine(kind, Sbar, h2, SIGMA2)(p),
-                                   oracle_sirs(kind, Sbar, np.sqrt(h2), p),
-                                   rtol=RTOL)
+        np.testing.assert_allclose(
+            make_sir_engine(kind, Sbar, SIGMA2)(p * h2)[0],
+            oracle_sirs(kind, Sbar, np.sqrt(h2), p), rtol=RTOL)
 
 
 class TestEngineEquivalences:
@@ -91,9 +91,10 @@ class TestEngineEquivalences:
         # (S, h^2) at m = 1; its columns have squared norm h^2, not 1
         S, H, p = draw
         Sbar = H[0] * S
-        stacked = make_sir_engine(kind, Sbar, np.ones(S.shape[1]), SIGMA2)(p)
+        stacked = make_sir_engine(kind, Sbar, SIGMA2)(p)[0]
         np.testing.assert_allclose(
-            stacked, make_sir_engine(kind, S, H[0] ** 2, SIGMA2)(p), rtol=RTOL)
+            stacked, make_sir_engine(kind, S, SIGMA2)(p * H[0] ** 2)[0],
+            rtol=RTOL)
 
     @PROPERTY
     @given(draws(), st.sampled_from([MF, MMSE]), st.randoms())
@@ -101,8 +102,9 @@ class TestEngineEquivalences:
         S, H, p = draw
         perm = np.array(random.sample(range(S.shape[1]), S.shape[1]))
         h2 = H[0] ** 2
-        sirs = make_sir_engine(kind, S, h2, SIGMA2)(p)
-        permuted = make_sir_engine(kind, S[:, perm], h2[perm], SIGMA2)(p[perm])
+        sirs = make_sir_engine(kind, S, SIGMA2)(p * h2)[0]
+        permuted = make_sir_engine(kind, S[:, perm], SIGMA2)(
+            p[perm] * h2[perm])[0]
         np.testing.assert_allclose(permuted, sirs[perm], rtol=RTOL)
 
 
@@ -217,11 +219,11 @@ class TestNewtonBalance:
                               Pmax=1.0)
         Sbar, h2 = effective_system(kind, S, H)
         try:
-            engine = make_sir_engine(kind, Sbar, h2, SIGMA2)
+            engine = make_sir_engine(kind, Sbar, SIGMA2)
         except SingularSpreadingError:
             reject()
-        sweeps = solve_from_engine(engine, K, params, MODEL, GAMMA_STAR,
-                                   max_iter=5000)
+        sweeps = solve_from_engine(lambda p: engine(p * h2)[0], K, params,
+                                   MODEL, GAMMA_STAR, max_iter=5000)
         result = solve_channel(S, H, kind, params, MODEL, max_iter=5000,
                                gamma_star=GAMMA_STAR)
         if sweeps.clamped_users:
@@ -231,14 +233,14 @@ class TestNewtonBalance:
             return
         assert result.converged and not result.clamped_users
         # one more best response leaves the Newton powers where they are
-        response = result.powers * GAMMA_STAR / engine(result.powers)
+        response = result.powers * GAMMA_STAR / engine(result.powers * h2)[0]
         assert np.max(np.abs(response / result.powers - 1.0)) < 1.001 * POWER_TOL
         if not sweeps.converged:
             return  # sweeps too slow to settle within 5000
         # both stop once a best response moves no power by POWER_TOL, which
         # leaves each within POWER_TOL / (1 - rho) of the fixed point, rho
         # being the spectral radius of the balance's Jacobian there
-        _, jacobian = engine.tangent(result.powers * h2)
+        _, jacobian = engine(result.powers * h2)
         rho = 0.0 if jacobian is None else float(
             np.max(np.abs(np.linalg.eigvals(GAMMA_STAR * jacobian))))
         np.testing.assert_allclose(
@@ -256,7 +258,7 @@ class TestNewtonBalance:
         kind, S, H = system
         Sbar, h2 = effective_system(kind, S, H)
         try:
-            engine = make_sir_engine(kind, Sbar, h2, sigma2)
+            engine = make_sir_engine(kind, Sbar, sigma2)
         except PowerGameError:
             reject()
         with np.errstate(all="raise"):
@@ -326,6 +328,9 @@ MALFORMED = [
     ("--antennas", "1,1"), ("--antennas", "0"), ("--antennas", "a"),
     ("--alpha-range", "0.3:0.1:0.1"), ("--alpha-range", "1:2"),
     ("--antennas", "-1,2"), ("--alpha-range", "-0.5:0.5:0.1"),
+    # argv argparse itself rejects: a stray word, a flag without its value,
+    # an unknown flag
+    ("bogus",), ("--seed",), ("--nope", "1"),
 ]
 
 
@@ -350,10 +355,13 @@ class TestCliContract:
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(invocations())
-    # a singular K x K MMSE system, and a malformed shortcut flag, which
+    # a singular K x K MMSE system, and malformed command lines, which
     # once ended in a traceback and in argparse's usage block
     @example(["equilibrium", "--set", "N=3", "--set", "sigma2=1e-200"])
     @example(["sweep", "--trials", "abc"])
+    @example(["bogus"])
+    @example(["sweep", "--seed"])
+    @example(["sweep", "--nope", "1"])
     def test_exit_code_and_output(self, argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

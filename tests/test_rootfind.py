@@ -2,8 +2,10 @@ import math
 
 import pytest
 
-from powergame.exceptions import SolverError
-from powergame.rootfind import bisect, rightmost_root, scan_brackets
+from powergame.efficiency import (EfficiencyKind, EfficiencyModel,
+                                  solve_gamma_star)
+from powergame.exceptions import NoTargetSirError, SolverError
+from powergame.rootfind import bisect, scan_brackets
 
 
 def test_bisect_sqrt2():
@@ -24,12 +26,19 @@ def test_scan_finds_single_bracket():
 
 
 def test_rightmost_root_picks_last_crossing():
-    # upward crossings at x = 1 and x = 100; the solver must return the latter
+    # upward crossings at x = 1 and x = 100 come out in ascending order, so
+    # the last bracket holds the rightmost root that solve_gamma_star refines
     fn = lambda x: (x - 1.0) * (x - 10.0) * (x - 100.0)
-    root = rightmost_root(fn, 1e-2, 1e3, tol=1e-9)
+    brackets = scan_brackets(fn, 1e-2, 1e3)
+    assert len(brackets) == 2
+    assert brackets[0][1] <= brackets[1][0]
+    assert brackets[0][0] <= 1.0 <= brackets[0][1]
+    root = bisect(fn, *brackets[-1], tol=1e-9)
     assert abs(root - 100.0) < 1e-6
 
 
 def test_rightmost_root_no_crossing():
-    with pytest.raises(SolverError):
-        rightmost_root(lambda x: 1.0 + x, 1e-3, 1e3)
+    assert scan_brackets(lambda x: 1.0 + x, 1e-3, 1e3) == []
+    # (1 - e^-g) is concave, so its residual never crosses upward
+    with pytest.raises(NoTargetSirError):
+        solve_gamma_star(EfficiencyModel(EfficiencyKind.EXP_APPROX, 1))

@@ -223,7 +223,7 @@ class TestSirEngines:
             h = generate_gains(np.full(K, 100.0), 1, rng)[0]
             p = rng.uniform(1e-7, 1e-5, K)
             try:
-                fast = make_sir_engine(kind, S, h ** 2, 5e-16)(p)
+                fast = make_sir_engine(kind, S, 5e-16)(p * h ** 2)[0]
             except SingularSpreadingError:
                 continue
             ref = np.array([
@@ -240,11 +240,11 @@ class TestSirEngines:
         h2, p = np.ones(3), np.full(3, 1e-6)
         with pytest.raises(SolverError, match="MMSE system of K=3 users is "
                            "singular at sigma2=1e-200"):
-            make_sir_engine(MMSE, S, h2, 1e-200)(p)
+            make_sir_engine(MMSE, S, 1e-200)(p * h2)
         with pytest.raises(SolverError, match="singular"):
             receiver_filters(MMSE, S, h2, p, 1e-200)
         # a noise power on the scale of the received powers keeps it regular
-        assert np.all(np.isfinite(make_sir_engine(MMSE, S, h2, 1e-6)(p)))
+        assert np.all(np.isfinite(make_sir_engine(MMSE, S, 1e-6)(p * h2)[0]))
 
 
 class TestReceiverFilters:
