@@ -14,6 +14,7 @@ its transmit power toward this SIR regardless of receiver type.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -87,6 +88,7 @@ def eff_derivative(model: EfficiencyModel, gamma: float) -> float:
             / (2.0 * math.sqrt(math.pi * gamma)))
 
 
+@functools.lru_cache  # pure in (model, tol); exceptions are not cached
 def solve_gamma_star(model: EfficiencyModel, tol: float = 1e-9) -> float:
     """Solve f(g) = g f'(g) for the target SIR by bracketed bisection.
 

@@ -540,7 +540,6 @@ def run_finite_vs_asymptotic(config: ScenarioConfig):
                         attempt)
                     try:
                         res = solve_equilibrium(realization, kind, p, model,
-                                                gamma_star=gstar,
                                                 max_iter=config.max_iter)
                     except SingularSpreadingError:
                         discarded += 1

@@ -31,8 +31,7 @@ INITIAL_POWER_FRACTION = 1e-2  # starting powers as a fraction of Pmax
 DEFAULT_MAX_ITER = 500
 POWER_TOL = 1e-9  # largest relative power change of a settled sweep
 SIR_TOL = 1e-6    # relative SIR error allowed for users below Pmax
-PROBE_GRID_SIZE = 16  # deviations per user in verify_nash, 0.5x .. 2x
-NASH_REL_TOL = 1e-6   # relative utility gain a deviation must beat
+NASH_REL_TOL = 1e-6  # relative utility gain a deviation must beat
 
 
 @dataclass
@@ -191,22 +190,19 @@ def solve_equilibrium(realization: ChannelRealization, kind: ReceiverKind,
 def verify_nash(result: EquilibriumResult, realization: ChannelRealization,
                 kind: ReceiverKind, params: SystemParams,
                 model: EfficiencyModel) -> bool:
-    """Probe unilateral deviations and confirm no user can gain.
+    """Confirm that no user gains by changing its power alone.
 
-    Each user's power is swept over a multiplicative grid 0.5x .. 2x of its
-    equilibrium value (capped at Pmax) with everyone else frozen, its SIR
-    being its power times its sir_per_watt at the equilibrium powers, read
-    off explicit filters rather than taken from the result.
+    Against the others' frozen powers user k's SIR is p w_k, w_k being its
+    sir_per_watt off explicit filters. f(g)/g rises up to gamma* and falls
+    after it (test_tangent_line_maximizes_utility_ratio), so k's best power
+    is exactly min(gamma*/w_k, Pmax), as in best_response_power. Both
+    utilities compared come from result.powers alone, never from the
+    result's SIRs or utilities.
     """
-    powers = result.powers
-    rate = sir_per_watt(kind, realization.S, realization.H, powers,
+    rate = sir_per_watt(kind, realization.S, realization.H, result.powers,
                         params.sigma2)
-    factors = np.geomspace(0.5, 2.0, PROBE_GRID_SIZE)
-    for k in range(len(powers)):
-        base = result.utilities[k]
-        for factor in factors:
-            p_k = min(powers[k] * factor, params.Pmax)
-            g = p_k * rate[k]
-            if utility(p_k, g, params, model) > base * (1.0 + NASH_REL_TOL):
-                return False
-    return True
+    best = np.minimum(solve_gamma_star(model) / rate, params.Pmax)
+    return all(utility(b, b * w, params, model)
+               <= utility(p, p * w, params, model) * (1.0 + NASH_REL_TOL)
+               for p, b, w in zip(result.powers.tolist(), best.tolist(),
+                                  rate.tolist()))

@@ -4,6 +4,7 @@ from decimal import Decimal, getcontext
 import numpy as np
 import pytest
 
+from powergame import efficiency
 from powergame.efficiency import (GAMMA_BRACKET, EfficiencyKind,
                                   EfficiencyModel, eff_derivative, eff_value,
                                   solve_gamma_star)
@@ -176,3 +177,43 @@ class TestGammaStar:
         ratios = [eff_value(m, scale * p) / p for p in p_grid]
         p_best = p_grid[int(np.argmax(ratios))]
         assert scale * p_best == pytest.approx(g_star, rel=3e-3)
+
+
+class TestGammaStarMemo:
+    """solve_gamma_star is memoised on (model, tol), so a caller asks for it
+    instead of passing gamma* along."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        """The scan_brackets calls made from here on, cache emptied first."""
+        solve_gamma_star.cache_clear()
+        calls, scan = [], efficiency.scan_brackets
+
+        def counted(*args):
+            calls.append(args)
+            return scan(*args)
+        monkeypatch.setattr(efficiency, "scan_brackets", counted)
+        return calls
+
+    def test_equal_model_does_not_rescan(self, scans, monkeypatch):
+        first = solve_gamma_star(exp_model(100))
+
+        def rescan(*args):
+            raise AssertionError("rescanned")
+        monkeypatch.setattr(efficiency, "scan_brackets", rescan)
+        # a new object, equal to the first
+        assert solve_gamma_star(exp_model(100)) == first
+        assert len(scans) == 1
+
+    def test_tol_is_part_of_the_key(self, scans):
+        coarse = solve_gamma_star(exp_model(100), 1e-4)
+        fine = solve_gamma_star(exp_model(100), 1e-9)
+        assert len(scans) == 2 and coarse != fine
+        assert solve_gamma_star(exp_model(100), 1e-4) == coarse
+        assert len(scans) == 2
+
+    def test_errors_are_not_cached(self, scans):
+        for _ in range(3):
+            with pytest.raises(NoTargetSirError):
+                solve_gamma_star(exp_model(1))
+        assert len(scans) == 3

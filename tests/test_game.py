@@ -3,13 +3,13 @@ import pytest
 
 from powergame.asymptotic import feasibility_bound
 from powergame.exceptions import InfeasibleUserError
-from powergame.game import (SIR_TOL, _newton_balance, _result,
-                            best_response_power, solve_equilibrium,
+from powergame.game import (NASH_REL_TOL, SIR_TOL, _newton_balance,
+                            _result, best_response_power, solve_equilibrium,
                             solve_from_engine, verify_nash)
 from powergame.system import (ChannelRealization, ReceiverKind,
                               effective_system, generate_gains,
                               generate_spreading, make_sir_engine, output_sir,
-                              receiver_filter, utility)
+                              receiver_filter, sir_per_watt, utility)
 
 from conftest import draw_realization, make_params
 
@@ -20,10 +20,10 @@ KINDS = [MF, DE, MMSE]
 
 
 def feasible_instance(rng_factory, kind, params, model, gamma_star, N, K,
-                      max_attempts=50):
+                      max_attempts=50, m=1):
     """Draw realizations until the equilibrium is reachable without clamping."""
     for attempt in range(max_attempts):
-        realization = draw_realization(rng_factory(attempt), N, K)
+        realization = draw_realization(rng_factory(attempt), N, K, m=m)
         result = solve_equilibrium(realization, kind, params, model,
                                    gamma_star=gamma_star, max_iter=5000)
         if result.converged and not result.clamped_users:
@@ -438,24 +438,65 @@ class TestVerifyNash:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_detects_non_equilibrium(self, kind, model, gamma_star):
-        # user 4 overspends
-        broken, realization, params = self.deviated_profile(
-            kind, 3.0, model, gamma_star)
-        assert not verify_nash(broken, realization, kind, params, model)
+        # user 4 overspends by far, or misses its best power by 1% either way
+        for factor in (3.0, 0.99, 1.01):
+            broken, realization, params = self.deviated_profile(
+                kind, factor, model, gamma_star)
+            assert not verify_nash(broken, realization, kind, params, model)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_reads_only_the_powers(self, kind, model, gamma_star):
+        # the SIRs and utilities left from the equilibrium are stale: only
+        # the powers show that user 4 overspends
+        from dataclasses import replace
+
+        params = make_params(K=10, N=64)
+        realization, result = feasible_instance(
+            lambda a: np.random.default_rng((18, a)), kind, params, model,
+            gamma_star, 64, 10)
+        powers = result.powers.copy()
+        powers[4] *= 3.0
+        assert not verify_nash(replace(result, powers=powers), realization,
+                               kind, params, model)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_detects_underspending_user(self, kind, model, gamma_star):
-        # only a probe above the current power gains, which a check that
+        # only a deviation above the current power gains, which a check that
         # underestimates the deviating user's SIR would miss
         broken, realization, params = self.deviated_profile(
             kind, 0.5, model, gamma_star)
         assert not verify_nash(broken, realization, kind, params, model)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_agrees_with_a_dense_probe_grid(self, kind, model, gamma_star):
+        # the reference: sweep each user's power over a dense grid up to
+        # Pmax, the others frozen, and look for a gain beyond NASH_REL_TOL
+        def grid_finds_gain(profile, realization, params):
+            rate = sir_per_watt(kind, realization.S, realization.H,
+                                profile.powers, params.sigma2)
+            for p, w in zip(profile.powers.tolist(), rate.tolist()):
+                base = utility(p, p * w, params, model)
+                grid = np.geomspace(1e-3 * p, params.Pmax, 4001).tolist()
+                if max(utility(x, x * w, params, model) for x in grid) > (
+                        base * (1.0 + NASH_REL_TOL)):
+                    return True
+            return False
+
+        for factor in (1.0, 0.5, 0.99, 1.01, 3.0):
+            profile, realization, params = self.deviated_profile(
+                kind, factor, model, gamma_star)
+            gain = grid_finds_gain(profile, realization, params)
+            assert gain is (factor != 1.0)
+            assert verify_nash(profile, realization, kind, params,
+                               model) is not gain
+
 
 class TestReceiverSwitching:
     """The paper's headline: at an MF or DE equilibrium every user would
     reach a higher SIR with the MMSE receiver at the same powers, and at the
-    MMSE equilibrium no user's MF or DE SIR beats its MMSE SIR."""
+    MMSE equilibrium no user's MF or DE SIR beats its MMSE SIR. In bits per
+    joule, with receiver and power chosen together, MMSE is the only
+    receiver no user leaves."""
 
     K, N = 8, 64  # load 0.125, under the MF limit 0.154
 
@@ -491,6 +532,37 @@ class TestReceiverSwitching:
             for kind in (MF, DE):
                 assert (self.sir(kind, k, realization, powers, sigma2)
                         <= best * (1 + 1e-9))
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_joint_receiver_and_power_choice(self, m, model, gamma_star):
+        def own_and_best(kind, realization, powers, params):
+            """Each user's utility on receiver kind at its own power and at
+            its best response min(gamma*/w, Pmax), the others frozen."""
+            rate = sir_per_watt(kind, realization.S, realization.H, powers,
+                                params.sigma2)
+            best = np.minimum(gamma_star / rate, params.Pmax)
+            return (np.array([utility(p, p * w, params, model)
+                              for p, w in zip(powers, rate)]),
+                    np.array([utility(b, b * w, params, model)
+                              for b, w in zip(best, rate)]))
+
+        cases = [(MMSE, self.K, self.N), (MMSE, 110, 100),
+                 (MF, self.K, self.N), (DE, self.K, self.N)]
+        for kind, K, N in cases:
+            params = make_params(K=K, N=N, m=m)
+            realization, result = feasible_instance(
+                lambda a: np.random.default_rng((21, m, K, a)), kind, params,
+                model, gamma_star, N, K, m=m)
+            powers = result.powers
+            own = own_and_best(kind, realization, powers, params)[0]
+            if kind is MMSE:
+                # the decorrelator needs K <= N
+                for other in (MF, DE) if K <= N else (MF,):
+                    best = own_and_best(other, realization, powers, params)[1]
+                    assert np.all(best <= own * (1 + NASH_REL_TOL))
+            else:
+                best = own_and_best(MMSE, realization, powers, params)[1]
+                assert np.all(best > own * (1 + NASH_REL_TOL))
 
 
 class TestOverloadedMmse:

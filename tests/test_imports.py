@@ -1,8 +1,8 @@
 """Every name a powergame module imports is used in that module, no module
 reads another module's private (``_name``) attributes, the CLI leaves
 feasibility and every other table decision to the experiment drivers, only
-``system`` uses the per-user filter reference, and every exported name
-resolves.
+``system`` uses the per-user filter reference, every exported name
+resolves, and importing the package loads no numpy.
 
 No linter is a dependency, so these stdlib-ast checks stand in for one.
 ``__init__.py`` is skipped (its imports are the package's re-exports), and so
@@ -10,6 +10,8 @@ are ``from __future__`` imports.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -158,6 +160,14 @@ def test_every_exported_name_resolves():
     import powergame
     for name in powergame.__all__:
         assert hasattr(powergame, name), name
+
+
+def test_package_import_loads_no_numpy():
+    # the CLI entry point pins the BLAS thread count before numpy loads
+    probe = "import sys, powergame; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.stdout == "False\n", proc.stderr
 
 
 def config_reads(source: str):
