@@ -58,9 +58,10 @@ def gamma_factor(kind: ReceiverKind, alpha: float, gamma_star: float,
 
 
 def balanced_received_power(kind: ReceiverKind, alpha: float, gamma: float,
-                            sigma2: float) -> float:
-    """Common received power q = gamma sigma2 / Gamma that balances all SIRs at gamma."""
-    return gamma * sigma2 / gamma_factor(kind, alpha, gamma)
+                            sigma2: float, m: int = 1) -> float:
+    """Common received power q = gamma sigma2 / Gamma that balances all SIRs
+    at gamma with m receive antennas, q pooled over the antennas."""
+    return gamma * sigma2 / gamma_factor(kind, alpha, gamma, m)
 
 
 def utility_coef(params: SystemParams, model: EfficiencyModel,

@@ -448,11 +448,11 @@ def run_equilibria(config: ScenarioConfig):
         result = solve_equilibrium(realization, kind, p, config.model,
                                    max_iter=config.max_iter)
         converged = converged and result.converged
-        rows.extend(EquilibriumRow(kind, k, float(result.powers[k]),
-                                   float(result.sirs[k]),
-                                   float(result.utilities[k]),
+        rows.extend(EquilibriumRow(kind, k, power, sir,
+                                   utility(power, sir, p, config.model),
                                    result.iterations, result.converged)
-                    for k in range(len(result.powers)))
+                    for k, (power, sir) in enumerate(zip(
+                        result.powers.tolist(), result.sirs.tolist())))
     rows.sort(key=lambda r: (r.kind.value, r.user))
     return rows, converged
 

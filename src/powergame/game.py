@@ -9,7 +9,8 @@ equilibrium is the fixed point of that standard interference function
 (Yates, IEEE JSAC 1995). With no user at Pmax it solves the uncapped balance
 rec = g* I(rec), which Newton's method reaches in one step for the matched
 filter (I is affine) and the decorrelator (I is constant), and monotonically
-and quadratically for MMSE (I is a minimum of affine maps, so concave).
+and quadratically for MMSE (I is a minimum of affine maps, so concave),
+whose steps start at the large-system balanced power q = g* sigma2 / Gamma.
 Only when the balance needs a power at or above Pmax, or a step breaks down,
 do the synchronous capped sweeps run; they converge to the unique fixed
 point from any positive start.
@@ -22,8 +23,9 @@ from typing import Callable
 
 import numpy as np
 
+from .asymptotic import balanced_received_power
 from .efficiency import EfficiencyModel, solve_gamma_star
-from .exceptions import InfeasibleUserError, SolverError
+from .exceptions import InfeasibleLoadError, InfeasibleUserError, SolverError
 from .system import (ChannelRealization, ReceiverKind, SystemParams,
                      effective_system, make_sir_engine, sir_per_watt, utility)
 
@@ -38,7 +40,6 @@ NASH_REL_TOL = 1e-6  # relative utility gain a deviation must beat
 class EquilibriumResult:
     powers: np.ndarray     # W
     sirs: np.ndarray
-    utilities: np.ndarray  # bits/joule
     iterations: int        # Newton steps, or sweeps where the fallback ran
     converged: bool
     clamped_users: frozenset
@@ -59,8 +60,7 @@ def best_response_power(k: int, powers, realization: ChannelRealization,
 
 
 def _result(p: np.ndarray, sirs: np.ndarray, iterations: int, settled: bool,
-            params: SystemParams, model: EfficiencyModel,
-            gamma_star: float) -> EquilibriumResult:
+            params: SystemParams, gamma_star: float) -> EquilibriumResult:
     """The EquilibriumResult of powers p with SIRs sirs.
 
     It is converged when the iteration settled, every user below Pmax sits at
@@ -71,18 +71,14 @@ def _result(p: np.ndarray, sirs: np.ndarray, iterations: int, settled: bool,
     clamped = p >= params.Pmax * (1.0 - 1e-12)
     free_sirs = sirs[~clamped]
     sir_ok = (abs(free_sirs - gamma_star) / gamma_star <= SIR_TOL).all()
-    utilities = np.array([utility(x, g, params, model)
-                          for x, g in zip(p.tolist(), sirs.tolist())])
-    return EquilibriumResult(powers=p, sirs=sirs, utilities=utilities,
-                             iterations=iterations,
+    return EquilibriumResult(powers=p, sirs=sirs, iterations=iterations,
                              converged=bool(settled and sir_ok and free_sirs.size),
                              clamped_users=frozenset(
                                  clamped.nonzero()[0].tolist()))
 
 
 def solve_from_engine(sirs_fn: Callable[[np.ndarray], np.ndarray], K: int,
-                      params: SystemParams, model: EfficiencyModel,
-                      gamma_star: float,
+                      params: SystemParams, gamma_star: float,
                       max_iter: int = DEFAULT_MAX_ITER) -> EquilibriumResult:
     """Run synchronous capped best-response sweeps until the powers settle.
 
@@ -103,18 +99,47 @@ def solve_from_engine(sirs_fn: Callable[[np.ndarray], np.ndarray], K: int,
         if delta < POWER_TOL:
             settled = True
             break
-    return _result(p, sirs_fn(p), iterations, settled, params, model,
-                   gamma_star)
+    return _result(p, sirs_fn(p), iterations, settled, params, gamma_star)
 
 
-def _newton_balance(balance: Callable[[np.ndarray], tuple], h2: np.ndarray,
-                    Pmax: float, gamma_star: float, max_iter: int):
-    """Newton iteration on the uncapped balance rec = gamma* I(rec).
+def _newton_start(kind: ReceiverKind, S, H, Sbar: np.ndarray,
+                  h2: np.ndarray, params: SystemParams,
+                  gamma_star: float) -> np.ndarray:
+    """The received powers Newton starts from on the effective system
+    (Sbar, h2) of spreading S and gains H.
 
-    It starts from equal received powers, the weakest user's at the sweeps'
-    starting power, which is nearer the balance than equal transmit powers:
-    seeded MMSE draws with K = 110 users at N = 100 then reach it in 4-5
-    steps on 24 of 30 draws, where equal transmit powers reach it on none.
+    MMSE starts at the large-system balance (Tse and Hanly, IEEE Trans. IT
+    1999): every user received at q = gamma* sigma2 / Gamma, the load being
+    K/N with m antennas, i.e. rec_k = q / |sbar_k|^2. On seeded draws at
+    N = 100 and 200 below the load limit the mean received power of the
+    finite balance lies within 1-2% of q with one antenna and ~19% above it
+    with two, and Newton settles in one step fewer than from the default
+    start either way. The default start, also MMSE's where the load is
+    infeasible or q / |sbar_k|^2 is not strictly between 0 and Pmax h2, is
+    equal received powers at the weakest user's sweep starting power. MF
+    and DE keep it: from any start they balance in one step.
+    """
+    N, K = np.shape(S)
+    # an underflow or overflow only fails a range test, here or Newton's
+    with np.errstate(all="ignore"):
+        rec = np.full(K, INITIAL_POWER_FRACTION * params.Pmax * h2.min())
+        if kind is not ReceiverKind.MMSE:
+            return rec
+        try:
+            q = balanced_received_power(kind, K / N, gamma_star, params.sigma2,
+                                        len(np.atleast_2d(H)))
+        except InfeasibleLoadError:
+            return rec
+        large = q / np.einsum("nk,nk->k", Sbar, Sbar)
+        inside = np.all((large > 0.0) & (large < params.Pmax * h2))
+    return large if inside else rec
+
+
+def _newton_balance(balance: Callable[[np.ndarray], tuple], rec: np.ndarray,
+                    h2: np.ndarray, Pmax: float, gamma_star: float,
+                    max_iter: int):
+    """Newton iteration on the uncapped balance rec = gamma* I(rec), from
+    the received powers rec (_newton_start's).
 
     balance is make_sir_engine's map rec -> (SIRs, dI/drec). Each step is
     rec + solve(Id - gamma* dI/drec, gamma* I(rec) - rec), or gamma* I(rec)
@@ -123,12 +148,13 @@ def _newton_balance(balance: Callable[[np.ndarray], tuple], h2: np.ndarray,
     sweeps' rule; a step counts toward max_iter. Returns
     (powers, SIRs, steps, settled), or None when a step fails: a singular
     system, a zero SIR, or an iterate that is not strictly between 0 and
-    Pmax, which only the capped sweeps can handle.
+    Pmax, which only the capped sweeps can handle. With more MMSE users than
+    chips that happens on feasible draws too: of 30 seeded draws each,
+    1 at N = 100, K = 110 and 28 at N = 20, K = 22 fall back.
     """
     eye = np.eye(len(h2))
     # a failed step ends in the fallback, so it must not warn or raise
     with np.errstate(all="ignore"):
-        rec = np.full(len(h2), INITIAL_POWER_FRACTION * Pmax * h2.min())
         cap = Pmax * h2
         for steps in range(max_iter + 1):
             if not np.all((rec > 0.0) & (rec < cap)):  # also rejects NaN
@@ -168,13 +194,15 @@ def solve_channel(S, H, kind: ReceiverKind, params: SystemParams,
     """
     if gamma_star is None:
         gamma_star = solve_gamma_star(model)
-    S, h2 = effective_system(kind, S, H)
-    balance = make_sir_engine(kind, S, params.sigma2)
-    newton = _newton_balance(balance, h2, params.Pmax, gamma_star, max_iter)
+    Sbar, h2 = effective_system(kind, S, H)
+    balance = make_sir_engine(kind, Sbar, params.sigma2)
+    start = _newton_start(kind, S, H, Sbar, h2, params, gamma_star)
+    newton = _newton_balance(balance, start, h2, params.Pmax, gamma_star,
+                             max_iter)
     if newton is None:
-        return solve_from_engine(lambda p: balance(p * h2)[0], S.shape[1],
-                                 params, model, gamma_star, max_iter)
-    return _result(*newton, params, model, gamma_star)
+        return solve_from_engine(lambda p: balance(p * h2)[0], Sbar.shape[1],
+                                 params, gamma_star, max_iter)
+    return _result(*newton, params, gamma_star)
 
 
 def solve_equilibrium(realization: ChannelRealization, kind: ReceiverKind,

@@ -22,7 +22,7 @@ from .efficiency import EfficiencyModel, eff_value
 from .exceptions import (ConfigError, SingularSpreadingError, SolverError,
                          check_value)
 
-COND_LIMIT = 1e12  # condition estimate above which S'S is declared singular
+COND_LIMIT = 1e12  # 1-norm condition number above which S'S is declared singular
 
 
 class ReceiverKind(Enum):
@@ -126,14 +126,27 @@ def effective_system(kind: ReceiverKind, S, H) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _zf_columns(S: np.ndarray) -> np.ndarray:
-    """Inverse crosscorrelation matrix (S'S)^-1 with a rank guard."""
+    """Inverse crosscorrelation matrix (S'S)^-1 with a rank guard.
+
+    The guard reads the 1-norm condition number |G|_1 |G^-1|_1 off the
+    inverse it returns, with no SVD. G = S'S is symmetric, so its 2-norm
+    condition number k2 obeys k2 <= k1 <= K k2: the guard rejects every
+    draw a k2 guard at COND_LIMIT would, and an exactly singular or NaN G.
+    """
     N, K = S.shape
     if K > N:
         raise SingularSpreadingError(f"decorrelator needs K <= N, got K={K}, N={N}")
+    singular = "spreading crosscorrelation matrix is singular"
     G = S.T @ S
-    if np.linalg.cond(G) > COND_LIMIT:
-        raise SingularSpreadingError("spreading crosscorrelation matrix is singular")
-    return np.linalg.inv(G)
+    try:
+        inverse = np.linalg.inv(G)
+    except np.linalg.LinAlgError:
+        raise SingularSpreadingError(singular) from None
+    with np.errstate(all="ignore"):  # an overflow gives inf, rejected below
+        cond = np.linalg.norm(G, 1) * np.linalg.norm(inverse, 1)
+    if not cond <= COND_LIMIT:  # also rejects NaN
+        raise SingularSpreadingError(singular)
+    return inverse
 
 
 def receiver_filter(kind: ReceiverKind, k: int, S: np.ndarray, heff: np.ndarray,

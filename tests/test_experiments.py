@@ -12,7 +12,8 @@ from powergame.experiments import (ScenarioConfig, SweepMode,
                                    run_equilibria, run_finite_vs_asymptotic,
                                    run_load_sweep, run_target_sir_comparison,
                                    run_utility_power_curve, trial_rng)
-from powergame.system import COND_LIMIT, ReceiverKind, generate_gains
+from powergame.system import (COND_LIMIT, ReceiverKind, generate_gains,
+                              utility)
 
 from conftest import make_params
 
@@ -242,6 +243,15 @@ class TestTableShape:
         rows_two, converged = run_equilibria(two)
         assert converged and len(rows_two) == 5
         assert all(b.power < a.power for a, b in zip(rows_one, rows_two))
+
+    def test_equilibrium_utility_is_each_rows_utility(self):
+        # the utility column is the bits per joule of the row's own power
+        # and SIR, for every receiver
+        cfg = config(params=make_params(K=5), trials=1)
+        rows, converged = run_equilibria(cfg)
+        assert converged and len(rows) == 15
+        assert all(r.utility == utility(r.power, r.sir, cfg.params, cfg.model)
+                   for r in rows)
 
 
 class TestLoadSweep:

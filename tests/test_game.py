@@ -92,7 +92,7 @@ class TestBestResponse:
     def test_zero_sir_raises_infeasible_in_sweep(self, params, model, gamma_star):
         from powergame.game import solve_from_engine
         with pytest.raises(InfeasibleUserError):
-            solve_from_engine(lambda p: np.zeros_like(p), 3, params, model,
+            solve_from_engine(lambda p: np.zeros_like(p), 3, params,
                               gamma_star)
 
 
@@ -142,8 +142,7 @@ class TestSolveEquilibrium:
         # settle at once, but no user reaches gamma_star
         K = 5
         params = make_params(K=K, Pmax=1e-15)
-        result = solve_from_engine(lambda p: 1e6 * p, K, params, model,
-                                   gamma_star)
+        result = solve_from_engine(lambda p: 1e6 * p, K, params, gamma_star)
         assert result.clamped_users == frozenset(range(K))
         assert np.all(result.powers == params.Pmax)
         assert not result.converged
@@ -153,16 +152,17 @@ class TestSolveEquilibrium:
         params = make_params(K=2, Pmax=1.0)
         sir_per_watt = np.array([0.5, 1e3]) * gamma_star  # user 0: 0.5 g* at Pmax
         result = solve_from_engine(lambda p: sir_per_watt * p, 2, params,
-                                   model, gamma_star)
+                                   gamma_star)
         assert result.clamped_users == frozenset({0})
         assert result.converged
 
     def test_max_iter_reports_not_converged(self, model):
+        # from the large-system start this draw settles in 2 Newton steps
         params = make_params(K=20)
         realization = draw_realization(np.random.default_rng(8), 100, 20)
-        result = solve_equilibrium(realization, MMSE, params, model, max_iter=2)
+        result = solve_equilibrium(realization, MMSE, params, model, max_iter=1)
         assert not result.converged
-        assert result.iterations == 2
+        assert result.iterations == 1
 
 
 class TestResult:
@@ -177,15 +177,13 @@ class TestResult:
             p = rng.choice([1.0, 1.0 - 1e-13, 1.0 - 1e-11, 1e-3], K)
             sirs = gamma_star * (1.0 + rng.choice([0.0, 1e-7, -1e-5], K))
             settled = bool(rng.integers(0, 2))
-            result = _result(p, sirs, 1, settled, params, model, gamma_star)
+            result = _result(p, sirs, 1, settled, params, gamma_star)
             clamped = {k for k in range(K) if p[k] >= 1.0 - 1e-12}
             free = [k for k in range(K) if k not in clamped]
             sir_ok = all(abs(sirs[k] - gamma_star) / gamma_star <= SIR_TOL
                          for k in free)
             assert result.clamped_users == clamped
             assert result.converged is (settled and sir_ok and bool(free))
-            assert np.array_equal(result.utilities, [
-                utility(p[k], sirs[k], params, model) for k in range(K)])
 
 
 class TestNewtonBalance:
@@ -212,6 +210,33 @@ class TestNewtonBalance:
                 model, gamma_star, 100, 58)
             assert result.iterations <= 5
 
+    @pytest.mark.parametrize("N,K,m", [(100, 58, 1), (200, 100, 1),
+                                       (200, 100, 2)])
+    def test_mmse_starts_at_the_large_system_balance(self, N, K, m, model,
+                                                     gamma_star, monkeypatch):
+        # from q = gamma* sigma2 / Gamma the balance map runs at most 3
+        # steps plus the settle check; the default start takes 4 plus it
+        calls = []
+
+        def counting_engine(*args):
+            balance = make_sir_engine(*args)
+
+            def counted(rec):
+                calls.append(1)
+                return balance(rec)
+            return counted
+
+        monkeypatch.setattr("powergame.game.make_sir_engine", counting_engine)
+        params = make_params(K=K, N=N, m=m)
+        for t in range(5):
+            realization = draw_realization(np.random.default_rng((41, t)), N,
+                                           K, m=m)
+            calls.clear()
+            result = solve_equilibrium(realization, MMSE, params, model,
+                                       gamma_star=gamma_star)
+            assert result.converged and not result.clamped_users
+            assert len(calls) <= 4 and result.iterations == len(calls) - 1
+
     def test_slow_sweeps_do_not_limit_matched_filter(self, model, gamma_star):
         # a feasible draw whose sweeps contract at rho close to 1 balances
         # at any max_iter; the sweeps alone stop short of it at 500
@@ -223,7 +248,7 @@ class TestNewtonBalance:
         rho = max(abs(np.linalg.eigvals(gamma_star * engine(h2)[1])))
         assert 0.97 < rho < 1.0
         sweeps = solve_from_engine(lambda p: engine(p * h2)[0], 14, params,
-                                   model, gamma_star)
+                                   gamma_star)
         assert not sweeps.converged
         for max_iter in (1, 500, 5000):
             result = solve_equilibrium(realization, MF, params, model,
@@ -255,21 +280,20 @@ class TestNewtonBalance:
         # this check keeps it from being returned as a result
         def balance(rec):
             return np.zeros_like(rec), None
-        assert _newton_balance(balance, np.ones(3), 1.0, gamma_star,
-                               max_iter) is None
+        assert _newton_balance(balance, np.full(3, 1e-2), np.ones(3), 1.0,
+                               gamma_star, max_iter) is None
 
     def test_singular_newton_system_is_no_balance(self, gamma_star):
         # Id - gamma* J = 0: the step has no solution, the sweeps take over
         def balance(rec):
             return rec / 1e-3, np.eye(3) / gamma_star
-        assert _newton_balance(balance, np.ones(3), 1.0, gamma_star,
-                               500) is None
+        assert _newton_balance(balance, np.full(3, 1e-2), np.ones(3), 1.0,
+                               gamma_star, 500) is None
 
     @staticmethod
     def assert_same_result(result, sweeps):
         assert np.array_equal(result.powers, sweeps.powers)
         assert np.array_equal(result.sirs, sweeps.sirs)
-        assert np.array_equal(result.utilities, sweeps.utilities)
         assert result.iterations == sweeps.iterations
         assert result.converged == sweeps.converged
         assert result.clamped_users == sweeps.clamped_users
@@ -286,7 +310,7 @@ class TestNewtonBalance:
                                    gamma_star=gamma_star)
         assert result.clamped_users
         self.assert_same_result(result, solve_from_engine(
-            lambda p: engine(p * h2)[0], 30, params, model, gamma_star))
+            lambda p: engine(p * h2)[0], 30, params, gamma_star))
 
     def test_infeasible_overloaded_mmse_falls_back(self, model, gamma_star):
         # K = 2N is beyond the MMSE load limit 1.15
@@ -298,7 +322,7 @@ class TestNewtonBalance:
         h2 = realization.H[0] ** 2
         engine = make_sir_engine(MMSE, realization.S, params.sigma2)
         self.assert_same_result(result, solve_from_engine(
-            lambda p: engine(p * h2)[0], 40, params, model, gamma_star))
+            lambda p: engine(p * h2)[0], 40, params, gamma_star))
 
 
 class TestProperties:
@@ -380,7 +404,10 @@ class TestProperties:
                 continue
             kept += 1
             for kind in KINDS:
-                sums[kind] += float(np.mean(results[kind].utilities))
+                r = results[kind]
+                sums[kind] += float(np.mean([
+                    utility(p, g, params, model)
+                    for p, g in zip(r.powers.tolist(), r.sirs.tolist())]))
         assert sums[MMSE] >= sums[DE]
         assert sums[MMSE] >= sums[MF]
 
@@ -413,27 +440,26 @@ class TestVerifyNash:
                             perturbed, params.sigma2)
         g = output_sir(c, k, realization.S, realization.H[0], perturbed,
                        params.sigma2)
-        assert utility(perturbed[k], g, params, model) < result.utilities[k]
+        assert utility(perturbed[k], g, params, model) < utility(
+            result.powers[k], result.sirs[k], params, model)
 
     @staticmethod
     def deviated_profile(kind, factor, model, gamma_star):
         """A converged equilibrium with user 4's power scaled by factor."""
         from dataclasses import replace
 
-        from powergame.system import make_sir_engine, utility
+        from powergame.system import make_sir_engine
 
         params = make_params(K=10, N=64)
         realization, result = feasible_instance(
             lambda a: np.random.default_rng((18, a)), kind, params, model,
             gamma_star, 64, 10)
-        # rebuild the profile so utilities are consistent with the powers
+        # rebuild the profile so the SIRs are consistent with the powers
         powers = result.powers.copy()
         powers[4] *= factor
         engine = make_sir_engine(kind, realization.S, params.sigma2)
         sirs = engine(powers * realization.H[0] ** 2)[0]
-        utilities = np.array([utility(powers[k], sirs[k], params, model)
-                              for k in range(10)])
-        broken = replace(result, powers=powers, sirs=sirs, utilities=utilities)
+        broken = replace(result, powers=powers, sirs=sirs)
         return broken, realization, params
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -446,8 +472,8 @@ class TestVerifyNash:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_reads_only_the_powers(self, kind, model, gamma_star):
-        # the SIRs and utilities left from the equilibrium are stale: only
-        # the powers show that user 4 overspends
+        # the SIRs left from the equilibrium are stale: only the powers
+        # show that user 4 overspends
         from dataclasses import replace
 
         params = make_params(K=10, N=64)
@@ -606,9 +632,7 @@ class TestMultiAntenna:
         powers[2] *= 3.0
         S, h2 = effective_system(kind, realization.S, realization.H)
         sirs = make_sir_engine(kind, S, params.sigma2)(powers * h2)[0]
-        utilities = np.array([utility(powers[k], sirs[k], params, model)
-                              for k in range(self.K)])
-        broken = replace(result, powers=powers, sirs=sirs, utilities=utilities)
+        broken = replace(result, powers=powers, sirs=sirs)
         assert not verify_nash(broken, realization, kind, params, model)
 
     @pytest.mark.parametrize("kind", KINDS)

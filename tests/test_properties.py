@@ -22,8 +22,8 @@ from powergame.efficiency import (EfficiencyKind, EfficiencyModel,
                                   solve_gamma_star)
 from powergame.exceptions import (PowerGameError, SingularSpreadingError,
                                   SolverError)
-from powergame.game import (POWER_TOL, _newton_balance, solve_channel,
-                            solve_from_engine)
+from powergame.game import (POWER_TOL, _newton_balance, _newton_start,
+                            solve_channel, solve_from_engine)
 from powergame.system import (ReceiverKind, SystemParams, effective_system,
                               generate_gains, generate_spreading,
                               make_sir_engine, mmse_sirs, output_sir,
@@ -223,7 +223,7 @@ class TestNewtonBalance:
         except SingularSpreadingError:
             reject()
         sweeps = solve_from_engine(lambda p: engine(p * h2)[0], K, params,
-                                   MODEL, GAMMA_STAR, max_iter=5000)
+                                   GAMMA_STAR, max_iter=5000)
         result = solve_channel(S, H, kind, params, MODEL, max_iter=5000,
                                gamma_star=GAMMA_STAR)
         if sweeps.clamped_users:
@@ -253,20 +253,36 @@ class TestNewtonBalance:
            st.sampled_from([1, 3, 500]))
     def test_no_error_escapes_a_newton_step(self, system, sigma2, Pmax,
                                             max_iter):
-        # the CLI solves under errstate(all="raise"); a step that breaks
-        # down must hand over to the sweeps, not raise
+        # the CLI solves under errstate(raise); neither the start nor a step
+        # that breaks down may raise: the sweeps take over instead. MMSE
+        # draws reach twice the load limit 1 + 1/gamma*, where the
+        # large-system start does not exist
         kind, S, H = system
+        N, K = S.shape
+        params = SystemParams(K=K, N=N, sigma2=sigma2, R=1e5, L=100, M=100,
+                              Pmax=Pmax)
         Sbar, h2 = effective_system(kind, S, H)
         try:
             engine = make_sir_engine(kind, Sbar, sigma2)
         except PowerGameError:
             reject()
         with np.errstate(all="raise"):
-            newton = _newton_balance(engine, h2, Pmax, GAMMA_STAR, max_iter)
-        if newton is not None:
-            powers, sirs, steps, _ = newton
-            assert np.all((powers > 0) & (powers <= Pmax))
-            assert 0 <= steps <= max_iter
+            start = _newton_start(kind, S, H, Sbar, h2, params, GAMMA_STAR)
+            newton = _newton_balance(engine, start, h2, Pmax, GAMMA_STAR,
+                                     max_iter)
+        assert start.shape == (K,)
+        if newton is None:
+            return  # the sweeps' own arithmetic is not under test here
+        powers, sirs, steps, _ = newton
+        assert np.all((powers > 0) & (powers <= Pmax))
+        assert 0 <= steps <= max_iter
+        # and solve_channel takes that start and those steps, under the
+        # errstate the CLI sets
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            result = solve_channel(S, H, kind, params, MODEL, max_iter,
+                                   GAMMA_STAR)
+        assert np.array_equal(result.powers, powers)
+        assert result.iterations == steps
 
 
 def _cli_stdout(argv):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from powergame.exceptions import SingularSpreadingError, SolverError
-from powergame.system import (ChannelRealization, ReceiverKind,
-                              generate_gains, generate_spreading,
+from powergame.system import (COND_LIMIT, ChannelRealization, ReceiverKind,
+                              _zf_columns, generate_gains, generate_spreading,
                               make_sir_engine, output_sir, receiver_filter,
                               receiver_filters, sir_per_watt, utility)
 
@@ -84,6 +84,42 @@ class TestReceiverFilter:
         S[:, 2] = S[:, 0]  # duplicated sequence
         with pytest.raises(SingularSpreadingError):
             receiver_filter(DE, 0, S, np.ones(3), np.ones(3), 1e-3)
+
+    def test_duplicate_columns_are_singular_not_a_linalg_error(self):
+        # G = S'S is exactly singular here, so inv itself raises
+        S = generate_spreading(16, 3, np.random.default_rng(9))
+        S[:, 2] = S[:, 0]
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(S.T @ S)
+        with pytest.raises(SingularSpreadingError) as err:
+            _zf_columns(S)
+        assert not isinstance(err.value, np.linalg.LinAlgError)
+
+    def test_rank_guard_agrees_with_the_two_norm_condition_number(self):
+        # the guard reads the 1-norm condition number k1 off the inverse;
+        # np.linalg.cond, the SVD's k2, is the oracle. Small N with K <= N
+        # gives many exactly singular S'S, N = 100 and 200 the sizes the
+        # experiments use
+        cases = [(N, K, 30) for N in range(2, 13) for K in range(1, N + 1)]
+        cases += [(N, round(load * N), 5) for N in (100, 200)
+                  for load in (0.3, 0.5)]
+        accepted, rejected = [], 0
+        for N, K, draws in cases:
+            for t in range(draws):
+                S = generate_spreading(N, K, np.random.default_rng((50, N, K, t)))
+                k2 = np.linalg.cond(S.T @ S)
+                try:
+                    _zf_columns(S)
+                except SingularSpreadingError:
+                    assert k2 > COND_LIMIT, (N, K, t)
+                    rejected += 1
+                else:
+                    assert k2 <= COND_LIMIT, (N, K, t)
+                    accepted.append(k2)
+        assert rejected > 200
+        # the margin: the largest accepted k2 is 2.6e4, so k1 <= K k2 stays
+        # far below COND_LIMIT, and every rejected draw has k2 above 7e15
+        assert max(accepted) < 1e5
 
     def test_mmse_without_interference_is_scaled_matched_filter(self):
         S = generate_spreading(16, 3, np.random.default_rng(10))
