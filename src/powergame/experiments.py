@@ -1,12 +1,13 @@
 """Seeded Monte Carlo scenarios emitting tabular sweep data.
 
-Reproducibility contract: every random draw is a pure function of
-(master_seed, stream label, trial index), realized through numpy SeedSequence
-spawn keys, and all aggregation uses math.fsum so reported means are exact
-and independent of trial ordering. Running the same config twice therefore
-produces identical tables, bit for bit. The per-trial sweep and admission
-draws come from the trial_rng streams; only their seeding is batched, one
-vectorised SeedSequence hash per chunk of consecutive trials.
+Reproducibility contract: every random draw comes from a trial_rng stream,
+a pure function of (master_seed, stream label, key) realized through numpy
+SeedSequence spawn keys, and all aggregation uses math.fsum so reported
+means are exact and independent of trial ordering. Running the same config
+twice therefore produces identical tables, bit for bit. The realizations of
+the finite-system tables take one stream each. The Monte Carlo tables
+(sweep and admission) read trial t as row t of a few sequential streams, so
+their first T trials do not depend on the trial count.
 
 Variance-reduction choices that keep the desk-scale runs stable:
 
@@ -24,12 +25,13 @@ import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 
 import numpy as np
 
 from . import asymptotic
 from .efficiency import EfficiencyModel, eff_value, solve_gamma_star
-from .exceptions import (ConfigError, InfeasibleLoadError, PowerGameError,
+from .exceptions import (ConfigError, InfeasibleLoadError,
                          SingularSpreadingError, SolverError, check_value)
 from .game import solve_equilibrium
 from .system import (ChannelRealization, ReceiverKind, SystemParams,
@@ -45,8 +47,8 @@ _STREAM_FINITE = 2
 _STREAM_CURVE = 3
 _STREAM_EQUILIBRIUM = 4
 
-# trials per vectorised block of gain draws; whole-run arrays are no faster
-# and would tie peak memory to the trial count
+# admission trials per vectorised block of draws; whole-run arrays are no
+# faster and would tie peak memory to the trial count
 _BLOCK = 32
 
 
@@ -153,94 +155,6 @@ def trial_rng(master_seed: int, stream: int, *key: int) -> np.random.Generator:
         np.random.SeedSequence(master_seed, spawn_key=(stream, *key)))
 
 
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): its constants
-# and word order are fixed by numpy's stream-compatibility policy, and
-# _trial_rngs checks them against numpy once per seeding chunk
-_M32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_SEED_CHUNK = 256  # trials per vectorised hash; 32 B of words each
-
-
-def _hashmix(value, h, mult):
-    # one hash step on uint32 words held in Python ints or uint64 arrays
-    h_next = h * mult & _M32
-    value = (value ^ h) * h_next & _M32
-    return value ^ value >> 16, h_next
-
-
-def _mix(x, y):
-    # x * L - y * R mod 2**32, with -R taken mod 2**32 so arrays never wrap
-    r = ((_MIX_L * x & _M32) + (-_MIX_R & _M32) * y) & _M32
-    return r ^ r >> 16
-
-
-def _uint32_words(n: int) -> list:
-    return [n >> s & _M32 for s in range(0, max(n.bit_length(), 1), 32)]
-
-
-def _trial_states(master_seed: int, stream: int, first: int, count: int):
-    """SeedSequence(master_seed, spawn_key=(stream, t)).generate_state(4,
-    uint64) for t = first .. first + count - 1, one row per trial.
-
-    The entropy words are the seed zero-padded to the pool size 4, the stream
-    and, last, the trial index: the prefix is mixed once in Python ints, the
-    trial word and the output words for the whole chunk in numpy.
-    """
-    if master_seed < 0 or first < 0 or first + count - 1 > _M32:
-        raise ValueError("need a seed >= 0 and trial indices below 2**32")
-    seed = _uint32_words(master_seed)
-    entropy = seed + [0] * (4 - len(seed)) + _uint32_words(stream)
-    h, pool = _INIT_A, []
-    for word in entropy[:4]:
-        value, h = _hashmix(word, h, _MULT_A)
-        pool.append(value)
-    for src in range(4):
-        for dst in range(4):
-            if dst != src:
-                value, h = _hashmix(pool[src], h, _MULT_A)
-                pool[dst] = _mix(pool[dst], value)
-    trials = np.arange(first, first + count, dtype=np.uint64)
-    for word in entropy[4:] + [trials]:
-        for dst in range(4):
-            value, h = _hashmix(word, h, _MULT_A)
-            pool[dst] = _mix(pool[dst], value)
-    words, h = [], _INIT_B
-    for i in range(8):
-        value, h = _hashmix(pool[i % 4], h, _MULT_B)
-        words.append(value)
-    # uint32 words pair up little-endian into C-ordered uint64 rows
-    return np.stack([lo | hi << 32 for lo, hi in zip(words[::2], words[1::2])],
-                    axis=1)
-
-
-def _trial_rngs(master_seed: int, stream: int, first: int, count: int):
-    """trial_rng(master_seed, stream, t) for t = first .. first + count - 1."""
-    # imported here, not with the module: numpy.random loads on first use,
-    # and gamma-star, which never draws, is spared its ~20 ms and ~6 MB
-    from numpy.random.bit_generator import ISeedSequence
-
-    class TrialSeed(ISeedSequence):
-        """One trial's precomputed words, for PCG64's one and only request,
-        generate_state(4, uint64)."""
-
-        def __init__(self, words):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.words
-
-    for start in range(first, first + count, _SEED_CHUNK):
-        states = _trial_states(master_seed, stream, start,
-                               min(_SEED_CHUNK, first + count - start))
-        oracle = np.random.SeedSequence(master_seed, spawn_key=(stream, start))
-        if not np.array_equal(states[0], oracle.generate_state(4, np.uint64)):
-            raise PowerGameError("batched trial seeding disagrees with numpy")
-        for words in states:
-            yield np.random.Generator(np.random.PCG64(TrialSeed(words)))
-
-
 def _mean(values) -> float:
     return math.fsum(values) / len(values)
 
@@ -268,41 +182,23 @@ def _one(key: str, values: tuple, message: str, only=None):
     return values[0]
 
 
-def _draw_blocks(config: ScenarioConfig, stream: int, count: int,
-                 uniforms: bool):
-    """Raw per-trial draws, ``_BLOCK`` trials at a time.
-
-    Trial t takes, from the trial_rng(master_seed, stream, t) stream (seeded
-    in batches by _trial_rngs) and in this order, ``count`` uniforms (only if
-    ``uniforms``) and then ``count`` unit-scale Rayleigh amplitudes: the
-    draws generate_gains makes for ``count`` gains at one scale. Rayleigh
-    variates are scale * sqrt(2 E), so multiplying a unit draw by the scale
-    afterwards gives the same floats, which lets the callers apply distances
-    and scales to a whole block at once. Yields
-    (first trial, uniforms or None, unit draws), both arrays of shape
-    (block trials, count).
-    """
-    rngs = _trial_rngs(config.master_seed, stream, 0, config.trials)
-    for start in range(0, config.trials, _BLOCK):
-        rows = min(_BLOCK, config.trials - start)
-        u = np.empty((rows, count)) if uniforms else None
-        unit = np.empty((rows, count))
-        for i in range(rows):
-            rng = next(rngs)
-            if uniforms:
-                rng.random(out=u[i])
-            unit[i] = rng.rayleigh(size=count)
-        yield start, u, unit
-
-
 def _sweep_gains(config: ScenarioConfig) -> np.ndarray:
-    """Per-trial squared gains of the observed user, one row per antenna."""
+    """Squared gains of the observed user, one row per trial and one column
+    per antenna: antenna l's column is the scaled Rayleigh draws of
+    trial_rng(master_seed, _STREAM_SWEEP, l), so it depends on neither the
+    other antennas nor the trials after it."""
     scale = rayleigh_scale([config.distance])
-    m_max = max(config.antennas)
-    h2 = np.empty((config.trials, m_max))
-    for start, _, unit in _draw_blocks(config, _STREAM_SWEEP, m_max, False):
-        h2[start:start + len(unit)] = (scale * unit) ** 2
-    return h2
+    return np.column_stack([
+        (scale * trial_rng(config.master_seed, _STREAM_SWEEP, l).rayleigh(
+            size=config.trials)) ** 2
+        for l in range(max(config.antennas))])
+
+
+def _moments(hbar2: np.ndarray):
+    """(mean, sample std, mean of the reciprocal) of hbar2, exact sums."""
+    values = hbar2.tolist()
+    mean = _mean(values)
+    return mean, _std(values, mean), _mean((1.0 / hbar2).tolist())
 
 
 def _sort_key(row: SweepRow):
@@ -350,7 +246,7 @@ def run_load_sweep(config: ScenarioConfig):
     cells = _feasible_cells(config.kinds, config.antennas, config.alpha_grid,
                             gstar)
     h2 = _sweep_gains(config)
-    hbar2_by_m = {m: h2[:, :m].sum(axis=1) for m in config.antennas}
+    moments = {m: _moments(h2[:, :m].sum(axis=1)) for m in config.antennas}
     rows = []
     for kind, m, alpha, gamma_bar in cells:
         # (mode, target SIR, Gamma) of each row of the cell
@@ -361,17 +257,17 @@ def run_load_sweep(config: ScenarioConfig):
             g_opt = asymptotic.solve_pareto_target(kind, alpha, model)
             targets.append((SweepMode.PARETO, g_opt,
                             asymptotic.gamma_factor(kind, alpha, g_opt)))
-        hbar2 = hbar2_by_m[m]
-        # one grouping for both modes, so the decorrelator rows, whose
-        # cooperative target equals the tangent solution, come out
-        # bit-identical to the non-cooperative ones
+        mean, std, mean_inv = moments[m]
+        # utility is coef * hbar2 and power gamma sigma2 / (Gamma hbar2):
+        # the rows scale the moments of hbar2 by one grouping for both
+        # modes, so the decorrelator rows, whose cooperative target equals
+        # the tangent solution, come out bit-identical to the
+        # non-cooperative ones
         for mode, gamma, factor in targets:
             coef = asymptotic.utility_coef(p, model, gamma) * factor
-            utilities = (coef * hbar2).tolist()
-            powers = ((gamma * p.sigma2) / (hbar2 * factor)).tolist()
-            mu = _mean(utilities)
-            rows.append(SweepRow(alpha, kind, m, mode, mu, _std(utilities, mu),
-                                 _mean(powers), gamma, config.trials, 0))
+            rows.append(SweepRow(alpha, kind, m, mode, coef * mean, coef * std,
+                                 (gamma * p.sigma2 / factor) * mean_inv,
+                                 gamma, config.trials, 0))
     rows.sort(key=_sort_key)
     return rows
 
@@ -395,14 +291,27 @@ def _annulus_distances(u: np.ndarray, d_min: float, d_max: float) -> np.ndarray:
 
 
 def _pooled_mean_h2(config: ScenarioConfig) -> float:
-    """E[h^2] over the per-trial placement pools of N annulus users."""
+    """E[h^2] over the placement pools of N annulus users, one per trial.
+
+    Trial t's users take row t of the (trials, N) unit Rayleigh draws of
+    trial_rng(master_seed, _STREAM_ADMISSION, 0) and of the annulus uniforms
+    of trial_rng(master_seed, _STREAM_ADMISSION, 1). The mean is one exact
+    sum over all trials * N squared gains, drawn ``_BLOCK`` trials at a time
+    so memory does not grow with the trial count.
+    """
     pool = config.params.N
-    mean_h2 = []
-    for _, u, unit in _draw_blocks(config, _STREAM_ADMISSION, pool, True):
-        d = _annulus_distances(u, config.d_min, config.d_max)
-        h = rayleigh_scale(d) * unit
-        mean_h2.extend(_mean(row.tolist()) for row in h ** 2)
-    return _mean(mean_h2)
+    gains = trial_rng(config.master_seed, _STREAM_ADMISSION, 0)
+    places = trial_rng(config.master_seed, _STREAM_ADMISSION, 1)
+
+    def squares():
+        for start in range(0, config.trials, _BLOCK):
+            shape = (min(_BLOCK, config.trials - start), pool)
+            d = _annulus_distances(places.random(shape), config.d_min,
+                                   config.d_max)
+            yield ((rayleigh_scale(d) * gains.rayleigh(size=shape)) ** 2
+                   ).ravel().tolist()
+
+    return math.fsum(chain.from_iterable(squares())) / (config.trials * pool)
 
 
 def run_admission_curve(config: ScenarioConfig):

@@ -1,12 +1,12 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
 
 from powergame.asymptotic import feasibility_bound, gamma_factor
 from powergame.efficiency import EfficiencyKind, EfficiencyModel, eff_value
 from powergame import experiments
-from powergame.exceptions import (ConfigError, InfeasibleLoadError,
-                                  PowerGameError)
+from powergame.exceptions import ConfigError, InfeasibleLoadError
 from powergame.experiments import (ScenarioConfig, SweepMode,
                                    run_admission_curve, run_efficiency_curve,
                                    run_equilibria, run_finite_vs_asymptotic,
@@ -49,104 +49,82 @@ class TestTrialRng:
 
 
 BLOCK = experiments._BLOCK
-CHUNK = experiments._SEED_CHUNK
+TRIALS = [1, BLOCK - 1, BLOCK, BLOCK + 1, 255, 256, 257]
 
 
-class TestBatchedSeeding:
-    """The vectorised SeedSequence hash against numpy's own, bit for bit.
+def _sweep_oracle(seed: int, trials: int, m: int):
+    # antenna l's column: the gains generate_gains draws for `trials` users
+    # at config()'s distance from trial_rng(seed, sweep stream, l)
+    return np.column_stack([
+        generate_gains([100.0] * trials, 1,
+                       trial_rng(seed, experiments._STREAM_SWEEP, l))[0]
+        for l in range(m)]) ** 2
 
-    Any slip in the hash (a dropped zero-pad of the seed, a wrong constant,
-    the trial word mixed in the wrong place) changes every output word, so
-    equality is asserted with ==, never a tolerance.
-    """
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(seed=st.integers(0, 2 ** 160 - 1), stream=st.integers(0, 2 ** 40 - 1),
-           count=st.integers(1, 8), data=st.data())
-    @example(seed=2 ** 160 - 1, stream=2 ** 40 - 1, count=8, data=None)
-    @example(seed=0, stream=0, count=1, data=None)
-    def test_words_and_draws_equal_trial_rng(self, seed, stream, count, data):
-        last = 2 ** 32 - 1 - count
-        first = last if data is None else data.draw(st.integers(0, last))
-        states = experiments._trial_states(seed, stream, first, count)
-        assert states.shape == (count, 4) and states.flags.c_contiguous
-        rngs = experiments._trial_rngs(seed, stream, first, count)
-        for t, words, got in zip(range(first, first + count), states, rngs):
-            oracle = np.random.SeedSequence(seed, spawn_key=(stream, t))
-            assert np.array_equal(words, oracle.generate_state(4, np.uint64))
-            ref = trial_rng(seed, stream, t)
-            assert np.array_equal(got.random(3), ref.random(3))
-            assert np.array_equal(got.rayleigh(size=3), ref.rayleigh(size=3))
-        assert next(rngs, None) is None
-
-    @pytest.mark.parametrize("seed", [0, 2 ** 32, 2 ** 130])
-    @pytest.mark.parametrize("trials", [1, CHUNK - 1, CHUNK, CHUNK + 1])
-    def test_trial_rngs_follow_trial_rng(self, seed, trials):
-        rngs = list(experiments._trial_rngs(seed, 3, 0, trials))
-        assert len(rngs) == trials
-        for t, rng in enumerate(rngs):
-            assert np.array_equal(rng.random(2), trial_rng(seed, 3, t).random(2))
-
-    def test_guard_raises_on_a_wrong_hash_constant(self, monkeypatch):
-        monkeypatch.setattr(experiments, "_MULT_B", experiments._MULT_B ^ 1)
-        with pytest.raises(PowerGameError, match="disagrees with numpy"):
-            next(experiments._trial_rngs(0, 0, 0, 1))
-        with pytest.raises(PowerGameError):
-            run_load_sweep(config(trials=3))
-
-    @pytest.mark.parametrize("first, count", [(2 ** 32, 1), (2 ** 32 - 2, 3),
-                                              (-1, 1)])
-    def test_trial_index_must_fit_one_word(self, first, count):
-        with pytest.raises(ValueError, match="below 2\\*\\*32"):
-            experiments._trial_states(0, 0, first, count)
-        # the last index that still fits is accepted
-        experiments._trial_states(0, 0, 2 ** 32 - 1, 1)
+def _admission_oracle(cfg):
+    # whole-run (trials, N) squared gains: uniforms from stream index 1,
+    # gains for the annulus distances from stream index 0
+    shape = (cfg.trials, cfg.params.N)
+    u = trial_rng(cfg.master_seed, experiments._STREAM_ADMISSION, 1).random(shape)
+    d = experiments._annulus_distances(u, cfg.d_min, cfg.d_max)
+    h = generate_gains(d.ravel(), 1,
+                       trial_rng(cfg.master_seed, experiments._STREAM_ADMISSION, 0))
+    return (h ** 2).reshape(shape)
 
 
 class TestBatchedDraws:
-    """Block-batched gain arithmetic against a per-trial generate_gains oracle.
+    """The Monte Carlo tables' draws against whole-array oracles.
 
-    Equality is exact: the batched path multiplies unit Rayleigh draws by the
-    scale afterwards, which matches numpy's own scale * sqrt(2 E) bit for bit.
+    Trial t is row t of each stream, so the draws of T trials are the first
+    T rows of any longer run, whatever the block size. Equality is exact:
+    a unit Rayleigh draw times the scale is numpy's own scale * sqrt(2 E),
+    and blocked draws from a Generator equal one whole-array draw.
     """
 
     @pytest.mark.parametrize("m_max", [1, 8])
-    @pytest.mark.parametrize("trials", [1, BLOCK - 1, BLOCK, BLOCK + 1,
-                                        CHUNK - 1, CHUNK, CHUNK + 1])
+    @pytest.mark.parametrize("trials", TRIALS)
     def test_sweep_gains_equal_per_trial_draws(self, m_max, trials):
         cfg = config(trials=trials, master_seed=11, antennas=(m_max,))
-        expected = np.array([
-            generate_gains([cfg.distance], m_max,
-                           trial_rng(11, experiments._STREAM_SWEEP, t))[:, 0]
-            for t in range(trials)]) ** 2
         got = experiments._sweep_gains(cfg)
         assert got.shape == (trials, m_max)
-        assert np.array_equal(got, expected)
+        assert np.array_equal(got, _sweep_oracle(11, trials, m_max))
 
-    @pytest.mark.parametrize("trials", [1, BLOCK - 1, BLOCK, BLOCK + 1,
-                                        CHUNK - 1, CHUNK, CHUNK + 1])
+    @pytest.mark.parametrize("trials", TRIALS)
     def test_admission_pooled_gain_equals_per_trial_draws(self, trials):
         cfg = config(trials=trials, master_seed=5)
-        pool = cfg.params.N
-        per_trial = []
-        for t in range(trials):
-            rng = trial_rng(5, experiments._STREAM_ADMISSION, t)
-            d = experiments._annulus_distances(rng.random(pool), cfg.d_min,
-                                               cfg.d_max)
-            h = generate_gains(d, 1, rng)
-            per_trial.append(experiments._mean((h[0] ** 2).tolist()))
+        squares = _admission_oracle(cfg)
         assert experiments._pooled_mean_h2(cfg) == \
-            experiments._mean(per_trial)
+            math.fsum(squares.ravel().tolist()) / squares.size
 
     @pytest.mark.parametrize("seed", [2 ** 32, 2 ** 130])
-    @pytest.mark.parametrize("trials", [CHUNK - 1, CHUNK, CHUNK + 1])
+    @pytest.mark.parametrize("trials", [255, 256, 257])
     def test_large_seeds_equal_per_trial_draws(self, seed, trials):
         cfg = config(trials=trials, master_seed=seed, antennas=(2,))
-        expected = np.array([
-            generate_gains([cfg.distance], 2,
-                           trial_rng(seed, experiments._STREAM_SWEEP, t))[:, 0] ** 2
-            for t in range(trials)])
-        assert np.array_equal(experiments._sweep_gains(cfg), expected)
+        assert np.array_equal(experiments._sweep_gains(cfg),
+                              _sweep_oracle(seed, trials, 2))
+
+    @pytest.mark.parametrize("trials", [BLOCK - 1, BLOCK + 1, 257])
+    def test_first_trials_are_a_prefix(self, trials):
+        short = config(trials=trials, master_seed=3, antennas=(1, 4))
+        long = config(trials=2 * trials, master_seed=3, antennas=(1, 4))
+        assert np.array_equal(experiments._sweep_gains(short),
+                              experiments._sweep_gains(long)[:trials])
+        # the first T rows of the 2T admission draws are the T-trial pool
+        head = _admission_oracle(long)[:trials]
+        assert experiments._pooled_mean_h2(short) == \
+            math.fsum(head.ravel().tolist()) / head.size
+
+    def test_sweep_and_antennas_share_the_single_antenna_rows(self):
+        # the m = 1 column ignores the largest antenna count, so sweep
+        # (antennas=(1,)) and the antennas table print the same m = 1 rows
+        one = experiments._sweep_gains(config(trials=BLOCK + 1, antennas=(1,)))
+        many = experiments._sweep_gains(config(trials=BLOCK + 1,
+                                               antennas=(1, 8)))
+        assert np.array_equal(one[:, 0], many[:, 0])
+        grid = dict(trials=60, alpha_grid=(0.1, 0.3, 0.7))
+        sweep = run_load_sweep(config(**grid))
+        antennas = run_load_sweep(config(antennas=(1, 2, 4, 8), **grid))
+        assert [r for r in antennas if r.m == 1] == sweep
 
 
 def _no_draw(*args, **kwargs):
@@ -176,7 +154,6 @@ class TestFeasibilityGate:
             "finite"])
     def test_all_infeasible_raises_before_any_draw(self, run, overrides,
                                                    message, monkeypatch):
-        monkeypatch.setattr(experiments, "_trial_rngs", _no_draw)
         monkeypatch.setattr(experiments, "trial_rng", _no_draw)
         with pytest.raises(InfeasibleLoadError) as err:
             run(config(**overrides))
@@ -227,7 +204,6 @@ class TestTableShape:
             "sir-compare-antennas", "finite-antennas"])
     def test_config_error_names_key(self, run, overrides, key, message,
                                     monkeypatch):
-        monkeypatch.setattr(experiments, "_trial_rngs", _no_draw)
         monkeypatch.setattr(experiments, "trial_rng", _no_draw)
         with pytest.raises(ConfigError) as err:
             run(config(**overrides))
@@ -284,16 +260,18 @@ class TestLoadSweep:
     def test_mean_matches_closed_form_recomputation(self, model, gamma_star):
         cfg = config(trials=50, alpha_grid=(0.2,), kinds=(MMSE,))
         row = run_load_sweep(cfg)[0]
-        # recompute from the same substreams
-        from powergame.system import generate_gains
-        h2 = []
-        for t in range(50):
-            rng = trial_rng(0, 0, t)
-            h2.append(float(generate_gains([100.0], 1, rng)[0, 0] ** 2))
+        # recompute from the same stream: trial t is its row t
+        h2 = _sweep_oracle(0, 50, 1)[:, 0]
         p = cfg.params
+        factor = gamma_factor(MMSE, 0.2, gamma_star)
         coef = (p.L * p.R * eff_value(model, gamma_star)
-                / (p.M * gamma_star * p.sigma2) * gamma_factor(MMSE, 0.2, gamma_star))
+                / (p.M * gamma_star * p.sigma2) * factor)
+        # utility coef * h^2 and power gamma* sigma2 / (Gamma h^2), per trial
         assert row.mean_utility == pytest.approx(coef * np.mean(h2), rel=1e-12)
+        assert row.std_utility == pytest.approx(coef * np.std(h2, ddof=1),
+                                                rel=1e-12)
+        assert row.mean_power == pytest.approx(
+            np.mean(gamma_star * p.sigma2 / (factor * h2)), rel=1e-12)
         assert row.trials_used == 50 and row.trials_discarded == 0
 
     def test_pareto_mode_both_emits_pairs(self):

@@ -2,7 +2,8 @@
 reads another module's private (``_name``) attributes, the CLI leaves
 feasibility and every other table decision to the experiment drivers, only
 ``system`` uses the per-user filter reference, every exported name
-resolves, and importing the package loads no numpy.
+resolves, importing the package loads no numpy and `gamma-star` loads no
+`numpy.random`.
 
 No linter is a dependency, so these stdlib-ast checks stand in for one.
 ``__init__.py`` is skipped (its imports are the package's re-exports), and so
@@ -168,6 +169,21 @@ def test_package_import_loads_no_numpy():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, timeout=60)
     assert proc.stdout == "False\n", proc.stderr
+
+
+def test_gamma_star_loads_no_numpy_random():
+    # gamma-star never draws, so it is spared numpy.random's import time
+    # and memory; the drivers reach numpy.random only through trial_rng
+    probe = ("import sys, numpy\neager = 'numpy.random' in sys.modules\n"
+             "from powergame import cli\ncli.main(['gamma-star'])\n"
+             "print(eager, 'numpy.random' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    eager, loaded = proc.stdout.splitlines()[-1].split()
+    if eager == "True":
+        pytest.skip("this numpy release loads numpy.random with numpy")
+    assert loaded == "False", proc.stdout
 
 
 def config_reads(source: str):
