@@ -17,6 +17,7 @@ __version__ = "0.1.0"
 
 # module -> the public names it defines
 _EXPORTS = {
+    "config": ("ReceiverKind", "SystemParams"),
     "efficiency": ("EfficiencyKind", "EfficiencyModel", "eff_derivative",
                    "eff_value", "solve_gamma_star"),
     "exceptions": ("ConfigError", "InfeasibleLoadError",
@@ -25,9 +26,9 @@ _EXPORTS = {
     "game": ("EquilibriumResult", "best_response_power", "solve_equilibrium",
              "verify_nash"),
     "multiantenna": ("solve_equilibrium_ma",),
-    "system": ("ChannelRealization", "ReceiverKind", "SystemParams",
-               "effective_system", "generate_gains", "generate_spreading",
-               "output_sir", "receiver_filter", "sir_per_watt", "utility"),
+    "system": ("ChannelRealization", "effective_system", "generate_gains",
+               "generate_spreading", "output_sir", "receiver_filter",
+               "sir_per_watt", "utility"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}

@@ -19,7 +19,7 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
 def main() -> int:
     for var in BLAS_THREAD_VARS:
         os.environ[var] = "1"
-    from .cli import main as cli_main  # loads numpy
+    from .cli import main as cli_main  # a table subcommand loads numpy
     return cli_main()
 
 

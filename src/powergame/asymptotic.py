@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 
+from .config import ReceiverKind, SystemParams
 from .efficiency import (GAMMA_BRACKET, EfficiencyModel, eff_derivative,
                          eff_value, solve_gamma_star)
 from .exceptions import InfeasibleLoadError, SolverError
 from .rootfind import bisect, scan_brackets
-from .system import ReceiverKind, SystemParams
 
 
 def feasibility_bound(kind: ReceiverKind, gamma: float, m: int = 1) -> float:

@@ -20,13 +20,9 @@ import sys
 from dataclasses import fields as dataclass_fields
 from enum import Enum
 
-import numpy as np
-
-from . import experiments
+from .config import ReceiverKind, ScenarioConfig, SweepMode, SystemParams
 from .efficiency import EfficiencyKind, EfficiencyModel, solve_gamma_star
 from .exceptions import ConfigError, PowerGameError, check_value
-from .experiments import ScenarioConfig, SweepMode
-from .system import ReceiverKind, SystemParams
 
 EXIT_CONFIG = 2
 EXIT_IO = 3
@@ -226,44 +222,61 @@ def _cmd_gamma_star(config, args):
     return 0
 
 
-def _table(run):
-    """Handler writing the rows run(config) returns."""
+def _run(driver: str, *args):
+    """experiments.<driver>(*args). The drivers load numpy, so the import
+    waits until a table runs and gamma-star never pays for it. An overflow,
+    division by zero or NaN anywhere in numpy would otherwise end in an inf
+    or nan table with exit 0; Python floats raise their own ArithmeticError
+    subclasses."""
+    import numpy as np
+
+    from . import experiments
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        return getattr(experiments, driver)(*args)
+
+
+def _table(driver: str):
+    """Handler writing the rows the experiments driver returns."""
     def handler(config, args):
-        emit_csv(run(config), args.output)
+        emit_csv(_run(driver, config), args.output)
         return 0
     return handler
 
 
-def _checked_table(run):
-    """Handler writing the rows of run(config) -> (rows, converged); under
-    --strict it exits 4 when the solve did not converge."""
+def _checked_table(driver: str):
+    """Handler writing the rows of a driver returning (rows, converged);
+    under --strict it exits 4 when the solve did not converge."""
     def handler(config, args):
-        rows, converged = run(config)
+        rows, converged = _run(driver, config)
         emit_csv(rows, args.output)
         return 0 if (converged or not args.strict) else EXIT_NOCONV
     return handler
 
 
+def _cmd_curve_efficiency(config, args):
+    # numpy.linspace(0, 20, 201): i * 0.1, whose last point rounds to 20.0
+    emit_csv(_run("run_efficiency_curve", config.model,
+                  [i * 0.1 for i in range(201)]), args.output)
+    return 0
+
+
 # subcommand -> (handler(config, args) -> exit code, config defaults)
 SUBCOMMANDS = {
     "gamma-star": (_cmd_gamma_star, {}),
-    "equilibrium": (_checked_table(experiments.run_equilibria),
-                    {"receiver": "MMSE"}),
-    "sweep": (_table(experiments.run_load_sweep),
-              {"alpha_range": "0.05:1.15:0.05"}),
-    "pareto": (_table(experiments.run_load_sweep),
+    "equilibrium": (_checked_table("run_equilibria"), {"receiver": "MMSE"}),
+    "sweep": (_table("run_load_sweep"), {"alpha_range": "0.05:1.15:0.05"}),
+    "pareto": (_table("run_load_sweep"),
                {"alpha_range": "0.05:1.15:0.05", "mode": "both"}),
-    "sir-compare": (_table(experiments.run_target_sir_comparison),
+    "sir-compare": (_table("run_target_sir_comparison"),
                     {"alpha_range": "0.05:1.0:0.05"}),
-    "antennas": (_table(experiments.run_load_sweep),
+    "antennas": (_table("run_load_sweep"),
                  {"alpha_range": "0.05:1.15:0.05", "antennas": "1,2"}),
-    "admission": (_table(experiments.run_admission_curve),
+    "admission": (_table("run_admission_curve"),
                   {"receiver": "MMSE", "alpha_range": "0.01:1.15:0.01"}),
-    "curve-utility": (_checked_table(experiments.run_utility_power_curve),
+    "curve-utility": (_checked_table("run_utility_power_curve"),
                       {"receiver": "MMSE"}),
-    "curve-efficiency": (_table(lambda config: experiments.run_efficiency_curve(
-        config.model, np.linspace(0.0, 20.0, 201))), {}),
-    "validate-asymptotic": (_table(experiments.run_finite_vs_asymptotic),
+    "curve-efficiency": (_cmd_curve_efficiency, {}),
+    "validate-asymptotic": (_table("run_finite_vs_asymptotic"),
                             {"alpha": "0.07"}),
 }
 
@@ -336,12 +349,8 @@ def main(argv=None) -> int:
         # the shortcut flags are text for the config key of the same name
         overrides += [(key, getattr(args, key)) for key in SHORTCUT_KEYS
                       if getattr(args, key) is not None]
-        # an overflow, division by zero or NaN anywhere in numpy would
-        # otherwise end in an inf or nan table with exit 0; Python floats
-        # raise their own ArithmeticError subclasses
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            config = parse_config(args.config, overrides, sub_defaults)
-            return handler(config, args)
+        return handler(parse_config(args.config, overrides, sub_defaults),
+                       args)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG

@@ -30,13 +30,13 @@ from itertools import chain
 import numpy as np
 
 from . import asymptotic
+from .config import ReceiverKind, ScenarioConfig, SweepMode
 from .efficiency import EfficiencyModel, eff_value, solve_gamma_star
 from .exceptions import (ConfigError, InfeasibleLoadError,
-                         SingularSpreadingError, SolverError, check_value)
+                         SingularSpreadingError, SolverError)
 from .game import solve_equilibrium
-from .system import (ChannelRealization, ReceiverKind, SystemParams,
-                     generate_gains, generate_spreading, rayleigh_scale,
-                     sir_per_watt, utility)
+from .system import (ChannelRealization, generate_gains, generate_spreading,
+                     rayleigh_scale, sir_per_watt, utility)
 
 log = logging.getLogger(__name__)
 
@@ -51,41 +51,11 @@ _STREAM_EQUILIBRIUM = 4
 # faster and would tie peak memory to the trial count
 _BLOCK = 32
 
-
-class SweepMode(Enum):
-    NONCOOPERATIVE = "noncoop"
-    PARETO = "pareto"
-    BOTH = "both"
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    params: SystemParams
-    model: EfficiencyModel
-    kinds: tuple
-    alpha_grid: tuple
-    trials: int
-    master_seed: int
-    distance: float
-    antennas: tuple
-    mode: SweepMode
-    d_min: float = 10.0      # annulus placement radii for admission runs
-    d_max: float = 1000.0
-    n_grid: tuple = (25, 50, 100)
-    max_iter: int = 500      # best-response sweep cap for finite solves
-
-    def __post_init__(self):
-        # each ConfigError names the config key that sets the field
-        for key, value in (("trials", self.trials), ("max_iter", self.max_iter),
-                           ("seed", self.master_seed), ("distance", self.distance),
-                           ("d_min", self.d_min), ("d_max", self.d_max),
-                           ("alpha_range", self.alpha_grid),
-                           ("antennas", self.antennas), ("n_grid", self.n_grid)):
-            check_value(key, value)
-        if self.d_min >= self.d_max:
-            raise ConfigError("d_min", f"must be below d_max={self.d_max}, got {self.d_min}")
-        if not self.kinds:
-            raise ConfigError("receiver", "must not be empty")
+# _exact_terms: bits of a 53-bit integer mantissa's low half, and the most
+# values one bincount sums, so that every per-exponent sum of a half stays
+# an integer below 2**53, exact in float64
+_LOW_BITS = 26
+_EXACT_CHUNK = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -290,6 +260,40 @@ def _annulus_distances(u: np.ndarray, d_min: float, d_max: float) -> np.ndarray:
     return np.sqrt(d_min ** 2 + u * (d_max ** 2 - d_min ** 2))
 
 
+def _exact_terms(values: np.ndarray) -> list:
+    """A few floats whose exact sum is the exact sum of values, so one
+    math.fsum over the terms of many arrays is the fsum of all their values.
+
+    Each value is an integer mantissa below 2**53 times a power of two. The
+    high and low halves of the mantissas are summed per exponent by
+    bincount, in chunks small enough that every partial sum is an integer
+    below 2**53, hence exact; each sum times its power of two is exact too.
+    An array holding a non-finite value, a subnormal or a value of 2**997
+    or more passes through as it is, so fsum sees the ends of the float
+    range, and treats their inf, nan and overflow, as it always has.
+    """
+    values = values.ravel()
+    if not (values.size and np.isfinite(values).all()):
+        return values.tolist()
+    mantissas, exponents = np.frexp(values)
+    low, high = exponents.min(), exponents.max()
+    if low < -1021 or high > 997:
+        return values.tolist()
+    ints = (mantissas * 2.0 ** 53).astype(np.int64)
+    halves = ((ints >> _LOW_BITS, _LOW_BITS - 53),
+              (ints & ((1 << _LOW_BITS) - 1), -53))
+    bins = exponents - low
+    powers = np.arange(low, high + 1, dtype=exponents.dtype)
+    terms = []
+    for start in range(0, values.size, _EXACT_CHUNK):
+        chunk = slice(start, start + _EXACT_CHUNK)
+        for half, shift in halves:
+            sums = np.bincount(bins[chunk], weights=half[chunk],
+                               minlength=powers.size)
+            terms.extend(np.ldexp(sums, powers + shift).tolist())
+    return terms
+
+
 def _pooled_mean_h2(config: ScenarioConfig) -> float:
     """E[h^2] over the placement pools of N annulus users, one per trial.
 
@@ -297,7 +301,8 @@ def _pooled_mean_h2(config: ScenarioConfig) -> float:
     trial_rng(master_seed, _STREAM_ADMISSION, 0) and of the annulus uniforms
     of trial_rng(master_seed, _STREAM_ADMISSION, 1). The mean is one exact
     sum over all trials * N squared gains, drawn ``_BLOCK`` trials at a time
-    so memory does not grow with the trial count.
+    so memory does not grow with the trial count; each block enters the sum
+    as its few exact per-exponent terms.
     """
     pool = config.params.N
     gains = trial_rng(config.master_seed, _STREAM_ADMISSION, 0)
@@ -308,8 +313,8 @@ def _pooled_mean_h2(config: ScenarioConfig) -> float:
             shape = (min(_BLOCK, config.trials - start), pool)
             d = _annulus_distances(places.random(shape), config.d_min,
                                    config.d_max)
-            yield ((rayleigh_scale(d) * gains.rayleigh(size=shape)) ** 2
-                   ).ravel().tolist()
+            yield _exact_terms((rayleigh_scale(d)
+                                * gains.rayleigh(size=shape)) ** 2)
 
     return math.fsum(chain.from_iterable(squares())) / (config.trials * pool)
 

@@ -24,10 +24,11 @@ from typing import Callable
 import numpy as np
 
 from .asymptotic import balanced_received_power
+from .config import ReceiverKind, SystemParams
 from .efficiency import EfficiencyModel, solve_gamma_star
 from .exceptions import InfeasibleLoadError, InfeasibleUserError, SolverError
-from .system import (ChannelRealization, ReceiverKind, SystemParams,
-                     effective_system, make_sir_engine, sir_per_watt, utility)
+from .system import (ChannelRealization, effective_system, make_sir_engine,
+                     sir_per_watt, utility)
 
 INITIAL_POWER_FRACTION = 1e-2  # starting powers as a fraction of Pmax
 DEFAULT_MAX_ITER = 500

@@ -7,9 +7,8 @@ the origin, and each solve happens once per run, so robustness wins.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, List, Tuple
-
-import numpy as np
 
 from .exceptions import SolverError
 
@@ -20,14 +19,18 @@ BISECT_MAX_ITER = 200  # halvings; 1e3 wide brackets reach 1e-9 in ~40
 def scan_brackets(fn: Callable[[float], float], lo: float,
                   hi: float) -> List[Tuple[float, float]]:
     """Return all [a, b] sub-intervals of a geometric grid where fn goes <=0
-    to >0, in ascending order, so the last holds the rightmost crossing."""
-    xs = np.geomspace(lo, hi, SCAN_POINTS)
-    vals = [fn(float(x)) for x in xs]
-    brackets = []
-    for a, b, fa, fb in zip(xs[:-1], xs[1:], vals[:-1], vals[1:]):
-        if fa <= 0.0 < fb:
-            brackets.append((float(a), float(b)))
-    return brackets
+    to >0, in ascending order, so the last holds the rightmost crossing.
+
+    The grid is numpy's geomspace formula, 10 ** (log10(lo) + i step) with
+    its ends set to lo and hi, taken with libm pow, so it is the same on
+    every CPU whatever SIMD numpy's power would dispatch to."""
+    start = math.log10(lo)
+    step = (math.log10(hi) - start) / (SCAN_POINTS - 1)
+    xs = [10.0 ** (start + i * step) for i in range(SCAN_POINTS)]
+    xs[0], xs[-1] = lo, hi
+    vals = [fn(x) for x in xs]
+    return [(a, b) for a, b, fa, fb in zip(xs[:-1], xs[1:], vals[:-1], vals[1:])
+            if fa <= 0.0 < fb]
 
 
 def bisect(fn: Callable[[float], float], lo: float, hi: float,

@@ -13,53 +13,15 @@ all results are deterministic functions of (S, h, p, sigma2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable
 
 import numpy as np
 
+from .config import ReceiverKind, SystemParams
 from .efficiency import EfficiencyModel, eff_value
-from .exceptions import (ConfigError, SingularSpreadingError, SolverError,
-                         check_value)
+from .exceptions import SingularSpreadingError, SolverError
 
 COND_LIMIT = 1e12  # 1-norm condition number above which S'S is declared singular
-
-
-class ReceiverKind(Enum):
-    MATCHED_FILTER = "MF"
-    DECORRELATOR = "DE"
-    MMSE = "MMSE"
-
-
-@dataclass(frozen=True)
-class SystemParams:
-    """Static system parameters.
-
-    K      number of users
-    N      processing gain (spreading sequence length)
-    sigma2 noise power, W
-    R      transmission rate, bits/s
-    L      information bits per packet
-    M      total bits per packet (L <= M)
-    Pmax   transmit power cap, W
-    m      receive antennas
-    """
-
-    K: int
-    N: int
-    sigma2: float
-    R: float
-    L: int
-    M: int
-    Pmax: float
-    m: int = 1
-
-    def __post_init__(self):
-        for key in ("K", "N", "L", "M", "sigma2", "R", "Pmax"):
-            check_value(key, getattr(self, key))
-        check_value("antennas", (self.m,))  # no config key sets m
-        if self.L > self.M:
-            raise ConfigError("L", f"must be <= M, got L={self.L}, M={self.M}")
 
 
 @dataclass

@@ -120,6 +120,16 @@ class TestGammaStar:
         got = solve_gamma_star(exp_model(M), tol=1e-9)
         assert got == pytest.approx(tangent_oracle_root(M), abs=1e-8)
 
+    @pytest.mark.parametrize("kind,exact", [
+        (EfficiencyKind.EXP_APPROX, "6.474600379437847"),
+        (EfficiencyKind.BPSK_AWGN, "4.04002360067958"),
+    ])
+    def test_packet_size_100_to_the_bit(self, kind, exact):
+        # every table's target; the scan grid takes libm pow on every CPU,
+        # so these floats do not depend on numpy's SIMD dispatch
+        assert repr(solve_gamma_star.__wrapped__(EfficiencyModel(kind, 100))) \
+            == exact
+
     def test_m2_reference_value(self):
         assert solve_gamma_star(exp_model(2), tol=1e-9) == pytest.approx(1.2564, abs=1e-4)
 

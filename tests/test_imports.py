@@ -2,8 +2,8 @@
 reads another module's private (``_name``) attributes, the CLI leaves
 feasibility and every other table decision to the experiment drivers, only
 ``system`` uses the per-user filter reference, every exported name
-resolves, importing the package loads no numpy and `gamma-star` loads no
-`numpy.random`.
+resolves, and neither importing the package, reading its config types nor
+running `gamma-star` loads numpy.
 
 No linter is a dependency, so these stdlib-ast checks stand in for one.
 ``__init__.py`` is skipped (its imports are the package's re-exports), and so
@@ -164,26 +164,44 @@ def test_every_exported_name_resolves():
 
 
 def test_package_import_loads_no_numpy():
-    # the CLI entry point pins the BLAS thread count before numpy loads
-    probe = "import sys, powergame; print('numpy' in sys.modules)"
+    # the CLI entry point pins the BLAS thread count before numpy loads, and
+    # the config types live in a module of their own that needs no numpy
+    probe = ("import sys, powergame\n"
+             "powergame.SystemParams, powergame.ReceiverKind\n"
+             "print('numpy' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, timeout=60)
     assert proc.stdout == "False\n", proc.stderr
 
 
-def test_gamma_star_loads_no_numpy_random():
-    # gamma-star never draws, so it is spared numpy.random's import time
-    # and memory; the drivers reach numpy.random only through trial_rng
-    probe = ("import sys, numpy\neager = 'numpy.random' in sys.modules\n"
-             "from powergame import cli\ncli.main(['gamma-star'])\n"
-             "print(eager, 'numpy.random' in sys.modules)")
+def test_gamma_star_loads_no_numpy():
+    # gamma-star is a scalar closed form: only the table subcommands import
+    # the experiment drivers, and with them numpy
+    probe = ("import sys\nfrom powergame import cli\n"
+             "code = cli.main(['gamma-star'])\n"
+             "print(code, 'numpy' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    eager, loaded = proc.stdout.splitlines()[-1].split()
-    if eager == "True":
-        pytest.skip("this numpy release loads numpy.random with numpy")
-    assert loaded == "False", proc.stdout
+    assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["gamma-star"], 0),
+    (["gamma-star", "--set", "K=0"], 2),
+], ids=["table", "config-error"])
+def test_gamma_star_process_loads_no_numpy(argv, code):
+    # -X importtime lists every module the process imports on stderr
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m",
+                           "powergame", *argv], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == code, proc.stderr
+    imported = {line.rpartition("|")[2].strip()
+                for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "powergame.cli" in imported
+    assert "numpy" not in imported
+    if code:
+        assert "config error: K: must be >= 1, got 0\n" in proc.stderr
 
 
 def config_reads(source: str):

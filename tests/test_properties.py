@@ -1,7 +1,7 @@
 """Property tests: the whole-vector SIR engines and sir_per_watt against the
 per-user oracle, filter scale invariance, the MMSE receiver's optimality,
-the Newton equilibrium against the capped sweeps, byte-identical CLI reruns
-and the CLI's exit-code contract.
+the Newton equilibrium against the capped sweeps, byte-identical CLI reruns,
+admission's exact sum against math.fsum and the CLI's exit-code contract.
 
 receiver_filter + output_sir build each user's filter from an N x N (or
 mN x mN) system and stay the independent reference; the engines, including
@@ -11,12 +11,14 @@ the K x K MMSE form, must reproduce them on arbitrary draws, overloaded
 
 import contextlib
 import io
+import math
 import re
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, reject, settings, strategies as st
 
-from powergame import cli
+from powergame import cli, experiments
 from powergame.asymptotic import feasibility_bound
 from powergame.efficiency import (EfficiencyKind, EfficiencyModel,
                                   solve_gamma_star)
@@ -306,6 +308,40 @@ class TestRerunDeterminism:
         code, first = _cli_stdout(argv)
         assert code == 0 and first.count("\n") > 1
         assert _cli_stdout(argv) == (code, first)
+
+
+# values the per-exponent sums scale back exactly, and values they pass
+# through: subnormals, 2**997 and up (two of 1e308 overflow), non-finite
+NORMAL_EDGES = [0.0, 2.0 ** -1022, 1e-300, 1.0 - 2.0 ** -53, 1.0, 1e300]
+PASSED_EDGES = [5e-324, 1e-310, 2.0 ** 997, 1e308, math.inf]
+
+
+def _fsum_outcome(values):
+    try:
+        return repr(math.fsum(values))
+    except OverflowError:
+        return "OverflowError"
+
+
+class TestExactSum:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.one_of(st.floats(2.0 ** -1022, 1e300),
+                              st.sampled_from(NORMAL_EDGES)), max_size=300),
+           st.lists(st.sampled_from(PASSED_EDGES), max_size=2),
+           st.sampled_from([1, 7, None]))
+    @example([1e300] * 3 + [1e-300] * 3 + [0.0], [], None)
+    @example([1.0 - 2.0 ** -53] * 1000 + [2.0 ** -60], [], 3)
+    @example([1e-300, 1.0], [5e-324], None)
+    @example([1e300], [1e308, 1e308], None)
+    def test_terms_sum_to_the_fsum_of_the_values(self, values, passed, chunk):
+        # admission's E[h^2]: one fsum over every block's terms is the
+        # fsum over all its squared gains, bit for bit, however many
+        # bincount chunks a block takes
+        values = values + passed
+        with mock.patch.object(experiments, "_EXACT_CHUNK",
+                               chunk or experiments._EXACT_CHUNK):
+            terms = experiments._exact_terms(np.array(values, dtype=float))
+        assert _fsum_outcome(terms) == _fsum_outcome(values)
 
 
 # ordinary and extreme values for some --set keys and every shortcut flag,

@@ -5,7 +5,7 @@ import pytest
 from powergame.efficiency import (EfficiencyKind, EfficiencyModel,
                                   solve_gamma_star)
 from powergame.exceptions import NoTargetSirError, SolverError
-from powergame.rootfind import bisect, scan_brackets
+from powergame.rootfind import SCAN_POINTS, bisect, scan_brackets
 
 
 def test_bisect_sqrt2():
@@ -42,3 +42,17 @@ def test_rightmost_root_no_crossing():
     # (1 - e^-g) is concave, so its residual never crosses upward
     with pytest.raises(NoTargetSirError):
         solve_gamma_star(EfficiencyModel(EfficiencyKind.EXP_APPROX, 1))
+
+
+def test_scan_grid_is_geomspace_through_libm_pow():
+    # numpy.geomspace's formula, 10 ** (log10(lo) + i step) with the ends
+    # set to lo and hi, with each power taken by Python's float pow
+    seen = []
+    scan_brackets(lambda x: seen.append(x) or 1.0, 1e-6, 1e3)
+    start, stop = math.log10(1e-6), math.log10(1e3)
+    step = (stop - start) / (SCAN_POINTS - 1)
+    assert len(seen) == SCAN_POINTS
+    assert seen[0] == 1e-6 and seen[-1] == 1e3
+    assert seen[1:-1] == [10.0 ** (start + i * step)
+                          for i in range(1, SCAN_POINTS - 1)]
+    assert all(type(x) is float for x in seen)
