@@ -22,6 +22,7 @@ from .efficiency import EfficiencyModel, eff_value
 from .exceptions import SingularSpreadingError, SolverError
 
 COND_LIMIT = 1e12  # 1-norm condition number above which S'S is declared singular
+LEAF_ROWS = 64  # _inverse calls LAPACK's inv at or below this many rows
 
 
 @dataclass
@@ -87,6 +88,49 @@ def effective_system(kind: ReceiverKind, S, H) -> tuple[np.ndarray, np.ndarray]:
     return (H[:, None, :] * S[None]).reshape(m * N, K), np.ones(K)
 
 
+def _singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+# numpy.linalg's own error state: overflow gives inf, an invalid operation
+# means the matrix is singular, and the caller's np.errstate does not apply
+_LINALG_ERRSTATE = dict(over="ignore", divide="ignore", under="ignore",
+                       invalid="call", call=_singular)
+
+
+def _inverse(M: np.ndarray) -> np.ndarray:
+    """M^-1 of a square M: LAPACK's inv up to LEAF_ROWS rows, block
+    elimination above, where BLAS matrix products beat one inv (at K = 100
+    ~240 against ~380 us on one OpenBLAS thread).
+
+    With M = [[A, B], [C, D]] split at half its rows, X = A^-1 B,
+    Y = C A^-1 and the Schur complement Z = D - C X,
+    M^-1 = [[A^-1 + X Z^-1 Y, -X Z^-1], [-Z^-1 Y, Z^-1]]: two half-size
+    inverses by recursion and six half-size products. No pivoting crosses
+    the split, which is stable for S'S (symmetric positive definite) and for
+    G D + sigma2 I (SPD times a positive diagonal; Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 13). Floats can differ from
+    inv's in the last digits. LinAlgError comes from a singular leaf block
+    or an invalid operation; a singular M with regular halves can instead
+    return huge entries, which _zf_columns's condition-number guard rejects.
+    """
+    n = M.shape[0]
+    if n <= LEAF_ROWS:
+        return np.linalg.inv(M)
+    h = n // 2
+    with np.errstate(**_LINALG_ERRSTATE):
+        A_inv = _inverse(M[:h, :h])
+        X = A_inv @ M[:h, h:]
+        Y = M[h:, :h] @ A_inv
+        Z_inv = _inverse(M[h:, h:] - M[h:, :h] @ X)
+        out = np.empty_like(M)
+        out[h:, h:] = Z_inv
+        np.negative(X @ Z_inv, out=out[:h, h:])
+        np.negative(Z_inv @ Y, out=out[h:, :h])
+        np.subtract(A_inv, out[:h, h:] @ Y, out=out[:h, :h])
+    return out
+
+
 def _zf_columns(S: np.ndarray) -> np.ndarray:
     """Inverse crosscorrelation matrix (S'S)^-1 with a rank guard.
 
@@ -101,7 +145,7 @@ def _zf_columns(S: np.ndarray) -> np.ndarray:
     singular = "spreading crosscorrelation matrix is singular"
     G = S.T @ S
     try:
-        inverse = np.linalg.inv(G)
+        inverse = _inverse(G)
     except np.linalg.LinAlgError:
         raise SingularSpreadingError(singular) from None
     with np.errstate(all="ignore"):  # an overflow gives inf, rejected below
@@ -162,21 +206,30 @@ def utility(p_k: float, gamma_k: float, params: SystemParams,
 # ---------------------------------------------------------------------------
 # Whole-vector evaluation. make_sir_engine is the one place each receiver's
 # SIR is computed for all users at once; it returns the same numbers as
-# receiver_filter + output_sir for every user. receiver_filters returns every
-# user's filter, and sir_per_watt every user's SIR per watt of its own power
-# against frozen interferers. They share the expensive factorizations so
-# equilibrium solves and Nash checks stay fast at N ~ a few hundred.
+# receiver_filter + output_sir for every user, which stay the reference (an
+# N x N solve per MMSE filter). receiver_filters returns every user's filter,
+# and sir_per_watt every user's SIR per watt of its own power against frozen
+# interferers. All of them work on K x K matrices, never N x N ones: the
+# decorrelator on (S'S)^-1 and MMSE on (G D + sigma2 I)^-1, both from
+# _inverse. A balance-map call or a set of filters then costs at most one
+# K x K inverse plus matrix products, which keeps equilibrium solves and
+# Nash checks fast at N ~ a few hundred.
 # ---------------------------------------------------------------------------
 
 def _mmse_solve(gram: np.ndarray, rec: np.ndarray, sigma2: float,
                 rhs: np.ndarray) -> np.ndarray:
-    """(G D + sigma2 I)^-1 rhs, with G = S'S and D = diag(rec). With K > N,
-    G is rank deficient, and a noise power far below the received powers
-    leaves the K x K matrix singular to working precision: SolverError."""
+    """(G D + sigma2 I)^-1 rhs, with G = S'S and D = diag(rec): _inverse's
+    K x K inverse times rhs, which is G for the balance map and S' for the
+    filters, so one inverse serves all K or N columns as a matrix product.
+    Its floats can differ from a LAPACK solve's in the last digits. With
+    K > N, G is rank deficient, and a noise power far below the received
+    powers leaves the K x K matrix singular to working precision:
+    SolverError."""
     M = gram * rec  # scales column j by rec_j
     M.flat[::M.shape[0] + 1] += sigma2
     try:
-        return np.linalg.solve(M, rhs)
+        with np.errstate(**_LINALG_ERRSTATE):
+            return _inverse(M) @ rhs
     except np.linalg.LinAlgError:
         raise SolverError(f"the MMSE system of K={len(rec)} users is "
                           f"singular at sigma2={sigma2:g}; raise sigma2 "
@@ -193,7 +246,7 @@ def make_sir_engine(kind: ReceiverKind, S: np.ndarray,
     rec = gamma* I(rec).
 
     The power-independent pieces are built once, here, and every call then
-    costs one K-vector update (MF, DE) or one K x K solve (MMSE):
+    costs one K-vector update (MF, DE) or one K x K inverse (MMSE):
 
     * matched filter: gamma_k = rec_k (s_k's_k)^2 /
       (sigma2 s_k's_k + sum_{j!=k} rec_j (s_k's_j)^2), from the squared
@@ -206,9 +259,9 @@ def make_sir_engine(kind: ReceiverKind, S: np.ndarray,
       q_k = s_k' A^-1 s_k. The push-through identity
       A^-1 S = S (D G + sigma2 I)^-1 with G = S'S gives
       S' A^-1 S = (G D + sigma2 I)^-1 G, so every q_k comes from one K x K
-      solve instead of an N x N one. I_k = 1 / (s_k' A_k^-1 s_k), and by
+      inverse instead of an N x N solve. I_k = 1 / (s_k' A_k^-1 s_k), and by
       Sherman-Morrison its Jacobian is (P_kj / P_kk)^2 off the diagonal,
-      P = S' A^-1 S being the matrix that solve returns in full (Ulukus and
+      P = S' A^-1 S being the matrix _mmse_solve returns in full (Ulukus and
       Yates, Wireless Networks 1998).
     """
     if kind is ReceiverKind.MATCHED_FILTER:
@@ -251,7 +304,7 @@ def decorrelator_sirs(S, heff, p, sigma2) -> np.ndarray:
 
 
 def mmse_sirs(S, heff, p, sigma2) -> np.ndarray:
-    """SIRs of all users under per-user MMSE filtering (one K x K solve)."""
+    """SIRs of all users under per-user MMSE filtering (one K x K inverse)."""
     return make_sir_engine(ReceiverKind.MMSE, S, sigma2)(
         np.asarray(p, float) * np.square(heff))[0]
 
@@ -263,7 +316,7 @@ def receiver_filters(kind: ReceiverKind, S, h2, p, sigma2) -> np.ndarray:
     output SIR depends on. Matched filter: S itself (not a copy).
     Decorrelator: S (S'S)^-1, one rank guard for all users. MMSE: A^-1 S with
     the full A = S D S' + sigma2 I, D = diag(p h2), computed as
-    S (D G + sigma2 I)^-1 (push-through, G = S'S) from one K x K solve; by
+    S (D G + sigma2 I)^-1 (push-through, G = S'S) from one K x K inverse; by
     Sherman-Morrison A^-1 s_k = A_k^-1 s_k / (1 + p_k h_k^2 s_k' A_k^-1 s_k),
     a positive multiple of the per-user filter.
     """

@@ -553,13 +553,15 @@ class TestLibraryErrors:
         assert len(err.splitlines()) == 1
 
     def test_singular_mmse_system_exits_1_without_traceback(self, capsys):
-        # K = 30 users on N = 3 chips: the noise power is all that keeps the
-        # K x K MMSE system regular
-        assert main(["equilibrium", "--set", "N=3", "--set",
-                     "sigma2=1e-200"]) == 1
-        assert capsys.readouterr() == (
-            "", "error: the MMSE system of K=30 users is singular at "
-            "sigma2=1e-200; raise sigma2 or N\n")
+        # K users on N = 3 chips: the noise power is all that keeps the
+        # K x K MMSE system regular. K = 100 is past LEAF_ROWS, where the
+        # inverse is taken by block elimination
+        for K in (30, 100):
+            assert main(["equilibrium", "--set", "N=3", "--set", f"K={K}",
+                         "--set", "sigma2=1e-200"]) == 1
+            assert capsys.readouterr() == (
+                "", f"error: the MMSE system of K={K} users is singular at "
+                "sigma2=1e-200; raise sigma2 or N\n")
 
 
 class TestMainEntry:

@@ -2,16 +2,33 @@ import numpy as np
 import pytest
 
 from powergame.exceptions import SingularSpreadingError, SolverError
-from powergame.system import (COND_LIMIT, ChannelRealization, ReceiverKind,
-                              _zf_columns, generate_gains, generate_spreading,
-                              make_sir_engine, output_sir, receiver_filter,
-                              receiver_filters, sir_per_watt, utility)
+from powergame.system import (COND_LIMIT, LEAF_ROWS, ChannelRealization,
+                              ReceiverKind, _inverse, _zf_columns,
+                              effective_system, generate_gains,
+                              generate_spreading, make_sir_engine, output_sir,
+                              receiver_filter, receiver_filters, sir_per_watt,
+                              utility)
 
 from conftest import draw_realization, make_params
 
 MF = ReceiverKind.MATCHED_FILTER
 DE = ReceiverKind.DECORRELATOR
 MMSE = ReceiverKind.MMSE
+
+# (N, K, antennas) past LEAF_ROWS users, where _inverse eliminates by blocks
+PAST_LEAF = {MF: [], DE: [(200, 100, 1)],
+             MMSE: [(200, 100, 1), (100, 110, 1), (200, 100, 2)]}
+
+
+def past_leaf_draws(kind, seed):
+    """Seeded (S, heff, p) draws of PAST_LEAF[kind]; stacked antenna
+    signatures play on unit gains, as in effective_system."""
+    rng = np.random.default_rng(seed)
+    for N, K, m in PAST_LEAF[kind]:
+        S = generate_spreading(N, K, rng)
+        H = generate_gains(np.full(K, 100.0), m, rng)
+        S, h2 = effective_system(kind, S, H)
+        yield S, np.sqrt(h2), rng.uniform(1e-7, 1e-5, K)
 
 
 class TestSpreading:
@@ -95,6 +112,25 @@ class TestReceiverFilter:
             _zf_columns(S)
         assert not isinstance(err.value, np.linalg.LinAlgError)
 
+    @pytest.mark.parametrize("pair, leaf_raises", [((0, 1), True),
+                                                   ((0, 99), False)])
+    def test_duplicate_columns_past_the_leaf_are_singular(self, pair,
+                                                          leaf_raises):
+        # K = 100 users: _inverse splits S'S at user 50. A duplicate pair in
+        # one half makes that half exactly singular and its leaf inv raises;
+        # a pair across the split leaves both halves regular, _inverse
+        # returns, and the 1-norm rank guard rejects the draw
+        S = generate_spreading(200, 100, np.random.default_rng(9))
+        S[:, pair[1]] = S[:, pair[0]]
+        if leaf_raises:
+            with pytest.raises(np.linalg.LinAlgError):
+                _inverse(S.T @ S)
+        else:
+            _inverse(S.T @ S)
+        with pytest.raises(SingularSpreadingError) as err:
+            _zf_columns(S)
+        assert not isinstance(err.value, np.linalg.LinAlgError)
+
     def test_rank_guard_agrees_with_the_two_norm_condition_number(self):
         # the guard reads the 1-norm condition number k1 off the inverse;
         # np.linalg.cond, the SVD's k2, is the oracle. Small N with K <= N
@@ -144,6 +180,28 @@ class TestReceiverFilter:
         A = b * np.outer(S[:, 1], S[:, 1]) + sigma2 * np.eye(64)
         oracle = p[0] * h[0] ** 2 * (S[:, 0] @ np.linalg.inv(A) @ S[:, 0])
         assert got == pytest.approx(oracle, rel=1e-10)
+
+
+class TestInverse:
+    @pytest.mark.parametrize("N, K", [(2 * K, K) for K in
+                                      (1, 64, 65, 100, 129, 200)]
+                             + [(100, 110)])
+    def test_matches_inv_across_the_leaf(self, N, K):
+        # S'S (when K <= N) and the MMSE matrix G D + sigma2 I, condition
+        # numbers up to ~1e2; at or below LEAF_ROWS _inverse is inv itself
+        rng = np.random.default_rng((26, N, K))
+        S = generate_spreading(N, K, rng)
+        G = S.T @ S
+        h = generate_gains(np.full(K, 100.0), 1, rng)[0]
+        M = G * (rng.uniform(1e-7, 1e-5, K) * h ** 2)
+        M.flat[::K + 1] += 5e-16
+        for A in ([G, M] if K <= N else [M]):
+            ref = np.linalg.inv(A)
+            if K <= LEAF_ROWS:
+                assert np.array_equal(_inverse(A), ref)
+            else:
+                assert (np.abs(_inverse(A) - ref).max()
+                        <= 4e-15 * np.abs(ref).max())
 
 
 class TestOutputSir:
@@ -252,12 +310,15 @@ class TestSirEngines:
     @pytest.mark.parametrize("kind", [MF, DE, MMSE])
     def test_engines_match_filter_path(self, kind):
         rng = np.random.default_rng(20)
+        shapes, draws = set(), []
         for _ in range(10):
             N = int(rng.integers(8, 33))
             K = int(rng.integers(2, N + 1))
             S = generate_spreading(N, K, rng)
             h = generate_gains(np.full(K, 100.0), 1, rng)[0]
-            p = rng.uniform(1e-7, 1e-5, K)
+            draws.append((S, h, rng.uniform(1e-7, 1e-5, K)))
+        for S, h, p in draws + list(past_leaf_draws(kind, 22)):
+            K = S.shape[1]
             try:
                 fast = make_sir_engine(kind, S, 5e-16)(p * h ** 2)[0]
             except SingularSpreadingError:
@@ -267,7 +328,8 @@ class TestSirEngines:
                            k, S, h, p, 5e-16)
                 for k in range(K)])
             assert np.allclose(fast, ref, rtol=1e-9)
-
+            shapes.add(S.shape)
+        assert {(N * m, K) for N, K, m in PAST_LEAF[kind]} <= shapes
 
     def test_singular_mmse_system_is_a_solver_error(self):
         # two identical signatures make G D singular, and a noise power
@@ -287,14 +349,16 @@ class TestReceiverFilters:
     @pytest.mark.parametrize("kind", [MF, DE, MMSE])
     def test_columns_match_per_user_filters(self, kind):
         rng = np.random.default_rng(24)
-        shapes = set()
+        shapes, draws = set(), []
         for _ in range(10):
             N = int(rng.integers(8, 33))
             # MMSE also gets overloaded draws (K > N), where A_k stays regular
             K = int(rng.integers(2, (2 * N if kind is MMSE else N) + 1))
             S = generate_spreading(N, K, rng)
             h = generate_gains(np.full(K, 100.0), 1, rng)[0]
-            p = rng.uniform(1e-7, 1e-5, K)
+            draws.append((S, h, rng.uniform(1e-7, 1e-5, K)))
+        for S, h, p in draws + list(past_leaf_draws(kind, 25)):
+            N, K = S.shape
             try:
                 C = receiver_filters(kind, S, h ** 2, p, 5e-16)
             except SingularSpreadingError:
@@ -307,7 +371,8 @@ class TestReceiverFilters:
                 assert output_sir(C[:, k], k, S, h, p, 5e-16) == pytest.approx(
                     output_sir(ref, k, S, h, p, 5e-16), rel=1e-9)
             shapes.add((N, K))
-        assert len(shapes) >= 5
+        past = {(N * m, K) for N, K, m in PAST_LEAF[kind]}
+        assert past <= shapes and len(shapes - past) >= 5
         if kind is MMSE:
             assert any(K > N for N, K in shapes)
 
