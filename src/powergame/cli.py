@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import fields as dataclass_fields
 from enum import Enum
 
 from .config import ReceiverKind, ScenarioConfig, SweepMode, SystemParams
@@ -79,8 +78,9 @@ RECEIVERS = {**{kind.value: (kind,) for kind in ReceiverKind},
 
 # key -> (parser(key, text), default): text to values only, which
 # exceptions.check_value, also run by the config dataclasses, checks. The
-# defaults are the published baseline set; L = None tracks M. Unknown keys
-# are rejected with this list.
+# defaults are the published baseline set; L = None tracks M, and the keys
+# of a ScenarioConfig field with a default of its own take that default.
+# Unknown keys are rejected with this list.
 CONFIG_KEYS = {
     "K": (_parse_int, 30),
     "N": (_parse_int, 100),
@@ -90,8 +90,8 @@ CONFIG_KEYS = {
     "R": (_parse_float, 1e5),
     "Pmax": (_parse_float, 1.0),
     "distance": (_parse_float, 100.0),
-    "d_min": (_parse_float, 10.0),
-    "d_max": (_parse_float, 1000.0),
+    "d_min": (_parse_float, ScenarioConfig.d_min),
+    "d_max": (_parse_float, ScenarioConfig.d_max),
     "trials": (_parse_int, 500),
     "seed": (_parse_int, 0),
     "eff": (_choice({kind.value: kind for kind in EfficiencyKind}),
@@ -103,8 +103,8 @@ CONFIG_KEYS = {
     "alpha_range": (_parse_alpha_range, ()),
     "mode": (_choice({mode.value: mode for mode in SweepMode}),
              SweepMode.NONCOOPERATIVE),
-    "n_grid": (_parse_counts, (25, 50, 100)),
-    "max_iter": (_parse_int, 500),
+    "n_grid": (_parse_counts, ScenarioConfig.n_grid),
+    "max_iter": (_parse_int, ScenarioConfig.max_iter),
 }
 
 
@@ -185,18 +185,18 @@ def _format_cell(name: str, value) -> str:
 
 
 def emit_csv(rows, output_path: str) -> None:
-    """Write dataclass rows as CSV with a single header line and LF endings.
+    """Write named-tuple rows as CSV with LF endings: one header line of
+    the first row's field names, then one line per row.
 
     A non-finite float cell raises PowerGameError before anything is written.
     """
     if not rows:
         text = ""
     else:
-        names = [f.name for f in dataclass_fields(rows[0])]
+        names = rows[0]._fields
         lines = [",".join(names)]
         for row in rows:
-            lines.append(",".join(_format_cell(n, getattr(row, n))
-                                  for n in names))
+            lines.append(",".join(map(_format_cell, names, row)))
         text = "\n".join(lines) + "\n"
     _write_text(text, output_path)
 
@@ -222,8 +222,8 @@ def _cmd_gamma_star(config, args):
     return 0
 
 
-def _run(driver: str, *args):
-    """experiments.<driver>(*args). The drivers load numpy, so the import
+def _run(driver: str, config):
+    """experiments.<driver>(config). The drivers load numpy, so the import
     waits until a table runs and gamma-star never pays for it. An overflow,
     division by zero or NaN anywhere in numpy would otherwise end in an inf
     or nan table with exit 0; Python floats raise their own ArithmeticError
@@ -232,7 +232,7 @@ def _run(driver: str, *args):
 
     from . import experiments
     with np.errstate(over="raise", divide="raise", invalid="raise"):
-        return getattr(experiments, driver)(*args)
+        return getattr(experiments, driver)(config)
 
 
 def _table(driver: str):
@@ -253,13 +253,6 @@ def _checked_table(driver: str):
     return handler
 
 
-def _cmd_curve_efficiency(config, args):
-    # numpy.linspace(0, 20, 201): i * 0.1, whose last point rounds to 20.0
-    emit_csv(_run("run_efficiency_curve", config.model,
-                  [i * 0.1 for i in range(201)]), args.output)
-    return 0
-
-
 # subcommand -> (handler(config, args) -> exit code, config defaults)
 SUBCOMMANDS = {
     "gamma-star": (_cmd_gamma_star, {}),
@@ -275,7 +268,7 @@ SUBCOMMANDS = {
                   {"receiver": "MMSE", "alpha_range": "0.01:1.15:0.01"}),
     "curve-utility": (_checked_table("run_utility_power_curve"),
                       {"receiver": "MMSE"}),
-    "curve-efficiency": (_cmd_curve_efficiency, {}),
+    "curve-efficiency": (_table("run_efficiency_curve"), {}),
     "validate-asymptotic": (_table("run_finite_vs_asymptotic"),
                             {"alpha": "0.07"}),
 }

@@ -9,6 +9,9 @@ from enum import Enum
 from .efficiency import EfficiencyModel
 from .exceptions import ConfigError, check_value
 
+# best-response sweep cap of a finite equilibrium solve
+DEFAULT_MAX_ITER = 500
+
 
 class ReceiverKind(Enum):
     MATCHED_FILTER = "MF"
@@ -67,7 +70,7 @@ class ScenarioConfig:
     d_min: float = 10.0      # annulus placement radii for admission runs
     d_max: float = 1000.0
     n_grid: tuple = (25, 50, 100)
-    max_iter: int = 500      # best-response sweep cap for finite solves
+    max_iter: int = DEFAULT_MAX_ITER
 
     def __post_init__(self):
         # each ConfigError names the config key that sets the field

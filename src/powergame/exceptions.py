@@ -65,6 +65,6 @@ class SingularSpreadingError(PowerGameError):
 class InfeasibleUserError(PowerGameError):
     """A user cannot reach any positive SIR (zero gain or orthogonal filter)."""
 
-    def __init__(self, user: int, message: str | None = None):
+    def __init__(self, user: int):
         self.user = user
-        super().__init__(message or f"user {user} has zero output SIR; target unreachable")
+        super().__init__(f"user {user} has zero output SIR; target unreachable")

@@ -21,24 +21,21 @@ Variance-reduction choices that keep the desk-scale runs stable:
 
 from __future__ import annotations
 
-import logging
 import math
-from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
 from . import asymptotic
 from .config import ReceiverKind, ScenarioConfig, SweepMode
-from .efficiency import EfficiencyModel, eff_value, solve_gamma_star
+from .efficiency import eff_value, solve_gamma_star
 from .exceptions import (ConfigError, InfeasibleLoadError,
                          SingularSpreadingError, SolverError)
 from .game import solve_equilibrium
 from .system import (ChannelRealization, generate_gains, generate_spreading,
                      rayleigh_scale, sir_per_watt, utility)
-
-log = logging.getLogger(__name__)
 
 # stream labels keeping the experiment families on disjoint substreams
 _STREAM_SWEEP = 0
@@ -58,8 +55,7 @@ _LOW_BITS = 26
 _EXACT_CHUNK = 1 << 26
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     alpha: float
     kind: ReceiverKind
     m: int
@@ -72,8 +68,7 @@ class SweepRow:
     trials_discarded: int
 
 
-@dataclass(frozen=True)
-class EquilibriumRow:
+class EquilibriumRow(NamedTuple):
     kind: ReceiverKind
     user: int
     power: float
@@ -83,35 +78,30 @@ class EquilibriumRow:
     converged: bool
 
 
-@dataclass(frozen=True)
-class TargetSirRow:
+class TargetSirRow(NamedTuple):
     alpha: float
     kind: ReceiverKind
     gamma_noncoop: float
     gamma_pareto: float
 
 
-@dataclass(frozen=True)
-class AdmissionRow:
+class AdmissionRow(NamedTuple):
     alpha: float
     mean_total_utility_per_dof: float
     Gamma: float
 
 
-@dataclass(frozen=True)
-class UtilityCurveRow:
+class UtilityCurveRow(NamedTuple):
     power: float
     utility: float
 
 
-@dataclass(frozen=True)
-class EfficiencyCurveRow:
+class EfficiencyCurveRow(NamedTuple):
     gamma: float
     f: float
 
 
-@dataclass(frozen=True)
-class FiniteVsAsymptoticRow:
+class FiniteVsAsymptoticRow(NamedTuple):
     N: int
     kind: ReceiverKind
     mean_rel_power_error: float
@@ -179,8 +169,8 @@ def _feasible_cells(kinds, antennas, loads, gamma_star: float):
     """(kind, m, load, Gamma) for each cell of kinds x antennas x loads, in
     that order, whose load admits the SIR target gamma_star with m antennas,
     as asymptotic.gamma_factor decides: the one feasibility gate of the
-    tables. Each cell left out is logged; with none left, InfeasibleLoadError
-    names every cell's load limit."""
+    tables. A cell left out is just absent from the table; with none left,
+    InfeasibleLoadError names every cell's load limit."""
     cells, limits = [], []
     for kind in kinds:
         for m in antennas:
@@ -191,8 +181,7 @@ def _feasible_cells(kinds, antennas, loads, gamma_star: float):
                     cells.append((kind, m, load, asymptotic.gamma_factor(
                         kind, load, gamma_star, m)))
                 except InfeasibleLoadError:
-                    log.info("omitting infeasible cell alpha=%g kind=%s m=%d",
-                             load, kind.value, m)
+                    pass
     if not cells:
         raise InfeasibleLoadError("no feasible load point; " + "; ".join(limits))
     return cells
@@ -371,8 +360,8 @@ def run_equilibria(config: ScenarioConfig):
     return rows, converged
 
 
-def run_utility_power_curve(config: ScenarioConfig, k: int = 0):
-    """Utility of one user versus its own power, interference frozen.
+def run_utility_power_curve(config: ScenarioConfig):
+    """Utility of user 0 versus its own power, interference frozen.
 
     The interferers are frozen at their equilibrium powers on a single seeded
     realization with the one configured antenna count, so the curve peaks
@@ -388,20 +377,18 @@ def run_utility_power_curve(config: ScenarioConfig, k: int = 0):
     result = solve_equilibrium(realization, kind, p, config.model,
                                max_iter=config.max_iter)
     rate = float(sir_per_watt(kind, realization.S, realization.H,
-                              result.powers, p.sigma2)[k])
-    grid = result.powers[k] * np.geomspace(1.0 / 16.0, 16.0, 65)
+                              result.powers, p.sigma2)[0])
+    grid = result.powers[0] * np.geomspace(1.0 / 16.0, 16.0, 65)
     rows = [UtilityCurveRow(x, utility(x, x * rate, p, config.model))
             for x in grid[grid <= p.Pmax].tolist()]
     return rows, result.converged
 
 
-def run_efficiency_curve(model: EfficiencyModel, gamma_grid):
-    """Tabulate the efficiency function along a nonnegative increasing grid."""
-    grid = np.asarray(gamma_grid, dtype=float)
-    if np.any(grid < 0) or np.any(np.diff(grid) <= 0):
-        raise ValueError("gamma grid must be nonnegative and increasing")
-    return [EfficiencyCurveRow(float(g), eff_value(model, float(g)))
-            for g in grid]
+def run_efficiency_curve(config: ScenarioConfig):
+    """The efficiency function of config.model at the 201 SIRs i * 0.1,
+    i = 0 .. 200, whose last point rounds to 20.0."""
+    return [EfficiencyCurveRow(g, eff_value(config.model, g))
+            for g in (i * 0.1 for i in range(201))]
 
 
 def run_finite_vs_asymptotic(config: ScenarioConfig):

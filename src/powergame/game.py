@@ -24,14 +24,13 @@ from typing import Callable
 import numpy as np
 
 from .asymptotic import balanced_received_power
-from .config import ReceiverKind, SystemParams
+from .config import DEFAULT_MAX_ITER, ReceiverKind, SystemParams
 from .efficiency import EfficiencyModel, solve_gamma_star
 from .exceptions import InfeasibleLoadError, InfeasibleUserError, SolverError
 from .system import (ChannelRealization, effective_system, make_sir_engine,
                      sir_per_watt, utility)
 
 INITIAL_POWER_FRACTION = 1e-2  # starting powers as a fraction of Pmax
-DEFAULT_MAX_ITER = 500
 POWER_TOL = 1e-9  # largest relative power change of a settled sweep
 SIR_TOL = 1e-6    # relative SIR error allowed for users below Pmax
 NASH_REL_TOL = 1e-6  # relative utility gain a deviation must beat

@@ -358,6 +358,9 @@ class TestCsvContract:
         assert out1.read_bytes() == out2.read_bytes()
         assert out1.read_bytes().endswith(b"\n")
         assert b"\r" not in out1.read_bytes()
+        lines = out1.read_text(encoding="utf-8").split("\n")
+        assert lines[0] == "alpha,mean_total_utility_per_dof,Gamma"
+        assert len(lines) == 6 and lines[-1] == ""
 
     def test_seed_changes_output(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -432,6 +435,8 @@ class TestSubcommands:
         lines = proc.stdout.strip().split("\n")
         assert lines[0] == "gamma,f"
         assert lines[1] == "0.0,0.0"
+        assert len(lines) == 202
+        assert lines[-1].split(",")[0] == "20.0"
 
     def test_curve_utility(self):
         proc = run_cli("curve-utility", "--set", "K=10")

@@ -429,22 +429,21 @@ class TestUtilityPowerCurveRun:
 
 class TestEfficiencyCurve:
     def test_tabulates_model(self, model):
-        rows = run_efficiency_curve(model, np.linspace(0.0, 20.0, 201))
+        rows = run_efficiency_curve(config(model=model))
+        # the driver's grid is numpy.linspace(0, 20, 201), point for point
+        assert [r.gamma for r in rows] == np.linspace(0.0, 20.0, 201).tolist()
         assert rows[0].gamma == 0.0 and rows[0].f == 0.0
         assert rows[-1].f > 0.999
         values = [r.f for r in rows]
         assert all(a < b for a, b in zip(values, values[1:]))
+        assert all(r.f == eff_value(model, r.gamma) for r in rows)
 
     def test_sigmoid_inflection(self, model):
-        rows = run_efficiency_curve(model, np.linspace(0.0, 20.0, 801))
-        second = np.diff([r.f for r in rows], 2)
+        values = [eff_value(model, g) for g in np.linspace(0.0, 20.0, 801)]
+        second = np.diff(values, 2)
         signs = np.sign(second[np.abs(second) > 1e-12])
         flips = np.sum(signs[:-1] != signs[1:])
         assert flips == 1  # convex then concave
-
-    def test_rejects_decreasing_grid(self, model):
-        with pytest.raises(ValueError):
-            run_efficiency_curve(model, [0.0, 1.0, 0.5])
 
 
 class TestFiniteVsAsymptotic:

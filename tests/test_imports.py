@@ -2,8 +2,8 @@
 reads another module's private (``_name``) attributes, the CLI leaves
 feasibility and every other table decision to the experiment drivers, only
 ``system`` uses the per-user filter reference, every exported name
-resolves, and neither importing the package, reading its config types nor
-running `gamma-star` loads numpy.
+resolves, neither importing the package, reading its config types nor
+running `gamma-star` loads numpy, and a table process loads no `logging`.
 
 No linter is a dependency, so these stdlib-ast checks stand in for one.
 ``__init__.py`` is skipped (its imports are the package's re-exports), and so
@@ -185,23 +185,37 @@ def test_gamma_star_loads_no_numpy():
     assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr
 
 
+def process_imports(*argv):
+    """(the process of `python -m powergame *argv`, every module it imports),
+    which -X importtime lists on stderr."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m",
+                           "powergame", *argv], capture_output=True,
+                          text=True, timeout=60)
+    return proc, {line.rpartition("|")[2].strip()
+                  for line in proc.stderr.splitlines()
+                  if line.startswith("import time:")}
+
+
 @pytest.mark.parametrize("argv,code", [
     (["gamma-star"], 0),
     (["gamma-star", "--set", "K=0"], 2),
 ], ids=["table", "config-error"])
 def test_gamma_star_process_loads_no_numpy(argv, code):
-    # -X importtime lists every module the process imports on stderr
-    proc = subprocess.run([sys.executable, "-X", "importtime", "-m",
-                           "powergame", *argv], capture_output=True,
-                          text=True, timeout=60)
+    proc, imported = process_imports(*argv)
     assert proc.returncode == code, proc.stderr
-    imported = {line.rpartition("|")[2].strip()
-                for line in proc.stderr.splitlines()
-                if line.startswith("import time:")}
     assert "powergame.cli" in imported
     assert "numpy" not in imported
     if code:
         assert "config error: K: must be >= 1, got 0\n" in proc.stderr
+
+
+def test_table_process_loads_no_logging():
+    # no handler would show a log record of the drivers, so a table process
+    # does not pay for importing logging
+    proc, imported = process_imports("equilibrium", "--set", "K=5")
+    assert proc.returncode == 0, proc.stderr
+    assert {"powergame.experiments", "numpy"} <= imported
+    assert "logging" not in imported
 
 
 def config_reads(source: str):
