@@ -6,24 +6,18 @@ SeedSequence spawn keys, and all aggregation uses math.fsum so reported
 means are exact and independent of trial ordering. Running the same config
 twice therefore produces identical tables, bit for bit. The realizations of
 the finite-system tables take one stream each. The Monte Carlo tables
-(sweep and admission) read trial t as row t of a few sequential streams, so
-their first T trials do not depend on the trial count.
+(sweep, pareto and antennas) read trial t as row t of a few sequential
+streams, so their first T trials do not depend on the trial count. The
+admission curve draws nothing: its E[h^2] over the annulus is a closed form.
 
-Variance-reduction choices that keep the desk-scale runs stable:
-
-* load sweeps draw one gain vector per trial and reuse it across every
-  (load, receiver, antenna count) cell, so receiver orderings that hold per
-  realization hold exactly in the reported means;
-* the admission curve reuses one user-placement pool per trial across the
-  whole load grid, so the load dependence of total utility is exact and the
-  curve peaks precisely where the analysis says it must.
-"""
+Load sweeps draw one gain vector per trial and reuse it across every
+(load, receiver, antenna count) cell, so receiver orderings that hold per
+realization hold exactly in the reported means."""
 
 from __future__ import annotations
 
 import math
 from enum import Enum
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -35,24 +29,14 @@ from .exceptions import (ConfigError, InfeasibleLoadError,
                          SingularSpreadingError, SolverError)
 from .game import solve_equilibrium
 from .system import (ChannelRealization, generate_gains, generate_spreading,
-                     rayleigh_scale, sir_per_watt, utility)
+                     mean_square_gain, rayleigh_scale, sir_per_watt, utility)
 
-# stream labels keeping the experiment families on disjoint substreams
+# stream labels keeping the experiment families on disjoint substreams; a
+# table's bytes depend on its label, so labels are never renumbered
 _STREAM_SWEEP = 0
-_STREAM_ADMISSION = 1
 _STREAM_FINITE = 2
 _STREAM_CURVE = 3
 _STREAM_EQUILIBRIUM = 4
-
-# admission trials per vectorised block of draws; whole-run arrays are no
-# faster and would tie peak memory to the trial count
-_BLOCK = 32
-
-# _exact_terms: bits of a 53-bit integer mantissa's low half, and the most
-# values one bincount sums, so that every per-exponent sum of a half stays
-# an integer below 2**53, exact in float64
-_LOW_BITS = 26
-_EXACT_CHUNK = 1 << 26
 
 
 class SweepRow(NamedTuple):
@@ -244,84 +228,21 @@ def run_target_sir_comparison(config: ScenarioConfig):
     return rows
 
 
-def _annulus_distances(u: np.ndarray, d_min: float, d_max: float) -> np.ndarray:
-    # uniforms u in [0, 1) to distances uniform over the annulus area
-    return np.sqrt(d_min ** 2 + u * (d_max ** 2 - d_min ** 2))
-
-
-def _exact_terms(values: np.ndarray) -> list:
-    """A few floats whose exact sum is the exact sum of values, so one
-    math.fsum over the terms of many arrays is the fsum of all their values.
-
-    Each value is an integer mantissa below 2**53 times a power of two. The
-    high and low halves of the mantissas are summed per exponent by
-    bincount, in chunks small enough that every partial sum is an integer
-    below 2**53, hence exact; each sum times its power of two is exact too.
-    An array holding a non-finite value, a subnormal or a value of 2**997
-    or more passes through as it is, so fsum sees the ends of the float
-    range, and treats their inf, nan and overflow, as it always has.
-    """
-    values = values.ravel()
-    if not (values.size and np.isfinite(values).all()):
-        return values.tolist()
-    mantissas, exponents = np.frexp(values)
-    low, high = exponents.min(), exponents.max()
-    if low < -1021 or high > 997:
-        return values.tolist()
-    ints = (mantissas * 2.0 ** 53).astype(np.int64)
-    halves = ((ints >> _LOW_BITS, _LOW_BITS - 53),
-              (ints & ((1 << _LOW_BITS) - 1), -53))
-    bins = exponents - low
-    powers = np.arange(low, high + 1, dtype=exponents.dtype)
-    terms = []
-    for start in range(0, values.size, _EXACT_CHUNK):
-        chunk = slice(start, start + _EXACT_CHUNK)
-        for half, shift in halves:
-            sums = np.bincount(bins[chunk], weights=half[chunk],
-                               minlength=powers.size)
-            terms.extend(np.ldexp(sums, powers + shift).tolist())
-    return terms
-
-
-def _pooled_mean_h2(config: ScenarioConfig) -> float:
-    """E[h^2] over the placement pools of N annulus users, one per trial.
-
-    Trial t's users take row t of the (trials, N) unit Rayleigh draws of
-    trial_rng(master_seed, _STREAM_ADMISSION, 0) and of the annulus uniforms
-    of trial_rng(master_seed, _STREAM_ADMISSION, 1). The mean is one exact
-    sum over all trials * N squared gains, drawn ``_BLOCK`` trials at a time
-    so memory does not grow with the trial count; each block enters the sum
-    as its few exact per-exponent terms.
-    """
-    pool = config.params.N
-    gains = trial_rng(config.master_seed, _STREAM_ADMISSION, 0)
-    places = trial_rng(config.master_seed, _STREAM_ADMISSION, 1)
-
-    def squares():
-        for start in range(0, config.trials, _BLOCK):
-            shape = (min(_BLOCK, config.trials - start), pool)
-            d = _annulus_distances(places.random(shape), config.d_min,
-                                   config.d_max)
-            yield _exact_terms((rayleigh_scale(d)
-                                * gains.rayleigh(size=shape)) ** 2)
-
-    return math.fsum(chain.from_iterable(squares())) / (config.trials * pool)
-
-
 def run_admission_curve(config: ScenarioConfig):
     """Total utility per degree of freedom and Gamma versus load.
 
-    Users are placed uniformly in an annulus around the receiver; the same
-    per-trial placement pool feeds every load point so the reported curve is
-    exactly proportional to alpha * Gamma(alpha) and peaks at the Gamma = 1/2
-    crossing regardless of sampling noise. The table has no receiver or
-    antenna column, so it takes one of each; m antennas pool m E[h^2].
+    Each row is alpha * utility_coef * Gamma(alpha) * m E[h^2], with E[h^2]
+    the closed form system.mean_square_gain for users placed uniformly over
+    the annulus area, so nothing is drawn: the curve is exactly proportional
+    to alpha * Gamma(alpha), peaks at the Gamma = 1/2 crossing, and depends
+    on neither the seed, the trial count nor N. The table has no receiver
+    or antenna column, so it takes one of each; m antennas pool m E[h^2].
     """
     kind = _one("receiver", config.kinds, _ONE_RECEIVER)
     m = _one("antennas", config.antennas, _ONE_COUNT)
     gstar = solve_gamma_star(config.model)
     cells = _feasible_cells((kind,), (m,), config.alpha_grid, gstar)
-    e_h2 = m * _pooled_mean_h2(config)
+    e_h2 = m * mean_square_gain(config.d_min, config.d_max)
     coef = asymptotic.utility_coef(config.params, config.model, gstar)
     return [AdmissionRow(alpha, alpha * coef * gamma_bar * e_h2, gamma_bar)
             for _, _, alpha, gamma_bar in cells]

@@ -557,6 +557,20 @@ class TestLibraryErrors:
         assert err.startswith("error: ")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["admission", "--set", "d_max=1e300"],
+        ["admission", "--set", "d_min=1e-200", "--set", "d_max=1e-100"],
+        ["admission", "--set", "d_min=1e-170", "--set", "d_max=1e-160"],
+    ], ids=["underflow", "overflow", "zero-product"])
+    def test_annulus_gain_out_of_range_names_the_radii(self, argv, capsys):
+        # E[h^2] over the annulus leaves the float range: the one error
+        # line names the two keys that set it
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: d_min=") and ", d_max=" in err
+        assert len(err.splitlines()) == 1
+
     def test_singular_mmse_system_exits_1_without_traceback(self, capsys):
         # K users on N = 3 chips: the noise power is all that keeps the
         # K x K MMSE system regular. K = 100 is past LEAF_ROWS, where the

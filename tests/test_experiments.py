@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from powergame.asymptotic import feasibility_bound, gamma_factor
+from powergame.asymptotic import (feasibility_bound, gamma_factor,
+                                  utility_coef)
 from powergame.efficiency import EfficiencyKind, EfficiencyModel, eff_value
 from powergame import experiments
 from powergame.exceptions import ConfigError, InfeasibleLoadError
@@ -13,7 +14,7 @@ from powergame.experiments import (ScenarioConfig, SweepMode,
                                    run_load_sweep, run_target_sir_comparison,
                                    run_utility_power_curve, trial_rng)
 from powergame.system import (COND_LIMIT, ReceiverKind, generate_gains,
-                              utility)
+                              mean_square_gain, rayleigh_scale, utility)
 
 from conftest import make_params
 
@@ -48,8 +49,7 @@ class TestTrialRng:
         assert not np.array_equal(a, b)
 
 
-BLOCK = experiments._BLOCK
-TRIALS = [1, BLOCK - 1, BLOCK, BLOCK + 1, 255, 256, 257]
+TRIALS = [1, 31, 32, 33, 255, 256, 257]
 
 
 def _sweep_oracle(seed: int, trials: int, m: int):
@@ -61,24 +61,12 @@ def _sweep_oracle(seed: int, trials: int, m: int):
         for l in range(m)]) ** 2
 
 
-def _admission_oracle(cfg):
-    # whole-run (trials, N) squared gains: uniforms from stream index 1,
-    # gains for the annulus distances from stream index 0
-    shape = (cfg.trials, cfg.params.N)
-    u = trial_rng(cfg.master_seed, experiments._STREAM_ADMISSION, 1).random(shape)
-    d = experiments._annulus_distances(u, cfg.d_min, cfg.d_max)
-    h = generate_gains(d.ravel(), 1,
-                       trial_rng(cfg.master_seed, experiments._STREAM_ADMISSION, 0))
-    return (h ** 2).reshape(shape)
-
-
 class TestBatchedDraws:
-    """The Monte Carlo tables' draws against whole-array oracles.
+    """The sweep tables' draws against whole-array oracles.
 
     Trial t is row t of each stream, so the draws of T trials are the first
-    T rows of any longer run, whatever the block size. Equality is exact:
-    a unit Rayleigh draw times the scale is numpy's own scale * sqrt(2 E),
-    and blocked draws from a Generator equal one whole-array draw.
+    T rows of any longer run. Equality is exact: a unit Rayleigh draw times
+    the scale is numpy's own scale * sqrt(2 E).
     """
 
     @pytest.mark.parametrize("m_max", [1, 8])
@@ -89,13 +77,6 @@ class TestBatchedDraws:
         assert got.shape == (trials, m_max)
         assert np.array_equal(got, _sweep_oracle(11, trials, m_max))
 
-    @pytest.mark.parametrize("trials", TRIALS)
-    def test_admission_pooled_gain_equals_per_trial_draws(self, trials):
-        cfg = config(trials=trials, master_seed=5)
-        squares = _admission_oracle(cfg)
-        assert experiments._pooled_mean_h2(cfg) == \
-            math.fsum(squares.ravel().tolist()) / squares.size
-
     @pytest.mark.parametrize("seed", [2 ** 32, 2 ** 130])
     @pytest.mark.parametrize("trials", [255, 256, 257])
     def test_large_seeds_equal_per_trial_draws(self, seed, trials):
@@ -103,23 +84,18 @@ class TestBatchedDraws:
         assert np.array_equal(experiments._sweep_gains(cfg),
                               _sweep_oracle(seed, trials, 2))
 
-    @pytest.mark.parametrize("trials", [BLOCK - 1, BLOCK + 1, 257])
+    @pytest.mark.parametrize("trials", [31, 33, 257])
     def test_first_trials_are_a_prefix(self, trials):
         short = config(trials=trials, master_seed=3, antennas=(1, 4))
         long = config(trials=2 * trials, master_seed=3, antennas=(1, 4))
         assert np.array_equal(experiments._sweep_gains(short),
                               experiments._sweep_gains(long)[:trials])
-        # the first T rows of the 2T admission draws are the T-trial pool
-        head = _admission_oracle(long)[:trials]
-        assert experiments._pooled_mean_h2(short) == \
-            math.fsum(head.ravel().tolist()) / head.size
 
     def test_sweep_and_antennas_share_the_single_antenna_rows(self):
         # the m = 1 column ignores the largest antenna count, so sweep
         # (antennas=(1,)) and the antennas table print the same m = 1 rows
-        one = experiments._sweep_gains(config(trials=BLOCK + 1, antennas=(1,)))
-        many = experiments._sweep_gains(config(trials=BLOCK + 1,
-                                               antennas=(1, 8)))
+        one = experiments._sweep_gains(config(trials=33, antennas=(1,)))
+        many = experiments._sweep_gains(config(trials=33, antennas=(1, 8)))
         assert np.array_equal(one[:, 0], many[:, 0])
         grid = dict(trials=60, alpha_grid=(0.1, 0.3, 0.7))
         sweep = run_load_sweep(config(**grid))
@@ -393,6 +369,52 @@ class TestAdmissionCurve:
         assert two.mean_total_utility_per_dof / one.mean_total_utility_per_dof \
             == pytest.approx(ratio, rel=1e-12)
         assert two.Gamma == gamma_factor(MMSE, alpha, gamma_star, 2)
+
+
+class TestAdmissionClosedForm:
+    """E[h^2] over the annulus area against the draws it replaces, and the
+    admission rows built on it."""
+
+    def test_matches_quadrature_at_default_radii(self):
+        # d^2 uniform on [d_min^2, d_max^2]: a 2M-point midpoint rule
+        d_min, d_max = ScenarioConfig.d_min, ScenarioConfig.d_max
+        points = 2_000_000
+        step = (d_max ** 2 - d_min ** 2) / points
+        u = d_min ** 2 + step * (np.arange(points) + 0.5)
+        quadrature = float(np.mean(2.0 * rayleigh_scale(np.sqrt(u)) ** 2))
+        assert mean_square_gain(d_min, d_max) == pytest.approx(quadrature,
+                                                               rel=1e-5)
+
+    def test_matches_generated_gains_on_a_narrow_annulus(self):
+        # on 90-110 m h^2 is nearly exponential, so the seeded mean of a
+        # million squared gains has a standard error of ~0.1%
+        d_min, d_max, draws = 90.0, 110.0, 1_000_000
+        rng = np.random.default_rng(20051)
+        d = np.sqrt(d_min ** 2 + rng.random(draws) * (d_max ** 2 - d_min ** 2))
+        h2 = generate_gains(d, 1, rng)[0] ** 2
+        stderr = h2.std(ddof=1) / math.sqrt(draws)
+        assert abs(h2.mean() - mean_square_gain(d_min, d_max)) < 4 * stderr
+
+    def test_is_a_float_in_closed_form(self):
+        e_h2 = mean_square_gain(10.0, 1000.0)
+        assert type(e_h2) is float
+        assert e_h2 == pytest.approx(0.36 / (math.pi * 10.0 ** 2 * 1000.0 ** 2),
+                                     rel=1e-14)
+
+    def test_rows_are_the_closed_form(self, gamma_star):
+        cfg = config(kinds=(MMSE,), antennas=(2,))
+        e_h2 = 2 * mean_square_gain(cfg.d_min, cfg.d_max)
+        coef = utility_coef(cfg.params, cfg.model, gamma_star)
+        for r in run_admission_curve(cfg):
+            assert r.mean_total_utility_per_dof == pytest.approx(
+                r.alpha * coef * r.Gamma * e_h2, rel=1e-14)
+
+    def test_rows_depend_on_no_draw_setting(self):
+        grid = dict(kinds=(MMSE,), alpha_grid=(0.1, 0.58, 1.1))
+        tables = [run_admission_curve(config(master_seed=seed, trials=trials,
+                                             params=make_params(N=N), **grid))
+                  for seed in (0, 7) for trials in (1, 500) for N in (20, 100)]
+        assert all(table == tables[0] for table in tables)
 
 
 class TestUtilityPowerCurveRun:

@@ -3,7 +3,8 @@ reads another module's private (``_name``) attributes, the CLI leaves
 feasibility and every other table decision to the experiment drivers, only
 ``system`` uses the per-user filter reference, every exported name
 resolves, neither importing the package, reading its config types nor
-running `gamma-star` loads numpy, and a table process loads no `logging`.
+running `gamma-star` loads numpy, a table process loads no `logging`, and
+an `admission` process loads no `numpy.random`.
 
 No linter is a dependency, so these stdlib-ast checks stand in for one.
 ``__init__.py`` is skipped (its imports are the package's re-exports), and so
@@ -216,6 +217,22 @@ def test_table_process_loads_no_logging():
     assert proc.returncode == 0, proc.stderr
     assert {"powergame.experiments", "numpy"} <= imported
     assert "logging" not in imported
+
+
+def test_admission_loads_no_numpy_random():
+    # the admission table is a closed form and draws nothing; numpy 2 loads
+    # numpy.random on first use, numpy 1.x with numpy itself
+    probe = ("import sys\nfrom powergame import cli\n"
+             "code = cli.main(['admission', '--trials', '2'])\n"
+             "loaded = 'numpy.random' in sys.modules\n"
+             "import numpy\n"
+             "print(code, numpy.__version__.split('.')[0], loaded)")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=60)
+    code, major, loaded = proc.stdout.splitlines()[-1].split()
+    if int(major) < 2:
+        pytest.skip("numpy 1.x imports numpy.random with numpy")
+    assert (code, loaded) == ("0", "False"), proc.stderr
 
 
 def config_reads(source: str):
