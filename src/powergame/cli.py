@@ -222,12 +222,16 @@ def _cmd_gamma_star(config, args):
     return 0
 
 
-def _run(driver: str, config):
-    """experiments.<driver>(config). The drivers load numpy, so the import
-    waits until a table runs and gamma-star never pays for it. An overflow,
-    division by zero or NaN anywhere in numpy would otherwise end in an inf
-    or nan table with exit 0; Python floats raise their own ArithmeticError
-    subclasses."""
+def _run(module: str, driver: str, config):
+    """<module>.<driver>(config). The closedform drivers compute on Python
+    floats, which raise their own ArithmeticError subclasses. Only the
+    experiments drivers, which draw or solve a finite system, load numpy,
+    so gamma-star and the closedform tables never pay for its import; they
+    run under an errstate that raises where an overflow, division by zero
+    or NaN in numpy would otherwise end in an inf or nan table with exit 0."""
+    if module == "closedform":
+        from . import closedform
+        return getattr(closedform, driver)(config)
     import numpy as np
 
     from . import experiments
@@ -235,41 +239,43 @@ def _run(driver: str, config):
         return getattr(experiments, driver)(config)
 
 
-def _table(driver: str):
-    """Handler writing the rows the experiments driver returns."""
+def _table(module: str, driver: str):
+    """Handler writing the rows the driver returns."""
     def handler(config, args):
-        emit_csv(_run(driver, config), args.output)
+        emit_csv(_run(module, driver, config), args.output)
         return 0
     return handler
 
 
 def _checked_table(driver: str):
-    """Handler writing the rows of a driver returning (rows, converged);
-    under --strict it exits 4 when the solve did not converge."""
+    """Handler writing the rows of an experiments driver returning (rows,
+    converged); under --strict it exits 4 when the solve did not converge."""
     def handler(config, args):
-        rows, converged = _run(driver, config)
+        rows, converged = _run("experiments", driver, config)
         emit_csv(rows, args.output)
         return 0 if (converged or not args.strict) else EXIT_NOCONV
     return handler
 
 
-# subcommand -> (handler(config, args) -> exit code, config defaults)
+# subcommand -> (handler(config, args) -> exit code, config defaults); a
+# table's handler names the module holding its driver
 SUBCOMMANDS = {
     "gamma-star": (_cmd_gamma_star, {}),
     "equilibrium": (_checked_table("run_equilibria"), {"receiver": "MMSE"}),
-    "sweep": (_table("run_load_sweep"), {"alpha_range": "0.05:1.15:0.05"}),
-    "pareto": (_table("run_load_sweep"),
+    "sweep": (_table("experiments", "run_load_sweep"),
+              {"alpha_range": "0.05:1.15:0.05"}),
+    "pareto": (_table("experiments", "run_load_sweep"),
                {"alpha_range": "0.05:1.15:0.05", "mode": "both"}),
-    "sir-compare": (_table("run_target_sir_comparison"),
+    "sir-compare": (_table("closedform", "run_target_sir_comparison"),
                     {"alpha_range": "0.05:1.0:0.05"}),
-    "antennas": (_table("run_load_sweep"),
+    "antennas": (_table("experiments", "run_load_sweep"),
                  {"alpha_range": "0.05:1.15:0.05", "antennas": "1,2"}),
-    "admission": (_table("run_admission_curve"),
+    "admission": (_table("closedform", "run_admission_curve"),
                   {"receiver": "MMSE", "alpha_range": "0.01:1.15:0.01"}),
     "curve-utility": (_checked_table("run_utility_power_curve"),
                       {"receiver": "MMSE"}),
-    "curve-efficiency": (_table("run_efficiency_curve"), {}),
-    "validate-asymptotic": (_table("run_finite_vs_asymptotic"),
+    "curve-efficiency": (_table("closedform", "run_efficiency_curve"), {}),
+    "validate-asymptotic": (_table("experiments", "run_finite_vs_asymptotic"),
                             {"alpha": "0.07"}),
 }
 

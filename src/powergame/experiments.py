@@ -1,4 +1,5 @@
-"""Seeded Monte Carlo scenarios emitting tabular sweep data.
+"""Seeded Monte Carlo scenarios emitting tabular sweep data: the tables
+that draw or solve a finite system, and so load numpy.
 
 Reproducibility contract: every random draw comes from a trial_rng stream,
 a pure function of (master_seed, stream label, key) realized through numpy
@@ -8,7 +9,9 @@ twice therefore produces identical tables, bit for bit. The realizations of
 the finite-system tables take one stream each. The Monte Carlo tables
 (sweep, pareto and antennas) read trial t as row t of a few sequential
 streams, so their first T trials do not depend on the trial count. The
-admission curve draws nothing: its E[h^2] over the annulus is a closed form.
+tables that draw nothing (sir-compare, admission, curve-efficiency) live in
+closedform, with the feasibility gate and the one-value rule they share
+with these drivers.
 
 Load sweeps draw one gain vector per trial and reuse it across every
 (load, receiver, antenna count) cell, so receiver orderings that hold per
@@ -17,19 +20,19 @@ realization hold exactly in the reported means."""
 from __future__ import annotations
 
 import math
-from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
 
-from . import asymptotic
+from . import asymptotic, closedform
+from .closedform import (M1_ONLY, ONE_COUNT, ONE_RECEIVER, check_distance,
+                         feasible_cells, one)
 from .config import ReceiverKind, ScenarioConfig, SweepMode
-from .efficiency import eff_value, solve_gamma_star
-from .exceptions import (ConfigError, InfeasibleLoadError,
-                         SingularSpreadingError, SolverError)
+from .efficiency import solve_gamma_star
+from .exceptions import SingularSpreadingError, SolverError
 from .game import solve_equilibrium
 from .system import (ChannelRealization, generate_gains, generate_spreading,
-                     mean_square_gain, rayleigh_scale, sir_per_watt, utility)
+                     rayleigh_scale, sir_per_watt, utility)
 
 # stream labels keeping the experiment families on disjoint substreams; a
 # table's bytes depend on its label, so labels are never renumbered
@@ -37,6 +40,9 @@ _STREAM_SWEEP = 0
 _STREAM_FINITE = 2
 _STREAM_CURVE = 3
 _STREAM_EQUILIBRIUM = 4
+
+# perfbench imports the admission driver from here
+run_admission_curve = closedform.run_admission_curve
 
 
 class SweepRow(NamedTuple):
@@ -62,27 +68,9 @@ class EquilibriumRow(NamedTuple):
     converged: bool
 
 
-class TargetSirRow(NamedTuple):
-    alpha: float
-    kind: ReceiverKind
-    gamma_noncoop: float
-    gamma_pareto: float
-
-
-class AdmissionRow(NamedTuple):
-    alpha: float
-    mean_total_utility_per_dof: float
-    Gamma: float
-
-
 class UtilityCurveRow(NamedTuple):
     power: float
     utility: float
-
-
-class EfficiencyCurveRow(NamedTuple):
-    gamma: float
-    f: float
 
 
 class FiniteVsAsymptoticRow(NamedTuple):
@@ -110,27 +98,12 @@ def _std(values, mean: float) -> float:
     return math.sqrt(math.fsum((v - mean) ** 2 for v in values) / (len(values) - 1))
 
 
-# messages of _one, with {} for the values given
-_ONE_COUNT = "this subcommand solves one antenna count, got {}"
-_ONE_RECEIVER = "this subcommand solves one receiver, got {}"
-_M1_ONLY = "this subcommand tabulates m=1 only, got antennas={}"
-
-
-def _one(key: str, values: tuple, message: str, only=None):
-    """The one value of ``key`` that a table with no column for it takes,
-    which must be ``only`` if that is given. Any other tuple is a ConfigError
-    naming the key, never cut to its first entry."""
-    if len(values) != 1 or (only is not None and values[0] != only):
-        raise ConfigError(key, message.format(",".join(
-            str(v.value if isinstance(v, Enum) else v) for v in values)))
-    return values[0]
-
-
 def _sweep_gains(config: ScenarioConfig) -> np.ndarray:
     """Squared gains of the observed user, one row per trial and one column
     per antenna: antenna l's column is the scaled Rayleigh draws of
     trial_rng(master_seed, _STREAM_SWEEP, l), so it depends on neither the
     other antennas nor the trials after it."""
+    check_distance(config.distance)
     scale = rayleigh_scale([config.distance])
     return np.column_stack([
         (scale * trial_rng(config.master_seed, _STREAM_SWEEP, l).rayleigh(
@@ -149,28 +122,6 @@ def _sort_key(row: SweepRow):
     return (row.alpha, row.kind.value, row.m, row.mode.value)
 
 
-def _feasible_cells(kinds, antennas, loads, gamma_star: float):
-    """(kind, m, load, Gamma) for each cell of kinds x antennas x loads, in
-    that order, whose load admits the SIR target gamma_star with m antennas,
-    as asymptotic.gamma_factor decides: the one feasibility gate of the
-    tables. A cell left out is just absent from the table; with none left,
-    InfeasibleLoadError names every cell's load limit."""
-    cells, limits = [], []
-    for kind in kinds:
-        for m in antennas:
-            limits.append(f"{kind.value} m={m}: alpha < "
-                          f"{asymptotic.feasibility_bound(kind, gamma_star, m):g}")
-            for load in loads:
-                try:
-                    cells.append((kind, m, load, asymptotic.gamma_factor(
-                        kind, load, gamma_star, m)))
-                except InfeasibleLoadError:
-                    pass
-    if not cells:
-        raise InfeasibleLoadError("no feasible load point; " + "; ".join(limits))
-    return cells
-
-
 def run_load_sweep(config: ScenarioConfig):
     """Average utility versus load per (receiver, antenna count, mode).
 
@@ -182,11 +133,11 @@ def run_load_sweep(config: ScenarioConfig):
     mode=pareto, whose rows are all cooperative, takes antennas=(1,) only.
     """
     if config.mode is SweepMode.PARETO:
-        _one("antennas", config.antennas,
+        one("antennas", config.antennas,
              "mode=pareto tabulates m=1 only, got antennas={}", only=1)
     gstar = solve_gamma_star(config.model)
     p, model = config.params, config.model
-    cells = _feasible_cells(config.kinds, config.antennas, config.alpha_grid,
+    cells = feasible_cells(config.kinds, config.antennas, config.alpha_grid,
                             gstar)
     h2 = _sweep_gains(config)
     moments = {m: _moments(h2[:, :m].sum(axis=1)) for m in config.antennas}
@@ -215,39 +166,6 @@ def run_load_sweep(config: ScenarioConfig):
     return rows
 
 
-def run_target_sir_comparison(config: ScenarioConfig):
-    """Non-cooperative versus cooperative target SIR over the load grid."""
-    _one("antennas", config.antennas, _M1_ONLY, only=1)
-    gstar = solve_gamma_star(config.model)
-    rows = [TargetSirRow(alpha, kind, gstar,
-                         asymptotic.solve_pareto_target(kind, alpha,
-                                                        config.model))
-            for kind, _, alpha, _ in _feasible_cells(
-                config.kinds, (1,), config.alpha_grid, gstar)]
-    rows.sort(key=lambda r: (r.alpha, r.kind.value))
-    return rows
-
-
-def run_admission_curve(config: ScenarioConfig):
-    """Total utility per degree of freedom and Gamma versus load.
-
-    Each row is alpha * utility_coef * Gamma(alpha) * m E[h^2], with E[h^2]
-    the closed form system.mean_square_gain for users placed uniformly over
-    the annulus area, so nothing is drawn: the curve is exactly proportional
-    to alpha * Gamma(alpha), peaks at the Gamma = 1/2 crossing, and depends
-    on neither the seed, the trial count nor N. The table has no receiver
-    or antenna column, so it takes one of each; m antennas pool m E[h^2].
-    """
-    kind = _one("receiver", config.kinds, _ONE_RECEIVER)
-    m = _one("antennas", config.antennas, _ONE_COUNT)
-    gstar = solve_gamma_star(config.model)
-    cells = _feasible_cells((kind,), (m,), config.alpha_grid, gstar)
-    e_h2 = m * mean_square_gain(config.d_min, config.d_max)
-    coef = asymptotic.utility_coef(config.params, config.model, gstar)
-    return [AdmissionRow(alpha, alpha * coef * gamma_bar * e_h2, gamma_bar)
-            for _, _, alpha, gamma_bar in cells]
-
-
 def _draw_realization(config: ScenarioConfig, N: int, K: int, m: int,
                       stream: int, *key: int) -> ChannelRealization:
     """One realization from trial_rng(master_seed, stream, *key): the N x K
@@ -263,7 +181,8 @@ def run_equilibria(config: ScenarioConfig):
     """Per-user equilibrium rows for every configured receiver on one seeded
     realization with the one configured antenna count, sorted by receiver
     and user. Returns (rows, whether every equilibrium converged)."""
-    m = _one("antennas", config.antennas, _ONE_COUNT)
+    m = one("antennas", config.antennas, ONE_COUNT)
+    check_distance(config.distance)
     p = config.params
     realization = _draw_realization(config, p.N, p.K, m,
                                     _STREAM_EQUILIBRIUM, 0)
@@ -291,8 +210,9 @@ def run_utility_power_curve(config: ScenarioConfig):
     is the equilibrium power times 1/16 .. 16, cut at Pmax. Returns (rows,
     whether the equilibrium converged).
     """
-    m = _one("antennas", config.antennas, _ONE_COUNT)
-    kind = _one("receiver", config.kinds, _ONE_RECEIVER)
+    m = one("antennas", config.antennas, ONE_COUNT)
+    kind = one("receiver", config.kinds, ONE_RECEIVER)
+    check_distance(config.distance)
     p = config.params
     realization = _draw_realization(config, p.N, p.K, m, _STREAM_CURVE, 0)
     result = solve_equilibrium(realization, kind, p, config.model,
@@ -303,13 +223,6 @@ def run_utility_power_curve(config: ScenarioConfig):
     rows = [UtilityCurveRow(x, utility(x, x * rate, p, config.model))
             for x in grid[grid <= p.Pmax].tolist()]
     return rows, result.converged
-
-
-def run_efficiency_curve(config: ScenarioConfig):
-    """The efficiency function of config.model at the 201 SIRs i * 0.1,
-    i = 0 .. 200, whose last point rounds to 20.0."""
-    return [EfficiencyCurveRow(g, eff_value(config.model, g))
-            for g in (i * 0.1 for i in range(201))]
 
 
 def run_finite_vs_asymptotic(config: ScenarioConfig):
@@ -334,17 +247,18 @@ def run_finite_vs_asymptotic(config: ScenarioConfig):
     The table has no alpha or antenna column, so it takes one load and
     antennas=(1,).
     """
-    alpha = _one("alpha_range", config.alpha_grid, "this subcommand "
-                 f"tabulates one load, got {len(config.alpha_grid)} loads; "
-                 "set alpha")
-    _one("antennas", config.antennas, _M1_ONLY, only=1)
+    alpha = one("alpha_range", config.alpha_grid, "this subcommand "
+                f"tabulates one load, got {len(config.alpha_grid)} loads; "
+                "set alpha")
+    one("antennas", config.antennas, M1_ONLY, only=1)
     p, model = config.params, config.model
     gstar = solve_gamma_star(model)
     users = {N: max(1, round(alpha * N)) for N in config.n_grid}
     # two N can share a load K/N and still tabulate one row each
     loads = list(dict.fromkeys(K / N for N, K in users.items()))
     feasible = {(kind, load) for kind, _, load, _
-                in _feasible_cells(config.kinds, (1,), loads, gstar)}
+                in feasible_cells(config.kinds, (1,), loads, gstar)}
+    check_distance(config.distance)
     rows = []
     for kind_index, kind in enumerate(config.kinds):
         for N, K in users.items():

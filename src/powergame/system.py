@@ -12,7 +12,6 @@ all results are deterministic functions of (S, h, p, sigma2).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from .config import ReceiverKind, SystemParams
 from .efficiency import EfficiencyModel, eff_value
-from .exceptions import PowerGameError, SingularSpreadingError, SolverError
+from .exceptions import SingularSpreadingError, SolverError
 
 COND_LIMIT = 1e12  # 1-norm condition number above which S'S is declared singular
 LEAF_ROWS = 64  # _inverse calls LAPACK's inv at or below this many rows
@@ -59,27 +58,6 @@ def rayleigh_scale(distances) -> np.ndarray:
     if np.any(d <= 0):
         raise ValueError("distances must be strictly positive")
     return 0.3 / d ** 2 * np.sqrt(2.0 / np.pi)
-
-
-def mean_square_gain(d_min: float, d_max: float) -> float:
-    """E[h^2] of a user placed uniformly over the area of the annulus
-    d_min <= d <= d_max, in closed form.
-
-    A Rayleigh gain of scale s has E[h^2] = 2 s^2, and rayleigh_scale is
-    s(d) = s(1)/d^2, so E[h^2 | d] = 2 s(1)^2/d^4. Averaged over the density
-    2d/(d_max^2 - d_min^2) of d this is 2 s(1)^2/(d_min^2 d_max^2), the
-    gain at the geometric mean radius. A value outside the float range is
-    a PowerGameError naming both radii.
-    """
-    try:
-        e_h2 = 2.0 * (float(rayleigh_scale(1.0)) / (d_min * d_max)) ** 2
-    except ArithmeticError:
-        e_h2 = math.inf
-    if not (math.isfinite(e_h2) and e_h2 > 0):
-        raise PowerGameError(
-            f"d_min={d_min!r}, d_max={d_max!r}: the mean square gain over "
-            "the annulus is outside the float range")
-    return e_h2
 
 
 def generate_gains(distances, m: int, rng: np.random.Generator) -> np.ndarray:

@@ -11,10 +11,10 @@ import pytest
 
 from powergame.asymptotic import (feasibility_bound, gamma_factor,
                                   solve_pareto_target, utility_coef)
+from powergame.closedform import run_admission_curve
 from powergame.efficiency import (EfficiencyKind, EfficiencyModel, eff_value,
                                   solve_gamma_star)
 from powergame.experiments import (ScenarioConfig, SweepMode,
-                                   run_admission_curve,
                                    run_finite_vs_asymptotic, run_load_sweep,
                                    trial_rng)
 from powergame.game import solve_equilibrium, verify_nash

@@ -546,9 +546,10 @@ class TestLibraryErrors:
          "--trials", "2"],
         ["admission", "--set", "d_max=1e300", "--trials", "2"],
         # Python float arithmetic overflows to inf silently; emit_csv
-        # refuses the non-finite cell
+        # refuses the non-finite cell, also in a table run without numpy
         ["sweep", "--set", "sigma2=1e-320", "--trials", "2",
          "--receiver", "MF"],
+        ["admission", "--set", "sigma2=1e-320", "--set", "R=1e300"],
     ])
     def test_overflow_exits_1_not_inf_table(self, argv, capsys):
         assert main(argv) == 1
@@ -570,6 +571,21 @@ class TestLibraryErrors:
         assert out == ""
         assert err.startswith("error: d_min=") and ", d_max=" in err
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--set", "distance=1e-200"],
+        ["curve-utility", "--set", "distance=1e-200"],
+        ["validate-asymptotic", "--set", "distance=1e200"],
+        ["equilibrium", "--set", "distance=1e200"],
+    ], ids=["sweep", "curve-utility", "validate-asymptotic", "equilibrium"])
+    def test_out_of_range_distance_names_the_key(self, argv, capsys):
+        # every gain drawn at that distance would overflow or vanish: the
+        # table checks the distance once, before its first draw
+        assert main(argv) == 1
+        distance = float(argv[-1].partition("=")[2])
+        assert capsys.readouterr() == (
+            "", f"error: distance={distance!r}: the mean square gain at that "
+            "distance is outside the float range\n")
 
     def test_singular_mmse_system_exits_1_without_traceback(self, capsys):
         # K users on N = 3 chips: the noise power is all that keeps the

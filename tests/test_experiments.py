@@ -5,16 +5,18 @@ import pytest
 
 from powergame.asymptotic import (feasibility_bound, gamma_factor,
                                   utility_coef)
+from powergame.closedform import (RAYLEIGH_SCALE_1M, feasible_cells,
+                                  mean_square_gain, run_admission_curve,
+                                  run_efficiency_curve,
+                                  run_target_sir_comparison)
 from powergame.efficiency import EfficiencyKind, EfficiencyModel, eff_value
 from powergame import experiments
 from powergame.exceptions import ConfigError, InfeasibleLoadError
-from powergame.experiments import (ScenarioConfig, SweepMode,
-                                   run_admission_curve, run_efficiency_curve,
-                                   run_equilibria, run_finite_vs_asymptotic,
-                                   run_load_sweep, run_target_sir_comparison,
+from powergame.experiments import (ScenarioConfig, SweepMode, run_equilibria,
+                                   run_finite_vs_asymptotic, run_load_sweep,
                                    run_utility_power_curve, trial_rng)
 from powergame.system import (COND_LIMIT, ReceiverKind, generate_gains,
-                              mean_square_gain, rayleigh_scale, utility)
+                              rayleigh_scale, utility)
 
 from conftest import make_params
 
@@ -137,8 +139,7 @@ class TestFeasibilityGate:
         assert str(err.value) == message
 
     def test_cells_keep_loop_order_and_gamma(self, gamma_star):
-        cells = experiments._feasible_cells((MF, MMSE), (1, 2), (0.1, 0.2),
-                                            gamma_star)
+        cells = feasible_cells((MF, MMSE), (1, 2), (0.1, 0.2), gamma_star)
         assert [(k, m, a) for k, m, a, _ in cells] == [
             (MF, 1, 0.1), (MF, 2, 0.1), (MF, 2, 0.2),
             (MMSE, 1, 0.1), (MMSE, 1, 0.2), (MMSE, 2, 0.1), (MMSE, 2, 0.2)]
@@ -394,6 +395,11 @@ class TestAdmissionClosedForm:
         h2 = generate_gains(d, 1, rng)[0] ** 2
         stderr = h2.std(ddof=1) / math.sqrt(draws)
         assert abs(h2.mean() - mean_square_gain(d_min, d_max)) < 4 * stderr
+
+    def test_scale_is_rayleigh_scale_at_one_meter_bit_for_bit(self):
+        # the closed forms load no numpy, yet must use the scale the drawing
+        # tables draw with, to the last bit
+        assert RAYLEIGH_SCALE_1M.hex() == float(rayleigh_scale(1.0)).hex()
 
     def test_is_a_float_in_closed_form(self):
         e_h2 = mean_square_gain(10.0, 1000.0)

@@ -3,8 +3,8 @@ reads another module's private (``_name``) attributes, the CLI leaves
 feasibility and every other table decision to the experiment drivers, only
 ``system`` uses the per-user filter reference, every exported name
 resolves, neither importing the package, reading its config types nor
-running `gamma-star` loads numpy, a table process loads no `logging`, and
-an `admission` process loads no `numpy.random`.
+running `gamma-star` or a closed-form table loads numpy, and a table
+process loads no `logging`.
 
 No linter is a dependency, so these stdlib-ast checks stand in for one.
 ``__init__.py`` is skipped (its imports are the package's re-exports), and so
@@ -123,6 +123,7 @@ def test_cli_leaves_feasibility_to_experiments():
     # that reached the closed forms could grow a second, disagreeing gate,
     # and the drivers take the antenna count's load limits from asymptotic
     for module, banned in (("cli.py", {"asymptotic", "multiantenna"}),
+                           ("closedform.py", {"multiantenna"}),
                            ("experiments.py", {"multiantenna"})):
         source = (PACKAGE / module).read_text(encoding="utf-8")
         assert imported_modules(source).isdisjoint(banned), module
@@ -219,20 +220,15 @@ def test_table_process_loads_no_logging():
     assert "logging" not in imported
 
 
-def test_admission_loads_no_numpy_random():
-    # the admission table is a closed form and draws nothing; numpy 2 loads
-    # numpy.random on first use, numpy 1.x with numpy itself
-    probe = ("import sys\nfrom powergame import cli\n"
-             "code = cli.main(['admission', '--trials', '2'])\n"
-             "loaded = 'numpy.random' in sys.modules\n"
-             "import numpy\n"
-             "print(code, numpy.__version__.split('.')[0], loaded)")
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                          text=True, timeout=60)
-    code, major, loaded = proc.stdout.splitlines()[-1].split()
-    if int(major) < 2:
-        pytest.skip("numpy 1.x imports numpy.random with numpy")
-    assert (code, loaded) == ("0", "False"), proc.stderr
+@pytest.mark.parametrize("sub", ["admission", "sir-compare",
+                                 "curve-efficiency"])
+def test_closed_form_table_process_loads_no_numpy(sub):
+    # these tables draw nothing: their drivers live in closedform, and only
+    # the tables that draw or solve a finite system import numpy
+    proc, imported = process_imports(sub)
+    assert proc.returncode == 0, proc.stderr
+    assert "powergame.closedform" in imported
+    assert not {"numpy", "powergame.experiments"} & imported
 
 
 def config_reads(source: str):
