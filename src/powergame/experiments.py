@@ -29,7 +29,7 @@ from .closedform import (M1_ONLY, ONE_COUNT, ONE_RECEIVER, check_distance,
                          feasible_cells, one)
 from .config import ReceiverKind, ScenarioConfig, SweepMode
 from .efficiency import solve_gamma_star
-from .exceptions import SingularSpreadingError, SolverError
+from .exceptions import PowerGameError, SingularSpreadingError, SolverError
 from .game import solve_equilibrium
 from .system import (ChannelRealization, generate_gains, generate_spreading,
                      rayleigh_scale, sir_per_watt, utility)
@@ -140,7 +140,12 @@ def run_load_sweep(config: ScenarioConfig):
     cells = feasible_cells(config.kinds, config.antennas, config.alpha_grid,
                             gstar)
     h2 = _sweep_gains(config)
-    moments = {m: _moments(h2[:, :m].sum(axis=1)) for m in config.antennas}
+    try:  # gains check_distance admits can still square past the range
+        moments = {m: _moments(h2[:, :m].sum(axis=1)) for m in config.antennas}
+    except OverflowError:
+        raise PowerGameError(f"distance={config.distance!r}: the spread of "
+                             "the gains at that distance is outside the "
+                             "float range") from None
     rows = []
     for kind, m, alpha, gamma_bar in cells:
         # (mode, target SIR, Gamma) of each row of the cell

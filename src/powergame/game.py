@@ -143,9 +143,9 @@ def _newton_balance(balance: Callable[[np.ndarray], tuple], rec: np.ndarray,
 
     balance is make_sir_engine's map rec -> (SIRs, dI/drec). Each step is
     rec + solve(Id - gamma* dI/drec, gamma* I(rec) - rec), or gamma* I(rec)
-    itself when I is constant. The balance is settled when the
-    best response would move no power by POWER_TOL or more relative, the
-    sweeps' rule; a step counts toward max_iter. Returns
+    itself when I is constant; only a step builds dI/drec. The balance is
+    settled when the best response would move no power by POWER_TOL or more
+    relative, the sweeps' rule; a step counts toward max_iter. Returns
     (powers, SIRs, steps, settled), or None when a step fails: a singular
     system, a zero SIR, or an iterate that is not strictly between 0 and
     Pmax, which only the capped sweeps can handle. With more MMSE users than
@@ -173,7 +173,7 @@ def _newton_balance(balance: Callable[[np.ndarray], tuple], rec: np.ndarray,
                 rec = target
                 continue
             try:
-                rec = rec + np.linalg.solve(eye - gamma_star * jacobian,
+                rec = rec + np.linalg.solve(eye - gamma_star * jacobian(),
                                             target - rec)
             except np.linalg.LinAlgError:
                 return None
@@ -185,10 +185,10 @@ def solve_channel(S, H, kind: ReceiverKind, params: SystemParams,
     """SIR-balanced equilibrium for spreading S (N x K) and gains H (m x K).
 
     Any antenna count m: the solver plays on effective_system(kind, S, H),
-    with one balance map, hence one factorization, for the Newton steps and
-    any fallback sweeps. Newton steps run while every power stays below Pmax;
-    otherwise solve_from_engine sweeps from the start, so such a draw gives
-    what the sweeps alone give. Stops once the powers settle or max_iter
+    with one balance map for the Newton steps and any fallback sweeps, which
+    never build its Jacobian. Newton steps run while every power stays below
+    Pmax; otherwise solve_from_engine sweeps from the start, so such a draw
+    gives what the sweeps alone give. Stops once the powers settle or max_iter
     steps (or sweeps) have run; non-convergence is reported through the
     result, not raised, so Monte Carlo harnesses can decide.
     """

@@ -204,32 +204,21 @@ def utility(p_k: float, gamma_k: float, params: SystemParams,
 
 
 # ---------------------------------------------------------------------------
-# Whole-vector evaluation. make_sir_engine is the one place each receiver's
-# SIR is computed for all users at once; it returns the same numbers as
-# receiver_filter + output_sir for every user, which stay the reference (an
-# N x N solve per MMSE filter). receiver_filters returns every user's filter,
-# and sir_per_watt every user's SIR per watt of its own power against frozen
-# interferers. All of them work on K x K matrices, never N x N ones: the
-# decorrelator on (S'S)^-1 and MMSE on (G D + sigma2 I)^-1, both from
-# _inverse. A balance-map call or a set of filters then costs at most one
-# K x K inverse plus matrix products, which keeps equilibrium solves and
-# Nash checks fast at N ~ a few hundred.
+# Whole-vector evaluation: every user at once from K x K inverses (_inverse),
+# never an N x N solve, so equilibrium solves and Nash checks stay fast at
+# N ~ a few hundred; receiver_filter + output_sir stay the per-user reference.
 # ---------------------------------------------------------------------------
 
-def _mmse_solve(gram: np.ndarray, rec: np.ndarray, sigma2: float,
-                rhs: np.ndarray) -> np.ndarray:
-    """(G D + sigma2 I)^-1 rhs, with G = S'S and D = diag(rec): _inverse's
-    K x K inverse times rhs, which is G for the balance map and S' for the
-    filters, so one inverse serves all K or N columns as a matrix product.
-    Its floats can differ from a LAPACK solve's in the last digits. With
-    K > N, G is rank deficient, and a noise power far below the received
-    powers leaves the K x K matrix singular to working precision:
-    SolverError."""
+def _mmse_inverse(gram: np.ndarray, rec: np.ndarray,
+                  sigma2: float) -> np.ndarray:
+    """(G D + sigma2 I)^-1, G = S'S and D = diag(rec), by _inverse, whose
+    floats can differ from a LAPACK solve's in the last digits. With K > N,
+    G is rank deficient, and a noise power far below the received powers
+    leaves it singular to working precision: SolverError."""
     M = gram * rec  # scales column j by rec_j
     M.flat[::M.shape[0] + 1] += sigma2
     try:
-        with np.errstate(**_LINALG_ERRSTATE):
-            return _inverse(M) @ rhs
+        return _inverse(M)
     except np.linalg.LinAlgError:
         raise SolverError(f"the MMSE system of K={len(rec)} users is "
                           f"singular at sigma2={sigma2:g}; raise sigma2 "
@@ -241,9 +230,9 @@ def make_sir_engine(kind: ReceiverKind, S: np.ndarray,
     """Return the balance map of one realization (S, sigma2): received powers
     rec = p h^2 -> (SIRs, dI/drec), I(rec) = rec / SIRs being the
     interference-plus-noise each filter sees (noise and cross terms scaled by
-    the filter's own gain) and dI/drec a K x K matrix, or None for the
-    decorrelator, whose I is constant. The equilibrium balances
-    rec = gamma* I(rec).
+    the filter's own gain) and dI/drec a zero-argument callable that builds
+    the K x K Jacobian on demand, or None for the decorrelator, whose I is
+    constant. The equilibrium balances rec = gamma* I(rec).
 
     The power-independent pieces are built once, here, and every call then
     costs one K-vector update (MF, DE) or one K x K inverse (MMSE):
@@ -251,18 +240,19 @@ def make_sir_engine(kind: ReceiverKind, S: np.ndarray,
     * matched filter: gamma_k = rec_k (s_k's_k)^2 /
       (sigma2 s_k's_k + sum_{j!=k} rec_j (s_k's_j)^2), from the squared
       crosscorrelations and the own norms s_k's_k (1 for unit-norm columns,
-      hbar2 for stacked antenna signatures); I is affine, with the constant
-      Jacobian (s_k's_j)^2 / (s_k's_k)^2 off the diagonal;
+      hbar2 for stacked antenna signatures); I is affine, and its Jacobian
+      is the constant matrix (s_k's_j)^2 / (s_k's_k)^2 off the diagonal;
     * decorrelator: gamma_k = rec_k / (sigma2 [(S'S)^-1]_kk);
     * MMSE: rank-one downdate. With A = S D S' + sigma2 I, D = diag(rec)
       (all users included), s_k' A_k^-1 s_k = q_k / (1 - rec_k q_k) where
       q_k = s_k' A^-1 s_k. The push-through identity
-      A^-1 S = S (D G + sigma2 I)^-1 with G = S'S gives
-      S' A^-1 S = (G D + sigma2 I)^-1 G, so every q_k comes from one K x K
-      inverse instead of an N x N solve. I_k = 1 / (s_k' A_k^-1 s_k), and by
-      Sherman-Morrison its Jacobian is (P_kj / P_kk)^2 off the diagonal,
-      P = S' A^-1 S being the matrix _mmse_solve returns in full (Ulukus and
-      Yates, Wireless Networks 1998).
+      A^-1 S = S (D G + sigma2 I)^-1 with G = S'S gives P = S' A^-1 S =
+      M^-1 G, M = G D + sigma2 I, and G D = M - sigma2 I turns it into
+      P = (I - sigma2 M^-1) D^-1: one K x K inverse, no N x N solve and no
+      K x K x K product. q_k is row k of M^-1 dotted with G's, so rec_k q_k
+      is 0 exactly at rec_k = 0. I_k = 1 / (s_k' A_k^-1 s_k), and by
+      Sherman-Morrison its Jacobian is (P_kj / q_k)^2 off the diagonal
+      (Ulukus and Yates, Wireless Networks 1998).
     """
     if kind is ReceiverKind.MATCHED_FILTER:
         gram_sq = (S.T @ S) ** 2
@@ -272,7 +262,7 @@ def make_sir_engine(kind: ReceiverKind, S: np.ndarray,
         jacobian = gram_sq / own_sq[:, None]
 
         def balance(rec):
-            return rec * own_sq / (own_noise + gram_sq @ rec), jacobian
+            return rec * own_sq / (own_noise + gram_sq @ rec), lambda: jacobian
     elif kind is ReceiverKind.DECORRELATOR:
         noise = sigma2 * np.diag(_zf_columns(S))
 
@@ -282,11 +272,16 @@ def make_sir_engine(kind: ReceiverKind, S: np.ndarray,
         gram = S.T @ S
 
         def balance(rec):
-            P = _mmse_solve(gram, rec, sigma2, gram)
-            q = np.diagonal(P)
-            ratio = rec * q  # equals gamma/(1+gamma), always in [0, 1)
-            jacobian = (P / q[:, None]) ** 2
-            np.fill_diagonal(jacobian, 0.0)
+            inverse = _mmse_inverse(gram, rec, sigma2)
+            # rec_k q_k = gamma/(1+gamma), always in [0, 1); G is symmetric
+            ratio = rec * np.einsum("kj,kj->k", inverse, gram)
+
+            def jacobian():  # no factor underflows, where sigma2 / q_k can
+                J = inverse * (rec / ratio)[:, None]
+                J *= sigma2 / rec
+                J *= J
+                J.flat[::len(rec) + 1] = 0.0
+                return J
             return ratio / (1.0 - ratio), jacobian
     return balance
 
@@ -327,9 +322,8 @@ def receiver_filters(kind: ReceiverKind, S, h2, p, sigma2) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if np.any(p < 0):
         raise ValueError("powers must be nonnegative for the MMSE filter")
-    rec = p * h2
     # (D G + sigma2 I)' = G D + sigma2 I since G is symmetric
-    return _mmse_solve(S.T @ S, rec, sigma2, S.T).T
+    return (_mmse_inverse(S.T @ S, p * h2, sigma2) @ S.T).T
 
 
 def sir_per_watt(kind: ReceiverKind, S, H, powers, sigma2) -> np.ndarray:

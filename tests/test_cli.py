@@ -587,6 +587,15 @@ class TestLibraryErrors:
             "", f"error: distance={distance!r}: the mean square gain at that "
             "distance is outside the float range\n")
 
+    @pytest.mark.parametrize("table", ["sweep", "pareto", "antennas"])
+    def test_gain_spread_out_of_range_names_the_distance(self, table, capsys):
+        # E[h^2] at 1e-70 m is finite, ~1e279, but the squared deviations
+        # of the gains drawn there are not: the error still names the key
+        assert main([table, "--set", "distance=1e-70", "--trials", "2"]) == 1
+        assert capsys.readouterr() == (
+            "", "error: distance=1e-70: the spread of the gains at that "
+            "distance is outside the float range\n")
+
     def test_singular_mmse_system_exits_1_without_traceback(self, capsys):
         # K users on N = 3 chips: the noise power is all that keeps the
         # K x K MMSE system regular. K = 100 is past LEAF_ROWS, where the

@@ -245,7 +245,7 @@ class TestNewtonBalance:
                                        100, 14)
         S, h2 = realization.S, realization.H[0] ** 2
         engine = make_sir_engine(MF, S, params.sigma2)
-        rho = max(abs(np.linalg.eigvals(gamma_star * engine(h2)[1])))
+        rho = max(abs(np.linalg.eigvals(gamma_star * engine(h2)[1]())))
         assert 0.97 < rho < 1.0
         sweeps = solve_from_engine(lambda p: engine(p * h2)[0], 14, params,
                                    gamma_star)
@@ -256,16 +256,15 @@ class TestNewtonBalance:
             assert result.converged and not result.clamped_users
             assert result.iterations == 1
 
-    @pytest.mark.parametrize("kind", [MF, MMSE])
-    def test_tangent_is_the_interference_jacobian(self, kind, gamma_star):
+    @staticmethod
+    def assert_tangent(kind, S, rec, rel_step=1e-6, sigma2=5e-16):
         # I = rec / sirs; its Jacobian against central differences
-        S = generate_spreading(32, 12, np.random.default_rng(33))
-        rec = 1e-15 * (1.0 + np.random.default_rng(34).random(12))
-        engine = make_sir_engine(kind, S, 5e-16)
-        sirs, jacobian = engine(rec)
-        step = 1e-6 * rec
-        numeric = np.empty((12, 12))
-        for j in range(12):
+        K = len(rec)
+        engine = make_sir_engine(kind, S, sigma2)
+        jacobian = engine(rec)[1]()
+        step = rel_step * rec
+        numeric = np.empty((K, K))
+        for j in range(K):
             up, down = rec.copy(), rec.copy()
             up[j] += step[j]
             down[j] -= step[j]
@@ -273,6 +272,93 @@ class TestNewtonBalance:
                              - down / engine(down)[0]) / (2 * step[j])
         np.fill_diagonal(numeric, 0.0)  # I_k does not depend on rec_k
         assert np.allclose(jacobian, numeric, rtol=1e-6, atol=1e-9)
+
+    @pytest.mark.parametrize("kind", [MF, MMSE])
+    def test_tangent_is_the_interference_jacobian(self, kind):
+        S = generate_spreading(32, 12, np.random.default_rng(33))
+        self.assert_tangent(
+            kind, S, 1e-15 * (1.0 + np.random.default_rng(34).random(12)))
+
+    @pytest.mark.parametrize("kind", [MF, MMSE])
+    @pytest.mark.parametrize("N,K,m", [(160, 80, 1), (100, 80, 2)])
+    def test_tangent_past_the_leaf(self, kind, N, K, m):
+        # K x K inverses by block elimination, and stacked two-antenna
+        # signatures with unit-scale Rayleigh coefficients. The rounding in
+        # a difference of I grows with K: a 1e-4 step keeps it and the
+        # step's own truncation error below 1e-9 (at 1e-6 the rounding
+        # alone reaches 4e-8 for MMSE at K = 80)
+        rng = np.random.default_rng((36, N, K, m))
+        S = generate_spreading(N, K, rng)
+        Sbar, h2 = effective_system(kind, S, rng.rayleigh(size=(m, K)))
+        self.assert_tangent(kind, Sbar, 1e-15 * (1.0 + rng.random(K)) / h2,
+                            rel_step=1e-4)
+
+    def test_tangent_at_a_tiny_noise_power(self):
+        # received powers ~1e-299 against sigma2 = 5e-300: the Jacobian's
+        # row and column scalings rec_k / ratio_k and sigma2 / rec_j stay in
+        # range, where sigma2 / q_k, ~1e-599, would underflow to 0
+        rng = np.random.default_rng(37)
+        S = generate_spreading(160, 80, rng)
+        self.assert_tangent(MMSE, S, 1e-299 * (1.0 + rng.random(80)),
+                            rel_step=1e-4, sigma2=5e-300)
+
+    @staticmethod
+    def count_jacobians(monkeypatch):
+        """Patch the solver's balance maps to log each Jacobian built."""
+        built = []
+
+        def counting_engine(*args):
+            balance = make_sir_engine(*args)
+
+            def counted(rec):
+                sirs, jacobian = balance(rec)
+
+                def build():
+                    built.append(1)
+                    return jacobian()
+                return sirs, build
+            return counted
+
+        monkeypatch.setattr("powergame.game.make_sir_engine", counting_engine)
+        return built
+
+    @pytest.mark.parametrize("N,K,m", [(100, 58, 1), (200, 100, 1),
+                                       (200, 100, 2)])
+    def test_only_a_newton_step_builds_the_jacobian(self, N, K, m, model,
+                                                    gamma_star, monkeypatch):
+        # one Jacobian per step; the settle check reads the SIRs alone
+        built = self.count_jacobians(monkeypatch)
+        params = make_params(K=K, N=N, m=m)
+        for t in range(3):
+            realization = draw_realization(np.random.default_rng((43, t)), N,
+                                           K, m=m)
+            built.clear()
+            result = solve_equilibrium(realization, MMSE, params, model,
+                                       gamma_star=gamma_star)
+            assert result.converged and not result.clamped_users
+            assert len(built) == result.iterations > 0
+
+    def test_fallback_sweeps_build_no_jacobian(self, model, gamma_star,
+                                               monkeypatch):
+        # more MMSE users than chips: a feasible draw whose Newton steps
+        # break down, so the capped sweeps balance it on SIRs alone
+        built = self.count_jacobians(monkeypatch)
+        during = []
+
+        def sweeps(*args, **kwargs):
+            before = len(built)
+            result = solve_from_engine(*args, **kwargs)
+            during.append(len(built) - before)
+            return result
+
+        monkeypatch.setattr("powergame.game.solve_from_engine", sweeps)
+        params = make_params(K=22, N=20)
+        realization = draw_realization(np.random.default_rng((44, 0)), 20,
+                                       22)
+        result = solve_equilibrium(realization, MMSE, params, model,
+                                   gamma_star=gamma_star)
+        assert during == [0]
+        assert result.converged and result.iterations > 20
 
     @pytest.mark.parametrize("max_iter", [0, 500])
     def test_zero_sir_is_no_balance(self, max_iter, gamma_star):
@@ -286,7 +372,7 @@ class TestNewtonBalance:
     def test_singular_newton_system_is_no_balance(self, gamma_star):
         # Id - gamma* J = 0: the step has no solution, the sweeps take over
         def balance(rec):
-            return rec / 1e-3, np.eye(3) / gamma_star
+            return rec / 1e-3, lambda: np.eye(3) / gamma_star
         assert _newton_balance(balance, np.full(3, 1e-2), np.ones(3), 1.0,
                                gamma_star, 500) is None
 
@@ -305,7 +391,7 @@ class TestNewtonBalance:
         S, h2 = realization.S, realization.H[0] ** 2
         engine = make_sir_engine(MF, S, params.sigma2)
         assert max(abs(np.linalg.eigvals(gamma_star
-                                         * engine(h2)[1]))) >= 1.0
+                                         * engine(h2)[1]()))) >= 1.0
         result = solve_equilibrium(realization, MF, params, model,
                                    gamma_star=gamma_star)
         assert result.clamped_users

@@ -252,7 +252,7 @@ class TestNewtonBalance:
         # being the spectral radius of the balance's Jacobian there
         _, jacobian = engine(result.powers * h2)
         rho = 0.0 if jacobian is None else float(
-            np.max(np.abs(np.linalg.eigvals(GAMMA_STAR * jacobian))))
+            np.max(np.abs(np.linalg.eigvals(GAMMA_STAR * jacobian()))))
         np.testing.assert_allclose(
             result.powers, sweeps.powers,
             rtol=max(1e-8, 2.0 * POWER_TOL / (1.0 - rho)))

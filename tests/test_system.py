@@ -331,6 +331,20 @@ class TestSirEngines:
             shapes.add(S.shape)
         assert {(N * m, K) for N, K, m in PAST_LEAF[kind]} <= shapes
 
+    @pytest.mark.parametrize("N,K", [(32, 12), (20, 22), (160, 80)])
+    def test_mmse_user_at_zero_power_reads_sir_zero(self, N, K):
+        # a user received at zero power has [M^-1]_kk = 1/sigma2, and
+        # sigma2 * (1/sigma2) rounds to 1 - 2^-53 at this sigma2, so an SIR
+        # read as (1 - d_k)/d_k, d_k = sigma2 [M^-1]_kk, would not be zero
+        rng = np.random.default_rng((45, N, K))
+        S = generate_spreading(N, K, rng)
+        sigma2 = 2.2e-16
+        rec = sigma2 * 10.0 ** rng.uniform(-3.0, 4.0, K)
+        rec[::5] = 0.0
+        sirs = make_sir_engine(MMSE, S, sigma2)(rec)[0]
+        assert np.all(sirs[::5] == 0.0)
+        assert np.all(sirs[rec > 0] > 0.0)
+
     def test_singular_mmse_system_is_a_solver_error(self):
         # two identical signatures make G D singular, and a noise power
         # below the float spacing of the received powers cannot lift it
