@@ -106,13 +106,13 @@ def mean_square_gain(d_min: float, d_max: float) -> float:
                         "the mean square gain over the annulus")
 
 
-def check_distance(distance: float) -> None:
-    """Raise a PowerGameError naming ``distance`` when E[h^2] = 2 s(d)^2 of
-    a user at that distance is outside the float range, where every gain
+def check_distance(distance: float) -> float:
+    """E[h^2] = 2 s(d)^2 of a user at that distance, or a PowerGameError
+    naming ``distance`` when it is outside the float range, where every gain
     drawn there would overflow or vanish. The tables drawing users at
     config.distance check it once, before their first draw."""
-    _square_gain(distance * distance, f"distance={distance!r}: the mean "
-                 "square gain at that distance")
+    return _square_gain(distance * distance, f"distance={distance!r}: the "
+                        "mean square gain at that distance")
 
 
 def run_target_sir_comparison(config: ScenarioConfig):

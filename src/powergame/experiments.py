@@ -20,6 +20,7 @@ realization hold exactly in the reported means."""
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -171,6 +172,19 @@ def run_load_sweep(config: ScenarioConfig):
     return rows
 
 
+def _check_powers(config: ScenarioConfig) -> None:
+    """check_distance, then a PowerGameError naming distance and sigma2
+    where a user alone at config.distance needs gamma* sigma2 / E[h^2] below
+    the normal floats: the powers solved for there lose digits, and the SIRs
+    and utilities from them overflow."""
+    d, sigma2 = config.distance, config.params.sigma2
+    if solve_gamma_star(config.model) * sigma2 / check_distance(d) < (
+            sys.float_info.min):
+        raise PowerGameError(f"distance={d!r}: the power a user alone at that "
+                             f"distance needs at sigma2={sigma2!r} is below "
+                             "the float range")
+
+
 def _draw_realization(config: ScenarioConfig, N: int, K: int, m: int,
                       stream: int, *key: int) -> ChannelRealization:
     """One realization from trial_rng(master_seed, stream, *key): the N x K
@@ -187,7 +201,7 @@ def run_equilibria(config: ScenarioConfig):
     realization with the one configured antenna count, sorted by receiver
     and user. Returns (rows, whether every equilibrium converged)."""
     m = one("antennas", config.antennas, ONE_COUNT)
-    check_distance(config.distance)
+    _check_powers(config)
     p = config.params
     realization = _draw_realization(config, p.N, p.K, m,
                                     _STREAM_EQUILIBRIUM, 0)
@@ -217,7 +231,7 @@ def run_utility_power_curve(config: ScenarioConfig):
     """
     m = one("antennas", config.antennas, ONE_COUNT)
     kind = one("receiver", config.kinds, ONE_RECEIVER)
-    check_distance(config.distance)
+    _check_powers(config)
     p = config.params
     realization = _draw_realization(config, p.N, p.K, m, _STREAM_CURVE, 0)
     result = solve_equilibrium(realization, kind, p, config.model,
@@ -263,7 +277,7 @@ def run_finite_vs_asymptotic(config: ScenarioConfig):
     loads = list(dict.fromkeys(K / N for N, K in users.items()))
     feasible = {(kind, load) for kind, _, load, _
                 in feasible_cells(config.kinds, (1,), loads, gstar)}
-    check_distance(config.distance)
+    _check_powers(config)
     rows = []
     for kind_index, kind in enumerate(config.kinds):
         for N, K in users.items():

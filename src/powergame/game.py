@@ -25,10 +25,10 @@ import numpy as np
 
 from .asymptotic import balanced_received_power
 from .config import DEFAULT_MAX_ITER, ReceiverKind, SystemParams
-from .efficiency import EfficiencyModel, solve_gamma_star
+from .efficiency import EfficiencyModel, eff_value, solve_gamma_star
 from .exceptions import InfeasibleLoadError, InfeasibleUserError, SolverError
 from .system import (ChannelRealization, effective_system, make_sir_engine,
-                     sir_per_watt, utility)
+                     sir_per_watt)
 
 INITIAL_POWER_FRACTION = 1e-2  # starting powers as a fraction of Pmax
 POWER_TOL = 1e-9  # largest relative power change of a settled sweep
@@ -152,19 +152,18 @@ def _newton_balance(balance: Callable[[np.ndarray], tuple], rec: np.ndarray,
     chips that happens on feasible draws too: of 30 seeded draws each,
     1 at N = 100, K = 110 and 28 at N = 20, K = 22 fall back.
     """
-    eye = np.eye(len(h2))
     # a failed step ends in the fallback, so it must not warn or raise
     with np.errstate(all="ignore"):
         cap = Pmax * h2
         for steps in range(max_iter + 1):
-            if not np.all((rec > 0.0) & (rec < cap)):  # also rejects NaN
+            if not ((rec > 0.0) & (rec < cap)).all():  # also rejects NaN
                 return None
             try:
                 sirs, jacobian = balance(rec)
             except SolverError:
                 return None
             target = gamma_star * rec / sirs
-            delta = np.max(np.abs(target - rec) / rec)
+            delta = (abs(target - rec) / rec).max()
             if not np.isfinite(delta):  # a zero or NaN SIR
                 return None
             if delta < POWER_TOL or steps == max_iter:
@@ -172,9 +171,12 @@ def _newton_balance(balance: Callable[[np.ndarray], tuple], rec: np.ndarray,
             if jacobian is None:
                 rec = target
                 continue
+            # Id - gamma* J, J's diagonal being 0; never written into J,
+            # which the matched filter shares across calls
+            step = -gamma_star * jacobian()
+            step.flat[::len(rec) + 1] += 1.0
             try:
-                rec = rec + np.linalg.solve(eye - gamma_star * jacobian(),
-                                            target - rec)
+                rec = rec + np.linalg.solve(step, target - rec)
             except np.linalg.LinAlgError:
                 return None
 
@@ -223,14 +225,21 @@ def verify_nash(result: EquilibriumResult, realization: ChannelRealization,
     Against the others' frozen powers user k's SIR is p w_k, w_k being its
     sir_per_watt off explicit filters. f(g)/g rises up to gamma* and falls
     after it (test_tangent_line_maximizes_utility_ratio), so k's best power
-    is exactly min(gamma*/w_k, Pmax), as in best_response_power. Both
-    utilities compared come from result.powers alone, never from the
-    result's SIRs or utilities.
+    is exactly b = min(gamma*/w_k, Pmax), as in best_response_power. Its
+    utilities (L/M) R f(x w)/x at x = b and at its own power are compared
+    without their common (L/M) R, f(b w) being f(gamma*) where b < Pmax;
+    both come from result.powers alone, never from the result's SIRs.
     """
+    gamma_star = solve_gamma_star(model)
     rate = sir_per_watt(kind, realization.S, realization.H, result.powers,
                         params.sigma2)
-    best = np.minimum(solve_gamma_star(model) / rate, params.Pmax)
-    return all(utility(b, b * w, params, model)
-               <= utility(p, p * w, params, model) * (1.0 + NASH_REL_TOL)
-               for p, b, w in zip(result.powers.tolist(), best.tolist(),
-                                  rate.tolist()))
+    best = np.minimum(gamma_star / rate, params.Pmax)
+    f_star = eff_value(model, gamma_star)
+    for p, b, w in zip(result.powers.tolist(), best.tolist(), rate.tolist()):
+        if b <= 0.0 or p <= 0.0:  # as in utility
+            raise ValueError(f"a power must be positive, got {min(b, p)}")
+        f_best = f_star if b < params.Pmax else eff_value(model, b * w)
+        own = eff_value(model, p * w) / p
+        if not f_best / b <= own * (1.0 + NASH_REL_TOL):  # NaN fails too
+            return False
+    return True

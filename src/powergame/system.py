@@ -12,6 +12,7 @@ all results are deterministic functions of (S, h, p, sigma2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -39,32 +40,34 @@ class ChannelRealization:
         self.distances = np.asarray(self.distances, dtype=float)
         if self.S.shape[1] != self.H.shape[1]:
             raise ValueError("S and H disagree on the number of users")
-        if np.any(self.H <= 0):
+        if (self.H <= 0).any():
             raise ValueError("all channel gains must be strictly positive")
 
 
 def generate_spreading(N: int, K: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw an N x K matrix of i.i.d. +-1/sqrt(N) chips (unit-norm columns)."""
+    """Draw an N x K matrix of i.i.d. +-1/sqrt(N) chips (unit-norm columns)
+    as one integers(0, 2, (N, K)) call, 0 -> -1/sqrt(N), 1 -> +1/sqrt(N)."""
     if N < 1 or K < 1:
         raise ValueError("N and K must be positive")
-    chips = rng.integers(0, 2, size=(N, K)) * 2 - 1
-    return chips / np.sqrt(N)
+    signs = np.array([-1.0, 1.0]) / np.sqrt(N)
+    return signs[rng.integers(0, 2, size=(N, K))]
 
 
 def rayleigh_scale(distances) -> np.ndarray:
     """Rayleigh scale per user from distance d: the amplitude mean E[h]
     equals 0.3/d^2 (Rayleigh mean = scale * sqrt(pi/2))."""
     d = np.asarray(distances, dtype=float)
-    if np.any(d <= 0):
+    if (d <= 0).any():
         raise ValueError("distances must be strictly positive")
-    return 0.3 / d ** 2 * np.sqrt(2.0 / np.pi)
+    return 0.3 / d ** 2 * math.sqrt(2.0 / math.pi)
 
 
 def generate_gains(distances, m: int, rng: np.random.Generator) -> np.ndarray:
     """Draw an m x K matrix of i.i.d. Rayleigh channel amplitude gains whose
-    per-user scale follows ``rayleigh_scale``."""
+    per-user scale follows ``rayleigh_scale``: one unit-scale draw times the
+    scales, numpy's draw at those scales (scale * sqrt(2 E)) bit for bit."""
     scale = rayleigh_scale(distances)
-    return rng.rayleigh(scale=np.broadcast_to(scale, (m, scale.size)))
+    return scale * rng.rayleigh(size=(m, scale.size))
 
 
 def effective_system(kind: ReceiverKind, S, H) -> tuple[np.ndarray, np.ndarray]:
@@ -149,7 +152,7 @@ def _zf_columns(S: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError:
         raise SingularSpreadingError(singular) from None
     with np.errstate(all="ignore"):  # an overflow gives inf, rejected below
-        cond = np.linalg.norm(G, 1) * np.linalg.norm(inverse, 1)
+        cond = abs(G).sum(axis=0).max() * abs(inverse).sum(axis=0).max()
     if not cond <= COND_LIMIT:  # also rejects NaN
         raise SingularSpreadingError(singular)
     return inverse

@@ -596,6 +596,20 @@ class TestLibraryErrors:
             "", "error: distance=1e-70: the spread of the gains at that "
             "distance is outside the float range\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["equilibrium", "--set", "distance=1e-75"],
+        ["curve-utility", "--set", "distance=1e-75"],
+        ["validate-asymptotic", "--set", "distance=1e-75", "--trials", "2"],
+    ], ids=["equilibrium", "curve-utility", "validate-asymptotic"])
+    def test_subnormal_power_names_the_distance(self, argv, capsys):
+        # E[h^2] at 1e-75 m is finite, ~1e299, but a user alone there
+        # needs gamma* sigma2 / E[h^2] ~ 3e-314 W, a subnormal float; the
+        # error names the key, where the solve would overflow unnamed
+        assert main(argv) == 1
+        assert capsys.readouterr() == (
+            "", "error: distance=1e-75: the power a user alone at that "
+            "distance needs at sigma2=5e-16 is below the float range\n")
+
     def test_singular_mmse_system_exits_1_without_traceback(self, capsys):
         # K users on N = 3 chips: the noise power is all that keeps the
         # K x K MMSE system regular. K = 100 is past LEAF_ROWS, where the

@@ -360,6 +360,69 @@ class TestNewtonBalance:
         assert during == [0]
         assert result.converged and result.iterations > 20
 
+    @pytest.mark.parametrize("kind,N,K", [(MF, 100, 14), (MMSE, 100, 58)])
+    def test_step_matrix_is_identity_minus_the_scaled_jacobian(
+            self, kind, N, K, model, gamma_star, monkeypatch):
+        # every Newton step solves (Id - gamma* J) x = r: the matrix equals
+        # np.eye(K) - gamma* J, and the step it gives matches the one from
+        # that matrix byte for byte, also where the matched filter's J has
+        # exact zeros off the diagonal (orthogonal chip sequences)
+        jacobians, steps = [], []
+
+        def recording_engine(*args):
+            balance = make_sir_engine(*args)
+
+            def recorded(rec):
+                sirs, jacobian = balance(rec)
+
+                def build():
+                    J = jacobian()
+                    jacobians.append(J.copy())
+                    return J
+                return sirs, build
+            return recorded
+
+        solve = np.linalg.solve
+
+        def recording_solve(a, b):
+            steps.append((a.copy(), b.copy()))
+            return solve(a, b)
+
+        monkeypatch.setattr("powergame.game.make_sir_engine",
+                            recording_engine)
+        monkeypatch.setattr(np.linalg, "solve", recording_solve)
+        realization = draw_realization(np.random.default_rng((45, K)), N, K)
+        result = solve_equilibrium(realization, kind, make_params(K=K, N=N),
+                                   model, gamma_star=gamma_star)
+        assert result.converged and not result.clamped_users
+        assert len(steps) == len(jacobians) == result.iterations > 0
+        if kind is MF:
+            assert (jacobians[0] == 0.0).sum() > K
+        for J, (matrix, rhs) in zip(jacobians, steps):
+            reference = np.eye(K) - gamma_star * J
+            assert np.array_equal(matrix, reference)
+            assert solve(matrix, rhs).tobytes() == solve(reference,
+                                                         rhs).tobytes()
+
+    def test_matched_filter_jacobian_survives_a_solve(self, model, gamma_star,
+                                                      monkeypatch):
+        # the matched filter's callable returns one constant array for the
+        # whole solve: a Newton step must build its matrix beside it
+        params = make_params(K=14)
+        realization = draw_realization(np.random.default_rng((46, 0)), 100,
+                                       14)
+        engine = make_sir_engine(MF, realization.S, params.sigma2)
+        h2 = realization.H[0] ** 2
+        jacobian = engine(h2)[1]()
+        before = jacobian.copy()
+        monkeypatch.setattr("powergame.game.make_sir_engine",
+                            lambda *args: engine)
+        result = solve_equilibrium(realization, MF, params, model,
+                                   gamma_star=gamma_star)
+        assert result.converged and result.iterations == 1
+        assert engine(h2)[1]() is jacobian
+        assert jacobian.tobytes() == before.tobytes()
+
     @pytest.mark.parametrize("max_iter", [0, 500])
     def test_zero_sir_is_no_balance(self, max_iter, gamma_star):
         # a zero SIR needs an infinite power; at the last allowed step only
@@ -601,6 +664,58 @@ class TestVerifyNash:
             assert gain is (factor != 1.0)
             assert verify_nash(profile, realization, kind, params,
                                model) is not gain
+
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("power", [0.0, -1e-12])
+    def test_nonpositive_power_is_a_value_error(self, kind, power, model,
+                                                gamma_star):
+        # user 0 is checked first, so no other user's verdict precedes it
+        from dataclasses import replace
+
+        profile, realization, params = self.deviated_profile(
+            kind, 1.0, model, gamma_star)
+        powers = profile.powers.copy()
+        powers[0] = power
+        with pytest.raises(ValueError):
+            verify_nash(replace(profile, powers=powers), realization, kind,
+                        params, model)
+
+    def test_users_at_pmax(self, model, gamma_star):
+        # an overloaded matched filter clamps users at Pmax, which is their
+        # best response; a user raised to Pmax from its balanced power is not
+        from dataclasses import replace
+
+        params = make_params(K=30)
+        realization = draw_realization(np.random.default_rng(7), 100, 30)
+        result = solve_equilibrium(realization, MF, params, model)
+        assert result.clamped_users
+        assert verify_nash(result, realization, MF, params, model)
+        profile, realization, params = self.deviated_profile(
+            MF, 1.0, model, gamma_star)
+        powers = profile.powers.copy()
+        powers[4] = params.Pmax
+        assert not verify_nash(replace(profile, powers=powers), realization,
+                               MF, params, model)
+
+    @pytest.mark.parametrize("factor", [1.0, 3.0])
+    def test_user_with_zero_rate(self, factor, model, gamma_star,
+                                 monkeypatch):
+        # a user whose filter sees none of its own signal (w = 0) earns 0
+        # at every power: its best response is Pmax and it compares 0 with
+        # 0, never a NaN, so only the other users decide the verdict
+        profile, realization, params = self.deviated_profile(
+            MF, factor, model, gamma_star)
+
+        def zero_rate(*args):
+            rate = sir_per_watt(*args)
+            rate[3] = 0.0
+            return rate
+
+        monkeypatch.setattr("powergame.game.sir_per_watt", zero_rate)
+        with np.errstate(divide="ignore"):
+            assert verify_nash(profile, realization, MF, params,
+                               model) is (factor == 1.0)
 
 
 class TestReceiverSwitching:

@@ -6,8 +6,8 @@ from powergame.system import (COND_LIMIT, LEAF_ROWS, ChannelRealization,
                               ReceiverKind, _inverse, _zf_columns,
                               effective_system, generate_gains,
                               generate_spreading, make_sir_engine, output_sir,
-                              receiver_filter, receiver_filters, sir_per_watt,
-                              utility)
+                              rayleigh_scale, receiver_filter,
+                              receiver_filters, sir_per_watt, utility)
 
 from conftest import draw_realization, make_params
 
@@ -51,6 +51,18 @@ class TestSpreading:
             total += S[:, 0] @ S[:, 1]
         assert abs(total / n) < 0.01
 
+    @pytest.mark.parametrize("N,K", [(1, 1), (3, 7), (100, 58), (200, 100)])
+    def test_layout_is_one_integer_draw_mapped_to_signs(self, N, K):
+        # the stream contract: chips are one integers(0, 2, (N, K)) call,
+        # 0 -> -1/sqrt(N) and 1 -> +1/sqrt(N), bytes and generator state
+        # alike; odd N K included
+        rng, twin = np.random.default_rng(12), np.random.default_rng(12)
+        S = generate_spreading(N, K, rng)
+        reference = (twin.integers(0, 2, size=(N, K)) * 2 - 1) / np.sqrt(N)
+        assert S.shape == reference.shape and S.dtype == reference.dtype
+        assert S.tobytes() == reference.tobytes()
+        assert rng.random() == twin.random()
+
 
 class TestGains:
     def test_amplitude_mean_follows_distance_law(self):
@@ -63,6 +75,22 @@ class TestGains:
         h = generate_gains(np.full(100_000, 50.0), 2, rng)
         corr = np.corrcoef(h[0], h[1])[0, 1]
         assert abs(corr) < 0.02
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("distances", [[100.0] * 5,
+                                           [10.0, 100.0, 37.5, 1e3, 250.0]],
+                                 ids=["equal", "mixed"])
+    def test_layout_is_one_rayleigh_draw_per_scale(self, m, distances):
+        # the stream contract: gains are one rayleigh(size=(m, K)) call of
+        # unit scale times each user's scale, the same bytes and generator
+        # state as numpy's draw at the broadcast scales
+        rng, twin = np.random.default_rng(13), np.random.default_rng(13)
+        H = generate_gains(distances, m, rng)
+        reference = twin.rayleigh(scale=np.broadcast_to(
+            rayleigh_scale(distances), (m, len(distances))))
+        assert H.shape == reference.shape and H.dtype == reference.dtype
+        assert H.tobytes() == reference.tobytes()
+        assert rng.random() == twin.random()
 
     def test_all_positive(self):
         h = generate_gains([10.0, 100.0, 1000.0], 3, np.random.default_rng(5))
