@@ -185,6 +185,22 @@ def _check_powers(config: ScenarioConfig) -> None:
                              "the float range")
 
 
+def _utility(power: float, sir: float, config: ScenarioConfig) -> float:
+    """system.utility, or a PowerGameError naming the keys that set its
+    scale, R h^2 / sigma2, where it leaves the float range."""
+    value = utility(power, sir, config.params, config.model)
+    if not math.isfinite(value):
+        raise PowerGameError(f"{_scale_keys(config)}, R={config.params.R!r}: "
+                             "a user's utility at that distance, noise "
+                             "power and rate is outside the float range")
+    return value
+
+
+def _scale_keys(config: ScenarioConfig) -> str:
+    return (f"distance={config.distance!r}, "
+            f"sigma2={config.params.sigma2!r}")
+
+
 def _draw_realization(config: ScenarioConfig, N: int, K: int, m: int,
                       stream: int, *key: int) -> ChannelRealization:
     """One realization from trial_rng(master_seed, stream, *key): the N x K
@@ -211,7 +227,7 @@ def run_equilibria(config: ScenarioConfig):
                                    max_iter=config.max_iter)
         converged = converged and result.converged
         rows.extend(EquilibriumRow(kind, k, power, sir,
-                                   utility(power, sir, p, config.model),
+                                   _utility(power, sir, config),
                                    result.iterations, result.converged)
                     for k, (power, sir) in enumerate(zip(
                         result.powers.tolist(), result.sirs.tolist())))
@@ -236,10 +252,15 @@ def run_utility_power_curve(config: ScenarioConfig):
     realization = _draw_realization(config, p.N, p.K, m, _STREAM_CURVE, 0)
     result = solve_equilibrium(realization, kind, p, config.model,
                                max_iter=config.max_iter)
-    rate = float(sir_per_watt(kind, realization.S, realization.H,
-                              result.powers, p.sigma2)[0])
+    try:  # h^2 / sigma2 past the range overflows in the filter products
+        rate = float(sir_per_watt(kind, realization.S, realization.H,
+                                  result.powers, p.sigma2)[0])
+    except FloatingPointError:
+        raise PowerGameError(f"{_scale_keys(config)}: a user's SIR per watt "
+                             "at that distance and noise power is outside "
+                             "the float range") from None
     grid = result.powers[0] * np.geomspace(1.0 / 16.0, 16.0, 65)
-    rows = [UtilityCurveRow(x, utility(x, x * rate, p, config.model))
+    rows = [UtilityCurveRow(x, _utility(x, x * rate, config))
             for x in grid[grid <= p.Pmax].tolist()]
     return rows, result.converged
 

@@ -1,6 +1,6 @@
 """Golden-output corpus: what the CLI prints for a fixed list of commands.
 
-golden_corpus.json, beside this file, holds for every run in RUNS its argv,
+golden_corpus.json, beside this file, holds for every run of runs() its argv,
 exit code, stdout, stderr and the file its --output wrote, plus the
 platform fingerprint of the machine that made it. test_golden.py reruns the
 list and compares:
@@ -106,10 +106,22 @@ def runs() -> list[list[str]]:
             + [cmd.split() for cmd in ONCE])
 
 
+def _cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.partition(":")[2].strip()
+    except OSError:
+        pass
+    return platform.processor()
+
+
 def fingerprint() -> dict:
     """What the floats of a run can depend on besides the code: numpy's
-    version, the machine, the SIMD targets numpy dispatches to on this CPU,
-    and the BLAS numpy was built with."""
+    version, the machine and CPU model, the SIMD targets numpy dispatches
+    to on it, the BLAS numpy was built with, and an OpenBLAS kernel forced
+    by OPENBLAS_CORETYPE (each kernel rounds K x K products differently)."""
     import numpy as np
     try:
         from numpy._core import _multiarray_umath as umath
@@ -122,10 +134,12 @@ def fingerprint() -> dict:
     except TypeError:  # numpy < 1.25 has no mode
         blas = "unknown"
     return {"numpy": np.__version__, "machine": platform.machine(),
+            "cpu": _cpu_model(),
             "cpu_baseline": list(umath.__cpu_baseline__),
             "cpu_dispatch": [t for t in umath.__cpu_dispatch__
                              if features.get(t)],
-            "blas": blas}
+            "blas": blas,
+            "openblas_coretype": os.environ.get("OPENBLAS_CORETYPE")}
 
 
 def run_all() -> dict:

@@ -610,6 +610,24 @@ class TestLibraryErrors:
             "", "error: distance=1e-75: the power a user alone at that "
             "distance needs at sigma2=5e-16 is below the float range\n")
 
+    @pytest.mark.parametrize("argv,line", [
+        # a user alone at 1e-73 m needs ~2.8e-306 W, a normal float, but
+        # R f(gamma*) / p overflows
+        (["equilibrium", "--set", "distance=1e-73"],
+         "distance=1e-73, sigma2=5e-16, R=100000.0: a user's utility at "
+         "that distance, noise power and rate is outside the float range"),
+        # h^2 / sigma2 past the range overflows in the filter products
+        (["curve-utility", "--set", "distance=1e-73"],
+         "distance=1e-73, sigma2=5e-16: a user's SIR per watt at that "
+         "distance and noise power is outside the float range"),
+        (["curve-utility", "--set", "sigma2=1e-300", "--set", "R=1e15"],
+         "distance=100.0, sigma2=1e-300: a user's SIR per watt at that "
+         "distance and noise power is outside the float range"),
+    ], ids=["equilibrium-utility", "curve-gain", "curve-noise"])
+    def test_arithmetic_error_names_its_keys(self, argv, line, capsys):
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {line}\n")
+
     def test_singular_mmse_system_exits_1_without_traceback(self, capsys):
         # K users on N = 3 chips: the noise power is all that keeps the
         # K x K MMSE system regular. K = 100 is past LEAF_ROWS, where the
