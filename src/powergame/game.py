@@ -18,7 +18,6 @@ point from any positive start.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -28,14 +27,18 @@ from .asymptotic import balanced_received_power
 from .config import DEFAULT_MAX_ITER, ReceiverKind, SystemParams
 from .efficiency import EfficiencyModel, eff_value, solve_gamma_star
 from .exceptions import InfeasibleLoadError, InfeasibleUserError, SolverError
-from .rootfind import bisect
-from .system import (LEAF_ROWS, ChannelRealization, effective_system,
-                     make_sir_engine, sir_per_watt)
+from .system import (ChannelRealization, effective_system, make_sir_engine,
+                     sir_per_watt)
 
 INITIAL_POWER_FRACTION = 1e-2  # starting powers as a fraction of Pmax
 POWER_TOL = 1e-9  # largest relative power change of a settled sweep
 SIR_TOL = 1e-6    # relative SIR error allowed for users below Pmax
 NASH_REL_TOL = 1e-6  # relative utility gain a deviation must beat
+# Past this many MMSE users a Newton step first tries a series: timed in
+# pairs on one BLAS thread, a solve with series against one with LU alone
+# takes +2%, -2% and -7% at N/K 200/64, 200/80 and 200/100, +7% to +12% at
+# N = 100 up to K = 80, where a series needs more terms.
+SERIES_USERS = 80
 
 
 @dataclass
@@ -140,21 +143,21 @@ def _newton_start(kind: ReceiverKind, S, H, Sbar: np.ndarray,
 def _series_direction(step: np.ndarray, residual: np.ndarray,
                       delta: float) -> np.ndarray | None:
     """(Id - step)^-1 residual as the Neumann series sum_i step^i residual,
-    stopped at the first term of max-norm <= 1e-6 delta |sum|_max, so a
-    Newton step errs by ~1e-6 delta^2 and stays quadratic (Dembo, Eisenstat
-    and Steihaug, SIAM J. Numer. Anal. 1982); None once a term exceeds a
-    third of the one before, or after 40 terms."""
+    stopped at the first term of max-norm <= 1e-6 delta |residual|_max (the
+    terms shrinking threefold, the sum then errs by <= 1e-6 delta |sum|_max,
+    so Newton stays quadratic: Dembo, Eisenstat and Steihaug, SIAM J. Numer.
+    Anal. 1982); None once a term exceeds a third of the one before, or
+    after 40 terms."""
     total, term = residual.copy(), residual
-    size = bound = abs(residual).max()  # bound >= |total|_max, read cheaply
-    tol = 1e-6 * delta
+    size = abs(residual).max()
+    tol = 1e-6 * delta * size
     for _ in range(40):
         term = step @ term
         last, size = size, abs(term).max()
         if not size <= last / 3.0:  # also NaN
             return None
         total += term
-        bound += size
-        if size <= tol * bound and size <= tol * abs(total).max():
+        if size <= tol:
             return total
     return None
 
@@ -168,7 +171,8 @@ def _newton_balance(balance: Callable[[np.ndarray], tuple], rec: np.ndarray,
     balance is make_sir_engine's map rec -> (SIRs, dI/drec). Each step is
     rec + solve(Id - gamma* dI/drec, gamma* I(rec) - rec), or gamma* I(rec)
     itself when I is constant; only a step builds dI/drec. With series, a
-    direction is _series_direction's unless it gives up. The balance is
+    direction is _series_direction's until one gives up; the later steps
+    solve, gamma* J contracting about as slowly at each. The balance is
     settled when the best response would move no power by POWER_TOL or more
     relative, the sweeps' rule; a step counts toward max_iter. Returns
     (powers, SIRs, steps, settled), or None when a step fails: a singular
@@ -202,6 +206,7 @@ def _newton_balance(balance: Callable[[np.ndarray], tuple], rec: np.ndarray,
             r = target - rec
             direction = _series_direction(step, r, delta) if series else None
             if direction is None:  # Id - gamma* J, J's diagonal being 0
+                series = False
                 np.negative(step, out=step)
                 step.flat[::len(rec) + 1] += 1.0
                 try:
@@ -229,10 +234,9 @@ def solve_channel(S, H, kind: ReceiverKind, params: SystemParams,
     Sbar, h2 = effective_system(kind, S, H)
     balance = make_sir_engine(kind, Sbar, params.sigma2)
     start = _newton_start(kind, S, H, Sbar, h2, params, gamma_star)
-    # up to LEAF_ROWS users one LU costs less than an MMSE series
     newton = _newton_balance(balance, start, h2, params.Pmax, gamma_star,
                              max_iter, kind is ReceiverKind.MMSE
-                             and Sbar.shape[1] > LEAF_ROWS)
+                             and Sbar.shape[1] > SERIES_USERS)
     if newton is None:
         return solve_from_engine(lambda p: balance(p * h2)[0], Sbar.shape[1],
                                  params, gamma_star, max_iter)
@@ -249,25 +253,6 @@ def solve_equilibrium(realization: ChannelRealization, kind: ReceiverKind,
                          max_iter, gamma_star)
 
 
-@functools.lru_cache  # pure in model; exceptions are not cached
-def nash_band(model: EfficiencyModel) -> tuple[float, float]:
-    """The SIRs x around gamma* at which f(x)/x is at least
-    (f(gamma*)/gamma*) / (1 + NASH_REL_TOL), its edges found by bisection
-    and shrunk by a relative 1e-9. A user below Pmax whose SIR at its own
-    power lies in it passes verify_nash's comparison, so the check accepts
-    it without evaluating f. f(x)/x rises up to gamma* and falls after it
-    on [gamma*/2, 2 gamma*]; the shifted BPSK ratio rises again near 0,
-    outside the band, where the comparison decides."""
-    gamma_star = solve_gamma_star(model)
-    floor = eff_value(model, gamma_star) / gamma_star / (1.0 + NASH_REL_TOL)
-
-    def excess(x: float) -> float:
-        return eff_value(model, x) / x - floor
-    low = bisect(excess, gamma_star / 2.0, gamma_star)
-    high = bisect(lambda x: -excess(x), gamma_star, 2.0 * gamma_star)
-    return low * (1.0 + 1e-9), high * (1.0 - 1e-9)
-
-
 def verify_nash(result: EquilibriumResult, realization: ChannelRealization,
                 kind: ReceiverKind, params: SystemParams,
                 model: EfficiencyModel) -> bool:
@@ -276,22 +261,17 @@ def verify_nash(result: EquilibriumResult, realization: ChannelRealization,
     Against the others' frozen powers user k's SIR is p w_k, w_k being its
     sir_per_watt off explicit filters. f(g)/g rises up to gamma* and falls
     after it (test_tangent_line_maximizes_utility_ratio), so k's best power
-    is exactly b = min(gamma*/w_k, Pmax), as in best_response_power. A user
-    with p > 0 and b < Pmax whose SIR p w_k lies in nash_band passes;
-    for every other user, in user order, its utilities (L/M) R f(x w)/x at
-    x = b and at its own power are compared without their common (L/M) R,
-    f(b w) being f(gamma*) where b < Pmax. Both come from result.powers
-    alone, never from the result's SIRs.
+    is exactly b = min(gamma*/w_k, Pmax), as in best_response_power. Its
+    utilities (L/M) R f(x w)/x at x = b and at its own power are compared
+    without their common (L/M) R, f(b w) being f(gamma*) where b < Pmax;
+    both come from result.powers alone, never from the result's SIRs.
     """
     gamma_star = solve_gamma_star(model)
-    low, high = nash_band(model)
     rate = sir_per_watt(kind, realization.S, realization.H, result.powers,
                         params.sigma2)
     best = np.minimum(gamma_star / rate, params.Pmax)
     f_star = eff_value(model, gamma_star)
     for p, b, w in zip(result.powers.tolist(), best.tolist(), rate.tolist()):
-        if p > 0.0 and b < params.Pmax and low <= p * w <= high:
-            continue
         if b <= 0.0 or p <= 0.0:  # as in utility
             raise ValueError(f"a power must be positive, got {min(b, p)}")
         f_best = f_star if b < params.Pmax else eff_value(model, b * w)
