@@ -57,7 +57,8 @@ def eff_value(model: EfficiencyModel, gamma: float) -> float:
     """Evaluate f(gamma); lies in [0, 1) and is exactly 0 at gamma = 0.
 
     Powers of near-1 bases are taken as exp(M log(base)), which stays
-    ulp-accurate where libm pow drifts by tens of ulps.
+    ulp-accurate where libm pow drifts by tens of ulps. Below gamma = 1e-3
+    shifted BPSK is (1/2)^M expm1(M log1p(erf(sqrt(gamma)))) instead.
     """
     if gamma < 0.0:
         raise ValueError(f"gamma must be nonnegative, got {gamma}")
@@ -66,6 +67,11 @@ def eff_value(model: EfficiencyModel, gamma: float) -> float:
     if model.kind is EfficiencyKind.EXP_APPROX:
         return math.exp(model.M * _log_exp_base(gamma))
     # shifted BPSK: subtract the zero-SIR guessing floor (1/2)^M
+    if gamma < 1e-3:  # where the difference below cancels
+        # the exponent is below 0.04 M here, so past 700, where expm1 would
+        # overflow, (1/2)^M and the true value are both 0
+        grow = model.M * math.log1p(math.erf(math.sqrt(gamma)))
+        return 0.5 ** model.M * math.expm1(min(grow, 700.0))
     return math.exp(model.M * _log_bpsk_base(gamma)) - 0.5 ** model.M
 
 

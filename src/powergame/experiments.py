@@ -252,7 +252,7 @@ def run_utility_power_curve(config: ScenarioConfig):
     realization = _draw_realization(config, p.N, p.K, m, _STREAM_CURVE, 0)
     result = solve_equilibrium(realization, kind, p, config.model,
                                max_iter=config.max_iter)
-    try:  # h^2 / sigma2 past the range overflows in the filter products
+    try:  # h^2 / sigma2 past the range overflows in the filter weights
         rate = float(sir_per_watt(kind, realization.S, realization.H,
                                   result.powers, p.sigma2)[0])
     except FloatingPointError:

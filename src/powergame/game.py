@@ -259,9 +259,10 @@ def verify_nash(result: EquilibriumResult, realization: ChannelRealization,
     """Confirm that no user gains by changing its power alone.
 
     Against the others' frozen powers user k's SIR is p w_k, w_k being its
-    sir_per_watt off explicit filters. f(g)/g rises up to gamma* and falls
-    after it (test_tangent_line_maximizes_utility_ratio), so k's best power
-    is exactly b = min(gamma*/w_k, Pmax), as in best_response_power. Its
+    sir_per_watt, read off each filter's K x K weights and never off the
+    solver's balance map (make_sir_engine). f(g)/g rises up to gamma* and
+    falls after it (test_tangent_line_maximizes_utility_ratio), so k's best
+    power is exactly b = min(gamma*/w_k, Pmax), as in best_response_power. Its
     utilities (L/M) R f(x w)/x at x = b and at its own power are compared
     without their common (L/M) R, f(b w) being f(gamma*) where b < Pmax;
     both come from result.powers alone, never from the result's SIRs.

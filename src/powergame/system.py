@@ -209,7 +209,8 @@ def utility(p_k: float, gamma_k: float, params: SystemParams,
 # ---------------------------------------------------------------------------
 # Whole-vector evaluation: every user at once from K x K inverses (_inverse),
 # never an N x N solve, so equilibrium solves and Nash checks stay fast at
-# N ~ a few hundred; receiver_filter + output_sir stay the per-user reference.
+# N ~ a few hundred; sir_per_watt reads each filter off its K x K weights,
+# and receiver_filter + output_sir stay the per-user reference.
 # ---------------------------------------------------------------------------
 
 def _mmse_inverse(gram: np.ndarray, rec: np.ndarray,
@@ -307,44 +308,34 @@ def mmse_sirs(S, heff, p, sigma2) -> np.ndarray:
         np.asarray(p, float) * np.square(heff))[0]
 
 
-def receiver_filters(kind: ReceiverKind, S, h2, p, sigma2) -> np.ndarray:
-    """Every user's receiver filter at once, as the columns of an N x K matrix.
-
-    Column k is parallel to receiver_filter(kind, k, ...), which is all the
-    output SIR depends on. Matched filter: S itself (not a copy).
-    Decorrelator: S (S'S)^-1, one rank guard for all users. MMSE: A^-1 S with
-    the full A = S D S' + sigma2 I, D = diag(p h2), computed as
-    S (D G + sigma2 I)^-1 (push-through, G = S'S) from one K x K inverse; by
-    Sherman-Morrison A^-1 s_k = A_k^-1 s_k / (1 + p_k h_k^2 s_k' A_k^-1 s_k),
-    a positive multiple of the per-user filter.
-    """
-    if kind is ReceiverKind.MATCHED_FILTER:
-        return S
-    if kind is ReceiverKind.DECORRELATOR:
-        return S @ _zf_columns(S)
-    p = np.asarray(p, dtype=float)
-    if np.any(p < 0):
-        raise ValueError("powers must be nonnegative for the MMSE filter")
-    # (D G + sigma2 I)' = G D + sigma2 I since G is symmetric
-    return (_mmse_inverse(S.T @ S, p * h2, sigma2) @ S.T).T
-
-
 def sir_per_watt(kind: ReceiverKind, S, H, powers, sigma2) -> np.ndarray:
     """Each user's output SIR per watt of its own power, the others' frozen.
 
     No filter depends on user k's own power, so at the others' given powers
     its SIR is p_k times entry k of this K-vector for any p_k, and the MMSE
     filter maximizes that entry over all linear filters. Any antenna count:
-    S (N x K) and H (m x K) play on effective_system, and all K filters come
-    from one receiver_filters call. The SIRs are read off the explicit
-    filters, independently of make_sir_engine, so the Nash check does not
-    take the solver's word for them.
+    S (N x K) and H (m x K) play on effective_system. Filter k is S t_k,
+    t_k being row k of the K x K weights T: I (MF), (S'S)^-1 (DE) or
+    (G D + sigma2 I)^-1 with D = diag(p h2) (MMSE; by push-through and
+    Sherman-Morrison a positive multiple of receiver_filter's A_k^-1 s_k).
+    With G = S'S, c_k's_j = (T G)_kj and c_k'c_k = sum_j (T G)_kj T_kj.
+    This never calls make_sir_engine, so the Nash check does not take the
+    solver's word for the SIRs.
     """
     S, h2 = effective_system(kind, S, H)
     powers = np.asarray(powers, dtype=float)
-    C = receiver_filters(kind, S, h2, powers, sigma2)
-    X = (C.T @ S) ** 2  # X[k, j] = (c_k' s_j)^2
+    gram = S.T @ S
+    if kind is ReceiverKind.MATCHED_FILTER:
+        weights = np.eye(len(h2))
+    elif kind is ReceiverKind.DECORRELATOR:
+        weights = _zf_columns(S)
+    elif np.any(powers < 0):
+        raise ValueError("powers must be nonnegative for the MMSE filter")
+    else:
+        weights = _mmse_inverse(gram, powers * h2, sigma2)
+    cross = gram if kind is ReceiverKind.MATCHED_FILTER else weights @ gram
+    noise = sigma2 * np.einsum("kj,kj->k", cross, weights)
+    X = cross ** 2  # X[k, j] = (c_k' s_j)^2
     own = np.diag(X).copy()
     np.fill_diagonal(X, 0.0)
-    noise = sigma2 * np.einsum("nk,nk->k", C, C)
     return h2 * own / (noise + X @ (powers * h2))

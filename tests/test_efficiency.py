@@ -70,6 +70,26 @@ class TestValue:
         tail = [eff_value(m, g) for g in np.linspace(30.0, 100.0, 50)]
         assert all(a <= b for a, b in zip(tail, tail[1:]))
 
+    @pytest.mark.parametrize("M", [7, 10, 100])
+    def test_bpsk_tiny_sir_keeps_its_leading_term(self, M):
+        # (1 - Q(sqrt(2 g)))^M - (1/2)^M cancels at tiny g; its leading
+        # term is (1/2)^M 2 M sqrt(g / pi), as erf(x) ~ 2 x / sqrt(pi)
+        m = EfficiencyModel(BPSK, M)
+        grid = np.geomspace(1e-300, 1e-3, 600)
+        vals = [eff_value(m, g) for g in grid]
+        assert all(0.0 < f < 1.0 for f in vals)
+        assert all(a <= b for a, b in zip(vals, vals[1:]))
+        for g, f in zip(grid, vals):
+            if g <= 1e-30:
+                assert f == pytest.approx(
+                    0.5 ** M * 2 * M * math.sqrt(g / math.pi), rel=1e-12,
+                    abs=0.0)
+
+    def test_bpsk_tiny_sir_underflows_at_a_large_packet(self):
+        # M log1p(erf(sqrt(g))) ~ 1000 at M = 30000, g = 9e-4 is past
+        # expm1's range, but (1/2)^M and so the value underflow to 0
+        assert eff_value(EfficiencyModel(BPSK, 30000), 9e-4) == 0.0
+
     def test_negative_gamma_rejected(self):
         with pytest.raises(ValueError):
             eff_value(exp_model(), -0.1)

@@ -742,6 +742,30 @@ class TestVerifyNash:
         assert not verify_nash(replace(result, powers=powers), realization,
                                kind, params, model)
 
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_never_calls_the_solver_engine(self, kind, m, model, gamma_star,
+                                           monkeypatch):
+        # the check reads the SIRs off each filter's weights, so it still
+        # gives both verdicts with the solver's balance map gone
+        from dataclasses import replace
+
+        params = make_params(K=10, N=64, m=m)
+        realization, result = feasible_instance(
+            lambda a: np.random.default_rng((18, a)), kind, params, model,
+            gamma_star, 64, 10, m=m)
+
+        def no_engine(*args):
+            raise AssertionError("make_sir_engine was called")
+
+        for module in ("powergame.game", "powergame.system"):
+            monkeypatch.setattr(f"{module}.make_sir_engine", no_engine)
+        assert verify_nash(result, realization, kind, params, model)
+        powers = result.powers.copy()
+        powers[4] *= 3.0
+        assert not verify_nash(replace(result, powers=powers), realization,
+                               kind, params, model)
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_detects_underspending_user(self, kind, model, gamma_star):
         # only a deviation above the current power gains, which a check that

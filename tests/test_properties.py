@@ -28,7 +28,7 @@ from powergame.game import (POWER_TOL, _newton_balance, _newton_start,
 from powergame.system import (ReceiverKind, SystemParams, effective_system,
                               generate_gains, generate_spreading,
                               make_sir_engine, mmse_sirs, output_sir,
-                              receiver_filter, receiver_filters, sir_per_watt)
+                              receiver_filter, sir_per_watt)
 
 MF = ReceiverKind.MATCHED_FILTER
 DE = ReceiverKind.DECORRELATOR
@@ -184,10 +184,12 @@ class TestSirPerWatt:
                 rivals.append(sir_per_watt(DE, S, H, p, sigma2))
             except SingularSpreadingError:
                 pass
-        # random filters on the chips of every antenna: the MMSE filters
-        # moved by a random step of 1e-4 to 10 times their own length
+        # random filters on the chips of every antenna: the per-user MMSE
+        # filters moved by a random step of 1e-4 to 10 times their own length
         Sbar, h2 = effective_system(MMSE, S, H)
-        C = receiver_filters(MMSE, Sbar, h2, p, sigma2)
+        C = np.column_stack([receiver_filter(MMSE, k, Sbar, np.sqrt(h2), p,
+                                             sigma2)
+                             for k in range(S.shape[1])])
         step = np.random.default_rng(seed).standard_normal(C.shape)
         C = C + 10.0 ** log_step * step * (np.linalg.norm(C, axis=0)
                                            / np.linalg.norm(step, axis=0))

@@ -6,8 +6,8 @@ from powergame.system import (COND_LIMIT, LEAF_ROWS, ChannelRealization,
                               ReceiverKind, _inverse, _zf_columns,
                               effective_system, generate_gains,
                               generate_spreading, make_sir_engine, output_sir,
-                              rayleigh_scale, receiver_filter,
-                              receiver_filters, sir_per_watt, utility)
+                              rayleigh_scale, receiver_filter, sir_per_watt,
+                              utility)
 
 from conftest import draw_realization, make_params
 
@@ -382,14 +382,16 @@ class TestSirEngines:
                            "singular at sigma2=1e-200"):
             make_sir_engine(MMSE, S, 1e-200)(p * h2)
         with pytest.raises(SolverError, match="singular"):
-            receiver_filters(MMSE, S, h2, p, 1e-200)
+            sir_per_watt(MMSE, S, np.ones((1, 3)), p, 1e-200)
         # a noise power on the scale of the received powers keeps it regular
         assert np.all(np.isfinite(make_sir_engine(MMSE, S, 1e-6)(p * h2)[0]))
 
 
-class TestReceiverFilters:
+class TestFilterWeights:
     @pytest.mark.parametrize("kind", [MF, DE, MMSE])
-    def test_columns_match_per_user_filters(self, kind):
+    def test_rates_match_per_user_filters(self, kind):
+        # sir_per_watt reads each filter off its K x K weights; at the
+        # others' powers p its SIRs are p times those rates
         rng = np.random.default_rng(24)
         shapes, draws = set(), []
         for _ in range(10):
@@ -402,15 +404,13 @@ class TestReceiverFilters:
         for S, h, p in draws + list(past_leaf_draws(kind, 25)):
             N, K = S.shape
             try:
-                C = receiver_filters(kind, S, h ** 2, p, 5e-16)
+                rate = sir_per_watt(kind, S, h[None, :], p, 5e-16)
             except SingularSpreadingError:
                 continue
-            assert C.shape == (N, K)
+            assert rate.shape == (K,)
             for k in range(K):
                 ref = receiver_filter(kind, k, S, h, p, 5e-16)
-                cos = C[:, k] @ ref / (np.linalg.norm(C[:, k]) * np.linalg.norm(ref))
-                assert abs(cos) >= 1 - 1e-12
-                assert output_sir(C[:, k], k, S, h, p, 5e-16) == pytest.approx(
+                assert p[k] * rate[k] == pytest.approx(
                     output_sir(ref, k, S, h, p, 5e-16), rel=1e-9)
             shapes.add((N, K))
         past = {(N * m, K) for N, K, m in PAST_LEAF[kind]}
