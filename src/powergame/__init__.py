@@ -26,7 +26,7 @@ _EXPORTS = {
     "game": ("EquilibriumResult", "best_response_power", "solve_equilibrium",
              "verify_nash"),
     "multiantenna": ("solve_equilibrium_ma",),
-    "system": ("ChannelRealization", "effective_system", "generate_gains",
+    "system": ("ChannelRealization", "effective_gram", "generate_gains",
                "generate_spreading", "output_sir", "receiver_filter",
                "sir_per_watt", "utility"),
 }

@@ -109,7 +109,7 @@ def _pareto_upper(kind: ReceiverKind, alpha: float) -> float:
 
 
 def solve_pareto_target(kind: ReceiverKind, alpha: float,
-                        model: EfficiencyModel, tol: float = 1e-9) -> float:
+                        model: EfficiencyModel) -> float:
     """Target SIR of the equal-weight, SIR-balanced cooperative optimum.
 
     For the decorrelator the cooperative and non-cooperative targets coincide,
@@ -120,7 +120,7 @@ def solve_pareto_target(kind: ReceiverKind, alpha: float,
     if alpha < 0:
         raise ValueError(f"alpha must be nonnegative, got {alpha}")
     if kind is ReceiverKind.DECORRELATOR or alpha == 0.0:
-        return solve_gamma_star(model, tol)
+        return solve_gamma_star(model)
     residual = _pareto_residual(kind, alpha, model)
     lo = GAMMA_BRACKET[0]
     hi = _pareto_upper(kind, alpha)
@@ -129,7 +129,7 @@ def solve_pareto_target(kind: ReceiverKind, alpha: float,
         raise SolverError(
             f"no stationary point of f/q on [{lo:g}, {hi:g}] for {kind.value} "
             f"at alpha={alpha:g}")
-    roots = [bisect(residual, a, b, tol) for a, b in brackets]
+    roots = [bisect(residual, a, b) for a, b in brackets]
 
     def ratio(g: float) -> float:
         return eff_value(model, g) / balanced_received_power(kind, alpha, g, 1.0)

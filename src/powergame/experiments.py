@@ -174,14 +174,15 @@ def run_load_sweep(config: ScenarioConfig):
 
 def _check_powers(config: ScenarioConfig) -> None:
     """check_distance, then a PowerGameError naming distance and sigma2
-    where a user alone at config.distance needs gamma* sigma2 / E[h^2] below
-    the normal floats: the powers solved for there lose digits, and the SIRs
-    and utilities from them overflow."""
+    where a user alone at config.distance needs gamma* sigma2 / E[h^2] past
+    the normal floats: the solve overflows above them; below, the powers
+    lose digits, and the SIRs and utilities from them overflow."""
     d, sigma2 = config.distance, config.params.sigma2
-    if solve_gamma_star(config.model) * sigma2 / check_distance(d) < (
-            sys.float_info.min):
+    power = solve_gamma_star(config.model) * sigma2 / check_distance(d)
+    if not sys.float_info.min <= power < math.inf:
+        side = "above" if power > 1.0 else "below"
         raise PowerGameError(f"distance={d!r}: the power a user alone at that "
-                             f"distance needs at sigma2={sigma2!r} is below "
+                             f"distance needs at sigma2={sigma2!r} is {side} "
                              "the float range")
 
 

@@ -13,7 +13,7 @@ and quadratically for MMSE (I is a minimum of affine maps, so concave),
 whose steps start at the large-system balanced power q = g* sigma2 / Gamma.
 Only when the balance needs a power at or above Pmax, or a step breaks down,
 do the synchronous capped sweeps run; they converge to the unique fixed
-point from any positive start.
+point from any positive start. Solves and Nash checks take one Gram each.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .asymptotic import balanced_received_power
 from .config import DEFAULT_MAX_ITER, ReceiverKind, SystemParams
 from .efficiency import EfficiencyModel, eff_value, solve_gamma_star
 from .exceptions import InfeasibleLoadError, InfeasibleUserError, SolverError
-from .system import (ChannelRealization, effective_system, make_sir_engine,
+from .system import (ChannelRealization, effective_gram, make_sir_engine,
                      sir_per_watt)
 
 INITIAL_POWER_FRACTION = 1e-2  # starting powers as a fraction of Pmax
@@ -107,22 +107,22 @@ def solve_from_engine(sirs_fn: Callable[[np.ndarray], np.ndarray], K: int,
     return _result(p, sirs_fn(p), iterations, settled, params, gamma_star)
 
 
-def _newton_start(kind: ReceiverKind, S, H, Sbar: np.ndarray,
+def _newton_start(kind: ReceiverKind, S, H, gram: np.ndarray,
                   h2: np.ndarray, params: SystemParams,
                   gamma_star: float) -> np.ndarray:
-    """The received powers Newton starts from on the effective system
-    (Sbar, h2) of spreading S and gains H.
+    """The received powers Newton starts from on effective_gram's Gram G
+    and gains h2 of spreading S and gains H.
 
     MMSE starts at the large-system balance (Tse and Hanly, IEEE Trans. IT
     1999): every user received at q = gamma* sigma2 / Gamma, the load being
-    K/N with m antennas, i.e. rec_k = q / |sbar_k|^2. On seeded draws at
-    N = 100 and 200 below the load limit the mean received power of the
-    finite balance lies within 1-2% of q with one antenna and ~19% above it
-    with two, and Newton settles in one step fewer than from the default
-    start either way. The default start, also MMSE's where the load is
-    infeasible or q / |sbar_k|^2 is not strictly between 0 and Pmax h2, is
-    equal received powers at the weakest user's sweep starting power. MF
-    and DE keep it: from any start they balance in one step.
+    K/N with m antennas, i.e. rec_k = q / G_kk. On seeded draws at N = 100
+    and 200 below the load limit the mean received power of the finite
+    balance lies within 1-2% of q with one antenna and ~19% above it with
+    two, and Newton settles in one step fewer than from the default start
+    either way. The default start, also MMSE's where the load is infeasible
+    or q / G_kk is not strictly between 0 and Pmax h2, is equal received
+    powers at the weakest user's sweep starting power. MF and DE keep it:
+    from any start they balance in one step.
     """
     N, K = np.shape(S)
     # an underflow or overflow only fails a range test, here or Newton's
@@ -135,7 +135,7 @@ def _newton_start(kind: ReceiverKind, S, H, Sbar: np.ndarray,
                                         len(np.atleast_2d(H)))
         except InfeasibleLoadError:
             return rec
-        large = q / np.einsum("nk,nk->k", Sbar, Sbar)
+        large = q / gram.diagonal()
         inside = np.all((large > 0.0) & (large < params.Pmax * h2))
     return large if inside else rec
 
@@ -221,7 +221,7 @@ def solve_channel(S, H, kind: ReceiverKind, params: SystemParams,
                   gamma_star: float | None = None) -> EquilibriumResult:
     """SIR-balanced equilibrium for spreading S (N x K) and gains H (m x K).
 
-    Any antenna count m: the solver plays on effective_system(kind, S, H),
+    Any antenna count m: the solver plays on effective_gram(kind, S, H),
     with one balance map for the Newton steps and any fallback sweeps, which
     never build its Jacobian. Newton steps run while every power stays below
     Pmax; otherwise solve_from_engine sweeps from the start, so such a draw
@@ -231,14 +231,14 @@ def solve_channel(S, H, kind: ReceiverKind, params: SystemParams,
     """
     if gamma_star is None:
         gamma_star = solve_gamma_star(model)
-    Sbar, h2 = effective_system(kind, S, H)
-    balance = make_sir_engine(kind, Sbar, params.sigma2)
-    start = _newton_start(kind, S, H, Sbar, h2, params, gamma_star)
+    gram, h2 = effective_gram(kind, S, H)
+    balance = make_sir_engine(kind, gram, params.sigma2)
+    start = _newton_start(kind, S, H, gram, h2, params, gamma_star)
     newton = _newton_balance(balance, start, h2, params.Pmax, gamma_star,
                              max_iter, kind is ReceiverKind.MMSE
-                             and Sbar.shape[1] > SERIES_USERS)
+                             and len(h2) > SERIES_USERS)
     if newton is None:
-        return solve_from_engine(lambda p: balance(p * h2)[0], Sbar.shape[1],
+        return solve_from_engine(lambda p: balance(p * h2)[0], len(h2),
                                  params, gamma_star, max_iter)
     return _result(*newton, params, gamma_star)
 

@@ -70,25 +70,28 @@ def generate_gains(distances, m: int, rng: np.random.Generator) -> np.ndarray:
     return scale * rng.rayleigh(size=(m, scale.size))
 
 
-def effective_system(kind: ReceiverKind, S, H) -> tuple[np.ndarray, np.ndarray]:
-    """The single-antenna game that m receive antennas play: (signatures, h2).
+def effective_gram(kind: ReceiverKind, S, H) -> tuple[np.ndarray, np.ndarray]:
+    """The single-antenna game that m receive antennas play: (gram, h2).
 
-    The m antennas' chips stack into one length-mN vector carrying user k on
-    sbar_k = [h_k1 s_k', ..., h_km s_k']', of squared norm
-    hbar2_k = sum_l h_kl^2. The matched filter (despread plus maximal ratio
-    combining) and MMSE play on these signatures with unit gains. The
-    decorrelator knows nothing of the interferers' gains: it zero-forces per
-    antenna on S and combines with MRC weights, i.e. plays on (S, hbar2).
+    User k's chips on the m antennas stack into sbar_k = [h_1k s_k', ...,
+    h_mk s_k']', seen by every receiver only through sbar_j'sbar_k =
+    (s_j's_k) sum_l h_lj h_lk: MF (despread plus maximal ratio combining)
+    and MMSE play on (S'S) o (H'H) with unit gains (Hanly and Tse, IEEE
+    Trans. IT 2001). The decorrelator knows nothing of the interferers'
+    gains: it zero-forces per antenna on S and combines with MRC weights,
+    i.e. plays on (S'S, hbar2), hbar2_k = sum_l h_lk^2, and needs K <= N.
     """
     S = np.asarray(S, dtype=float)
     H = np.atleast_2d(np.asarray(H, dtype=float))
-    if S.shape[1] != H.shape[1]:
+    (N, K), m = S.shape, H.shape[0]
+    if H.shape[1] != K:
         raise ValueError("S and H disagree on the number of users")
-    m, (N, K) = H.shape[0], S.shape
-    # stacking one antenna would move every single-antenna float by an ulp
+    if kind is ReceiverKind.DECORRELATOR and K > N:
+        raise SingularSpreadingError(f"decorrelator needs K <= N, got K={K}, N={N}")
+    # the Hadamard form at one antenna would move every float by an ulp
     if m == 1 or kind is ReceiverKind.DECORRELATOR:
-        return S, (H ** 2).sum(axis=0)
-    return (H[:, None, :] * S[None]).reshape(m * N, K), np.ones(K)
+        return S.T @ S, (H ** 2).sum(axis=0)
+    return (S.T @ S) * (H.T @ H), np.ones(K)
 
 
 def _singular(err, flag):
@@ -134,25 +137,21 @@ def _inverse(M: np.ndarray) -> np.ndarray:
     return out
 
 
-def _zf_columns(S: np.ndarray) -> np.ndarray:
-    """Inverse crosscorrelation matrix (S'S)^-1 with a rank guard.
+def _zf_columns(gram: np.ndarray) -> np.ndarray:
+    """Inverse crosscorrelation matrix gram^-1, gram = S'S, with a rank guard.
 
     The guard reads the 1-norm condition number |G|_1 |G^-1|_1 off the
-    inverse it returns, with no SVD. G = S'S is symmetric, so its 2-norm
+    inverse it returns, with no SVD. G is symmetric, so its 2-norm
     condition number k2 obeys k2 <= k1 <= K k2: the guard rejects every
     draw a k2 guard at COND_LIMIT would, and an exactly singular or NaN G.
     """
-    N, K = S.shape
-    if K > N:
-        raise SingularSpreadingError(f"decorrelator needs K <= N, got K={K}, N={N}")
     singular = "spreading crosscorrelation matrix is singular"
-    G = S.T @ S
     try:
-        inverse = _inverse(G)
+        inverse = _inverse(gram)
     except np.linalg.LinAlgError:
         raise SingularSpreadingError(singular) from None
     with np.errstate(all="ignore"):  # an overflow gives inf, rejected below
-        cond = abs(G).sum(axis=0).max() * abs(inverse).sum(axis=0).max()
+        cond = abs(gram).sum(axis=0).max() * abs(inverse).sum(axis=0).max()
     if not cond <= COND_LIMIT:  # also rejects NaN
         raise SingularSpreadingError(singular)
     return inverse
@@ -171,7 +170,7 @@ def receiver_filter(kind: ReceiverKind, k: int, S: np.ndarray, heff: np.ndarray,
     if kind is ReceiverKind.MATCHED_FILTER:
         return S[:, k].copy()
     if kind is ReceiverKind.DECORRELATOR:
-        return S @ _zf_columns(S)[:, k]
+        return S @ _zf_columns(effective_gram(kind, S, heff)[0])[:, k]
     p = np.asarray(p, dtype=float)
     if np.any(p < 0):
         raise ValueError("powers must be nonnegative for the MMSE filter")
@@ -229,10 +228,11 @@ def _mmse_inverse(gram: np.ndarray, rec: np.ndarray,
                           "or N") from None
 
 
-def make_sir_engine(kind: ReceiverKind, S: np.ndarray,
+def make_sir_engine(kind: ReceiverKind, gram: np.ndarray,
                     sigma2: float) -> Callable[[np.ndarray], tuple]:
-    """Return the balance map of one realization (S, sigma2): received powers
-    rec = p h^2 -> (SIRs, dI/drec), I(rec) = rec / SIRs being the
+    """Return the balance map of one realization (effective_gram's Gram
+    G = S'S, sigma2): received powers rec = p h^2 -> (SIRs, dI/drec),
+    I(rec) = rec / SIRs being the
     interference-plus-noise each filter sees (noise and cross terms scaled by
     the filter's own gain) and dI/drec a zero-argument callable that builds
     the K x K Jacobian on demand, or None for the decorrelator, whose I is
@@ -243,14 +243,14 @@ def make_sir_engine(kind: ReceiverKind, S: np.ndarray,
 
     * matched filter: gamma_k = rec_k (s_k's_k)^2 /
       (sigma2 s_k's_k + sum_{j!=k} rec_j (s_k's_j)^2), from the squared
-      crosscorrelations and the own norms s_k's_k (1 for unit-norm columns,
-      hbar2 for stacked antenna signatures); I is affine, and its Jacobian
+      crosscorrelations and the own norms s_k's_k, G's diagonal (~1 for
+      unit-norm columns, hbar2 for m antennas); I is affine, and its Jacobian
       is the constant matrix (s_k's_j)^2 / (s_k's_k)^2 off the diagonal;
     * decorrelator: gamma_k = rec_k / (sigma2 [(S'S)^-1]_kk);
     * MMSE: rank-one downdate. With A = S D S' + sigma2 I, D = diag(rec)
       (all users included), s_k' A_k^-1 s_k = q_k / (1 - rec_k q_k) where
       q_k = s_k' A^-1 s_k. The push-through identity
-      A^-1 S = S (D G + sigma2 I)^-1 with G = S'S gives P = S' A^-1 S =
+      A^-1 S = S (D G + sigma2 I)^-1 gives P = S' A^-1 S =
       M^-1 G, M = G D + sigma2 I, and G D = M - sigma2 I turns it into
       P = (I - sigma2 M^-1) D^-1: one K x K inverse, no N x N solve and no
       K x K x K product. q_k is row k of M^-1 dotted with G's, so rec_k q_k
@@ -259,22 +259,20 @@ def make_sir_engine(kind: ReceiverKind, S: np.ndarray,
       (Ulukus and Yates, Wireless Networks 1998).
     """
     if kind is ReceiverKind.MATCHED_FILTER:
-        gram_sq = (S.T @ S) ** 2
+        gram_sq = gram ** 2
         np.fill_diagonal(gram_sq, 0.0)
-        own = np.einsum("nk,nk->k", S, S)
+        own = gram.diagonal()
         own_sq, own_noise = own ** 2, sigma2 * own
         jacobian = gram_sq / own_sq[:, None]
 
         def balance(rec):
             return rec * own_sq / (own_noise + gram_sq @ rec), lambda: jacobian
     elif kind is ReceiverKind.DECORRELATOR:
-        noise = sigma2 * np.diag(_zf_columns(S))
+        noise = sigma2 * np.diag(_zf_columns(gram))
 
         def balance(rec):
             return rec / noise, None
     else:
-        gram = S.T @ S
-
         def balance(rec):
             inverse = _mmse_inverse(gram, rec, sigma2)
             # rec_k q_k = gamma/(1+gamma), always in [0, 1); G is symmetric
@@ -290,22 +288,24 @@ def make_sir_engine(kind: ReceiverKind, S: np.ndarray,
     return balance
 
 
+def _sirs(kind: ReceiverKind, S, heff, p, sigma2) -> np.ndarray:
+    gram, h2 = effective_gram(kind, S, heff)  # heff: one antenna's gains
+    return make_sir_engine(kind, gram, sigma2)(np.asarray(p, float) * h2)[0]
+
+
 def matched_filter_sirs(S, heff, p, sigma2) -> np.ndarray:
     """SIRs of all users under per-user matched filtering."""
-    return make_sir_engine(ReceiverKind.MATCHED_FILTER, S, sigma2)(
-        np.asarray(p, float) * np.square(heff))[0]
+    return _sirs(ReceiverKind.MATCHED_FILTER, S, heff, p, sigma2)
 
 
 def decorrelator_sirs(S, heff, p, sigma2) -> np.ndarray:
     """SIRs under zero-forcing: gamma_k = p_k h_k^2 / (sigma2 [(S'S)^-1]_kk)."""
-    return make_sir_engine(ReceiverKind.DECORRELATOR, S, sigma2)(
-        np.asarray(p, float) * np.square(heff))[0]
+    return _sirs(ReceiverKind.DECORRELATOR, S, heff, p, sigma2)
 
 
 def mmse_sirs(S, heff, p, sigma2) -> np.ndarray:
     """SIRs of all users under per-user MMSE filtering (one K x K inverse)."""
-    return make_sir_engine(ReceiverKind.MMSE, S, sigma2)(
-        np.asarray(p, float) * np.square(heff))[0]
+    return _sirs(ReceiverKind.MMSE, S, heff, p, sigma2)
 
 
 def sir_per_watt(kind: ReceiverKind, S, H, powers, sigma2) -> np.ndarray:
@@ -314,21 +314,20 @@ def sir_per_watt(kind: ReceiverKind, S, H, powers, sigma2) -> np.ndarray:
     No filter depends on user k's own power, so at the others' given powers
     its SIR is p_k times entry k of this K-vector for any p_k, and the MMSE
     filter maximizes that entry over all linear filters. Any antenna count:
-    S (N x K) and H (m x K) play on effective_system. Filter k is S t_k,
-    t_k being row k of the K x K weights T: I (MF), (S'S)^-1 (DE) or
+    S (N x K) and H (m x K) play on effective_gram's (G, h2). Filter k is
+    S t_k, t_k being row k of the K x K weights T: I (MF), G^-1 (DE) or
     (G D + sigma2 I)^-1 with D = diag(p h2) (MMSE; by push-through and
     Sherman-Morrison a positive multiple of receiver_filter's A_k^-1 s_k).
-    With G = S'S, c_k's_j = (T G)_kj and c_k'c_k = sum_j (T G)_kj T_kj.
+    So c_k's_j = (T G)_kj and c_k'c_k = sum_j (T G)_kj T_kj.
     This never calls make_sir_engine, so the Nash check does not take the
     solver's word for the SIRs.
     """
-    S, h2 = effective_system(kind, S, H)
+    gram, h2 = effective_gram(kind, S, H)
     powers = np.asarray(powers, dtype=float)
-    gram = S.T @ S
     if kind is ReceiverKind.MATCHED_FILTER:
         weights = np.eye(len(h2))
     elif kind is ReceiverKind.DECORRELATOR:
-        weights = _zf_columns(S)
+        weights = _zf_columns(gram)
     elif np.any(powers < 0):
         raise ValueError("powers must be nonnegative for the MMSE filter")
     else:

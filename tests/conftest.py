@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from powergame.efficiency import EfficiencyKind, EfficiencyModel, solve_gamma_star
-from powergame.system import (ChannelRealization, SystemParams,
+from powergame.system import (ChannelRealization, ReceiverKind, SystemParams,
                               generate_gains, generate_spreading)
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -54,3 +54,15 @@ def draw_realization(rng, N, K, distance=100.0, m=1):
     distances = np.full(K, distance)
     H = generate_gains(distances, m, rng)
     return ChannelRealization(S=S, H=H, distances=distances)
+
+
+def stacked_system(kind, S, H):
+    """The game effective_gram describes, as signatures: the m antennas'
+    chips stacked into mN x K columns sbar_k = [h_1k s_k; ...; h_mk s_k]
+    with unit gains for the matched filter and MMSE at m >= 2, else
+    (S, hbar2). Built antenna by antenna, it is the independent oracle for
+    effective_gram's Hadamard form (S'S) o (H'H)."""
+    H = np.atleast_2d(H)
+    if len(H) == 1 or kind is ReceiverKind.DECORRELATOR:
+        return S, (H ** 2).sum(axis=0)
+    return np.vstack([S * h for h in H]), np.ones(S.shape[1])

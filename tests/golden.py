@@ -85,6 +85,11 @@ ONCE = (
     "equilibrium --set distance=1e-75",
     "curve-utility --set distance=1e-75",
     "validate-asymptotic --set distance=1e-75 --trials 2",
+    "equilibrium --set sigma2=1e299",
+    "curve-utility --set sigma2=1e299",
+    "validate-asymptotic --set sigma2=1e299 --trials 2",
+    "equilibrium --receiver DE --set K=110",
+    "curve-utility --receiver DE --set K=110",
     "equilibrium --set distance=1e-73",
     "curve-utility --set distance=1e-73",
     "curve-utility --set sigma2=1e-300 --set R=1e15",
@@ -206,12 +211,21 @@ def cell_moves(old: str | None, new: str | None, rtol: float):
 
 def differences(stored: dict, fresh: dict, rtol: float | None) -> list[str]:
     """One line per run that differs; rtol None compares every byte, a
-    number compares float cells of stdout and the output file to it."""
+    number compares float cells of stdout and the output file to it. Runs
+    pair up by argv, so a changed list still reports the runs both hold."""
+    old_runs = {" ".join(r["argv"]): r for r in stored["runs"]}
+    new_runs = {" ".join(r["argv"]): r for r in fresh["runs"]}
     lines = []
-    if [r["argv"] for r in stored["runs"]] != [r["argv"] for r in fresh["runs"]]:
-        return ["the list of runs differs from the corpus; regenerate it"]
-    for old, new in zip(stored["runs"], fresh["runs"]):
-        name = " ".join(old["argv"])
+    if list(old_runs) != list(new_runs):
+        lines.append("the list of runs differs from the corpus; regenerate it")
+        lines += [f"{name}: new run" for name in new_runs
+                  if name not in old_runs]
+        lines += [f"{name}: dropped" for name in old_runs
+                  if name not in new_runs]
+    for name, new in new_runs.items():
+        old = old_runs.get(name)
+        if old is None:
+            continue
         for field in ("exit", "stderr"):
             if old[field] != new[field]:
                 lines.append(f"{name}: {field} {old[field]!r} -> {new[field]!r}")

@@ -7,7 +7,7 @@ from powergame.asymptotic import (balanced_received_power, feasibility_bound,
                                   gamma_factor, mmse_pareto_gap,
                                   optimal_load, solve_pareto_target,
                                   utility_coef)
-from powergame.efficiency import eff_value
+from powergame.efficiency import eff_value, solve_gamma_star
 from powergame.exceptions import InfeasibleLoadError
 from powergame.system import ReceiverKind, utility
 
@@ -148,6 +148,13 @@ class TestParetoTarget:
     def test_decorrelator_equals_noncooperative(self, model, gamma_star):
         for alpha in (0.1, 0.5, 0.9):
             assert solve_pareto_target(DE, alpha, model) == gamma_star
+
+    def test_decorrelator_reads_the_memoised_gamma_star(self, model):
+        # the same cache key as a plain solve_gamma_star(model): one solve
+        solve_gamma_star.cache_clear()
+        solve_gamma_star(model)
+        solve_pareto_target(DE, 0.5, model)
+        assert solve_gamma_star.cache_info().misses == 1
 
     def test_matched_filter_low_load_limit(self, model, gamma_star):
         got = solve_pareto_target(MF, 1e-8, model)

@@ -610,6 +610,26 @@ class TestLibraryErrors:
             "", "error: distance=1e-75: the power a user alone at that "
             "distance needs at sigma2=5e-16 is below the float range\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["equilibrium", "--set", "sigma2=1e299"],
+        ["curve-utility", "--set", "sigma2=1e299"],
+        ["validate-asymptotic", "--set", "sigma2=1e299", "--trials", "2"],
+    ], ids=["equilibrium", "curve-utility", "validate-asymptotic"])
+    def test_overflowing_power_names_the_noise(self, argv, capsys):
+        # a user alone at 100 m needs gamma* sigma2 / E[h^2] ~ 5.6e308 W,
+        # past the largest float: the error names the keys, where the
+        # solve's best response would overflow unnamed
+        assert main(argv) == 1
+        assert capsys.readouterr() == (
+            "", "error: distance=100.0: the power a user alone at that "
+            "distance needs at sigma2=1e+299 is above the float range\n")
+
+    @pytest.mark.parametrize("table", ["equilibrium", "curve-utility"])
+    def test_decorrelator_needs_k_le_n(self, table, capsys):
+        assert main([table, "--receiver", "DE", "--set", "K=110"]) == 1
+        assert capsys.readouterr() == (
+            "", "error: decorrelator needs K <= N, got K=110, N=100\n")
+
     @pytest.mark.parametrize("argv,line", [
         # a user alone at 1e-73 m needs ~2.8e-306 W, a normal float, but
         # R f(gamma*) / p overflows

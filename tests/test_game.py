@@ -7,7 +7,7 @@ from powergame.game import (NASH_REL_TOL, SIR_TOL, _newton_balance, _result,
                             _series_direction, best_response_power,
                             solve_equilibrium, solve_from_engine, verify_nash)
 from powergame.system import (ChannelRealization, ReceiverKind,
-                              effective_system, generate_gains,
+                              effective_gram, generate_gains,
                               generate_spreading, make_sir_engine, output_sir,
                               receiver_filter, sir_per_watt, utility)
 
@@ -244,7 +244,7 @@ class TestNewtonBalance:
         realization = draw_realization(np.random.default_rng((32, 12)),
                                        100, 14)
         S, h2 = realization.S, realization.H[0] ** 2
-        engine = make_sir_engine(MF, S, params.sigma2)
+        engine = make_sir_engine(MF, S.T @ S, params.sigma2)
         rho = max(abs(np.linalg.eigvals(gamma_star * engine(h2)[1]())))
         assert 0.97 < rho < 1.0
         sweeps = solve_from_engine(lambda p: engine(p * h2)[0], 14, params,
@@ -257,10 +257,10 @@ class TestNewtonBalance:
             assert result.iterations == 1
 
     @staticmethod
-    def assert_tangent(kind, S, rec, rel_step=1e-6, sigma2=5e-16):
+    def assert_tangent(kind, gram, rec, rel_step=1e-6, sigma2=5e-16):
         # I = rec / sirs; its Jacobian against central differences
         K = len(rec)
-        engine = make_sir_engine(kind, S, sigma2)
+        engine = make_sir_engine(kind, gram, sigma2)
         jacobian = engine(rec)[1]()
         step = rel_step * rec
         numeric = np.empty((K, K))
@@ -277,20 +277,21 @@ class TestNewtonBalance:
     def test_tangent_is_the_interference_jacobian(self, kind):
         S = generate_spreading(32, 12, np.random.default_rng(33))
         self.assert_tangent(
-            kind, S, 1e-15 * (1.0 + np.random.default_rng(34).random(12)))
+            kind, S.T @ S,
+            1e-15 * (1.0 + np.random.default_rng(34).random(12)))
 
     @pytest.mark.parametrize("kind", [MF, MMSE])
     @pytest.mark.parametrize("N,K,m", [(160, 80, 1), (100, 80, 2)])
     def test_tangent_past_the_leaf(self, kind, N, K, m):
-        # K x K inverses by block elimination, and stacked two-antenna
-        # signatures with unit-scale Rayleigh coefficients. The rounding in
-        # a difference of I grows with K: a 1e-4 step keeps it and the
-        # step's own truncation error below 1e-9 (at 1e-6 the rounding
-        # alone reaches 4e-8 for MMSE at K = 80)
+        # K x K inverses by block elimination, and the two-antenna Gram
+        # with unit-scale Rayleigh coefficients. The rounding in a
+        # difference of I grows with K: a 1e-4 step keeps it and the step's
+        # own truncation error below 1e-9 (at 1e-6 the rounding alone
+        # reaches 4e-8 for MMSE at K = 80)
         rng = np.random.default_rng((36, N, K, m))
         S = generate_spreading(N, K, rng)
-        Sbar, h2 = effective_system(kind, S, rng.rayleigh(size=(m, K)))
-        self.assert_tangent(kind, Sbar, 1e-15 * (1.0 + rng.random(K)) / h2,
+        gram, h2 = effective_gram(kind, S, rng.rayleigh(size=(m, K)))
+        self.assert_tangent(kind, gram, 1e-15 * (1.0 + rng.random(K)) / h2,
                             rel_step=1e-4)
 
     def test_tangent_at_a_tiny_noise_power(self):
@@ -299,7 +300,7 @@ class TestNewtonBalance:
         # range, where sigma2 / q_k, ~1e-599, would underflow to 0
         rng = np.random.default_rng(37)
         S = generate_spreading(160, 80, rng)
-        self.assert_tangent(MMSE, S, 1e-299 * (1.0 + rng.random(80)),
+        self.assert_tangent(MMSE, S.T @ S, 1e-299 * (1.0 + rng.random(80)),
                             rel_step=1e-4, sigma2=5e-300)
 
     @staticmethod
@@ -411,7 +412,8 @@ class TestNewtonBalance:
         params = make_params(K=14)
         realization = draw_realization(np.random.default_rng((46, 0)), 100,
                                        14)
-        engine = make_sir_engine(MF, realization.S, params.sigma2)
+        engine = make_sir_engine(MF, realization.S.T @ realization.S,
+                                 params.sigma2)
         h2 = realization.H[0] ** 2
         jacobian = engine(h2)[1]()
         before = jacobian.copy()
@@ -538,7 +540,7 @@ class TestNewtonBalance:
         if kind is MF:
             # one step from the equal start, on the LU of Id - gamma* J
             S, h2 = realization.S, realization.H[0] ** 2
-            sirs, jacobian = make_sir_engine(MF, S, params.sigma2)(
+            sirs, jacobian = make_sir_engine(MF, S.T @ S, params.sigma2)(
                 np.full(K, 1e-2 * params.Pmax * h2.min()))
             rec = np.full(K, 1e-2 * params.Pmax * h2.min())
             target = gamma_star * rec / sirs
@@ -560,7 +562,7 @@ class TestNewtonBalance:
         params = make_params(K=30)
         realization = draw_realization(np.random.default_rng(7), 100, 30)
         S, h2 = realization.S, realization.H[0] ** 2
-        engine = make_sir_engine(MF, S, params.sigma2)
+        engine = make_sir_engine(MF, S.T @ S, params.sigma2)
         assert max(abs(np.linalg.eigvals(gamma_star
                                          * engine(h2)[1]()))) >= 1.0
         result = solve_equilibrium(realization, MF, params, model,
@@ -577,7 +579,8 @@ class TestNewtonBalance:
                                    gamma_star=gamma_star)
         assert result.clamped_users
         h2 = realization.H[0] ** 2
-        engine = make_sir_engine(MMSE, realization.S, params.sigma2)
+        engine = make_sir_engine(MMSE, realization.S.T @ realization.S,
+                                 params.sigma2)
         self.assert_same_result(result, solve_from_engine(
             lambda p: engine(p * h2)[0], 40, params, gamma_star))
 
@@ -606,7 +609,8 @@ class TestProperties:
         while checked < 100:
             realization = draw_realization(rng, 64, K)
             h2 = realization.H[0] ** 2
-            engine = make_sir_engine(kind, realization.S, params.sigma2)
+            engine = make_sir_engine(kind, realization.S.T @ realization.S,
+                                     params.sigma2)
             p = np.full(K, 1e-12)
             ok, settled = True, False
             for _ in range(2000):
@@ -714,7 +718,8 @@ class TestVerifyNash:
         # rebuild the profile so the SIRs are consistent with the powers
         powers = result.powers.copy()
         powers[4] *= factor
-        engine = make_sir_engine(kind, realization.S, params.sigma2)
+        engine = make_sir_engine(kind, realization.S.T @ realization.S,
+                                 params.sigma2)
         sirs = engine(powers * realization.H[0] ** 2)[0]
         broken = replace(result, powers=powers, sirs=sirs)
         return broken, realization, params
@@ -936,7 +941,7 @@ class TestOverloadedMmse:
 
 
 class TestMultiAntenna:
-    # m antennas play the single-antenna game on effective_system, so the
+    # m antennas play the single-antenna game on effective_gram, so the
     # per-user entry points take an m = 2 realization like an m = 1 one
     K, N = 6, 32
 
@@ -963,8 +968,8 @@ class TestMultiAntenna:
                                                        gamma_star)
         powers = result.powers.copy()
         powers[2] *= 3.0
-        S, h2 = effective_system(kind, realization.S, realization.H)
-        sirs = make_sir_engine(kind, S, params.sigma2)(powers * h2)[0]
+        gram, h2 = effective_gram(kind, realization.S, realization.H)
+        sirs = make_sir_engine(kind, gram, params.sigma2)(powers * h2)[0]
         broken = replace(result, powers=powers, sirs=sirs)
         assert not verify_nash(broken, realization, kind, params, model)
 

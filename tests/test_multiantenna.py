@@ -6,7 +6,7 @@ from powergame.exceptions import InfeasibleLoadError, SingularSpreadingError
 from powergame.game import solve_channel, solve_equilibrium
 from powergame.multiantenna import solve_equilibrium_ma
 from powergame.system import (ChannelRealization, ReceiverKind,
-                              effective_system, generate_gains,
+                              effective_gram, generate_gains,
                               generate_spreading)
 
 from conftest import make_params
@@ -25,40 +25,44 @@ def draw_system(rng, N, K, m, distance=100.0):
 
 
 class TestEffectiveSignatures:
+    """effective_gram: the Gram of the m antennas' effective signatures."""
+
     def test_single_antenna_reduction(self):
         # m = 1 is the single-antenna game itself, bit for bit
         rng = np.random.default_rng(0)
         S, H = draw_system(rng, 32, 5, 1)
         for kind in KINDS:
-            sig, h2 = effective_system(kind, S, H)
-            assert sig is S
+            gram, h2 = effective_gram(kind, S, H)
+            assert np.array_equal(gram, S.T @ S)
             assert np.array_equal(h2, H[0] ** 2)
 
     def test_column_norms_equal_pooled_gain(self):
         rng = np.random.default_rng(1)
         S, H = draw_system(rng, 32, 6, 3)
         for kind in (MF, MMSE):
-            sig, h2 = effective_system(kind, S, H)
+            gram, h2 = effective_gram(kind, S, H)
             assert np.array_equal(h2, np.ones(6))
-            norms = np.einsum("nk,nk->k", sig, sig)
-            assert np.allclose(norms, (H ** 2).sum(axis=0), rtol=1e-12)
+            assert np.allclose(gram.diagonal(), (H ** 2).sum(axis=0),
+                               rtol=1e-12)
 
     def test_unit_gains_pool_linearly(self):
         S = generate_spreading(16, 2, np.random.default_rng(2))
-        sig, h2 = effective_system(DE, S, np.ones((2, 2)))
-        assert sig is S
+        gram, h2 = effective_gram(DE, S, np.ones((2, 2)))
+        assert np.array_equal(gram, S.T @ S)
         assert np.array_equal(h2, [2.0, 2.0])
-        sig, _ = effective_system(MF, S, np.ones((2, 2)))
-        assert np.allclose(np.einsum("nk,nk->k", sig, sig), 2.0)
+        gram, _ = effective_gram(MF, S, np.ones((2, 2)))
+        assert np.array_equal(gram, 2.0 * (S.T @ S))
 
     def test_block_structure(self):
+        # the stacked Gram is the sum of the antennas' block Grams:
+        # sbar_j'sbar_k = sum_l h_lj h_lk s_j's_k
         rng = np.random.default_rng(3)
         S, H = draw_system(rng, 8, 3, 2)
         for kind in (MF, MMSE):
-            sig, _ = effective_system(kind, S, H)
-            assert sig.shape == (16, 3)
-            assert np.array_equal(sig[:8, 1], H[0, 1] * S[:, 1])
-            assert np.array_equal(sig[8:, 1], H[1, 1] * S[:, 1])
+            gram, _ = effective_gram(kind, S, H)
+            assert gram.shape == (3, 3)
+            blocks = sum((S * h).T @ (S * h) for h in H)
+            assert np.allclose(gram, blocks, rtol=1e-14, atol=1e-14)
 
 
 class TestEquilibriumMa:
@@ -120,7 +124,8 @@ class TestEquilibriumMa:
         params = make_params(K=20, N=16, m=2)
         rng = np.random.default_rng(8)
         S, H = draw_system(rng, 16, 20, 2)  # K > N even though K < mN
-        with pytest.raises(SingularSpreadingError):
+        with pytest.raises(SingularSpreadingError,
+                           match="decorrelator needs K <= N, got K=20, N=16"):
             solve_equilibrium_ma(S, H, DE, params, model)
 
     def test_matched_filter_mrc_single_user(self, model, gamma_star):

@@ -6,7 +6,8 @@ and the CLI's exit-code contract.
 receiver_filter + output_sir build each user's filter from an N x N (or
 mN x mN) system and stay the independent reference; the engines, including
 the K x K MMSE form, must reproduce them on arbitrary draws, overloaded
-(K > N) ones included.
+(K > N) ones included. The engines take effective_gram's Gram of m antennas;
+the reference takes conftest.stacked_system's stacked signatures.
 """
 
 import contextlib
@@ -25,10 +26,12 @@ from powergame.exceptions import (PowerGameError, SingularSpreadingError,
                                   SolverError)
 from powergame.game import (POWER_TOL, _newton_balance, _newton_start,
                             solve_channel, solve_from_engine)
-from powergame.system import (ReceiverKind, SystemParams, effective_system,
+from powergame.system import (ReceiverKind, SystemParams, effective_gram,
                               generate_gains, generate_spreading,
                               make_sir_engine, mmse_sirs, output_sir,
                               receiver_filter, sir_per_watt)
+
+from conftest import stacked_system
 
 MF = ReceiverKind.MATCHED_FILTER
 DE = ReceiverKind.DECORRELATOR
@@ -72,7 +75,7 @@ class TestMmseKernel:
     def test_engine_and_kernel_match_oracle(self, draw):
         S, H, p = draw
         ref = oracle_sirs(MMSE, S, H[0], p)
-        engine = make_sir_engine(MMSE, S, SIGMA2)
+        engine = make_sir_engine(MMSE, effective_gram(MMSE, S, H)[0], SIGMA2)
         np.testing.assert_allclose(engine(p * H[0] ** 2)[0], ref, rtol=RTOL)
         np.testing.assert_allclose(mmse_sirs(S, H[0], p, SIGMA2), ref,
                                    rtol=RTOL)
@@ -83,23 +86,54 @@ class TestMmseKernel:
         # stacked columns have squared norm hbar2, not 1, which exercises
         # the matched filter's own-norm term s_k's_k
         S, H, p = draw
-        Sbar, h2 = effective_system(kind, S, H)
+        gram, h2 = effective_gram(kind, S, H)
+        Sbar, unit = stacked_system(kind, S, H)
         np.testing.assert_allclose(
-            make_sir_engine(kind, Sbar, SIGMA2)(p * h2)[0],
-            oracle_sirs(kind, Sbar, np.sqrt(h2), p), rtol=RTOL)
+            make_sir_engine(kind, gram, SIGMA2)(p * h2)[0],
+            oracle_sirs(kind, Sbar, np.sqrt(unit), p), rtol=RTOL)
+
+
+class TestEffectiveGram:
+    @PROPERTY
+    @given(st.integers(2, 4).flatmap(lambda m: draws(m=m)),
+           st.sampled_from([MF, MMSE]))
+    def test_hadamard_form_is_the_stacked_gram(self, draw, kind):
+        # (S'S) o (H'H) against the stacked mN x K signatures' own Gram.
+        # An entry that cancels toward 0 keeps no relative digits in either
+        # form, so each is held to 1e-14 of its Cauchy-Schwarz bound
+        # sqrt(G_jj G_kk), which is the entry itself on the diagonal
+        S, H, _ = draw
+        gram, h2 = effective_gram(kind, S, H)
+        Sbar, unit = stacked_system(kind, S, H)
+        stacked = Sbar.T @ Sbar
+        assert np.array_equal(h2, unit)
+        bound = np.sqrt(np.outer(stacked.diagonal(), stacked.diagonal()))
+        assert np.all(abs(gram - stacked) <= 1e-14 * bound)
+
+    @PROPERTY
+    @given(st.one_of(
+        st.tuples(draws(max_load=1.0), st.sampled_from(list(ReceiverKind))),
+        st.tuples(st.integers(2, 4).flatmap(
+            lambda m: draws(m=m, max_load=1.0)), st.just(DE))))
+    def test_one_antenna_and_decorrelator_keep_the_plain_gram(self, case):
+        (S, H, _), kind = case
+        gram, h2 = effective_gram(kind, S, H)
+        assert np.array_equal(gram, S.T @ S)
+        assert np.array_equal(h2, (H ** 2).sum(axis=0))
 
 
 class TestEngineEquivalences:
     @PROPERTY
     @given(draws(), st.sampled_from([MF, MMSE]))
     def test_one_antenna_stack_equals_single_antenna(self, draw, kind):
-        # a stack of one antenna, built here because effective_system keeps
-        # (S, h^2) at m = 1; its columns have squared norm h^2, not 1
+        # a stack of one antenna, built here because effective_gram keeps
+        # (S'S, h^2) at m = 1; its columns have squared norm h^2, not 1
         S, H, p = draw
         Sbar = H[0] * S
-        stacked = make_sir_engine(kind, Sbar, SIGMA2)(p)[0]
+        stacked = make_sir_engine(kind, Sbar.T @ Sbar, SIGMA2)(p)[0]
+        gram, h2 = effective_gram(kind, S, H)
         np.testing.assert_allclose(
-            stacked, make_sir_engine(kind, S, SIGMA2)(p * H[0] ** 2)[0],
+            stacked, make_sir_engine(kind, gram, SIGMA2)(p * h2)[0],
             rtol=RTOL)
 
     @PROPERTY
@@ -112,8 +146,8 @@ class TestEngineEquivalences:
         S, H, p = draw
         perm = np.array(random.sample(range(S.shape[1]), S.shape[1]))
         h2 = H[0] ** 2
-        sirs = make_sir_engine(kind, S, SIGMA2)(p * h2)[0]
-        permuted = make_sir_engine(kind, S[:, perm], SIGMA2)(
+        sirs = make_sir_engine(kind, S.T @ S, SIGMA2)(p * h2)[0]
+        permuted = make_sir_engine(kind, S[:, perm].T @ S[:, perm], SIGMA2)(
             p[perm] * h2[perm])[0]
         np.testing.assert_allclose(permuted, sirs[perm], rtol=RTOL)
 
@@ -159,7 +193,7 @@ class TestSirPerWatt:
             rate = sir_per_watt(kind, S, H, p, sigma2)
         except (SingularSpreadingError, SolverError):
             reject()
-        Sbar, h2 = effective_system(kind, S, H)
+        Sbar, h2 = stacked_system(kind, S, H)
         rtol = 1e-12
         if kind is DE:
             # the decorrelator's SIR is 1 / [(S'S)^-1]_kk, which two ways of
@@ -186,7 +220,7 @@ class TestSirPerWatt:
                 pass
         # random filters on the chips of every antenna: the per-user MMSE
         # filters moved by a random step of 1e-4 to 10 times their own length
-        Sbar, h2 = effective_system(MMSE, S, H)
+        Sbar, h2 = stacked_system(MMSE, S, H)
         C = np.column_stack([receiver_filter(MMSE, k, Sbar, np.sqrt(h2), p,
                                              sigma2)
                              for k in range(S.shape[1])])
@@ -229,9 +263,9 @@ class TestNewtonBalance:
         N, K = S.shape
         params = SystemParams(K=K, N=N, sigma2=SIGMA2, R=1e5, L=100, M=100,
                               Pmax=1.0)
-        Sbar, h2 = effective_system(kind, S, H)
         try:
-            engine = make_sir_engine(kind, Sbar, SIGMA2)
+            gram, h2 = effective_gram(kind, S, H)
+            engine = make_sir_engine(kind, gram, SIGMA2)
         except SingularSpreadingError:
             reject()
         sweeps = solve_from_engine(lambda p: engine(p * h2)[0], K, params,
@@ -273,13 +307,13 @@ class TestNewtonBalance:
         N, K = S.shape
         params = SystemParams(K=K, N=N, sigma2=sigma2, R=1e5, L=100, M=100,
                               Pmax=Pmax)
-        Sbar, h2 = effective_system(kind, S, H)
         try:
-            engine = make_sir_engine(kind, Sbar, sigma2)
+            gram, h2 = effective_gram(kind, S, H)
+            engine = make_sir_engine(kind, gram, sigma2)
         except PowerGameError:
             reject()
         with np.errstate(all="raise"):
-            start = _newton_start(kind, S, H, Sbar, h2, params, GAMMA_STAR)
+            start = _newton_start(kind, S, H, gram, h2, params, GAMMA_STAR)
             newton = _newton_balance(engine, start, h2, Pmax, GAMMA_STAR,
                                      max_iter)
         assert start.shape == (K,)

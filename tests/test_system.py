@@ -4,12 +4,12 @@ import pytest
 from powergame.exceptions import SingularSpreadingError, SolverError
 from powergame.system import (COND_LIMIT, LEAF_ROWS, ChannelRealization,
                               ReceiverKind, _inverse, _zf_columns,
-                              effective_system, generate_gains,
+                              decorrelator_sirs, generate_gains,
                               generate_spreading, make_sir_engine, output_sir,
                               rayleigh_scale, receiver_filter, sir_per_watt,
                               utility)
 
-from conftest import draw_realization, make_params
+from conftest import draw_realization, make_params, stacked_system
 
 MF = ReceiverKind.MATCHED_FILTER
 DE = ReceiverKind.DECORRELATOR
@@ -22,12 +22,12 @@ PAST_LEAF = {MF: [], DE: [(200, 100, 1)],
 
 def past_leaf_draws(kind, seed):
     """Seeded (S, heff, p) draws of PAST_LEAF[kind]; stacked antenna
-    signatures play on unit gains, as in effective_system."""
+    signatures play on unit gains (stacked_system)."""
     rng = np.random.default_rng(seed)
     for N, K, m in PAST_LEAF[kind]:
         S = generate_spreading(N, K, rng)
         H = generate_gains(np.full(K, 100.0), m, rng)
-        S, h2 = effective_system(kind, S, H)
+        S, h2 = stacked_system(kind, S, H)
         yield S, np.sqrt(h2), rng.uniform(1e-7, 1e-5, K)
 
 
@@ -120,9 +120,17 @@ class TestReceiverFilter:
         assert np.max(np.abs(np.delete(cross, 3))) < 1e-10
 
     def test_decorrelator_needs_k_le_n(self):
+        # the per-user filter, the whole-vector kernel and the Nash check's
+        # rates all refuse K > N before any Gram is inverted
         S = generate_spreading(8, 9, np.random.default_rng(8))
-        with pytest.raises(SingularSpreadingError):
-            receiver_filter(DE, 0, S, np.ones(9), np.ones(9), 1e-3)
+        h, p = np.ones(9), np.ones(9)
+        for call in (lambda: receiver_filter(DE, 0, S, h, p, 1e-3),
+                     lambda: decorrelator_sirs(S, h, p, 1e-3),
+                     lambda: sir_per_watt(DE, S, np.ones((2, 9)), p, 1e-3)):
+            with pytest.raises(SingularSpreadingError,
+                               match=r"^decorrelator needs K <= N, got K=9, "
+                                     r"N=8$"):
+                call()
 
     def test_decorrelator_rejects_singular(self):
         S = generate_spreading(16, 3, np.random.default_rng(9))
@@ -137,7 +145,7 @@ class TestReceiverFilter:
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.inv(S.T @ S)
         with pytest.raises(SingularSpreadingError) as err:
-            _zf_columns(S)
+            _zf_columns(S.T @ S)
         assert not isinstance(err.value, np.linalg.LinAlgError)
 
     @pytest.mark.parametrize("pair, leaf_raises", [((0, 1), True),
@@ -156,7 +164,7 @@ class TestReceiverFilter:
         else:
             _inverse(S.T @ S)
         with pytest.raises(SingularSpreadingError) as err:
-            _zf_columns(S)
+            _zf_columns(S.T @ S)
         assert not isinstance(err.value, np.linalg.LinAlgError)
 
     def test_rank_guard_agrees_with_the_two_norm_condition_number(self):
@@ -173,7 +181,7 @@ class TestReceiverFilter:
                 S = generate_spreading(N, K, np.random.default_rng((50, N, K, t)))
                 k2 = np.linalg.cond(S.T @ S)
                 try:
-                    _zf_columns(S)
+                    _zf_columns(S.T @ S)
                 except SingularSpreadingError:
                     assert k2 > COND_LIMIT, (N, K, t)
                     rejected += 1
@@ -348,7 +356,7 @@ class TestSirEngines:
         for S, h, p in draws + list(past_leaf_draws(kind, 22)):
             K = S.shape[1]
             try:
-                fast = make_sir_engine(kind, S, 5e-16)(p * h ** 2)[0]
+                fast = make_sir_engine(kind, S.T @ S, 5e-16)(p * h ** 2)[0]
             except SingularSpreadingError:
                 continue
             ref = np.array([
@@ -369,7 +377,7 @@ class TestSirEngines:
         sigma2 = 2.2e-16
         rec = sigma2 * 10.0 ** rng.uniform(-3.0, 4.0, K)
         rec[::5] = 0.0
-        sirs = make_sir_engine(MMSE, S, sigma2)(rec)[0]
+        sirs = make_sir_engine(MMSE, S.T @ S, sigma2)(rec)[0]
         assert np.all(sirs[::5] == 0.0)
         assert np.all(sirs[rec > 0] > 0.0)
 
@@ -380,11 +388,12 @@ class TestSirEngines:
         h2, p = np.ones(3), np.full(3, 1e-6)
         with pytest.raises(SolverError, match="MMSE system of K=3 users is "
                            "singular at sigma2=1e-200"):
-            make_sir_engine(MMSE, S, 1e-200)(p * h2)
+            make_sir_engine(MMSE, S.T @ S, 1e-200)(p * h2)
         with pytest.raises(SolverError, match="singular"):
             sir_per_watt(MMSE, S, np.ones((1, 3)), p, 1e-200)
         # a noise power on the scale of the received powers keeps it regular
-        assert np.all(np.isfinite(make_sir_engine(MMSE, S, 1e-6)(p * h2)[0]))
+        engine = make_sir_engine(MMSE, S.T @ S, 1e-6)
+        assert np.all(np.isfinite(engine(p * h2)[0]))
 
 
 class TestFilterWeights:
