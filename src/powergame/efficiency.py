@@ -94,23 +94,20 @@ def eff_derivative(model: EfficiencyModel, gamma: float) -> float:
             / (2.0 * math.sqrt(math.pi * gamma)))
 
 
-@functools.lru_cache  # pure in (model, tol); exceptions are not cached
-def solve_gamma_star(model: EfficiencyModel, tol: float = 1e-9) -> float:
+@functools.lru_cache  # pure in model; exceptions are not cached
+def solve_gamma_star(model: EfficiencyModel) -> float:
     """Solve f(g) = g f'(g) for the target SIR by bracketed bisection.
 
     The residual g f'(g) - ... is scanned on a geometric grid over
-    ``GAMMA_BRACKET`` and the rightmost upward crossing is refined to the
-    absolute tolerance ``tol``. The rightmost crossing is the one that
-    maximizes f(g)/g away from the origin; the shifted BPSK curve has a
-    spurious sliver of positive residual at tiny g that this skips.
+    ``GAMMA_BRACKET`` and the rightmost upward crossing is refined to
+    rootfind's absolute tolerance BISECT_TOL. The rightmost crossing is the
+    one that maximizes f(g)/g away from the origin; the shifted BPSK curve
+    has a spurious sliver of positive residual at tiny g that this skips.
 
     Raises NoTargetSirError, a SolverError and a ConfigError on key M, when
     no crossing exists: the model is not S-shaped, e.g. EXP_APPROX with
     M = 1 is concave everywhere, and BPSK_AWGN needs M >= 7.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-
     def residual(g: float) -> float:
         return eff_value(model, g) - g * eff_derivative(model, g)
 
@@ -120,4 +117,4 @@ def solve_gamma_star(model: EfficiencyModel, tol: float = 1e-9) -> float:
                                f"SIR at M={model.M}: f(g) = g f'(g) has no "
                                "root, the efficiency is not S-shaped; use a "
                                "larger M")
-    return bisect(residual, *brackets[-1], tol=tol)
+    return bisect(residual, *brackets[-1])

@@ -1,19 +1,20 @@
-"""SIR-balanced Nash equilibrium: Newton iteration on the power balance,
-best-response sweeps where a user meets the power cap.
+"""SIR-balanced Nash equilibrium: one iteration of capped best responses
+and Newton steps on the power balance.
 
 Every linear receiver considered here gives user k the SIR
 gamma_k = rec_k / I_k(rec), rec = p h^2 being the received powers and I the
 interference-plus-noise the filter sees, so the best response to a target
 SIR g* is the multiplicative correction p <- min(p * g*/gamma, Pmax). The
 equilibrium is the fixed point of that standard interference function
-(Yates, IEEE JSAC 1995). With no user at Pmax it solves the uncapped balance
-rec = g* I(rec), which Newton's method reaches in one step for the matched
-filter (I is affine) and the decorrelator (I is constant), and monotonically
-and quadratically for MMSE (I is a minimum of affine maps, so concave),
-whose steps start at the large-system balanced power q = g* sigma2 / Gamma.
-Only when the balance needs a power at or above Pmax, or a step breaks down,
-do the synchronous capped sweeps run; they converge to the unique fixed
-point from any positive start. Solves and Nash checks take one Gram each.
+(Yates, IEEE JSAC 1995), which the capped best responses reach from any
+positive start. Where no user's response is capped, a pass steps instead by
+Newton's method on the uncapped balance rec = g* I(rec), which reaches it in
+one step for the matched filter (I is affine) and the decorrelator (I is
+constant), and monotonically and quadratically for MMSE (I is a minimum of
+affine maps, so concave), whose passes start at the large-system balanced
+power q = g* sigma2 / Gamma. A step that would leave (0, Pmax) is not taken:
+the pass moves to the best response. Solves and Nash checks take one Gram
+each.
 """
 
 from __future__ import annotations
@@ -26,12 +27,12 @@ import numpy as np
 from .asymptotic import balanced_received_power
 from .config import DEFAULT_MAX_ITER, ReceiverKind, SystemParams
 from .efficiency import EfficiencyModel, eff_value, solve_gamma_star
-from .exceptions import InfeasibleLoadError, InfeasibleUserError, SolverError
+from .exceptions import InfeasibleLoadError, InfeasibleUserError
 from .system import (ChannelRealization, effective_gram, make_sir_engine,
                      sir_per_watt)
 
 INITIAL_POWER_FRACTION = 1e-2  # starting powers as a fraction of Pmax
-POWER_TOL = 1e-9  # largest relative power change of a settled sweep
+POWER_TOL = 1e-9  # largest relative power change of a settled pass
 SIR_TOL = 1e-6    # relative SIR error allowed for users below Pmax
 NASH_REL_TOL = 1e-6  # relative utility gain a deviation must beat
 # Past this many MMSE users a Newton step first tries a series: timed in
@@ -39,13 +40,17 @@ NASH_REL_TOL = 1e-6  # relative utility gain a deviation must beat
 # takes +2%, -2% and -7% at N/K 200/64, 200/80 and 200/100, +7% to +12% at
 # N = 100 up to K = 80, where a series needs more terms.
 SERIES_USERS = 80
+# The contraction a Neumann-series term must show against the one before,
+# and the best response's largest move against the one at a rejected Newton
+# step before the next step is tried
+SHRINK = 3.0
 
 
 @dataclass
 class EquilibriumResult:
     powers: np.ndarray     # W
     sirs: np.ndarray
-    iterations: int        # Newton steps, or sweeps where the fallback ran
+    iterations: int        # passes: Newton steps plus capped best responses
     converged: bool
     clamped_users: frozenset
 
@@ -82,35 +87,10 @@ def _result(p: np.ndarray, sirs: np.ndarray, iterations: int, settled: bool,
                                  clamped.nonzero()[0].tolist()))
 
 
-def solve_from_engine(sirs_fn: Callable[[np.ndarray], np.ndarray], K: int,
-                      params: SystemParams, gamma_star: float,
-                      max_iter: int = DEFAULT_MAX_ITER) -> EquilibriumResult:
-    """Run synchronous capped best-response sweeps until the powers settle.
-
-    The sweeps settle when the largest relative power change of a sweep is
-    below POWER_TOL; the result is converged as _result decides.
-    """
-    Pmax = params.Pmax
-    p = np.full(K, INITIAL_POWER_FRACTION * Pmax)
-    iterations = 0
-    settled = False
-    for iterations in range(1, max_iter + 1):
-        g = sirs_fn(p)
-        if np.any(g <= 0.0):
-            raise InfeasibleUserError(int(np.argmax(g <= 0.0)))
-        p_new = np.minimum(p * gamma_star / g, Pmax)
-        delta = float(np.max(np.abs(p_new - p) / p))
-        p = p_new
-        if delta < POWER_TOL:
-            settled = True
-            break
-    return _result(p, sirs_fn(p), iterations, settled, params, gamma_star)
-
-
 def _newton_start(kind: ReceiverKind, S, H, gram: np.ndarray,
                   h2: np.ndarray, params: SystemParams,
                   gamma_star: float) -> np.ndarray:
-    """The received powers Newton starts from on effective_gram's Gram G
+    """The received powers _balance starts from on effective_gram's Gram G
     and gains h2 of spreading S and gains H.
 
     MMSE starts at the large-system balance (Tse and Hanly, IEEE Trans. IT
@@ -121,11 +101,11 @@ def _newton_start(kind: ReceiverKind, S, H, gram: np.ndarray,
     two, and Newton settles in one step fewer than from the default start
     either way. The default start, also MMSE's where the load is infeasible
     or q / G_kk is not strictly between 0 and Pmax h2, is equal received
-    powers at the weakest user's sweep starting power. MF and DE keep it:
-    from any start they balance in one step.
+    powers, the weakest user's at INITIAL_POWER_FRACTION of Pmax. MF and DE
+    keep it: from any start they balance in one step.
     """
     N, K = np.shape(S)
-    # an underflow or overflow only fails a range test, here or Newton's
+    # an underflow or overflow only fails a range test, here or a step's
     with np.errstate(all="ignore"):
         rec = np.full(K, INITIAL_POWER_FRACTION * params.Pmax * h2.min())
         if kind is not ReceiverKind.MMSE:
@@ -144,17 +124,17 @@ def _series_direction(step: np.ndarray, residual: np.ndarray,
                       delta: float) -> np.ndarray | None:
     """(Id - step)^-1 residual as the Neumann series sum_i step^i residual,
     stopped at the first term of max-norm <= 1e-6 delta |residual|_max (the
-    terms shrinking threefold, the sum then errs by <= 1e-6 delta |sum|_max,
-    so Newton stays quadratic: Dembo, Eisenstat and Steihaug, SIAM J. Numer.
-    Anal. 1982); None once a term exceeds a third of the one before, or
-    after 40 terms."""
+    terms shrinking SHRINK-fold, the sum then errs by <= 1e-6 delta
+    |sum|_max, so Newton stays quadratic: Dembo, Eisenstat and Steihaug,
+    SIAM J. Numer. Anal. 1982); None once a term exceeds 1/SHRINK of the one
+    before, or after 40 terms."""
     total, term = residual.copy(), residual
     size = abs(residual).max()
     tol = 1e-6 * delta * size
     for _ in range(40):
         term = step @ term
         last, size = size, abs(term).max()
-        if not size <= last / 3.0:  # also NaN
+        if not size <= last / SHRINK:  # also NaN
             return None
         total += term
         if size <= tol:
@@ -162,42 +142,41 @@ def _series_direction(step: np.ndarray, residual: np.ndarray,
     return None
 
 
-def _newton_balance(balance: Callable[[np.ndarray], tuple], rec: np.ndarray,
-                    h2: np.ndarray, Pmax: float, gamma_star: float,
-                    max_iter: int, series: bool = False):
-    """Newton iteration on the uncapped balance rec = gamma* I(rec), from
-    the received powers rec (_newton_start's).
+def _balance(balance: Callable[[np.ndarray], tuple], rec: np.ndarray,
+             h2: np.ndarray, params: SystemParams, gamma_star: float,
+             max_iter: int, series: bool) -> EquilibriumResult:
+    """The capped best-response iteration from the received powers rec
+    (_newton_start's), with Newton steps on the uncapped balance
+    rec = gamma* I(rec) wherever they land.
 
-    balance is make_sir_engine's map rec -> (SIRs, dI/drec). Each step is
-    rec + solve(Id - gamma* dI/drec, gamma* I(rec) - rec), or gamma* I(rec)
-    itself when I is constant; only a step builds dI/drec. With series, a
-    direction is _series_direction's until one gives up; the later steps
-    solve, gamma* J contracting about as slowly at each. The balance is
-    settled when the best response would move no power by POWER_TOL or more
-    relative, the sweeps' rule; a step counts toward max_iter. Returns
-    (powers, SIRs, steps, settled), or None when a step fails: a singular
-    system, a zero SIR, or an iterate that is not strictly between 0 and
-    Pmax, which only the capped sweeps can handle. With more MMSE users than
-    chips that happens on feasible draws too: of 30 seeded draws each,
-    1 at N = 100, K = 110 and 28 at N = 20, K = 22 fall back.
+    balance is make_sir_engine's map rec -> (SIRs, dI/drec). Each pass
+    reads it once and forms the capped target min(gamma* rec / SIRs,
+    Pmax h2); the powers are settled when the target moves no power by
+    POWER_TOL or more relative. Otherwise the pass moves to the target,
+    unless a Newton step rec + solve(Id - gamma* dI/drec, target - rec)
+    lands strictly between 0 and Pmax h2. A step is tried only where the
+    map has a Jacobian and no target is capped, and after a rejected one
+    only once the largest relative move has shrunk SHRINK-fold: with more
+    MMSE users than chips, Id - gamma* dI/drec need not be an M-matrix far
+    from the balance, so feasible draws reject early steps too. With series,
+    a direction is _series_direction's until one gives up; the later steps
+    solve, gamma* J contracting about as slowly at each. A pass is a Newton
+    step or a best response, and max_iter caps them. A zero or NaN SIR
+    raises InfeasibleUserError; a best response that overflows is capped at
+    Pmax.
     """
-    # a failed step ends in the fallback, so it must not warn or raise
+    wait = np.inf  # the largest move at which the next step is tried
     with np.errstate(all="ignore"):
-        cap = Pmax * h2
-        for steps in range(max_iter + 1):
-            if not ((rec > 0.0) & (rec < cap)).all():  # also rejects NaN
-                return None
-            try:
-                sirs, jacobian = balance(rec)
-            except SolverError:
-                return None
-            target = gamma_star * rec / sirs
+        cap = params.Pmax * h2
+        for iterations in range(max_iter + 1):
+            sirs, jacobian = balance(rec)
+            if not (sirs > 0.0).all():  # also NaN
+                raise InfeasibleUserError(int(np.argmin(sirs > 0.0)))
+            target = np.minimum(gamma_star * rec / sirs, cap)
             delta = (abs(target - rec) / rec).max()
-            if not np.isfinite(delta):  # a zero or NaN SIR
-                return None
-            if delta < POWER_TOL or steps == max_iter:
-                return rec / h2, sirs, steps, bool(delta < POWER_TOL)
-            if jacobian is None:
+            if delta < POWER_TOL or iterations == max_iter:
+                break
+            if jacobian is None or delta > wait or not (target < cap).all():
                 rec = target
                 continue
             # gamma* J, never written into J, which the matched filter
@@ -211,9 +190,17 @@ def _newton_balance(balance: Callable[[np.ndarray], tuple], rec: np.ndarray,
                 step.flat[::len(rec) + 1] += 1.0
                 try:
                     direction = np.linalg.solve(step, r)
-                except np.linalg.LinAlgError:
-                    return None
-            rec = rec + direction
+                except np.linalg.LinAlgError:  # a step to 0, rejected
+                    direction = -rec
+            stepped = rec + direction
+            if ((stepped > 0.0) & (stepped < cap)).all():  # also rejects NaN
+                rec = stepped
+            else:
+                rec, wait = target, delta / SHRINK
+        # a capped user's Pmax h2 / h2 can round past Pmax
+        powers = np.minimum(rec / h2, params.Pmax)
+    return _result(powers, sirs, iterations, bool(delta < POWER_TOL), params,
+                   gamma_star)
 
 
 def solve_channel(S, H, kind: ReceiverKind, params: SystemParams,
@@ -221,26 +208,18 @@ def solve_channel(S, H, kind: ReceiverKind, params: SystemParams,
                   gamma_star: float | None = None) -> EquilibriumResult:
     """SIR-balanced equilibrium for spreading S (N x K) and gains H (m x K).
 
-    Any antenna count m: the solver plays on effective_gram(kind, S, H),
-    with one balance map for the Newton steps and any fallback sweeps, which
-    never build its Jacobian. Newton steps run while every power stays below
-    Pmax; otherwise solve_from_engine sweeps from the start, so such a draw
-    gives what the sweeps alone give. Stops once the powers settle or max_iter
-    steps (or sweeps) have run; non-convergence is reported through the
+    Any antenna count m: _balance plays on effective_gram(kind, S, H)'s
+    balance map from _newton_start's powers. Stops once the powers settle
+    or max_iter passes have run; non-convergence is reported through the
     result, not raised, so Monte Carlo harnesses can decide.
     """
     if gamma_star is None:
         gamma_star = solve_gamma_star(model)
     gram, h2 = effective_gram(kind, S, H)
-    balance = make_sir_engine(kind, gram, params.sigma2)
     start = _newton_start(kind, S, H, gram, h2, params, gamma_star)
-    newton = _newton_balance(balance, start, h2, params.Pmax, gamma_star,
-                             max_iter, kind is ReceiverKind.MMSE
-                             and len(h2) > SERIES_USERS)
-    if newton is None:
-        return solve_from_engine(lambda p: balance(p * h2)[0], len(h2),
-                                 params, gamma_star, max_iter)
-    return _result(*newton, params, gamma_star)
+    return _balance(make_sir_engine(kind, gram, params.sigma2), start, h2,
+                    params, gamma_star, max_iter,
+                    kind is ReceiverKind.MMSE and len(h2) > SERIES_USERS)
 
 
 def solve_equilibrium(realization: ChannelRealization, kind: ReceiverKind,

@@ -14,6 +14,7 @@ from .exceptions import SolverError
 
 SCAN_POINTS = 400      # geometric grid points of a bracket scan
 BISECT_MAX_ITER = 200  # halvings; 1e3 wide brackets reach 1e-9 in ~40
+BISECT_TOL = 1e-9      # bracket width, absolute on x, at which bisect stops
 
 
 def scan_brackets(fn: Callable[[float], float], lo: float,
@@ -33,9 +34,8 @@ def scan_brackets(fn: Callable[[float], float], lo: float,
             if fa <= 0.0 < fb]
 
 
-def bisect(fn: Callable[[float], float], lo: float, hi: float,
-           tol: float = 1e-9) -> float:
-    """Bisect fn on [lo, hi] assuming fn(lo) <= 0 < fn(hi); absolute tolerance on x."""
+def bisect(fn: Callable[[float], float], lo: float, hi: float) -> float:
+    """Bisect fn on [lo, hi] assuming fn(lo) <= 0 < fn(hi), to BISECT_TOL."""
     if fn(lo) > 0.0 or fn(hi) <= 0.0:
         raise SolverError(f"no sign change on [{lo}, {hi}]")
     for _ in range(BISECT_MAX_ITER):
@@ -44,7 +44,7 @@ def bisect(fn: Callable[[float], float], lo: float, hi: float,
             lo = mid
         else:
             hi = mid
-        if hi - lo < tol:
+        if hi - lo < BISECT_TOL:
             break
     return 0.5 * (lo + hi)
 

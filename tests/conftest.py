@@ -1,10 +1,15 @@
 import os
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import pytest
 
+from powergame.config import DEFAULT_MAX_ITER
 from powergame.efficiency import EfficiencyKind, EfficiencyModel, solve_gamma_star
+from powergame.exceptions import InfeasibleUserError
+from powergame.game import (INITIAL_POWER_FRACTION, POWER_TOL,
+                            EquilibriumResult, _result)
 from powergame.system import (ChannelRealization, ReceiverKind, SystemParams,
                               generate_gains, generate_spreading)
 
@@ -66,3 +71,44 @@ def stacked_system(kind, S, H):
     if len(H) == 1 or kind is ReceiverKind.DECORRELATOR:
         return S, (H ** 2).sum(axis=0)
     return np.vstack([S * h for h in H]), np.ones(S.shape[1])
+
+
+# the sweeps alone, from equal powers and with no Newton step: the
+# independent oracle that game._balance is compared against
+def solve_from_engine(sirs_fn: Callable[[np.ndarray], np.ndarray], K: int,
+                      params: SystemParams, gamma_star: float,
+                      max_iter: int = DEFAULT_MAX_ITER) -> EquilibriumResult:
+    """Run synchronous capped best-response sweeps until the powers settle.
+
+    The sweeps settle when the largest relative power change of a sweep is
+    below POWER_TOL; the result is converged as _result decides.
+    """
+    Pmax = params.Pmax
+    p = np.full(K, INITIAL_POWER_FRACTION * Pmax)
+    iterations = 0
+    settled = False
+    for iterations in range(1, max_iter + 1):
+        g = sirs_fn(p)
+        if np.any(g <= 0.0):
+            raise InfeasibleUserError(int(np.argmax(g <= 0.0)))
+        p_new = np.minimum(p * gamma_star / g, Pmax)
+        delta = float(np.max(np.abs(p_new - p) / p))
+        p = p_new
+        if delta < POWER_TOL:
+            settled = True
+            break
+    return _result(p, sirs_fn(p), iterations, settled, params, gamma_star)
+
+
+def settle_rtol(engine, result: EquilibriumResult, h2: np.ndarray,
+                gamma_star: float) -> float:
+    """How far result may lie from another solve of its draw that stopped by
+    the same rule, once a best response moves no power by POWER_TOL: each
+    lies within POWER_TOL / (1 - rho) of the fixed point, rho being the
+    spectral radius there of gamma* times the balance map's Jacobian over
+    the users below Pmax, so 2 POWER_TOL / (1 - rho), and at least 1e-8."""
+    _, jacobian = engine(result.powers * h2)
+    free = np.setdiff1d(np.arange(len(h2)), sorted(result.clamped_users))
+    rho = 0.0 if jacobian is None or not free.size else float(np.max(np.abs(
+        np.linalg.eigvals(gamma_star * jacobian()[np.ix_(free, free)]))))
+    return max(1e-8, 2.0 * POWER_TOL / (1.0 - rho))

@@ -45,7 +45,8 @@ SEEDS = (0, 7, 20051)
 # run at every seed in SEEDS, with --seed appended: the README examples
 # (their --output files kept), then the tables at m = 1 and 2, both
 # validate-asymptotic configs, the closed-form tables, K > N and K > 64
-# MMSE solves, and the exit-1, exit-4 and singular-system examples
+# MMSE solves, the exit-1, exit-4 and singular-system examples, and an
+# overloaded MMSE draw whose first Newton step is rejected
 SEEDED = (
     "gamma-star",
     "sweep --receiver all --trials 5000 --output fig4.csv",
@@ -71,6 +72,7 @@ SEEDED = (
     "equilibrium --set max_iter=1 --strict",
     "equilibrium --set N=3 --set K=100 --set sigma2=1e-200",
     "curve-utility --receiver DE",
+    "equilibrium --set N=20 --set K=22",
 )
 
 # run once, as written: the error lines README quotes or test_cli pins
@@ -88,6 +90,9 @@ ONCE = (
     "equilibrium --set sigma2=1e299",
     "curve-utility --set sigma2=1e299",
     "validate-asymptotic --set sigma2=1e299 --trials 2",
+    "equilibrium --set sigma2=1e298",
+    "curve-utility --set sigma2=1e298",
+    "validate-asymptotic --set sigma2=1e296 --trials 2",
     "equilibrium --receiver DE --set K=110",
     "curve-utility --receiver DE --set K=110",
     "equilibrium --set distance=1e-73",

@@ -624,6 +624,26 @@ class TestLibraryErrors:
             "", "error: distance=100.0: the power a user alone at that "
             "distance needs at sigma2=1e+299 is above the float range\n")
 
+    @pytest.mark.parametrize("argv,code,line", [
+        # the lone power, ~5.6e307 W, is a float, but a weak user's best
+        # response overflows: it is capped at Pmax, as at sigma2=1e290
+        (["equilibrium", "--set", "sigma2=1e298"], 0, ""),
+        (["curve-utility", "--set", "sigma2=1e298"], 1,
+         "error: distance=100.0, sigma2=1e+298: a user's SIR per watt at "
+         "that distance and noise power is outside the float range\n"),
+        (["validate-asymptotic", "--set", "sigma2=1e296", "--trials", "2"], 1,
+         "error: no feasible draw for MF at N=25\n"),
+    ], ids=["equilibrium", "curve-utility", "validate-asymptotic"])
+    def test_overflowing_best_response_is_capped(self, argv, code, line,
+                                                 capsys):
+        assert main(argv) == code
+        out, err = capsys.readouterr()
+        assert err == line
+        if code == 0:
+            rows = [row.split(",") for row in out.splitlines()[1:]]
+            assert rows and all(row[2] == "1.0" and row[-1] == "false"
+                                for row in rows)
+
     @pytest.mark.parametrize("table", ["equilibrium", "curve-utility"])
     def test_decorrelator_needs_k_le_n(self, table, capsys):
         assert main([table, "--receiver", "DE", "--set", "K=110"]) == 1

@@ -131,13 +131,13 @@ class TestDerivative:
 class TestGammaStar:
     def test_reference_packet_size(self):
         # the M=100 target is 6.48 (8.1 dB) within the published rounding
-        g = solve_gamma_star(exp_model(100), tol=1e-6)
+        g = solve_gamma_star(exp_model(100))
         assert abs(g - 6.48) <= 0.01
         assert 10 * math.log10(g) == pytest.approx(8.1, abs=0.02)
 
     @pytest.mark.parametrize("M", [2, 10, 50, 100, 500])
     def test_matches_reduced_equation_oracle(self, M):
-        got = solve_gamma_star(exp_model(M), tol=1e-9)
+        got = solve_gamma_star(exp_model(M))
         assert got == pytest.approx(tangent_oracle_root(M), abs=1e-8)
 
     @pytest.mark.parametrize("kind,exact", [
@@ -151,7 +151,7 @@ class TestGammaStar:
             == exact
 
     def test_m2_reference_value(self):
-        assert solve_gamma_star(exp_model(2), tol=1e-9) == pytest.approx(1.2564, abs=1e-4)
+        assert solve_gamma_star(exp_model(2)) == pytest.approx(1.2564, abs=1e-4)
 
     def test_m1_has_no_tangent_point(self):
         # (1 - e^-g) is concave, so f > g f' everywhere and no root exists
@@ -171,16 +171,10 @@ class TestGammaStar:
                 f"M: eff={kind.value} has no target SIR at M={M}: ")
         assert solve_gamma_star(EfficiencyModel(kind, smallest)) > 0
 
-    def test_refinement_consistency(self):
-        m = exp_model(100)
-        coarse = solve_gamma_star(m, tol=1e-4)
-        fine = solve_gamma_star(m, tol=1e-8)
-        assert abs(coarse - fine) <= 1e-4
-
     def test_bpsk_root_maximizes_ratio(self):
         # independent oracle: dense-grid argmax of f(g)/g away from the origin
         m = EfficiencyModel(BPSK, 100)
-        g = solve_gamma_star(m, tol=1e-9)
+        g = solve_gamma_star(m)
         grid = np.linspace(1.0, 30.0, 200001)
         vals = np.array([eff_value(m, x) for x in grid]) / grid
         assert abs(g - grid[np.argmax(vals)]) < 2e-4
@@ -210,7 +204,7 @@ class TestGammaStar:
 
 
 class TestGammaStarMemo:
-    """solve_gamma_star is memoised on (model, tol), so a caller asks for it
+    """solve_gamma_star is memoised on the model, so a caller asks for it
     instead of passing gamma* along."""
 
     @pytest.fixture
@@ -234,13 +228,6 @@ class TestGammaStarMemo:
         # a new object, equal to the first
         assert solve_gamma_star(exp_model(100)) == first
         assert len(scans) == 1
-
-    def test_tol_is_part_of_the_key(self, scans):
-        coarse = solve_gamma_star(exp_model(100), 1e-4)
-        fine = solve_gamma_star(exp_model(100), 1e-9)
-        assert len(scans) == 2 and coarse != fine
-        assert solve_gamma_star(exp_model(100), 1e-4) == coarse
-        assert len(scans) == 2
 
     def test_errors_are_not_cached(self, scans):
         for _ in range(3):

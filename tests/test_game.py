@@ -3,15 +3,16 @@ import pytest
 
 from powergame.asymptotic import feasibility_bound
 from powergame.exceptions import InfeasibleUserError
-from powergame.game import (NASH_REL_TOL, SIR_TOL, _newton_balance, _result,
+from powergame.game import (NASH_REL_TOL, SIR_TOL, _balance, _result,
                             _series_direction, best_response_power,
-                            solve_equilibrium, solve_from_engine, verify_nash)
+                            solve_equilibrium, verify_nash)
 from powergame.system import (ChannelRealization, ReceiverKind,
                               effective_gram, generate_gains,
                               generate_spreading, make_sir_engine, output_sir,
                               receiver_filter, sir_per_watt, utility)
 
-from conftest import draw_realization, make_params
+from conftest import (draw_realization, make_params, settle_rtol,
+                      solve_from_engine)
 
 MF = ReceiverKind.MATCHED_FILTER
 DE = ReceiverKind.DECORRELATOR
@@ -90,10 +91,10 @@ class TestBestResponse:
                                 gamma_star, params.sigma2, params.Pmax)
 
     def test_zero_sir_raises_infeasible_in_sweep(self, params, model, gamma_star):
-        from powergame.game import solve_from_engine
+        # a map without a Jacobian: every pass is a capped best response
         with pytest.raises(InfeasibleUserError):
-            solve_from_engine(lambda p: np.zeros_like(p), 3, params,
-                              gamma_star)
+            _balance(lambda rec: (np.zeros_like(rec), None), np.full(3, 1e-2),
+                     np.ones(3), params, gamma_star, 500, False)
 
 
 class TestSolveEquilibrium:
@@ -138,11 +139,12 @@ class TestSolveEquilibrium:
         assert np.max(np.abs(result.sirs - gs) / gs) > 1e-3  # not balanced
 
     def test_all_clamped_reports_not_converged(self, model, gamma_star):
-        # every user sits at Pmax with an SIR far below target: the sweeps
-        # settle at once, but no user reaches gamma_star
+        # every user sits at Pmax with an SIR far below target: the best
+        # responses settle at once, but no user reaches gamma_star
         K = 5
         params = make_params(K=K, Pmax=1e-15)
-        result = solve_from_engine(lambda p: 1e6 * p, K, params, gamma_star)
+        result = _balance(lambda rec: (1e6 * rec, None), np.full(K, 1e-17),
+                          np.ones(K), params, gamma_star, 500, False)
         assert result.clamped_users == frozenset(range(K))
         assert np.all(result.powers == params.Pmax)
         assert not result.converged
@@ -151,8 +153,9 @@ class TestSolveEquilibrium:
         # user 0 is capped, user 1 meets the target: converged as before
         params = make_params(K=2, Pmax=1.0)
         sir_per_watt = np.array([0.5, 1e3]) * gamma_star  # user 0: 0.5 g* at Pmax
-        result = solve_from_engine(lambda p: sir_per_watt * p, 2, params,
-                                   gamma_star)
+        result = _balance(lambda rec: (sir_per_watt * rec, None),
+                          np.full(2, 1e-2), np.ones(2), params, gamma_star,
+                          500, False)
         assert result.clamped_users == frozenset({0})
         assert result.converged
 
@@ -187,8 +190,9 @@ class TestResult:
 
 
 class TestNewtonBalance:
-    """solve_channel balances by Newton steps and sweeps only where a user
-    meets Pmax; the equality with the sweeps is a property test."""
+    """solve_channel balances by Newton steps, and by capped best responses
+    where a user meets Pmax or a step would leave (0, Pmax); the equality
+    with the sweeps alone is a property test."""
 
     @pytest.mark.parametrize("kind,K", [(MF, 8), (DE, 50)])
     def test_linear_receivers_balance_in_one_step(self, kind, K, model,
@@ -339,27 +343,30 @@ class TestNewtonBalance:
             assert result.converged and not result.clamped_users
             assert len(built) == result.iterations > 0
 
-    def test_fallback_sweeps_build_no_jacobian(self, model, gamma_star,
-                                               monkeypatch):
-        # more MMSE users than chips: a feasible draw whose Newton steps
-        # break down, so the capped sweeps balance it on SIRs alone
-        built = self.count_jacobians(monkeypatch)
-        during = []
+    def test_overloaded_mmse_hands_best_responses_to_newton(
+            self, model, gamma_star, monkeypatch):
+        # more MMSE users than chips: a feasible draw whose first Newton
+        # step leaves (0, Pmax). The best response that follows shrinks the
+        # largest move threefold, and Newton takes over from there: 7 map
+        # calls, where restarting the sweeps from equal powers took 98
+        calls = []
 
-        def sweeps(*args, **kwargs):
-            before = len(built)
-            result = solve_from_engine(*args, **kwargs)
-            during.append(len(built) - before)
-            return result
+        def counting_engine(*args):
+            balance = make_sir_engine(*args)
 
-        monkeypatch.setattr("powergame.game.solve_from_engine", sweeps)
+            def counted(rec):
+                calls.append(1)
+                return balance(rec)
+            return counted
+
+        monkeypatch.setattr("powergame.game.make_sir_engine", counting_engine)
         params = make_params(K=22, N=20)
         realization = draw_realization(np.random.default_rng((44, 0)), 20,
                                        22)
         result = solve_equilibrium(realization, MMSE, params, model,
                                    gamma_star=gamma_star)
-        assert during == [0]
-        assert result.converged and result.iterations > 20
+        assert result.converged and not result.clamped_users
+        assert len(calls) <= 12 and result.iterations == len(calls) - 1
 
     @pytest.mark.parametrize("kind,N,K", [(MF, 100, 14), (MMSE, 100, 58)])
     def test_step_matrix_is_identity_minus_the_scaled_jacobian(
@@ -426,20 +433,25 @@ class TestNewtonBalance:
         assert jacobian.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("max_iter", [0, 500])
-    def test_zero_sir_is_no_balance(self, max_iter, gamma_star):
-        # a zero SIR needs an infinite power; at the last allowed step only
+    def test_zero_sir_is_no_balance(self, max_iter, params, gamma_star):
+        # a zero SIR needs an infinite power; at the last allowed pass only
         # this check keeps it from being returned as a result
         def balance(rec):
-            return np.zeros_like(rec), None
-        assert _newton_balance(balance, np.full(3, 1e-2), np.ones(3), 1.0,
-                               gamma_star, max_iter) is None
+            return np.zeros_like(rec), lambda: np.zeros((3, 3))
+        with pytest.raises(InfeasibleUserError):
+            _balance(balance, np.full(3, 1e-2), np.ones(3), params,
+                     gamma_star, max_iter, False)
 
-    def test_singular_newton_system_is_no_balance(self, gamma_star):
-        # Id - gamma* J = 0: the step has no solution, the sweeps take over
+    def test_singular_newton_system_is_no_balance(self, params, gamma_star):
+        # Id - gamma* J = 0: the step has no solution, so the pass moves to
+        # the best response, here the balance itself
         def balance(rec):
             return rec / 1e-3, lambda: np.eye(3) / gamma_star
-        assert _newton_balance(balance, np.full(3, 1e-2), np.ones(3), 1.0,
-                               gamma_star, 500) is None
+        result = _balance(balance, np.full(3, 1e-2), np.ones(3), params,
+                          gamma_star, 500, False)
+        assert result.converged and result.iterations == 1
+        assert np.array_equal(result.powers, np.full(3, 1e-2 * gamma_star
+                                                     / 10.0))
 
     # MMSE systems past SERIES_USERS, whose Newton directions are series
     SERIES_SIZES = [(200, 100, 1), (200, 100, 2), (180, 90, 1)]
@@ -550,26 +562,33 @@ class TestNewtonBalance:
             assert result.powers.tobytes() == ((rec + step) / h2).tobytes()
 
     @staticmethod
-    def assert_same_result(result, sweeps):
-        assert np.array_equal(result.powers, sweeps.powers)
-        assert np.array_equal(result.sirs, sweeps.sirs)
-        assert result.iterations == sweeps.iterations
+    def assert_near_sweeps(result, engine, h2, params, gamma_star):
+        # the sweeps alone from equal powers: the same users at Pmax, and
+        # the same powers to the settle bound
+        sweeps = solve_from_engine(lambda p: engine(p * h2)[0], len(h2),
+                                   params, gamma_star)
         assert result.converged == sweeps.converged
         assert result.clamped_users == sweeps.clamped_users
+        np.testing.assert_allclose(
+            result.powers, sweeps.powers,
+            rtol=settle_rtol(engine, result, h2, gamma_star))
 
-    def test_overloaded_matched_filter_falls_back(self, model, gamma_star):
-        # rho(g* F) >= 1: no positive balance exists, the sweeps clamp
+    def test_overloaded_matched_filter_falls_back(self, model, gamma_star,
+                                                  monkeypatch):
+        # rho(g* F) >= 1: no positive balance exists, the best responses
+        # clamp, and a pass with a capped target builds no Jacobian
         params = make_params(K=30)
         realization = draw_realization(np.random.default_rng(7), 100, 30)
         S, h2 = realization.S, realization.H[0] ** 2
         engine = make_sir_engine(MF, S.T @ S, params.sigma2)
         assert max(abs(np.linalg.eigvals(gamma_star
                                          * engine(h2)[1]()))) >= 1.0
+        built = self.count_jacobians(monkeypatch)
         result = solve_equilibrium(realization, MF, params, model,
                                    gamma_star=gamma_star)
         assert result.clamped_users
-        self.assert_same_result(result, solve_from_engine(
-            lambda p: engine(p * h2)[0], 30, params, gamma_star))
+        assert len(built) < result.iterations
+        self.assert_near_sweeps(result, engine, h2, params, gamma_star)
 
     def test_infeasible_overloaded_mmse_falls_back(self, model, gamma_star):
         # K = 2N is beyond the MMSE load limit 1.15
@@ -578,11 +597,10 @@ class TestNewtonBalance:
         result = solve_equilibrium(realization, MMSE, params, model,
                                    gamma_star=gamma_star)
         assert result.clamped_users
-        h2 = realization.H[0] ** 2
         engine = make_sir_engine(MMSE, realization.S.T @ realization.S,
                                  params.sigma2)
-        self.assert_same_result(result, solve_from_engine(
-            lambda p: engine(p * h2)[0], 40, params, gamma_star))
+        self.assert_near_sweeps(result, engine, realization.H[0] ** 2,
+                                params, gamma_star)
 
 
 class TestProperties:

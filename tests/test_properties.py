@@ -24,14 +24,14 @@ from powergame.efficiency import (EfficiencyKind, EfficiencyModel,
                                   solve_gamma_star)
 from powergame.exceptions import (PowerGameError, SingularSpreadingError,
                                   SolverError)
-from powergame.game import (POWER_TOL, _newton_balance, _newton_start,
-                            solve_channel, solve_from_engine)
+from powergame.game import (POWER_TOL, SERIES_USERS, _balance,
+                            _newton_start, solve_channel)
 from powergame.system import (ReceiverKind, SystemParams, effective_gram,
                               generate_gains, generate_spreading,
                               make_sir_engine, mmse_sirs, output_sir,
                               receiver_filter, sir_per_watt)
 
-from conftest import stacked_system
+from conftest import settle_rtol, solve_from_engine, stacked_system
 
 MF = ReceiverKind.MATCHED_FILTER
 DE = ReceiverKind.DECORRELATOR
@@ -255,11 +255,22 @@ def systems(draw):
             generate_gains(rng.uniform(30.0, 300.0, K), m, rng))
 
 
+@st.composite
+def overloaded_mmse(draw):
+    """(S, H): an MMSE draw with more users than chips, N < K <= 1.15 N."""
+    N = draw(st.integers(7, 40))
+    K = draw(st.integers(N + 1, int(1.15 * N)))
+    m = draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return (generate_spreading(N, K, rng),
+            generate_gains(rng.uniform(30.0, 300.0, K), m, rng))
+
+
 class TestNewtonBalance:
-    @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(systems())
-    def test_newton_equals_capped_sweeps(self, system):
-        kind, S, H = system
+    @staticmethod
+    def assert_equals_sweeps(kind, S, H, max_iter):
+        """solve_channel against the capped sweeps alone from equal powers,
+        both stopped once a best response moves no power by POWER_TOL."""
         N, K = S.shape
         params = SystemParams(K=K, N=N, sigma2=SIGMA2, R=1e5, L=100, M=100,
                               Pmax=1.0)
@@ -269,38 +280,45 @@ class TestNewtonBalance:
         except SingularSpreadingError:
             reject()
         sweeps = solve_from_engine(lambda p: engine(p * h2)[0], K, params,
-                                   GAMMA_STAR, max_iter=5000)
-        result = solve_channel(S, H, kind, params, MODEL, max_iter=5000,
+                                   GAMMA_STAR, max_iter=max_iter)
+        result = solve_channel(S, H, kind, params, MODEL, max_iter=max_iter,
                                gamma_star=GAMMA_STAR)
-        if sweeps.clamped_users:
-            # a user at Pmax: the fallback runs the very same sweeps
-            assert result.iterations == sweeps.iterations
-            assert np.array_equal(result.powers, sweeps.powers)
-            return
-        assert result.converged and not result.clamped_users
-        # one more best response leaves the Newton powers where they are
-        response = result.powers * GAMMA_STAR / engine(result.powers * h2)[0]
-        assert np.max(np.abs(response / result.powers - 1.0)) < 1.001 * POWER_TOL
+        assert result.clamped_users == sweeps.clamped_users
+        if not result.clamped_users:
+            assert result.converged
+            # one more best response leaves the powers where they are
+            response = (result.powers * GAMMA_STAR
+                        / engine(result.powers * h2)[0])
+            assert (np.max(np.abs(response / result.powers - 1.0))
+                    < 1.001 * POWER_TOL)
         if not sweeps.converged:
-            return  # sweeps too slow to settle within 5000
-        # both stop once a best response moves no power by POWER_TOL, which
-        # leaves each within POWER_TOL / (1 - rho) of the fixed point, rho
-        # being the spectral radius of the balance's Jacobian there
-        _, jacobian = engine(result.powers * h2)
-        rho = 0.0 if jacobian is None else float(
-            np.max(np.abs(np.linalg.eigvals(GAMMA_STAR * jacobian()))))
+            return  # sweeps too slow to settle within max_iter
         np.testing.assert_allclose(
             result.powers, sweeps.powers,
-            rtol=max(1e-8, 2.0 * POWER_TOL / (1.0 - rho)))
+            rtol=settle_rtol(engine, result, h2, GAMMA_STAR))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(systems())
+    def test_newton_equals_capped_sweeps(self, system):
+        self.assert_equals_sweeps(*system, max_iter=5000)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(overloaded_mmse())
+    def test_overloaded_mmse_equals_capped_sweeps(self, system):
+        # below MMSE's load limit 1 + 1/gamma* (~1.15) but with K > N, where
+        # early Newton steps can leave (0, Pmax)
+        self.assert_equals_sweeps(MMSE, *system, max_iter=20000)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(systems(), st.sampled_from([5e-16, 1e-200, 1e-300, 1e-320]),
+    @given(systems(), st.sampled_from([5e-16, 1e-200, 1e-300, 1e-320,
+                                       1e298]),
            st.sampled_from([1.0, 1e-15, 1e-300, 1e300]),
            st.sampled_from([1, 3, 500]))
     def test_no_error_escapes_a_newton_step(self, system, sigma2, Pmax,
                                             max_iter):
-        # the CLI solves under errstate(raise); neither the start nor a step
-        # that breaks down may raise: the sweeps take over instead. MMSE
+        # the CLI solves under errstate(raise); neither the start nor a pass
+        # may raise a floating-point error: a step that breaks down is not
+        # taken, and a best response that overflows is capped at Pmax. MMSE
         # draws reach twice the load limit 1 + 1/gamma*, where the
         # large-system start does not exist
         kind, S, H = system
@@ -312,23 +330,24 @@ class TestNewtonBalance:
             engine = make_sir_engine(kind, gram, sigma2)
         except PowerGameError:
             reject()
-        with np.errstate(all="raise"):
-            start = _newton_start(kind, S, H, gram, h2, params, GAMMA_STAR)
-            newton = _newton_balance(engine, start, h2, Pmax, GAMMA_STAR,
-                                     max_iter)
-        assert start.shape == (K,)
-        if newton is None:
-            return  # the sweeps' own arithmetic is not under test here
-        powers, sirs, steps, _ = newton
-        assert np.all((powers > 0) & (powers <= Pmax))
-        assert 0 <= steps <= max_iter
-        # and solve_channel takes that start and those steps, under the
+        series = kind is MMSE and K > SERIES_USERS
+        try:
+            with np.errstate(all="raise"):
+                start = _newton_start(kind, S, H, gram, h2, params,
+                                      GAMMA_STAR)
+                result = _balance(engine, start, h2, params, GAMMA_STAR,
+                                  max_iter, series)
+        except PowerGameError:
+            return  # a zero SIR or a singular MMSE system, named
+        assert np.all((result.powers > 0) & (result.powers <= Pmax))
+        assert 0 <= result.iterations <= max_iter
+        # and solve_channel takes that start and those passes, under the
         # errstate the CLI sets
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            result = solve_channel(S, H, kind, params, MODEL, max_iter,
-                                   GAMMA_STAR)
-        assert np.array_equal(result.powers, powers)
-        assert result.iterations == steps
+            again = solve_channel(S, H, kind, params, MODEL, max_iter,
+                                  GAMMA_STAR)
+        assert np.array_equal(again.powers, result.powers)
+        assert again.iterations == result.iterations
 
 
 def _cli_stdout(argv):

@@ -5,12 +5,13 @@ import pytest
 from powergame.efficiency import (EfficiencyKind, EfficiencyModel,
                                   solve_gamma_star)
 from powergame.exceptions import NoTargetSirError, SolverError
-from powergame.rootfind import SCAN_POINTS, bisect, scan_brackets
+from powergame.rootfind import BISECT_TOL, SCAN_POINTS, bisect, scan_brackets
 
 
 def test_bisect_sqrt2():
-    root = bisect(lambda x: x * x - 2.0, 1.0, 2.0, tol=1e-12)
-    assert abs(root - math.sqrt(2.0)) < 1e-11
+    # the midpoint of a bracket narrower than BISECT_TOL
+    root = bisect(lambda x: x * x - 2.0, 1.0, 2.0)
+    assert abs(root - math.sqrt(2.0)) < BISECT_TOL / 2
 
 
 def test_bisect_requires_sign_change():
@@ -33,7 +34,7 @@ def test_rightmost_root_picks_last_crossing():
     assert len(brackets) == 2
     assert brackets[0][1] <= brackets[1][0]
     assert brackets[0][0] <= 1.0 <= brackets[0][1]
-    root = bisect(fn, *brackets[-1], tol=1e-9)
+    root = bisect(fn, *brackets[-1])
     assert abs(root - 100.0) < 1e-6
 
 
