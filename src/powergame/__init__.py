@@ -23,8 +23,7 @@ _EXPORTS = {
     "exceptions": ("ConfigError", "InfeasibleLoadError",
                    "InfeasibleUserError", "NoTargetSirError",
                    "PowerGameError", "SingularSpreadingError", "SolverError"),
-    "game": ("EquilibriumResult", "best_response_power", "solve_equilibrium",
-             "verify_nash"),
+    "game": ("EquilibriumResult", "solve_equilibrium", "verify_nash"),
     "multiantenna": ("solve_equilibrium_ma",),
     "system": ("ChannelRealization", "effective_gram", "generate_gains",
                "generate_spreading", "output_sir", "receiver_filter",

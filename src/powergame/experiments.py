@@ -172,9 +172,9 @@ def run_load_sweep(config: ScenarioConfig):
     return rows
 
 
-def _check_powers(config: ScenarioConfig) -> None:
-    """check_distance, then a PowerGameError naming distance and sigma2
-    where a user alone at config.distance needs gamma* sigma2 / E[h^2] past
+def _check_powers(config: ScenarioConfig) -> float:
+    """gamma* sigma2 / E[h^2], the power a user alone at config.distance
+    needs, or a PowerGameError naming distance and sigma2 where it is past
     the normal floats: the solve overflows above them; below, the powers
     lose digits, and the SIRs and utilities from them overflow."""
     d, sigma2 = config.distance, config.params.sigma2
@@ -184,6 +184,7 @@ def _check_powers(config: ScenarioConfig) -> None:
         raise PowerGameError(f"distance={d!r}: the power a user alone at that "
                              f"distance needs at sigma2={sigma2!r} is {side} "
                              "the float range")
+    return power
 
 
 def _utility(power: float, sir: float, config: ScenarioConfig) -> float:
@@ -299,7 +300,7 @@ def run_finite_vs_asymptotic(config: ScenarioConfig):
     loads = list(dict.fromkeys(K / N for N, K in users.items()))
     feasible = {(kind, load) for kind, _, load, _
                 in feasible_cells(config.kinds, (1,), loads, gstar)}
-    _check_powers(config)
+    lone = _check_powers(config)
     rows = []
     for kind_index, kind in enumerate(config.kinds):
         for N, K in users.items():
@@ -326,7 +327,10 @@ def run_finite_vs_asymptotic(config: ScenarioConfig):
                     discarded += 1
                 else:
                     raise SolverError(
-                        f"no feasible draw for {kind.value} at N={N}")
+                        f"no feasible draw for {kind.value} at N={N} in 100 "
+                        f"draws; a user alone at distance={config.distance!r}"
+                        f" needs {lone:.3g} W at the mean gain and sigma2="
+                        f"{p.sigma2!r}, against Pmax={p.Pmax!r}")
                 p_asym = q_asym / realization.H[0] ** 2
                 trial_mean_ratios.append(_mean((res.powers / p_asym).tolist()))
             mean_ratio = _mean(trial_mean_ratios)

@@ -7,14 +7,15 @@ interference-plus-noise the filter sees, so the best response to a target
 SIR g* is the multiplicative correction p <- min(p * g*/gamma, Pmax). The
 equilibrium is the fixed point of that standard interference function
 (Yates, IEEE JSAC 1995), which the capped best responses reach from any
-positive start. Where no user's response is capped, a pass steps instead by
-Newton's method on the uncapped balance rec = g* I(rec), which reaches it in
-one step for the matched filter (I is affine) and the decorrelator (I is
-constant), and monotonically and quadratically for MMSE (I is a minimum of
-affine maps, so concave), whose passes start at the large-system balanced
-power q = g* sigma2 / Gamma. A step that would leave (0, Pmax) is not taken:
-the pass moves to the best response. Solves and Nash checks take one Gram
-each.
+positive start. A pass steps instead by Newton's method on that capped map,
+whose Jacobian is g* dI/drec with the capped users' rows zeroed: they stay
+at Pmax and the others balance rec = g* I(rec) against them, in one step
+for the matched filter (I is affine) and the decorrelator (I is constant),
+monotonically and quadratically for MMSE (I is a minimum of affine maps, so
+concave), whose passes start at the large-system balanced power
+q = g* sigma2 / Gamma. A step that would take a free user out of (0, Pmax)
+is not taken: the pass moves to the best response. Solves and Nash checks
+take one Gram each.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from .asymptotic import balanced_received_power
 from .config import DEFAULT_MAX_ITER, ReceiverKind, SystemParams
 from .efficiency import EfficiencyModel, eff_value, solve_gamma_star
-from .exceptions import InfeasibleLoadError, InfeasibleUserError
+from .exceptions import InfeasibleLoadError, InfeasibleUserError, SolverError
 from .system import (ChannelRealization, effective_gram, make_sir_engine,
                      sir_per_watt)
 
@@ -53,20 +54,6 @@ class EquilibriumResult:
     iterations: int        # passes: Newton steps plus capped best responses
     converged: bool
     clamped_users: frozenset
-
-
-def best_response_power(k: int, powers, realization: ChannelRealization,
-                        kind: ReceiverKind, gamma_star: float, sigma2: float,
-                        Pmax: float) -> float:
-    """User k's best response to the others' powers: the power that puts it
-    at gamma_star, gamma_star / sir_per_watt, clamped at Pmax. Exact because
-    no filter depends on p_k, so its SIR is linear in p_k; hence the response
-    does not depend on powers[k] either. Any antenna count.
-    """
-    rate = sir_per_watt(kind, realization.S, realization.H, powers, sigma2)[k]
-    if not rate > 0.0:
-        raise InfeasibleUserError(k)
-    return float(min(gamma_star / rate, Pmax))
 
 
 def _result(p: np.ndarray, sirs: np.ndarray, iterations: int, settled: bool,
@@ -146,45 +133,54 @@ def _balance(balance: Callable[[np.ndarray], tuple], rec: np.ndarray,
              h2: np.ndarray, params: SystemParams, gamma_star: float,
              max_iter: int, series: bool) -> EquilibriumResult:
     """The capped best-response iteration from the received powers rec
-    (_newton_start's), with Newton steps on the uncapped balance
-    rec = gamma* I(rec) wherever they land.
+    (_newton_start's), with Newton steps on the capped map
+    min(gamma* I(rec), Pmax h2) wherever they land.
 
     balance is make_sir_engine's map rec -> (SIRs, dI/drec). Each pass
     reads it once and forms the capped target min(gamma* rec / SIRs,
     Pmax h2); the powers are settled when the target moves no power by
     POWER_TOL or more relative. Otherwise the pass moves to the target,
-    unless a Newton step rec + solve(Id - gamma* dI/drec, target - rec)
-    lands strictly between 0 and Pmax h2. A step is tried only where the
-    map has a Jacobian and no target is capped, and after a rejected one
-    only once the largest relative move has shrunk SHRINK-fold: with more
-    MMSE users than chips, Id - gamma* dI/drec need not be an M-matrix far
+    unless a Newton step lands: with step = gamma* dI/drec, its rows zeroed
+    where the target is capped, rec + solve(Id - step, target - rec), the
+    capped users set at Pmax h2, must put every other user strictly between
+    0 and Pmax h2. A step is tried wherever the map has a Jacobian; after a
+    rejected one, only once the largest relative move has shrunk SHRINK-fold:
+    with more MMSE users than chips, Id - step need not be an M-matrix far
     from the balance, so feasible draws reject early steps too. With series,
     a direction is _series_direction's until one gives up; the later steps
-    solve, gamma* J contracting about as slowly at each. A pass is a Newton
-    step or a best response, and max_iter caps them. A zero or NaN SIR
-    raises InfeasibleUserError; a best response that overflows is capped at
-    Pmax.
+    solve, step contracting about as slowly at each. A pass is a Newton
+    step or a best response, and max_iter caps them. A zero SIR raises
+    InfeasibleUserError and a non-finite one a SolverError naming sigma2; a
+    best response that overflows is capped at Pmax.
     """
     wait = np.inf  # the largest move at which the next step is tried
     with np.errstate(all="ignore"):
         cap = params.Pmax * h2
         for iterations in range(max_iter + 1):
             sirs, jacobian = balance(rec)
-            if not (sirs > 0.0).all():  # also NaN
+            if not 0.0 < sirs.min() <= sirs.max() < np.inf:  # also NaN
+                if not np.isfinite(sirs).all():
+                    raise SolverError(
+                        f"an SIR is not finite at sigma2={params.sigma2!r}, "
+                        "the noise vanishing against the received powers; "
+                        "raise sigma2")
                 raise InfeasibleUserError(int(np.argmin(sirs > 0.0)))
             target = np.minimum(gamma_star * rec / sirs, cap)
             delta = (abs(target - rec) / rec).max()
             if delta < POWER_TOL or iterations == max_iter:
                 break
-            if jacobian is None or delta > wait or not (target < cap).all():
+            if jacobian is None or delta > wait:
                 rec = target
                 continue
-            # gamma* J, never written into J, which the matched filter
-            # shares across calls
+            # the capped map's Jacobian, gamma* J with the capped users' rows
+            # zeroed, never written into J, which the matched filter shares
+            # across calls
+            capped = target == cap
             step = gamma_star * jacobian()
+            step[capped] = 0.0
             r = target - rec
             direction = _series_direction(step, r, delta) if series else None
-            if direction is None:  # Id - gamma* J, J's diagonal being 0
+            if direction is None:  # Id - step, J's diagonal being 0
                 series = False
                 np.negative(step, out=step)
                 step.flat[::len(rec) + 1] += 1.0
@@ -192,8 +188,8 @@ def _balance(balance: Callable[[np.ndarray], tuple], rec: np.ndarray,
                     direction = np.linalg.solve(step, r)
                 except np.linalg.LinAlgError:  # a step to 0, rejected
                     direction = -rec
-            stepped = rec + direction
-            if ((stepped > 0.0) & (stepped < cap)).all():  # also rejects NaN
+            stepped = np.where(capped, cap, rec + direction)
+            if ((stepped > 0.0) & (stepped < cap) | capped).all():  # also NaN
                 rec = stepped
             else:
                 rec, wait = target, delta / SHRINK
@@ -241,7 +237,7 @@ def verify_nash(result: EquilibriumResult, realization: ChannelRealization,
     sir_per_watt, read off each filter's K x K weights and never off the
     solver's balance map (make_sir_engine). f(g)/g rises up to gamma* and
     falls after it (test_tangent_line_maximizes_utility_ratio), so k's best
-    power is exactly b = min(gamma*/w_k, Pmax), as in best_response_power. Its
+    power is exactly b = min(gamma*/w_k, Pmax), its best response. Its
     utilities (L/M) R f(x w)/x at x = b and at its own power are compared
     without their common (L/M) R, f(b w) being f(gamma*) where b < Pmax;
     both come from result.powers alone, never from the result's SIRs.

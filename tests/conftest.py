@@ -11,7 +11,8 @@ from powergame.exceptions import InfeasibleUserError
 from powergame.game import (INITIAL_POWER_FRACTION, POWER_TOL,
                             EquilibriumResult, _result)
 from powergame.system import (ChannelRealization, ReceiverKind, SystemParams,
-                              generate_gains, generate_spreading)
+                              generate_gains, generate_spreading,
+                              sir_per_watt)
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -98,6 +99,21 @@ def solve_from_engine(sirs_fn: Callable[[np.ndarray], np.ndarray], K: int,
             settled = True
             break
     return _result(p, sirs_fn(p), iterations, settled, params, gamma_star)
+
+
+def best_response_power(k: int, powers, realization: ChannelRealization,
+                        kind: ReceiverKind, gamma_star: float, sigma2: float,
+                        Pmax: float) -> float:
+    """User k's best response to the others' powers, one user at a time: the
+    power that puts it at gamma_star, gamma_star / sir_per_watt, clamped at
+    Pmax. Exact because no filter depends on p_k, so its SIR is linear in
+    p_k; hence the response does not depend on powers[k] either. Any
+    antenna count.
+    """
+    rate = sir_per_watt(kind, realization.S, realization.H, powers, sigma2)[k]
+    if not rate > 0.0:
+        raise InfeasibleUserError(k)
+    return float(min(gamma_star / rate, Pmax))
 
 
 def settle_rtol(engine, result: EquilibriumResult, h2: np.ndarray,

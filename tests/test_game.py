@@ -2,17 +2,18 @@ import numpy as np
 import pytest
 
 from powergame.asymptotic import feasibility_bound
-from powergame.exceptions import InfeasibleUserError
+from powergame.exceptions import InfeasibleUserError, SolverError
+from powergame.experiments import trial_rng
 from powergame.game import (NASH_REL_TOL, SIR_TOL, _balance, _result,
-                            _series_direction, best_response_power,
+                            _series_direction, solve_channel,
                             solve_equilibrium, verify_nash)
 from powergame.system import (ChannelRealization, ReceiverKind,
                               effective_gram, generate_gains,
                               generate_spreading, make_sir_engine, output_sir,
                               receiver_filter, sir_per_watt, utility)
 
-from conftest import (draw_realization, make_params, settle_rtol,
-                      solve_from_engine)
+from conftest import (best_response_power, draw_realization, make_params,
+                      settle_rtol, solve_from_engine)
 
 MF = ReceiverKind.MATCHED_FILTER
 DE = ReceiverKind.DECORRELATOR
@@ -190,9 +191,10 @@ class TestResult:
 
 
 class TestNewtonBalance:
-    """solve_channel balances by Newton steps, and by capped best responses
-    where a user meets Pmax or a step would leave (0, Pmax); the equality
-    with the sweeps alone is a property test."""
+    """solve_channel balances by Newton steps on the capped map, users at
+    Pmax held there, and by capped best responses where a step would take a
+    free user out of (0, Pmax); the equality with the sweeps alone is a
+    property test."""
 
     @pytest.mark.parametrize("kind,K", [(MF, 8), (DE, 50)])
     def test_linear_receivers_balance_in_one_step(self, kind, K, model,
@@ -442,6 +444,19 @@ class TestNewtonBalance:
             _balance(balance, np.full(3, 1e-2), np.ones(3), params,
                      gamma_star, max_iter, False)
 
+    def test_vanishing_noise_names_sigma2(self, model, gamma_star):
+        # a lone user on a noise power of 1e-320 W: its SIR overflows to
+        # inf, and the pass after reads 0/0. That is no zero SIR, so no
+        # InfeasibleUserError: the noise power is what to raise
+        params = make_params(K=1, N=4, sigma2=1e-320)
+        with pytest.raises(SolverError) as err:
+            solve_channel(np.ones((4, 1)) / 2, np.array([[1.0]]), MF, params,
+                          model, gamma_star=gamma_star)
+        assert not isinstance(err.value, InfeasibleUserError)
+        assert str(err.value) == (
+            "an SIR is not finite at sigma2=1e-320, the noise vanishing "
+            "against the received powers; raise sigma2")
+
     def test_singular_newton_system_is_no_balance(self, params, gamma_star):
         # Id - gamma* J = 0: the step has no solution, so the pass moves to
         # the best response, here the balance itself
@@ -575,8 +590,10 @@ class TestNewtonBalance:
 
     def test_overloaded_matched_filter_falls_back(self, model, gamma_star,
                                                   monkeypatch):
-        # rho(g* F) >= 1: no positive balance exists, the best responses
-        # clamp, and a pass with a capped target builds no Jacobian
+        # rho(g* F) >= 1: no positive balance exists and users clamp. A
+        # pass with a capped target builds the capped map's Jacobian too,
+        # but a rejected step hands the passes that follow to best
+        # responses until the largest move has shrunk threefold
         params = make_params(K=30)
         realization = draw_realization(np.random.default_rng(7), 100, 30)
         S, h2 = realization.S, realization.H[0] ** 2
@@ -589,6 +606,40 @@ class TestNewtonBalance:
         assert result.clamped_users
         assert len(built) < result.iterations
         self.assert_near_sweeps(result, engine, h2, params, gamma_star)
+
+    @staticmethod
+    def annulus_draw(N, K, t):
+        """Draw t of N x K chips and one-antenna gains for users over the
+        annulus 10 to 1000 m, d^2 uniform: received powers ~8 decades apart,
+        the far or faded users at Pmax."""
+        rng = trial_rng(0, 11, N, K, t)
+        S = generate_spreading(N, K, rng)
+        distances = np.sqrt(rng.uniform(1e2, 1e6, K))
+        return ChannelRealization(S=S, H=generate_gains(distances, 1, rng),
+                                  distances=distances)
+
+    @pytest.mark.parametrize("kind,N,K,t,passes", [
+        # the passes each took where a pass with a capped user took no
+        # step: 57, 39, 11 and 14
+        (MF, 100, 10, 3, 1),
+        (MF, 200, 20, 0, 6),
+        (MMSE, 100, 58, 0, 5),
+        (MMSE, 200, 150, 0, 5),
+    ])
+    def test_newton_steps_hold_capped_users(self, kind, N, K, t, passes,
+                                            model, gamma_star):
+        # near-far draws with users at Pmax: Newton steps on the capped map
+        # hold them there and balance the rest, in the passes pinned
+        realization = self.annulus_draw(N, K, t)
+        params = make_params(K=K, N=N)
+        result = solve_equilibrium(realization, kind, params, model,
+                                   gamma_star=gamma_star)
+        assert result.converged and result.clamped_users
+        assert result.iterations <= passes
+        gram, h2 = effective_gram(kind, realization.S, realization.H)
+        self.assert_near_sweeps(result, make_sir_engine(kind, gram,
+                                                        params.sigma2),
+                                h2, params, gamma_star)
 
     def test_infeasible_overloaded_mmse_falls_back(self, model, gamma_star):
         # K = 2N is beyond the MMSE load limit 1.15

@@ -16,7 +16,8 @@ import re
 from random import Random
 
 import numpy as np
-from hypothesis import example, given, reject, settings, strategies as st
+from hypothesis import (assume, example, given, reject, settings,
+                        strategies as st)
 
 from powergame import cli
 from powergame.asymptotic import feasibility_bound
@@ -266,14 +267,34 @@ def overloaded_mmse(draw):
             generate_gains(rng.uniform(30.0, 300.0, K), m, rng))
 
 
+# a Pmax at which the annulus draws below hold users at Pmax: 75% of MF and
+# 94% of MMSE draws at 1e-2 W, 12% and 22% at 1 W
+CAPPED_PMAX = 1e-2
+
+
+@st.composite
+def annulus_systems(draw):
+    """(kind, S, H): an MF or MMSE draw below the receiver's load limit, its
+    users over the annulus 10 to 1000 m (d^2 uniform), so that the received
+    powers spread over ~8 decades and the far or faded users meet Pmax."""
+    kind = draw(st.sampled_from([MF, MMSE]))
+    m = draw(st.integers(1, 2))
+    N = draw(st.integers(8, 64))
+    K = draw(st.integers(2, max(2, int(feasibility_bound(kind, GAMMA_STAR)
+                                       * N))))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return (kind, generate_spreading(N, K, rng),
+            generate_gains(np.sqrt(rng.uniform(1e2, 1e6, K)), m, rng))
+
+
 class TestNewtonBalance:
     @staticmethod
-    def assert_equals_sweeps(kind, S, H, max_iter):
+    def assert_equals_sweeps(kind, S, H, max_iter, Pmax=1.0):
         """solve_channel against the capped sweeps alone from equal powers,
         both stopped once a best response moves no power by POWER_TOL."""
         N, K = S.shape
         params = SystemParams(K=K, N=N, sigma2=SIGMA2, R=1e5, L=100, M=100,
-                              Pmax=1.0)
+                              Pmax=Pmax)
         try:
             gram, h2 = effective_gram(kind, S, H)
             engine = make_sir_engine(kind, gram, SIGMA2)
@@ -296,11 +317,29 @@ class TestNewtonBalance:
         np.testing.assert_allclose(
             result.powers, sweeps.powers,
             rtol=settle_rtol(engine, result, h2, GAMMA_STAR))
+        return result, sweeps
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(systems())
     def test_newton_equals_capped_sweeps(self, system):
         self.assert_equals_sweeps(*system, max_iter=5000)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(annulus_systems())
+    def test_capped_newton_equals_capped_sweeps(self, system):
+        # draws that end with users at Pmax, where every pass steps on the
+        # capped map: the same clamped set as the sweeps, and where they
+        # settle, the same powers to the settle bound and converged flag
+        kind, S, H = system
+        N, K = S.shape
+        params = SystemParams(K=K, N=N, sigma2=SIGMA2, R=1e5, L=100, M=100,
+                              Pmax=CAPPED_PMAX)
+        assume(solve_channel(S, H, kind, params, MODEL, max_iter=5000,
+                             gamma_star=GAMMA_STAR).clamped_users)
+        settled = self.assert_equals_sweeps(kind, S, H, 5000, CAPPED_PMAX)
+        if settled:
+            result, sweeps = settled
+            assert result.converged == sweeps.converged
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(overloaded_mmse())
