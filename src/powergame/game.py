@@ -151,11 +151,16 @@ def _balance(balance: Callable[[np.ndarray], tuple], rec: np.ndarray,
     solve, step contracting about as slowly at each. A pass is a Newton
     step or a best response, and max_iter caps them. A zero SIR raises
     InfeasibleUserError and a non-finite one a SolverError naming sigma2; a
-    best response that overflows is capped at Pmax.
+    Pmax h2 that underflows to 0 raises a SolverError naming Pmax before the
+    first pass. A best response that overflows is capped at Pmax.
     """
     wait = np.inf  # the largest move at which the next step is tried
     with np.errstate(all="ignore"):
         cap = params.Pmax * h2
+        if not cap.min() > 0.0:
+            raise SolverError(
+                f"Pmax={params.Pmax!r} times user {int(np.argmin(cap))}'s "
+                "squared gain underflows to 0 W received; raise Pmax")
         for iterations in range(max_iter + 1):
             sirs, jacobian = balance(rec)
             if not 0.0 < sirs.min() <= sirs.max() < np.inf:  # also NaN

@@ -45,12 +45,35 @@ class ChannelRealization:
 
 
 def generate_spreading(N: int, K: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw an N x K matrix of i.i.d. +-1/sqrt(N) chips (unit-norm columns)
-    as one integers(0, 2, (N, K)) call, 0 -> -1/sqrt(N), 1 -> +1/sqrt(N)."""
+    """Draw an N x K matrix of i.i.d. +-1/sqrt(N) chips (unit-norm columns).
+
+    Chip i, in C order, is bit 31 of the i-th little-endian 32-bit half of
+    rng.bit_generator.random_raw(ceil(N K / 2)): 0 -> -1/sqrt(N) and
+    1 -> +1/sqrt(N), written straight into the float's sign bit. A bit
+    generator's raw stream is fixed across numpy releases, where Generator
+    methods' streams may change (NEP 19). For PCG64, which hands out the low
+    half of a word first, these are exactly the bytes of
+    rng.integers(0, 2, (N, K)) from a generator holding no buffered 32-bit
+    half: Lemire's method never rejects at range 2. Every later 64-bit draw
+    (rayleigh, random) matches too. For odd N K, integers would keep the
+    last word's high half buffered for the next 32-bit draw and random_raw
+    does not; no draw in powergame takes 32 bits after the chips. MT19937,
+    whose raw words carry 32 bits, is refused.
+    """
     if N < 1 or K < 1:
         raise ValueError("N and K must be positive")
-    signs = np.array([-1.0, 1.0]) / np.sqrt(N)
-    return signs[rng.integers(0, 2, size=(N, K))]
+    if isinstance(rng.bit_generator, np.random.MT19937):
+        raise ValueError("generate_spreading needs 64-bit raw words; "
+                         "MT19937 yields 32")
+    n = N * K
+    words = rng.bit_generator.random_raw((n + 1) // 2)
+    halves = words.astype("<u8", copy=False).view("<u4")[:n]
+    halves &= 0x80000000
+    bits = halves.astype(np.uint64)
+    bits <<= 32
+    # the sign bit set for chip 0: -1/sqrt(N)'s bits with it flipped for 1
+    bits ^= np.float64(-1.0 / np.sqrt(N)).view(np.uint64)
+    return bits.view(np.float64).reshape(N, K)
 
 
 def rayleigh_scale(distances) -> np.ndarray:

@@ -1,4 +1,5 @@
 import os
+from fractions import Fraction
 from pathlib import Path
 from typing import Callable
 
@@ -128,3 +129,29 @@ def settle_rtol(engine, result: EquilibriumResult, h2: np.ndarray,
     rho = 0.0 if jacobian is None or not free.size else float(np.max(np.abs(
         np.linalg.eigvals(gamma_star * jacobian()[np.ix_(free, free)]))))
     return max(1e-8, 2.0 * POWER_TOL / (1.0 - rho))
+
+
+def exact_mmse_sirs(gram: np.ndarray, rec: np.ndarray,
+                    sigma2: float) -> list:
+    """The MMSE SIRs of make_sir_engine's map at received powers rec, as
+    exact Fractions of its float inputs: gamma_k = r_k / (1 - r_k),
+    r_k = rec_k [M^-1 G]_kk with M = G D + sigma2 I, D = diag(rec). Every
+    input is a binary float, so Gauss-Jordan on [M | G] in Fractions makes
+    no rounding error at all. Each leading block G_11 D_1 + sigma2 I of M
+    shares its eigenvalues with D_1^1/2 G_11 D_1^1/2 + sigma2 I, all at
+    least sigma2, so no pivot is zero. The independent oracle for the map's
+    K x K float path."""
+    G = [[Fraction(x) for x in row] for row in gram.tolist()]
+    r = [Fraction(x) for x in rec.tolist()]
+    K = len(r)
+    rows = [[G[k][j] * r[j] + (Fraction(sigma2) if j == k else 0)
+             for j in range(K)] + G[k] for k in range(K)]
+    for c in range(K):
+        pivot = 1 / rows[c][c]
+        rows[c] = [x * pivot for x in rows[c]]
+        for i in range(K):
+            if i != c and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
+    ratios = [r[k] * rows[k][K + k] for k in range(K)]
+    return [x / (1 - x) for x in ratios]

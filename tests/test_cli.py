@@ -556,6 +556,20 @@ class TestLibraryErrors:
             "sigma2=5e-16, against Pmax=1e-12\n")
 
     @pytest.mark.parametrize("argv", [
+        ["equilibrium", "--receiver", "all"],
+        ["curve-utility"],
+    ], ids=["equilibrium", "curve-utility"])
+    def test_underflowing_pmax_names_the_key(self, argv):
+        # Pmax h^2 underflows to 0 W received, so no user could ever be
+        # heard: the solve names Pmax, not a zero SIR
+        proc = run_cli(*argv, "--set", "Pmax=1e-320", "--set", "K=3")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: Pmax=1e-320")
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
         ["sweep", "--set", "distance=1e-200", "--trials", "2",
          "--receiver", "MF"],
         ["admission", "--set", "d_min=1e-200", "--set", "d_max=1e-100",

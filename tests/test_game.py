@@ -457,6 +457,19 @@ class TestNewtonBalance:
             "an SIR is not finite at sigma2=1e-320, the noise vanishing "
             "against the received powers; raise sigma2")
 
+    def test_underflowing_cap_names_pmax(self, model, gamma_star):
+        # Pmax h^2 = 1e-320 * 1e-10 rounds to 0 W received: the first best
+        # response would read a zero SIR, but Pmax is what to raise
+        params = make_params(K=2, N=4, Pmax=1e-320)
+        S = generate_spreading(4, 2, np.random.default_rng(3))
+        with pytest.raises(SolverError) as err:
+            solve_channel(S, np.array([[1.0, 1e-5]]), MF, params, model,
+                          gamma_star=gamma_star)
+        assert not isinstance(err.value, InfeasibleUserError)
+        assert str(err.value) == (
+            "Pmax=1e-320 times user 1's squared gain underflows to 0 W "
+            "received; raise Pmax")
+
     def test_singular_newton_system_is_no_balance(self, params, gamma_star):
         # Id - gamma* J = 0: the step has no solution, so the pass moves to
         # the best response, here the balance itself

@@ -13,6 +13,7 @@ the reference takes conftest.stacked_system's stacked signatures.
 import contextlib
 import io
 import re
+from fractions import Fraction
 from random import Random
 
 import numpy as np
@@ -32,7 +33,8 @@ from powergame.system import (ReceiverKind, SystemParams, effective_gram,
                               make_sir_engine, mmse_sirs, output_sir,
                               receiver_filter, sir_per_watt)
 
-from conftest import settle_rtol, solve_from_engine, stacked_system
+from conftest import (exact_mmse_sirs, settle_rtol, solve_from_engine,
+                      stacked_system)
 
 MF = ReceiverKind.MATCHED_FILTER
 DE = ReceiverKind.DECORRELATOR
@@ -92,6 +94,42 @@ class TestMmseKernel:
         np.testing.assert_allclose(
             make_sir_engine(kind, gram, SIGMA2)(p * h2)[0],
             oracle_sirs(kind, Sbar, np.sqrt(unit), p), rtol=RTOL)
+
+
+# Today's MMSE map against the exact oracle: a user's relative SIR error
+# over eps cond_1(M) (1 + gamma_k), M = G D + sigma2 I, peaked at 13 over
+# 4000 seeded draws of mmse_oracle_draws' shape, on weak users of overloaded
+# draws; 1 - r_k cancels at high SIR, hence the (1 + gamma_k)
+MMSE_ORACLE_FACTOR = 64
+
+
+@st.composite
+def mmse_oracle_draws(draw):
+    """(gram, rec) of a seeded_draw with K <= 12 users on N >= K chips or
+    on fewer, some of them at zero power."""
+    K = draw(st.integers(1, 12))
+    N = draw(st.integers(K, 24) | st.integers(1, max(1, K - 1)))
+    S, H, p = seeded_draw(N, K, draw(st.integers(0, 2 ** 32 - 1)))
+    p[draw(st.lists(st.booleans(), min_size=K, max_size=K))] = 0.0
+    return effective_gram(MMSE, S, H)[0], p * H[0] ** 2
+
+
+class TestMmseExactOracle:
+    @PROPERTY
+    @given(mmse_oracle_draws())
+    def test_map_within_its_bound_of_the_exact_sirs(self, draw):
+        gram, rec = draw
+        sirs = make_sir_engine(MMSE, gram, SIGMA2)(rec)[0]
+        M = gram * rec
+        M.flat[::len(rec) + 1] += SIGMA2
+        scale = MMSE_ORACLE_FACTOR * np.finfo(float).eps * np.linalg.cond(M, 1)
+        exact = exact_mmse_sirs(gram, rec, SIGMA2)
+        for sir, true, silent in zip(sirs.tolist(), exact, rec == 0.0):
+            if silent:  # no power, no SIR, in floats too
+                assert true == 0 and sir == 0.0
+                continue
+            error = float(abs(Fraction(sir) - true) / true)
+            assert error <= scale * (1.0 + float(true))
 
 
 class TestEffectiveGram:

@@ -51,17 +51,54 @@ class TestSpreading:
             total += S[:, 0] @ S[:, 1]
         assert abs(total / n) < 0.01
 
-    @pytest.mark.parametrize("N,K", [(1, 1), (3, 7), (100, 58), (200, 100)])
+    @pytest.mark.parametrize("N,K", [(1, 1), (3, 7), (100, 58), (200, 60),
+                                     (200, 100)])
     def test_layout_is_one_integer_draw_mapped_to_signs(self, N, K):
-        # the stream contract: chips are one integers(0, 2, (N, K)) call,
-        # 0 -> -1/sqrt(N) and 1 -> +1/sqrt(N), bytes and generator state
-        # alike; odd N K included
+        # the chips of a fresh PCG64 stream are the bytes of one
+        # integers(0, 2, (N, K)) call, 0 -> -1/sqrt(N) and 1 -> +1/sqrt(N),
+        # and the next 64-bit draw matches; odd N K included
         rng, twin = np.random.default_rng(12), np.random.default_rng(12)
         S = generate_spreading(N, K, rng)
         reference = (twin.integers(0, 2, size=(N, K)) * 2 - 1) / np.sqrt(N)
         assert S.shape == reference.shape and S.dtype == reference.dtype
         assert S.tobytes() == reference.tobytes()
         assert rng.random() == twin.random()
+
+    # odd N K leave the last raw word's high half unused
+    RAW_SHAPES = [(1, 1), (3, 7), (101, 3), (4, 5), (200, 60)]
+
+    @pytest.mark.parametrize("N,K", RAW_SHAPES)
+    def test_chips_are_bit_31_of_raw_word_halves(self, N, K):
+        # the stream contract itself, which numpy keeps across releases:
+        # chip i is bit 31 of the i-th 32-bit half of the raw words, low
+        # half first, read here with Python integers
+        rng, twin = np.random.default_rng(14), np.random.default_rng(14)
+        S = generate_spreading(N, K, rng)
+        words = twin.bit_generator.random_raw((N * K + 1) // 2).tolist()
+        halves = [half for w in words for half in (w & 0xFFFFFFFF, w >> 32)]
+        chips = [half >> 31 for half in halves[:N * K]]
+        assert S.tobytes() == (np.array([-1.0, 1.0])[chips].reshape(N, K)
+                               / np.sqrt(N)).tobytes()
+
+    @pytest.mark.parametrize("N,K", RAW_SHAPES)
+    def test_later_64_bit_draws_match_a_twin(self, N, K):
+        # the gains and anything else drawn after the chips take 64-bit
+        # words, which integers(0, 2) and the raw draw leave at the same
+        # place; only a 32-bit half that integers keeps for odd N K differs
+        rng, twin = np.random.default_rng(15), np.random.default_rng(15)
+        generate_spreading(N, K, rng)
+        twin.integers(0, 2, size=(N, K))
+        assert (rng.rayleigh(size=(2, K)).tobytes()
+                == twin.rayleigh(size=(2, K)).tobytes())
+        assert rng.random() == twin.random()
+        assert not rng.bit_generator.state["has_uint32"]
+        assert twin.bit_generator.state["has_uint32"] == (N * K) % 2
+
+    def test_mt19937_is_refused(self):
+        # its raw words carry 32 bits, so every second chip would be -1
+        rng = np.random.Generator(np.random.MT19937(0))
+        with pytest.raises(ValueError, match="MT19937"):
+            generate_spreading(4, 2, rng)
 
 
 class TestGains:
