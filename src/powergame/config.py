@@ -9,7 +9,7 @@ from enum import Enum
 from .efficiency import EfficiencyModel
 from .exceptions import ConfigError, check_value
 
-# best-response sweep cap of a finite equilibrium solve
+# pass cap of a finite equilibrium solve: Newton steps plus best responses
 DEFAULT_MAX_ITER = 500
 
 

@@ -29,18 +29,13 @@ from .asymptotic import balanced_received_power
 from .config import DEFAULT_MAX_ITER, ReceiverKind, SystemParams
 from .efficiency import EfficiencyModel, eff_value, solve_gamma_star
 from .exceptions import InfeasibleLoadError, InfeasibleUserError, SolverError
-from .system import (ChannelRealization, effective_gram, make_sir_engine,
-                     sir_per_watt)
+from .system import (LEAF_ROWS, ChannelRealization, effective_gram,
+                     make_sir_engine, sir_per_watt)
 
 INITIAL_POWER_FRACTION = 1e-2  # starting powers as a fraction of Pmax
 POWER_TOL = 1e-9  # largest relative power change of a settled pass
 SIR_TOL = 1e-6    # relative SIR error allowed for users below Pmax
 NASH_REL_TOL = 1e-6  # relative utility gain a deviation must beat
-# Past this many MMSE users a Newton step first tries a series: timed in
-# pairs on one BLAS thread, a solve with series against one with LU alone
-# takes +2%, -2% and -7% at N/K 200/64, 200/80 and 200/100, +7% to +12% at
-# N = 100 up to K = 80, where a series needs more terms.
-SERIES_USERS = 80
 # The contraction a Neumann-series term must show against the one before,
 # and the best response's largest move against the one at a rejected Newton
 # step before the next step is tried
@@ -147,12 +142,12 @@ def _balance(balance: Callable[[np.ndarray], tuple], rec: np.ndarray,
     rejected one, only once the largest relative move has shrunk SHRINK-fold:
     with more MMSE users than chips, Id - step need not be an M-matrix far
     from the balance, so feasible draws reject early steps too. With series,
-    a direction is _series_direction's until one gives up; the later steps
-    solve, step contracting about as slowly at each. A pass is a Newton
-    step or a best response, and max_iter caps them. A zero SIR raises
-    InfeasibleUserError and a non-finite one a SolverError naming sigma2; a
-    Pmax h2 that underflows to 0 raises a SolverError naming Pmax before the
-    first pass. A best response that overflows is capped at Pmax.
+    every direction is first _series_direction's, and solved where that
+    gives up. A pass is a Newton step or a best response, and max_iter caps
+    them. A zero SIR raises InfeasibleUserError and a non-finite one a
+    SolverError naming sigma2; a Pmax h2 that underflows to 0 raises a
+    SolverError naming Pmax before the first pass. A best response that
+    overflows is capped at Pmax.
     """
     wait = np.inf  # the largest move at which the next step is tried
     with np.errstate(all="ignore"):
@@ -186,7 +181,6 @@ def _balance(balance: Callable[[np.ndarray], tuple], rec: np.ndarray,
             r = target - rec
             direction = _series_direction(step, r, delta) if series else None
             if direction is None:  # Id - step, J's diagonal being 0
-                series = False
                 np.negative(step, out=step)
                 step.flat[::len(rec) + 1] += 1.0
                 try:
@@ -210,9 +204,10 @@ def solve_channel(S, H, kind: ReceiverKind, params: SystemParams,
     """SIR-balanced equilibrium for spreading S (N x K) and gains H (m x K).
 
     Any antenna count m: _balance plays on effective_gram(kind, S, H)'s
-    balance map from _newton_start's powers. Stops once the powers settle
-    or max_iter passes have run; non-convergence is reported through the
-    result, not raised, so Monte Carlo harnesses can decide.
+    balance map from _newton_start's powers, MMSE past LEAF_ROWS users (where
+    _inverse leaves LAPACK too) with series directions. Stops once the powers
+    settle or max_iter passes have run; non-convergence is reported through
+    the result, not raised, so Monte Carlo harnesses can decide.
     """
     if gamma_star is None:
         gamma_star = solve_gamma_star(model)
@@ -220,7 +215,7 @@ def solve_channel(S, H, kind: ReceiverKind, params: SystemParams,
     start = _newton_start(kind, S, H, gram, h2, params, gamma_star)
     return _balance(make_sir_engine(kind, gram, params.sigma2), start, h2,
                     params, gamma_star, max_iter,
-                    kind is ReceiverKind.MMSE and len(h2) > SERIES_USERS)
+                    kind is ReceiverKind.MMSE and len(h2) > LEAF_ROWS)
 
 
 def solve_equilibrium(realization: ChannelRealization, kind: ReceiverKind,

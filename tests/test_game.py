@@ -7,7 +7,7 @@ from powergame.experiments import trial_rng
 from powergame.game import (NASH_REL_TOL, SIR_TOL, _balance, _result,
                             _series_direction, solve_channel,
                             solve_equilibrium, verify_nash)
-from powergame.system import (ChannelRealization, ReceiverKind,
+from powergame.system import (LEAF_ROWS, ChannelRealization, ReceiverKind,
                               effective_gram, generate_gains,
                               generate_spreading, make_sir_engine, output_sir,
                               receiver_filter, sir_per_watt, utility)
@@ -481,7 +481,7 @@ class TestNewtonBalance:
         assert np.array_equal(result.powers, np.full(3, 1e-2 * gamma_star
                                                      / 10.0))
 
-    # MMSE systems past SERIES_USERS, whose Newton directions are series
+    # MMSE systems past LEAF_ROWS, whose Newton directions are series
     SERIES_SIZES = [(200, 100, 1), (200, 100, 2), (180, 90, 1)]
 
     @staticmethod
@@ -545,38 +545,42 @@ class TestNewtonBalance:
     def test_series_that_gives_up_leaves_the_solve_bytes(
             self, K, model, gamma_star, monkeypatch):
         # as many users as chips or more: gamma* J contracts too slowly, a
-        # term outgrows a third of the one before, and that step and every
-        # later one solves
+        # term outgrows a third of the one before, and that step solves.
+        # Every step tries its series again, one Jacobian each
+        built = self.count_jacobians(monkeypatch)
         calls = self.record_series(monkeypatch)
         params = make_params(K=K, N=100)
         for t in range(3):
             realization = draw_realization(np.random.default_rng((49, t)),
                                            100, K)
+            built.clear()
+            calls.clear()
             series = solve_equilibrium(realization, MMSE, params, model,
                                        gamma_star=gamma_star)
+            assert len(calls) == len(built) > 1
+            assert all(total is None for *_, total in calls)
             lu = self.lu_only(realization, params, model, gamma_star,
                               monkeypatch)
             assert series.powers.tobytes() == lu.powers.tobytes()
             assert series.sirs.tobytes() == lu.sirs.tobytes()
             assert series.iterations == lu.iterations
             assert series.converged == lu.converged
-        assert len(calls) == 3 and all(total is None for *_, total in calls)
 
-    @pytest.mark.parametrize("kind,N,K", [(MF, 2000, 70), (DE, 200, 100),
-                                          (MMSE, 100, 58), (MMSE, 160, 80)])
+    @pytest.mark.parametrize("kind,N,K", [
+        (MF, 2000, 70), (DE, 200, 100), (MMSE, 100, 58),
+        (MMSE, 100, LEAF_ROWS), (MMSE, 100, LEAF_ROWS + 1)])
     def test_no_series_for_linear_receivers_or_leaf_sized_mmse(
             self, kind, N, K, model, gamma_star, monkeypatch):
         # the matched filter's affine balance takes one exact LU step, the
-        # decorrelator's none, and up to SERIES_USERS an LU beats a series
-        def forbidden(*args):
-            raise AssertionError("a series direction was summed")
-
-        monkeypatch.setattr("powergame.game._series_direction", forbidden)
+        # decorrelator's none, and MMSE takes the LU up to LEAF_ROWS users,
+        # where _inverse is LAPACK's inv, and a series past them
+        calls = self.record_series(monkeypatch)
         params = make_params(K=K, N=N)
         realization = draw_realization(np.random.default_rng((50, K)), N, K)
         result = solve_equilibrium(realization, kind, params, model,
                                    gamma_star=gamma_star)
         assert result.converged and not result.clamped_users
+        assert bool(calls) == (kind is MMSE and K > LEAF_ROWS)
         if kind is MF:
             # one step from the equal start, on the LU of Id - gamma* J
             S, h2 = realization.S, realization.H[0] ** 2

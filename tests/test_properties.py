@@ -26,12 +26,11 @@ from powergame.efficiency import (EfficiencyKind, EfficiencyModel,
                                   solve_gamma_star)
 from powergame.exceptions import (PowerGameError, SingularSpreadingError,
                                   SolverError)
-from powergame.game import (POWER_TOL, SERIES_USERS, _balance,
-                            _newton_start, solve_channel)
-from powergame.system import (ReceiverKind, SystemParams, effective_gram,
-                              generate_gains, generate_spreading,
-                              make_sir_engine, mmse_sirs, output_sir,
-                              receiver_filter, sir_per_watt)
+from powergame.game import POWER_TOL, _balance, _newton_start, solve_channel
+from powergame.system import (LEAF_ROWS, ReceiverKind, SystemParams,
+                              effective_gram, generate_gains,
+                              generate_spreading, make_sir_engine, mmse_sirs,
+                              output_sir, receiver_filter, sir_per_watt)
 
 from conftest import (exact_mmse_sirs, settle_rtol, solve_from_engine,
                       stacked_system)
@@ -407,7 +406,7 @@ class TestNewtonBalance:
             engine = make_sir_engine(kind, gram, sigma2)
         except PowerGameError:
             reject()
-        series = kind is MMSE and K > SERIES_USERS
+        series = kind is MMSE and K > LEAF_ROWS
         try:
             with np.errstate(all="raise"):
                 start = _newton_start(kind, S, H, gram, h2, params,

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from powergame.exceptions import SingularSpreadingError, SolverError
-from powergame.system import (COND_LIMIT, LEAF_ROWS, ChannelRealization,
-                              ReceiverKind, _inverse, _zf_columns,
-                              decorrelator_sirs, generate_gains,
-                              generate_spreading, make_sir_engine, output_sir,
-                              rayleigh_scale, receiver_filter, sir_per_watt,
-                              utility)
+from powergame.game import solve_channel
+from powergame.system import (_LINALG_ERRSTATE, COND_LIMIT, LEAF_ROWS,
+                              ChannelRealization, ReceiverKind, _inverse,
+                              _singular, _zf_columns, decorrelator_sirs,
+                              generate_gains, generate_spreading,
+                              make_sir_engine, matched_filter_sirs,
+                              output_sir, rayleigh_scale, receiver_filter,
+                              sir_per_watt, utility)
 
 from conftest import draw_realization, make_params, stacked_system
 
@@ -99,6 +101,11 @@ class TestSpreading:
         rng = np.random.Generator(np.random.MT19937(0))
         with pytest.raises(ValueError, match="MT19937"):
             generate_spreading(4, 2, rng)
+
+    @pytest.mark.parametrize("N,K", [(0, 2), (4, 0), (-1, 2)])
+    def test_empty_shape_is_refused(self, N, K):
+        with pytest.raises(ValueError, match="N and K must be positive"):
+            generate_spreading(N, K, np.random.default_rng(0))
 
 
 class TestGains:
@@ -293,6 +300,9 @@ class TestOutputSir:
         got = output_sir(S[:, 0], 0, S, h, p, sigma2)
         expected = p[0] * h[0] ** 2 / (sigma2 + p[1] * h[1] ** 2 * rho ** 2)
         assert got == pytest.approx(expected, rel=1e-12)
+        # and the whole-vector matched-filter kernel reads the same form
+        whole = matched_filter_sirs(S, h, p, sigma2)[0]
+        assert whole == pytest.approx(expected, rel=1e-12)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(15)
@@ -432,6 +442,25 @@ class TestSirEngines:
         engine = make_sir_engine(MMSE, S.T @ S, 1e-6)
         assert np.all(np.isfinite(engine(p * h2)[0]))
 
+    def test_invalid_operation_in_the_block_inverse_is_singular(
+            self, monkeypatch):
+        # 66 users, past LEAF_ROWS: no leaf is singular, but a product in
+        # the block elimination overflows and an invalid operation follows,
+        # which _inverse's error state reports as a singular matrix
+        calls = []
+
+        def recording(err, flag):
+            calls.append(err)
+            _singular(err, flag)
+
+        monkeypatch.setitem(_LINALG_ERRSTATE, "call", recording)
+        S = generate_spreading(100, 66, np.random.default_rng(1))
+        with pytest.raises(SolverError, match="MMSE system of K=66 users is "
+                           "singular at sigma2=1e-200; raise sigma2 or N"):
+            sir_per_watt(MMSE, S, np.ones((1, 66)),
+                         [1e-200] * 33 + [1e150] * 33, 1e-200)
+        assert calls == ["invalid value"]
+
 
 class TestFilterWeights:
     @pytest.mark.parametrize("kind", [MF, DE, MMSE])
@@ -514,10 +543,15 @@ class TestRealizationValidation:
             ChannelRealization(S=S, H=np.array([[1.0, 0.0]]),
                                distances=np.array([1.0, 1.0]))
 
-    def test_user_count_consistency(self):
+    def test_user_count_consistency(self, model):
         S = generate_spreading(8, 2, np.random.default_rng(23))
         with pytest.raises(ValueError):
             ChannelRealization(S=S, H=np.ones((1, 3)), distances=np.ones(3))
+        # and where the solver meets S and H, in effective_gram
+        with pytest.raises(ValueError, match="S and H disagree on the number "
+                           "of users"):
+            solve_channel(S, np.ones((2, 3)), MMSE, make_params(K=2, N=8),
+                          model)
 
 
 class TestSystemParamsValidation:
