@@ -223,12 +223,13 @@ def _cmd_gamma_star(config, args):
 
 
 def _run(module: str, driver: str, config):
-    """<module>.<driver>(config). The closedform drivers compute on Python
-    floats, which raise their own ArithmeticError subclasses. Only the
-    experiments drivers, which draw or solve a finite system, load numpy,
-    so gamma-star and the closedform tables never pay for its import; they
-    run under an errstate that raises where an overflow, division by zero
-    or NaN in numpy would otherwise end in an inf or nan table with exit 0."""
+    """<module>.<driver>(config). The closedform drivers, the load sweeps
+    among them, compute and draw on Python floats, which raise their own
+    ArithmeticError subclasses. Only the experiments drivers, which solve a
+    finite system, load numpy, so gamma-star and the closedform tables never
+    pay for its import; they run under an errstate that raises where an
+    overflow, division by zero or NaN in numpy would otherwise end in an inf
+    or nan table with exit 0."""
     if module == "closedform":
         from . import closedform
         return getattr(closedform, driver)(config)
@@ -262,13 +263,13 @@ def _checked_table(driver: str):
 SUBCOMMANDS = {
     "gamma-star": (_cmd_gamma_star, {}),
     "equilibrium": (_checked_table("run_equilibria"), {"receiver": "MMSE"}),
-    "sweep": (_table("experiments", "run_load_sweep"),
+    "sweep": (_table("closedform", "run_load_sweep"),
               {"alpha_range": "0.05:1.15:0.05"}),
-    "pareto": (_table("experiments", "run_load_sweep"),
+    "pareto": (_table("closedform", "run_load_sweep"),
                {"alpha_range": "0.05:1.15:0.05", "mode": "both"}),
     "sir-compare": (_table("closedform", "run_target_sir_comparison"),
                     {"alpha_range": "0.05:1.0:0.05"}),
-    "antennas": (_table("experiments", "run_load_sweep"),
+    "antennas": (_table("closedform", "run_load_sweep"),
                  {"alpha_range": "0.05:1.15:0.05", "antennas": "1,2"}),
     "admission": (_table("closedform", "run_admission_curve"),
                   {"receiver": "MMSE", "alpha_range": "0.01:1.15:0.01"}),

@@ -1,27 +1,46 @@
-"""Closed-form tables, loading no numpy: the non-cooperative versus
-cooperative target SIR per load, the admission curve and the efficiency
-function.
+"""Closed-form tables, loading no numpy: the load sweeps, the
+non-cooperative versus cooperative target SIR per load, the admission curve
+and the efficiency function.
 
-Nothing here is drawn, so a process printing one of these tables never
-imports numpy. The table helpers the Monte Carlo drivers in experiments
+Only the load sweeps draw, one user's Rayleigh gains from random.Random
+streams, and they reuse each trial's gains across every (load, receiver,
+antenna count) cell, so receiver orderings that hold per realization hold
+exactly in the reported means. The table helpers the drivers in experiments
 share live here too: ``one``, the one value of a key a table has no column
-for, and ``feasible_cells``, the one feasibility gate of every table.
+for, ``feasible_cells``, the one feasibility gate, and the exact sums.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from enum import Enum
 from typing import NamedTuple
 
 from . import asymptotic
-from .config import ReceiverKind, ScenarioConfig
+from .config import ReceiverKind, ScenarioConfig, SweepMode
 from .efficiency import eff_value, solve_gamma_star
 from .exceptions import ConfigError, InfeasibleLoadError, PowerGameError
 
 # system.rayleigh_scale(1.0), 0.3 / 1.0**2 * sqrt(2/pi), bit for bit: the
 # Rayleigh scale at 1 m, whose amplitude mean E[h] is 0.3
 RAYLEIGH_SCALE_1M = 0.3 * math.sqrt(2.0 / math.pi)
+
+# the load sweeps' stream label, never renumbered: their bytes depend on it
+_STREAM_SWEEP = 0
+
+
+class SweepRow(NamedTuple):
+    alpha: float
+    kind: ReceiverKind
+    m: int
+    mode: SweepMode
+    mean_utility: float
+    std_utility: float
+    mean_power: float
+    target_sir: float
+    trials_used: int
+    trials_discarded: int
 
 
 class TargetSirRow(NamedTuple):
@@ -58,12 +77,13 @@ def one(key: str, values: tuple, message: str, only=None):
     return values[0]
 
 
-def feasible_cells(kinds, antennas, loads, gamma_star: float):
+def feasible_cells(kinds, antennas, loads, gamma_star: float, where=""):
     """(kind, m, load, Gamma) for each cell of kinds x antennas x loads, in
     that order, whose load admits the SIR target gamma_star with m antennas,
     as asymptotic.gamma_factor decides: the one feasibility gate of the
     tables. A cell left out is just absent from the table; with none left,
-    InfeasibleLoadError names every cell's load limit."""
+    InfeasibleLoadError names every cell's load limit, after ``where``, in
+    which a table that derives its loads from alpha names them."""
     cells, limits = [], []
     for kind in kinds:
         for m in antennas:
@@ -76,8 +96,21 @@ def feasible_cells(kinds, antennas, loads, gamma_star: float):
                 except InfeasibleLoadError:
                     pass
     if not cells:
-        raise InfeasibleLoadError("no feasible load point; " + "; ".join(limits))
+        raise InfeasibleLoadError(f"no feasible load point{where}; "
+                                  + "; ".join(limits))
     return cells
+
+
+def exact_mean(values) -> float:
+    """The mean by math.fsum: exact, so independent of the values' order."""
+    return math.fsum(values) / len(values)
+
+
+def exact_std(values, mean: float) -> float:
+    # sample standard deviation; exact summation keeps it order independent
+    if len(values) < 2:
+        return 0.0
+    return math.sqrt(math.fsum((v - mean) ** 2 for v in values) / (len(values) - 1))
 
 
 def _square_gain(d2: float, what: str) -> float:
@@ -113,6 +146,81 @@ def check_distance(distance: float) -> float:
     config.distance check it once, before their first draw."""
     return _square_gain(distance * distance, f"distance={distance!r}: the "
                         "mean square gain at that distance")
+
+
+def _sweep_gains(config: ScenarioConfig):
+    """Squared gains of the observed user, one list per antenna: trial t of
+    antenna l is -E[h^2] log(1 - u), the squared Rayleigh gain at
+    config.distance, for draw t of random.Random("<seed>/<label>/<l>"),
+    whose string seed fixes it across Python releases. So a list depends on
+    neither the other antennas nor the trials after it."""
+    e_h2 = check_distance(config.distance)
+    gains = []
+    for l in range(max(config.antennas)):
+        rng = random.Random(f"{config.master_seed}/{_STREAM_SWEEP}/{l}")
+        gains.append([-e_h2 * math.log(1.0 - rng.random())
+                      for _ in range(config.trials)])
+    return gains
+
+
+def _moments(hbar2):
+    """(mean, sample std, mean of the reciprocal) of hbar2, exact sums."""
+    mean = exact_mean(hbar2)
+    return mean, exact_std(hbar2, mean), exact_mean([1.0 / v for v in hbar2])
+
+
+def _sort_key(row: SweepRow):
+    return (row.alpha, row.kind.value, row.m, row.mode.value)
+
+
+def run_load_sweep(config: ScenarioConfig):
+    """Average utility versus load per (receiver, antenna count, mode).
+
+    Utilities come from the large-system closed forms evaluated on random
+    gain draws of one user at the configured distance; infeasible cells are
+    omitted, and InfeasibleLoadError is raised before any draw if all are.
+    Cooperative (Pareto) rows are produced for the single-antenna case only
+    and on the same feasibility grid as the non-cooperative ones, so
+    mode=pareto, whose rows are all cooperative, takes antennas=(1,) only.
+    """
+    if config.mode is SweepMode.PARETO:
+        one("antennas", config.antennas,
+            "mode=pareto tabulates m=1 only, got antennas={}", only=1)
+    gstar = solve_gamma_star(config.model)
+    p, model = config.params, config.model
+    cells = feasible_cells(config.kinds, config.antennas, config.alpha_grid,
+                           gstar)
+    gains = _sweep_gains(config)
+    try:  # gains check_distance admits can still square past the range
+        moments = {m: _moments([math.fsum(h2) for h2 in zip(*gains[:m])])
+                   for m in config.antennas}
+    except OverflowError:
+        raise PowerGameError(f"distance={config.distance!r}: the spread of "
+                             "the gains at that distance is outside the "
+                             "float range") from None
+    rows = []
+    for kind, m, alpha, gamma_bar in cells:
+        # (mode, target SIR, Gamma) of each row of the cell
+        targets = []
+        if config.mode in (SweepMode.NONCOOPERATIVE, SweepMode.BOTH):
+            targets.append((SweepMode.NONCOOPERATIVE, gstar, gamma_bar))
+        if config.mode in (SweepMode.PARETO, SweepMode.BOTH) and m == 1:
+            g_opt = asymptotic.solve_pareto_target(kind, alpha, model)
+            targets.append((SweepMode.PARETO, g_opt,
+                            asymptotic.gamma_factor(kind, alpha, g_opt)))
+        mean, std, mean_inv = moments[m]
+        # utility is coef * hbar2 and power gamma sigma2 / (Gamma hbar2):
+        # the rows scale the moments of hbar2 by one grouping for both
+        # modes, so the decorrelator rows, whose cooperative target equals
+        # the tangent solution, come out bit-identical to the
+        # non-cooperative ones
+        for mode, gamma, factor in targets:
+            coef = asymptotic.utility_coef(p, model, gamma) * factor
+            rows.append(SweepRow(alpha, kind, m, mode, coef * mean, coef * std,
+                                 (gamma * p.sigma2 / factor) * mean_inv,
+                                 gamma, config.trials, 0))
+    rows.sort(key=_sort_key)
+    return rows
 
 
 def run_target_sir_comparison(config: ScenarioConfig):

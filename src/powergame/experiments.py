@@ -1,21 +1,14 @@
-"""Seeded Monte Carlo scenarios emitting tabular sweep data: the tables
-that draw or solve a finite system, and so load numpy.
+"""Seeded Monte Carlo scenarios emitting tabular data: the tables that
+solve a finite system, and so load numpy.
 
 Reproducibility contract: every random draw comes from a trial_rng stream,
 a pure function of (master_seed, stream label, key) realized through numpy
 SeedSequence spawn keys, and all aggregation uses math.fsum so reported
 means are exact and independent of trial ordering. Running the same config
-twice therefore produces identical tables, bit for bit. The realizations of
-the finite-system tables take one stream each. The Monte Carlo tables
-(sweep, pareto and antennas) read trial t as row t of a few sequential
-streams, so their first T trials do not depend on the trial count. The
-tables that draw nothing (sir-compare, admission, curve-efficiency) live in
-closedform, with the feasibility gate and the one-value rule they share
-with these drivers.
-
-Load sweeps draw one gain vector per trial and reuse it across every
-(load, receiver, antenna count) cell, so receiver orderings that hold per
-realization hold exactly in the reported means."""
+twice therefore produces identical tables, bit for bit. Each realization
+takes one stream. The tables that solve no finite system, the load sweeps
+among them, live in closedform, with the rules they share with these
+drivers."""
 
 from __future__ import annotations
 
@@ -27,36 +20,25 @@ import numpy as np
 
 from . import asymptotic, closedform
 from .closedform import (M1_ONLY, ONE_COUNT, ONE_RECEIVER, check_distance,
-                         feasible_cells, one)
-from .config import ReceiverKind, ScenarioConfig, SweepMode
+                         exact_mean, exact_std, feasible_cells, one)
+from .config import ReceiverKind, ScenarioConfig
 from .efficiency import solve_gamma_star
 from .exceptions import PowerGameError, SingularSpreadingError, SolverError
 from .game import solve_equilibrium
 from .system import (ChannelRealization, generate_gains, generate_spreading,
-                     rayleigh_scale, sir_per_watt, utility)
+                     sir_per_watt, utility)
 
 # stream labels keeping the experiment families on disjoint substreams; a
-# table's bytes depend on its label, so labels are never renumbered
-_STREAM_SWEEP = 0
+# table's bytes depend on its label, so labels are never renumbered (0 was
+# the load sweeps')
 _STREAM_FINITE = 2
 _STREAM_CURVE = 3
 _STREAM_EQUILIBRIUM = 4
 
-# perfbench imports the admission driver from here
+# perfbench imports these from here
 run_admission_curve = closedform.run_admission_curve
-
-
-class SweepRow(NamedTuple):
-    alpha: float
-    kind: ReceiverKind
-    m: int
-    mode: SweepMode
-    mean_utility: float
-    std_utility: float
-    mean_power: float
-    target_sir: float
-    trials_used: int
-    trials_discarded: int
+run_load_sweep = closedform.run_load_sweep
+SweepMode = closedform.SweepMode
 
 
 class EquilibriumRow(NamedTuple):
@@ -86,90 +68,6 @@ def trial_rng(master_seed: int, stream: int, *key: int) -> np.random.Generator:
     """Generator for one trial, a pure function of (master_seed, stream, key)."""
     return np.random.default_rng(
         np.random.SeedSequence(master_seed, spawn_key=(stream, *key)))
-
-
-def _mean(values) -> float:
-    return math.fsum(values) / len(values)
-
-
-def _std(values, mean: float) -> float:
-    # sample standard deviation; exact summation keeps it order independent
-    if len(values) < 2:
-        return 0.0
-    return math.sqrt(math.fsum((v - mean) ** 2 for v in values) / (len(values) - 1))
-
-
-def _sweep_gains(config: ScenarioConfig) -> np.ndarray:
-    """Squared gains of the observed user, one row per trial and one column
-    per antenna: antenna l's column is the scaled Rayleigh draws of
-    trial_rng(master_seed, _STREAM_SWEEP, l), so it depends on neither the
-    other antennas nor the trials after it."""
-    check_distance(config.distance)
-    scale = rayleigh_scale([config.distance])
-    return np.column_stack([
-        (scale * trial_rng(config.master_seed, _STREAM_SWEEP, l).rayleigh(
-            size=config.trials)) ** 2
-        for l in range(max(config.antennas))])
-
-
-def _moments(hbar2: np.ndarray):
-    """(mean, sample std, mean of the reciprocal) of hbar2, exact sums."""
-    values = hbar2.tolist()
-    mean = _mean(values)
-    return mean, _std(values, mean), _mean((1.0 / hbar2).tolist())
-
-
-def _sort_key(row: SweepRow):
-    return (row.alpha, row.kind.value, row.m, row.mode.value)
-
-
-def run_load_sweep(config: ScenarioConfig):
-    """Average utility versus load per (receiver, antenna count, mode).
-
-    Utilities come from the large-system closed forms evaluated on random
-    gain draws of one user at the configured distance; infeasible cells are
-    omitted, and InfeasibleLoadError is raised before any draw if all are.
-    Cooperative (Pareto) rows are produced for the single-antenna case only
-    and on the same feasibility grid as the non-cooperative ones, so
-    mode=pareto, whose rows are all cooperative, takes antennas=(1,) only.
-    """
-    if config.mode is SweepMode.PARETO:
-        one("antennas", config.antennas,
-             "mode=pareto tabulates m=1 only, got antennas={}", only=1)
-    gstar = solve_gamma_star(config.model)
-    p, model = config.params, config.model
-    cells = feasible_cells(config.kinds, config.antennas, config.alpha_grid,
-                            gstar)
-    h2 = _sweep_gains(config)
-    try:  # gains check_distance admits can still square past the range
-        moments = {m: _moments(h2[:, :m].sum(axis=1)) for m in config.antennas}
-    except OverflowError:
-        raise PowerGameError(f"distance={config.distance!r}: the spread of "
-                             "the gains at that distance is outside the "
-                             "float range") from None
-    rows = []
-    for kind, m, alpha, gamma_bar in cells:
-        # (mode, target SIR, Gamma) of each row of the cell
-        targets = []
-        if config.mode in (SweepMode.NONCOOPERATIVE, SweepMode.BOTH):
-            targets.append((SweepMode.NONCOOPERATIVE, gstar, gamma_bar))
-        if config.mode in (SweepMode.PARETO, SweepMode.BOTH) and m == 1:
-            g_opt = asymptotic.solve_pareto_target(kind, alpha, model)
-            targets.append((SweepMode.PARETO, g_opt,
-                            asymptotic.gamma_factor(kind, alpha, g_opt)))
-        mean, std, mean_inv = moments[m]
-        # utility is coef * hbar2 and power gamma sigma2 / (Gamma hbar2):
-        # the rows scale the moments of hbar2 by one grouping for both
-        # modes, so the decorrelator rows, whose cooperative target equals
-        # the tangent solution, come out bit-identical to the
-        # non-cooperative ones
-        for mode, gamma, factor in targets:
-            coef = asymptotic.utility_coef(p, model, gamma) * factor
-            rows.append(SweepRow(alpha, kind, m, mode, coef * mean, coef * std,
-                                 (gamma * p.sigma2 / factor) * mean_inv,
-                                 gamma, config.trials, 0))
-    rows.sort(key=_sort_key)
-    return rows
 
 
 def _check_powers(config: ScenarioConfig) -> float:
@@ -298,8 +196,10 @@ def run_finite_vs_asymptotic(config: ScenarioConfig):
     users = {N: max(1, round(alpha * N)) for N in config.n_grid}
     # two N can share a load K/N and still tabulate one row each
     loads = list(dict.fromkeys(K / N for N, K in users.items()))
-    feasible = {(kind, load) for kind, _, load, _
-                in feasible_cells(config.kinds, (1,), loads, gstar)}
+    # the gate names the rounded loads K/N, which alpha may not show
+    rounded = ", ".join(f"{K}/{N} = {K / N:g}" for N, K in users.items())
+    feasible = {(kind, load) for kind, _, load, _ in feasible_cells(
+        config.kinds, (1,), loads, gstar, where=f" at K/N = {rounded}")}
     lone = _check_powers(config)
     rows = []
     for kind_index, kind in enumerate(config.kinds):
@@ -332,11 +232,11 @@ def run_finite_vs_asymptotic(config: ScenarioConfig):
                         f" needs {lone:.3g} W at the mean gain and sigma2="
                         f"{p.sigma2!r}, against Pmax={p.Pmax!r}")
                 p_asym = q_asym / realization.H[0] ** 2
-                trial_mean_ratios.append(_mean((res.powers / p_asym).tolist()))
-            mean_ratio = _mean(trial_mean_ratios)
+                trial_mean_ratios.append(exact_mean((res.powers / p_asym).tolist()))
+            mean_ratio = exact_mean(trial_mean_ratios)
             rows.append(FiniteVsAsymptoticRow(
                 N, kind, abs(mean_ratio - 1.0),
-                _std(trial_mean_ratios, mean_ratio) / math.sqrt(config.trials),
+                exact_std(trial_mean_ratios, mean_ratio) / math.sqrt(config.trials),
                 discarded))
     rows.sort(key=lambda r: (r.N, r.kind.value))
     return rows

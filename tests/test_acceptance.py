@@ -11,12 +11,11 @@ import pytest
 
 from powergame.asymptotic import (feasibility_bound, gamma_factor,
                                   solve_pareto_target, utility_coef)
-from powergame.closedform import run_admission_curve
+from powergame.closedform import run_admission_curve, run_load_sweep
+from powergame.config import ScenarioConfig, SweepMode
 from powergame.efficiency import (EfficiencyKind, EfficiencyModel, eff_value,
                                   solve_gamma_star)
-from powergame.experiments import (ScenarioConfig, SweepMode,
-                                   run_finite_vs_asymptotic, run_load_sweep,
-                                   trial_rng)
+from powergame.experiments import run_finite_vs_asymptotic, trial_rng
 from powergame.game import solve_equilibrium, verify_nash
 from powergame.system import (ChannelRealization, ReceiverKind, SystemParams,
                               generate_gains, generate_spreading)

@@ -155,14 +155,15 @@ class TestConfigErrors:
         assert len(err.splitlines()) == 1
 
     def test_every_cell_infeasible_exits_2(self):
-        # alpha sits just below the MF bound, but K = round(alpha N) rounds
-        # every load K/N above it
-        proc = run_cli("validate-asymptotic", "--set", "alpha=0.1544",
+        # alpha sits below the MF bound, but K = round(alpha N) rounds
+        # every load K/N above it, and the line names those loads
+        proc = run_cli("validate-asymptotic", "--set", "alpha=0.15",
                        "--set", "n_grid=25,50", "--receiver", "MF",
                        "--trials", "2")
         assert proc.returncode == EXIT_CONFIG
         assert proc.stdout == ""
-        assert proc.stderr == ("config error: alpha: no feasible load point; "
+        assert proc.stderr == ("config error: alpha: no feasible load point "
+                               "at K/N = 4/25 = 0.16, 8/50 = 0.16; "
                                "MF m=1: alpha < 0.15445\n")
         assert len(proc.stderr.splitlines()) == 1
 

@@ -1,19 +1,21 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
 from powergame.asymptotic import (feasibility_bound, gamma_factor,
                                   utility_coef)
-from powergame.closedform import (RAYLEIGH_SCALE_1M, feasible_cells,
+from powergame.closedform import (RAYLEIGH_SCALE_1M, check_distance,
+                                  exact_mean, exact_std, feasible_cells,
                                   mean_square_gain, run_admission_curve,
-                                  run_efficiency_curve,
+                                  run_efficiency_curve, run_load_sweep,
                                   run_target_sir_comparison)
+from powergame.config import ScenarioConfig, SweepMode
 from powergame.efficiency import EfficiencyKind, EfficiencyModel, eff_value
-from powergame import experiments
+from powergame import closedform, experiments
 from powergame.exceptions import ConfigError, InfeasibleLoadError
-from powergame.experiments import (ScenarioConfig, SweepMode, run_equilibria,
-                                   run_finite_vs_asymptotic, run_load_sweep,
+from powergame.experiments import (run_equilibria, run_finite_vs_asymptotic,
                                    run_utility_power_curve, trial_rng)
 from powergame.system import (COND_LIMIT, ReceiverKind, generate_gains,
                               rayleigh_scale, utility)
@@ -55,58 +57,78 @@ TRIALS = [1, 31, 32, 33, 255, 256, 257]
 
 
 def _sweep_oracle(seed: int, trials: int, m: int):
-    # antenna l's column: the gains generate_gains draws for `trials` users
-    # at config()'s distance from trial_rng(seed, sweep stream, l)
-    return np.column_stack([
-        generate_gains([100.0] * trials, 1,
-                       trial_rng(seed, experiments._STREAM_SWEEP, l))[0]
-        for l in range(m)]) ** 2
+    # antenna l's list: the exponential squared gains at config()'s
+    # distance, by the inverse CDF of draw t of the string-keyed stream
+    # random.Random("<seed>/0/<l>")
+    e_h2 = check_distance(100.0)
+    oracle = []
+    for l in range(m):
+        rng = random.Random(f"{seed}/0/{l}")
+        oracle.append([-e_h2 * math.log(1.0 - rng.random())
+                       for _ in range(trials)])
+    return oracle
 
 
 class TestBatchedDraws:
-    """The sweep tables' draws against whole-array oracles.
+    """The sweep tables' draws against a random.Random oracle.
 
-    Trial t is row t of each stream, so the draws of T trials are the first
-    T rows of any longer run. Equality is exact: a unit Rayleigh draw times
-    the scale is numpy's own scale * sqrt(2 E).
+    Trial t is draw t of each antenna's stream, so the draws of T trials
+    are the first T of any longer run. Equality is exact.
     """
 
     @pytest.mark.parametrize("m_max", [1, 8])
     @pytest.mark.parametrize("trials", TRIALS)
     def test_sweep_gains_equal_per_trial_draws(self, m_max, trials):
         cfg = config(trials=trials, master_seed=11, antennas=(m_max,))
-        got = experiments._sweep_gains(cfg)
-        assert got.shape == (trials, m_max)
-        assert np.array_equal(got, _sweep_oracle(11, trials, m_max))
+        got = closedform._sweep_gains(cfg)
+        assert [len(column) for column in got] == [trials] * m_max
+        assert got == _sweep_oracle(11, trials, m_max)
 
     @pytest.mark.parametrize("seed", [2 ** 32, 2 ** 130])
     @pytest.mark.parametrize("trials", [255, 256, 257])
     def test_large_seeds_equal_per_trial_draws(self, seed, trials):
         cfg = config(trials=trials, master_seed=seed, antennas=(2,))
-        assert np.array_equal(experiments._sweep_gains(cfg),
-                              _sweep_oracle(seed, trials, 2))
+        assert closedform._sweep_gains(cfg) == _sweep_oracle(seed, trials, 2)
 
     @pytest.mark.parametrize("trials", [31, 33, 257])
     def test_first_trials_are_a_prefix(self, trials):
         short = config(trials=trials, master_seed=3, antennas=(1, 4))
         long = config(trials=2 * trials, master_seed=3, antennas=(1, 4))
-        assert np.array_equal(experiments._sweep_gains(short),
-                              experiments._sweep_gains(long)[:trials])
+        assert closedform._sweep_gains(short) == [
+            column[:trials] for column in closedform._sweep_gains(long)]
 
     def test_sweep_and_antennas_share_the_single_antenna_rows(self):
-        # the m = 1 column ignores the largest antenna count, so sweep
+        # the m = 1 list ignores the largest antenna count, so sweep
         # (antennas=(1,)) and the antennas table print the same m = 1 rows
-        one = experiments._sweep_gains(config(trials=33, antennas=(1,)))
-        many = experiments._sweep_gains(config(trials=33, antennas=(1, 8)))
-        assert np.array_equal(one[:, 0], many[:, 0])
+        one = closedform._sweep_gains(config(trials=33, antennas=(1,)))
+        many = closedform._sweep_gains(config(trials=33, antennas=(1, 8)))
+        assert one[0] == many[0]
         grid = dict(trials=60, alpha_grid=(0.1, 0.3, 0.7))
         sweep = run_load_sweep(config(**grid))
         antennas = run_load_sweep(config(antennas=(1, 2, 4, 8), **grid))
         assert [r for r in antennas if r.m == 1] == sweep
 
+    def test_first_gains_to_the_bit(self):
+        # random's string seeding (SHA-512) and random() are the same on
+        # every Python release, and so, on one libm, are these floats
+        got = closedform._sweep_gains(config(trials=3, antennas=(2,)))
+        assert [[repr(h2) for h2 in column] for column in got] == [
+            ["7.975005691672401e-10", "4.2407110619855165e-10",
+             "3.661677459261802e-10"],
+            ["4.094511675386772e-11", "1.4594586187503825e-09",
+             "3.87780326493446e-10"]]
+
 
 def _no_draw(*args, **kwargs):
     raise AssertionError("a trial was drawn")
+
+
+@pytest.fixture
+def no_draws(monkeypatch):
+    # the finite tables draw from trial_rng, the load sweeps from
+    # closedform's sweep streams
+    monkeypatch.setattr(experiments, "trial_rng", _no_draw)
+    monkeypatch.setattr(closedform, "_sweep_gains", _no_draw)
 
 
 class TestFeasibilityGate:
@@ -125,14 +147,16 @@ class TestFeasibilityGate:
          MF_ONLY),
         (run_admission_curve, dict(kinds=(MF,), alpha_grid=(0.5, 1.0)),
          MF_ONLY),
-        # 0.1544 is below the bound, but K/N is 4/25 = 8/50 = 0.16
+        # 0.1544 is below the bound, but K/N is 4/25 = 8/50 = 0.16, and
+        # the message names those loads
         (run_finite_vs_asymptotic, dict(kinds=(MF,), alpha_grid=(0.1544,),
-                                        n_grid=(25, 50)), MF_ONLY),
+                                        n_grid=(25, 50)),
+         "alpha: no feasible load point at K/N = 4/25 = 0.16, 8/50 = 0.16; "
+         "MF m=1: alpha < 0.15445"),
     ], ids=["sweep", "sweep-every-cell", "pareto", "sir-compare", "admission",
             "finite"])
     def test_all_infeasible_raises_before_any_draw(self, run, overrides,
-                                                   message, monkeypatch):
-        monkeypatch.setattr(experiments, "trial_rng", _no_draw)
+                                                   message, no_draws):
         with pytest.raises(InfeasibleLoadError) as err:
             run(config(**overrides))
         assert err.value.key == "alpha"
@@ -180,8 +204,7 @@ class TestTableShape:
             "admission-antennas", "curve-receiver", "pareto-list",
             "sir-compare-antennas", "finite-antennas"])
     def test_config_error_names_key(self, run, overrides, key, message,
-                                    monkeypatch):
-        monkeypatch.setattr(experiments, "trial_rng", _no_draw)
+                                    no_draws):
         with pytest.raises(ConfigError) as err:
             run(config(**overrides))
         assert err.value.key == key
@@ -237,8 +260,8 @@ class TestLoadSweep:
     def test_mean_matches_closed_form_recomputation(self, model, gamma_star):
         cfg = config(trials=50, alpha_grid=(0.2,), kinds=(MMSE,))
         row = run_load_sweep(cfg)[0]
-        # recompute from the same stream: trial t is its row t
-        h2 = _sweep_oracle(0, 50, 1)[:, 0]
+        # recompute from the same stream: trial t is its draw t
+        h2 = np.array(_sweep_oracle(0, 50, 1)[0])
         p = cfg.params
         factor = gamma_factor(MMSE, 0.2, gamma_star)
         coef = (p.L * p.R * eff_value(model, gamma_star)
@@ -515,21 +538,19 @@ class TestFiniteVsAsymptotic:
 
 class TestAggregation:
     def test_mean_is_order_independent(self):
-        from powergame.experiments import _mean
         rng = np.random.default_rng(0)
         values = (rng.random(1000) * 1e10).tolist()
         shuffled = values.copy()
         rng.shuffle(shuffled)
-        assert _mean(values) == _mean(shuffled)
+        assert exact_mean(values) == exact_mean(shuffled)
 
     def test_std_is_order_independent(self):
-        from powergame.experiments import _mean, _std
         rng = np.random.default_rng(1)
         values = (rng.random(1000) * 1e10).tolist()
         shuffled = values.copy()
         rng.shuffle(shuffled)
-        m = _mean(values)
-        assert _std(values, m) == _std(shuffled, m)
+        m = exact_mean(values)
+        assert exact_std(values, m) == exact_std(shuffled, m)
 
 
 class TestConfigValidation:

@@ -177,8 +177,8 @@ def test_package_import_loads_no_numpy():
 
 
 def test_gamma_star_loads_no_numpy():
-    # gamma-star is a scalar closed form: only the table subcommands import
-    # the experiment drivers, and with them numpy
+    # gamma-star is a scalar closed form: only the finite-system tables
+    # import the experiment drivers, and with them numpy
     probe = ("import sys\nfrom powergame import cli\n"
              "code = cli.main(['gamma-star'])\n"
              "print(code, 'numpy' in sys.modules)")
@@ -221,10 +221,12 @@ def test_table_process_loads_no_logging():
 
 
 @pytest.mark.parametrize("sub", ["admission", "sir-compare",
-                                 "curve-efficiency"])
+                                 "curve-efficiency", "sweep", "pareto",
+                                 "antennas"])
 def test_closed_form_table_process_loads_no_numpy(sub):
-    # these tables draw nothing: their drivers live in closedform, and only
-    # the tables that draw or solve a finite system import numpy
+    # these tables solve no finite system: their drivers live in
+    # closedform, the load sweeps drawing from random, and only the tables
+    # that solve a finite system import numpy
     proc, imported = process_imports(sub)
     assert proc.returncode == 0, proc.stderr
     assert "powergame.closedform" in imported
