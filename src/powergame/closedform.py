@@ -2,12 +2,13 @@
 non-cooperative versus cooperative target SIR per load, the admission curve
 and the efficiency function.
 
-Only the load sweeps draw, one user's Rayleigh gains from random.Random
-streams, and they reuse each trial's gains across every (load, receiver,
-antenna count) cell, so receiver orderings that hold per realization hold
-exactly in the reported means. The table helpers the drivers in experiments
-share live here too: ``one``, the one value of a key a table has no column
-for, ``feasible_cells``, the one feasibility gate, and the exact sums.
+Only the load sweeps draw, one user's unit-mean squared Rayleigh gains from
+random.Random streams, scaled by E[h^2], and they reuse each trial's gains
+across every (load, receiver, antenna count) cell, so receiver orderings
+that hold per realization hold exactly in the reported means. The table
+helpers the drivers in experiments share live here too: ``one``, the one
+value of a key a table has no column for, ``feasible_cells``, the one
+feasibility gate, and the exact sums.
 """
 
 from __future__ import annotations
@@ -149,16 +150,15 @@ def check_distance(distance: float) -> float:
 
 
 def _sweep_gains(config: ScenarioConfig):
-    """Squared gains of the observed user, one list per antenna: trial t of
-    antenna l is -E[h^2] log(1 - u), the squared Rayleigh gain at
-    config.distance, for draw t of random.Random("<seed>/<label>/<l>"),
-    whose string seed fixes it across Python releases. So a list depends on
-    neither the other antennas nor the trials after it."""
-    e_h2 = check_distance(config.distance)
+    """Unit-mean squared gains of the observed user, one list per antenna:
+    trial t of antenna l is -log(1 - u) for draw t of
+    random.Random("<seed>/<label>/<l>"), whose string seed fixes it across
+    Python releases. So a list depends on neither the other antennas, the
+    trials after it nor the distance, whose E[h^2] scales the moments."""
     gains = []
     for l in range(max(config.antennas)):
         rng = random.Random(f"{config.master_seed}/{_STREAM_SWEEP}/{l}")
-        gains.append([-e_h2 * math.log(1.0 - rng.random())
+        gains.append([-math.log(1.0 - rng.random())
                       for _ in range(config.trials)])
     return gains
 
@@ -190,14 +190,10 @@ def run_load_sweep(config: ScenarioConfig):
     p, model = config.params, config.model
     cells = feasible_cells(config.kinds, config.antennas, config.alpha_grid,
                            gstar)
+    e_h2 = check_distance(config.distance)
     gains = _sweep_gains(config)
-    try:  # gains check_distance admits can still square past the range
-        moments = {m: _moments([math.fsum(h2) for h2 in zip(*gains[:m])])
-                   for m in config.antennas}
-    except OverflowError:
-        raise PowerGameError(f"distance={config.distance!r}: the spread of "
-                             "the gains at that distance is outside the "
-                             "float range") from None
+    moments = {m: _moments([math.fsum(h2) for h2 in zip(*gains[:m])])
+               for m in config.antennas}
     rows = []
     for kind, m, alpha, gamma_bar in cells:
         # (mode, target SIR, Gamma) of each row of the cell
@@ -209,15 +205,15 @@ def run_load_sweep(config: ScenarioConfig):
             targets.append((SweepMode.PARETO, g_opt,
                             asymptotic.gamma_factor(kind, alpha, g_opt)))
         mean, std, mean_inv = moments[m]
-        # utility is coef * hbar2 and power gamma sigma2 / (Gamma hbar2):
-        # the rows scale the moments of hbar2 by one grouping for both
-        # modes, so the decorrelator rows, whose cooperative target equals
-        # the tangent solution, come out bit-identical to the
-        # non-cooperative ones
+        # utility is coef * hbar2 and power gamma sigma2 / (Gamma hbar2),
+        # hbar2 being E[h^2] times the unit draws: the rows scale their
+        # moments by one grouping for both modes, so the decorrelator rows,
+        # whose cooperative target equals the tangent solution, come out
+        # bit-identical to the non-cooperative ones
         for mode, gamma, factor in targets:
-            coef = asymptotic.utility_coef(p, model, gamma) * factor
+            coef = asymptotic.utility_coef(p, model, gamma) * factor * e_h2
             rows.append(SweepRow(alpha, kind, m, mode, coef * mean, coef * std,
-                                 (gamma * p.sigma2 / factor) * mean_inv,
+                                 gamma * p.sigma2 / factor * mean_inv / e_h2,
                                  gamma, config.trials, 0))
     rows.sort(key=_sort_key)
     return rows

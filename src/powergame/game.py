@@ -14,8 +14,8 @@ for the matched filter (I is affine) and the decorrelator (I is constant),
 monotonically and quadratically for MMSE (I is a minimum of affine maps, so
 concave), whose passes start at the large-system balanced power
 q = g* sigma2 / Gamma. A step that would take a free user out of (0, Pmax)
-is not taken: the pass moves to the best response. Solves and Nash checks
-take one Gram each.
+is not taken: the pass moves to the best response, or to Pmax where the
+step puts every user below 0. Solves and Nash checks take one Gram each.
 """
 
 from __future__ import annotations
@@ -138,13 +138,16 @@ def _balance(balance: Callable[[np.ndarray], tuple], rec: np.ndarray,
     unless a Newton step lands: with step = gamma* dI/drec, its rows zeroed
     where the target is capped, rec + solve(Id - step, target - rec), the
     capped users set at Pmax h2, must put every other user strictly between
-    0 and Pmax h2. A step is tried wherever the map has a Jacobian; after a
-    rejected one, only once the largest relative move has shrunk SHRINK-fold:
-    with more MMSE users than chips, Id - step need not be an M-matrix far
-    from the balance, so feasible draws reject early steps too. With series,
-    every direction is first _series_direction's, and solved where that
-    gives up. A pass is a Newton step or a best response, and max_iter caps
-    them. A zero SIR raises InfeasibleUserError and a non-finite one a
+    0 and Pmax h2. A step putting every user below 0 moves the pass to
+    Pmax h2 instead: the balance lies past Pmax, and from above it every
+    step on the capped map lands (I is affine or concave). Any other
+    rejected step holds off the next until the largest relative move has
+    shrunk SHRINK-fold: with more MMSE users than chips, Id - step need not
+    be an M-matrix far from the balance, so feasible draws reject early
+    steps too. With series, every direction is first _series_direction's,
+    and solved where that gives up. A pass is a Newton step, a best
+    response or that move to Pmax, and max_iter caps them. A zero SIR
+    raises InfeasibleUserError and a non-finite one a
     SolverError naming sigma2; a Pmax h2 that underflows to 0 raises a
     SolverError naming Pmax before the first pass. A best response that
     overflows is capped at Pmax.
@@ -190,8 +193,9 @@ def _balance(balance: Callable[[np.ndarray], tuple], rec: np.ndarray,
             stepped = np.where(capped, cap, rec + direction)
             if ((stepped > 0.0) & (stepped < cap) | capped).all():  # also NaN
                 rec = stepped
-            else:
-                rec, wait = target, delta / SHRINK
+            else:  # every user below 0: the balance lies past Pmax
+                rec, wait = ((cap, np.inf) if (stepped < 0.0).all()
+                             else (target, delta / SHRINK))
         # a capped user's Pmax h2 / h2 can round past Pmax
         powers = np.minimum(rec / h2, params.Pmax)
     return _result(powers, sirs, iterations, bool(delta < POWER_TOL), params,

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -406,6 +407,17 @@ class TestSubcommands:
         assert relaxed.returncode == 0
         assert ",false" in relaxed.stdout
 
+    def test_matched_filter_past_pmax_converges(self, capsys):
+        # a draw whose MF balance lies past Pmax: the solve restarts at
+        # Pmax and settles in a few passes, well inside max_iter
+        assert main(["equilibrium", "--set", "K=8", "--receiver", "MF",
+                     "--strict", "--seed", "85"]) == 0
+        rows = [line.split(",") for line in
+                capsys.readouterr().out.splitlines()[1:]]
+        assert len(rows) == 8 and all(row[6] == "true" for row in rows)
+        assert any(row[2] == "1.0" for row in rows)
+        assert int(rows[0][5]) <= 10
+
     def test_curve_utility_strict_nonconvergence_exits_4(self, capsys):
         args = ["curve-utility", "--set", "max_iter=1"]
         assert main([*args, "--strict"]) == EXIT_NOCONV
@@ -618,14 +630,26 @@ class TestLibraryErrors:
             "", f"error: distance={distance!r}: the mean square gain at that "
             "distance is outside the float range\n")
 
-    @pytest.mark.parametrize("table", ["sweep", "pareto", "antennas"])
-    def test_gain_spread_out_of_range_names_the_distance(self, table, capsys):
-        # E[h^2] at 1e-70 m is finite, ~1e279, but the squared deviations
-        # of the gains drawn there are not: the error still names the key
-        assert main([table, "--set", "distance=1e-70", "--trials", "2"]) == 1
-        assert capsys.readouterr() == (
-            "", "error: distance=1e-70: the spread of the gains at that "
-            "distance is outside the float range\n")
+    @pytest.mark.parametrize("table,distance,trials", [
+        ("sweep", "1e-70", "2"),
+        ("pareto", "1e-70", "2"),
+        ("antennas", "1e-70", "2"),
+        ("sweep", "1e76", "2000"),
+        ("sweep", "1e77", "20"),
+    ], ids=["sweep", "pareto", "antennas", "sweep-far", "sweep-subnormal"])
+    def test_admitted_distance_tables_are_finite(self, table, distance,
+                                                 trials, capsys):
+        # E[h^2] is ~1e279 at 1e-70 m and a subnormal ~1e-309 at 1e77 m,
+        # but the draws are unit-mean and E[h^2] only scales each row, so
+        # no moment leaves the float range and no spread rounds to 0
+        assert main([table, "--set", f"distance={distance}",
+                     "--trials", trials]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert rows and all(math.isfinite(float(cell))
+                            for row in rows for cell in row[4:8])
+        assert all(float(row[5]) > 0.0 for row in rows)
 
     @pytest.mark.parametrize("argv", [
         ["equilibrium", "--set", "distance=1e-75"],

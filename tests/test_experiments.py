@@ -57,15 +57,13 @@ TRIALS = [1, 31, 32, 33, 255, 256, 257]
 
 
 def _sweep_oracle(seed: int, trials: int, m: int):
-    # antenna l's list: the exponential squared gains at config()'s
-    # distance, by the inverse CDF of draw t of the string-keyed stream
+    # antenna l's list: the unit-mean exponential squared gains, by the
+    # inverse CDF of draw t of the string-keyed stream
     # random.Random("<seed>/0/<l>")
-    e_h2 = check_distance(100.0)
     oracle = []
     for l in range(m):
         rng = random.Random(f"{seed}/0/{l}")
-        oracle.append([-e_h2 * math.log(1.0 - rng.random())
-                       for _ in range(trials)])
+        oracle.append([-math.log(1.0 - rng.random()) for _ in range(trials)])
     return oracle
 
 
@@ -113,10 +111,10 @@ class TestBatchedDraws:
         # every Python release, and so, on one libm, are these floats
         got = closedform._sweep_gains(config(trials=3, antennas=(2,)))
         assert [[repr(h2) for h2 in column] for column in got] == [
-            ["7.975005691672401e-10", "4.2407110619855165e-10",
-             "3.661677459261802e-10"],
-            ["4.094511675386772e-11", "1.4594586187503825e-09",
-             "3.87780326493446e-10"]]
+            ["0.6959505359248558", "0.37007185328696307",
+             "0.31954163905089494"],
+            ["0.035731354998424225", "1.2736179096901414",
+             "0.33840217358846153"]]
 
 
 def _no_draw(*args, **kwargs):
@@ -260,8 +258,9 @@ class TestLoadSweep:
     def test_mean_matches_closed_form_recomputation(self, model, gamma_star):
         cfg = config(trials=50, alpha_grid=(0.2,), kinds=(MMSE,))
         row = run_load_sweep(cfg)[0]
-        # recompute from the same stream: trial t is its draw t
-        h2 = np.array(_sweep_oracle(0, 50, 1)[0])
+        # recompute from the same stream: trial t is its draw t, scaled by
+        # E[h^2] at config()'s distance
+        h2 = check_distance(100.0) * np.array(_sweep_oracle(0, 50, 1)[0])
         p = cfg.params
         factor = gamma_factor(MMSE, 0.2, gamma_star)
         coef = (p.L * p.R * eff_value(model, gamma_star)
@@ -273,6 +272,24 @@ class TestLoadSweep:
         assert row.mean_power == pytest.approx(
             np.mean(gamma_star * p.sigma2 / (factor * h2)), rel=1e-12)
         assert row.trials_used == 50 and row.trials_discarded == 0
+
+    @pytest.mark.parametrize("far", [1e3, 1e70, 1e77])
+    def test_rows_scale_with_the_mean_square_gain(self, far):
+        # the draws are unit-mean, and the distance scales each row by its
+        # E[h^2]: utilities in proportion, powers inversely, at any
+        # distance check_distance admits
+        grid = dict(mode=SweepMode.BOTH, trials=20, alpha_grid=(0.1, 0.5))
+        near = run_load_sweep(config(**grid))
+        rows = run_load_sweep(config(distance=far, **grid))
+        ratio = check_distance(far) / check_distance(100.0)
+        for a, b in zip(near, rows):
+            assert b.std_utility > 0.0
+            assert b.mean_utility / a.mean_utility == pytest.approx(
+                ratio, rel=1e-15)
+            assert b.std_utility / a.std_utility == pytest.approx(
+                ratio, rel=1e-15)
+            assert a.mean_power / b.mean_power == pytest.approx(
+                ratio, rel=1e-15)
 
     def test_pareto_mode_both_emits_pairs(self):
         rows = run_load_sweep(config(mode=SweepMode.BOTH, trials=60,

@@ -624,6 +624,28 @@ class TestNewtonBalance:
         assert len(built) < result.iterations
         self.assert_near_sweeps(result, engine, h2, params, gamma_star)
 
+    @pytest.mark.parametrize("u,clamped", [(796, {0}), (986, {3})])
+    def test_balance_past_pmax_restarts_there(self, u, clamped, model,
+                                              gamma_star):
+        # rho(g* F) > 1 on these N = 100, K = 8 draws: the first step lands
+        # every user below 0, the balance lying past Pmax, so the pass
+        # restarts at Pmax, above the capped equilibrium, instead of
+        # crawling up by best responses for 950 and 574 passes
+        params = make_params(K=8)
+        realization = draw_realization(trial_rng(0, 100, 0, u, 0), 100, 8)
+        result = solve_equilibrium(realization, MF, params, model,
+                                   gamma_star=gamma_star)
+        assert result.converged and result.clamped_users == clamped
+        assert result.iterations <= 10
+        S, h2 = realization.S, realization.H[0] ** 2
+        engine = make_sir_engine(MF, S.T @ S, params.sigma2)
+        sweeps = solve_from_engine(lambda p: engine(p * h2)[0], 8, params,
+                                   gamma_star, max_iter=5000)
+        assert sweeps.converged and sweeps.clamped_users == clamped
+        np.testing.assert_allclose(
+            result.powers, sweeps.powers,
+            rtol=settle_rtol(engine, result, h2, gamma_star))
+
     @staticmethod
     def annulus_draw(N, K, t):
         """Draw t of N x K chips and one-antenna gains for users over the
