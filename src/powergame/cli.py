@@ -19,7 +19,8 @@ import math
 import sys
 from enum import Enum
 
-from .config import ReceiverKind, ScenarioConfig, SweepMode, SystemParams
+from .config import (SCENARIO_DEFAULTS, ReceiverKind, ScenarioConfig,
+                     SweepMode, SystemParams)
 from .efficiency import EfficiencyKind, EfficiencyModel, solve_gamma_star
 from .exceptions import ConfigError, PowerGameError, check_value
 
@@ -77,10 +78,9 @@ RECEIVERS = {**{kind.value: (kind,) for kind in ReceiverKind},
              "all": tuple(ReceiverKind)}
 
 # key -> (parser(key, text), default): text to values only, which
-# exceptions.check_value, also run by the config dataclasses, checks. The
-# defaults are the published baseline set; L = None tracks M, and the keys
-# of a ScenarioConfig field with a default of its own take that default.
-# Unknown keys are rejected with this list.
+# exceptions.check_value, also run by the config records, checks. The
+# defaults are the published baseline set, L = None tracking M, and
+# config.SCENARIO_DEFAULTS's. Unknown keys are rejected with this list.
 CONFIG_KEYS = {
     "K": (_parse_int, 30),
     "N": (_parse_int, 100),
@@ -90,8 +90,8 @@ CONFIG_KEYS = {
     "R": (_parse_float, 1e5),
     "Pmax": (_parse_float, 1.0),
     "distance": (_parse_float, 100.0),
-    "d_min": (_parse_float, ScenarioConfig.d_min),
-    "d_max": (_parse_float, ScenarioConfig.d_max),
+    "d_min": (_parse_float, SCENARIO_DEFAULTS["d_min"]),
+    "d_max": (_parse_float, SCENARIO_DEFAULTS["d_max"]),
     "trials": (_parse_int, 500),
     "seed": (_parse_int, 0),
     "eff": (_choice({kind.value: kind for kind in EfficiencyKind}),
@@ -103,8 +103,8 @@ CONFIG_KEYS = {
     "alpha_range": (_parse_alpha_range, ()),
     "mode": (_choice({mode.value: mode for mode in SweepMode}),
              SweepMode.NONCOOPERATIVE),
-    "n_grid": (_parse_counts, ScenarioConfig.n_grid),
-    "max_iter": (_parse_int, ScenarioConfig.max_iter),
+    "n_grid": (_parse_counts, SCENARIO_DEFAULTS["n_grid"]),
+    "max_iter": (_parse_int, SCENARIO_DEFAULTS["max_iter"]),
 }
 
 
@@ -165,9 +165,7 @@ def parse_config(path: str | None, overrides, subcommand_defaults=None) -> Scena
                           distance=settings["distance"],
                           antennas=settings["antennas"],
                           mode=settings["mode"],
-                          d_min=settings["d_min"], d_max=settings["d_max"],
-                          n_grid=settings["n_grid"],
-                          max_iter=settings["max_iter"])
+                          **{key: settings[key] for key in SCENARIO_DEFAULTS})
 
 
 def _format_cell(name: str, value) -> str:

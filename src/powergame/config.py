@@ -3,14 +3,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
-from .efficiency import EfficiencyModel
-from .exceptions import ConfigError, check_value
+from .exceptions import ConfigError, Record, check_value
 
 # pass cap of a finite equilibrium solve: Newton steps plus best responses
 DEFAULT_MAX_ITER = 500
+# ScenarioConfig's last fields and their defaults, also their config keys'
+SCENARIO_DEFAULTS = dict(d_min=10.0, d_max=1000.0, n_grid=(25, 50, 100),
+                         max_iter=DEFAULT_MAX_ITER)
 
 
 class ReceiverKind(Enum):
@@ -19,9 +21,9 @@ class ReceiverKind(Enum):
     MMSE = "MMSE"
 
 
-@dataclass(frozen=True)
-class SystemParams:
-    """Static system parameters.
+class SystemParams(Record, namedtuple(
+        "SystemParams", "K N sigma2 R L M Pmax m", defaults=(1,))):
+    """Static system parameters, an immutable named tuple.
 
     K      number of users
     N      processing gain (spreading sequence length)
@@ -33,16 +35,9 @@ class SystemParams:
     m      receive antennas
     """
 
-    K: int
-    N: int
-    sigma2: float
-    R: float
-    L: int
-    M: int
-    Pmax: float
-    m: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         for key in ("K", "N", "L", "M", "sigma2", "R", "Pmax"):
             check_value(key, getattr(self, key))
         check_value("antennas", (self.m,))  # no config key sets m
@@ -56,30 +51,22 @@ class SweepMode(Enum):
     BOTH = "both"
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    params: SystemParams
-    model: EfficiencyModel
-    kinds: tuple
-    alpha_grid: tuple
-    trials: int
-    master_seed: int
-    distance: float
-    antennas: tuple
-    mode: SweepMode
-    d_min: float = 10.0      # annulus placement radii for admission runs
-    d_max: float = 1000.0
-    n_grid: tuple = (25, 50, 100)
-    max_iter: int = DEFAULT_MAX_ITER
+class ScenarioConfig(Record, namedtuple(
+        "ScenarioConfig", "params model kinds alpha_grid trials master_seed "
+        "distance antennas mode " + " ".join(SCENARIO_DEFAULTS),
+        defaults=SCENARIO_DEFAULTS.values())):
+    """One table's config, an immutable named tuple; the fields with a
+    default are SCENARIO_DEFAULTS's."""
 
-    def __post_init__(self):
-        # each ConfigError names the config key that sets the field
-        for key, value in (("trials", self.trials), ("max_iter", self.max_iter),
-                           ("seed", self.master_seed), ("distance", self.distance),
-                           ("d_min", self.d_min), ("d_max", self.d_max),
-                           ("alpha_range", self.alpha_grid),
-                           ("antennas", self.antennas), ("n_grid", self.n_grid)):
-            check_value(key, value)
+    __slots__ = ()
+
+    def _check(self):
+        # each ConfigError names the config key that sets the field, the
+        # field's own name but for three; params, model and mode have no rule
+        keys = dict(kinds="receiver", alpha_grid="alpha_range",
+                    master_seed="seed")
+        for field, value in zip(self._fields, self):
+            check_value(keys.get(field, field), value)
         if self.d_min >= self.d_max:
             raise ConfigError("d_min", f"must be below d_max={self.d_max}, got {self.d_min}")
         if not self.kinds:

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
-from .exceptions import NoTargetSirError, check_value
+from .exceptions import NoTargetSirError, Record, check_value
 from .rootfind import bisect, scan_brackets
 
 GAMMA_BRACKET = (1e-6, 1e3)  # search window for the tangent condition
@@ -30,14 +30,12 @@ class EfficiencyKind(Enum):
     BPSK_AWGN = "bpsk"
 
 
-@dataclass(frozen=True)
-class EfficiencyModel:
+class EfficiencyModel(Record, namedtuple("EfficiencyModel", "kind M")):
     """Efficiency shape plus packet size M (total bits per packet)."""
 
-    kind: EfficiencyKind
-    M: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         check_value("M", self.M)
 
 

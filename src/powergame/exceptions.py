@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the config value checks."""
+"""Exception types shared across the package, the config value checks, and
+the base of the records that run them."""
 
 import math
 
@@ -22,8 +23,9 @@ _POSITIVE = ("sigma2", "R", "Pmax", "distance", "d_min", "d_max")
 
 
 def check_value(key: str, value) -> None:
-    """Raise ConfigError on key unless value meets the one-key rule of key;
-    the config dataclasses run it on their fields, the CLI on every value."""
+    """Raise ConfigError on key unless value meets the one-key rule of key,
+    if key has one; the config records run it on their fields, the CLI on
+    every value."""
     if key in _MINIMUM and value < _MINIMUM[key]:
         raise ConfigError(key, f"must be >= {_MINIMUM[key]}, got {value}")
     if key in _POSITIVE or key == "alpha_range":
@@ -39,6 +41,23 @@ def check_value(key: str, value) -> None:
             raise ConfigError(key, f"expected positive integers, got {listing!r}")
         if len(set(value)) != len(value):
             raise ConfigError(key, f"repeated value in {listing!r}")
+
+
+class Record(tuple):
+    """Base of an immutable named tuple whose _check, its value rules, runs
+    on every record built by its constructor or _make, and so by _replace:
+    class Rec(Record, collections.namedtuple("Rec", fields)). A subclass
+    with a __new__ of its own checks there instead."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        record = super().__new__(cls, *args, **kwargs)
+        record._check()
+        return record
+
+    # namedtuple's own _make, which _replace calls, skips __new__
+    _make = classmethod(lambda cls, values: cls(*values))
 
 
 class SolverError(PowerGameError):

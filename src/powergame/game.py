@@ -20,8 +20,7 @@ step puts every user below 0. Solves and Nash checks take one Gram each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -42,8 +41,7 @@ NASH_REL_TOL = 1e-6  # relative utility gain a deviation must beat
 SHRINK = 3.0
 
 
-@dataclass
-class EquilibriumResult:
+class EquilibriumResult(NamedTuple):
     powers: np.ndarray     # W
     sirs: np.ndarray
     iterations: int        # passes: Newton steps plus capped best responses
@@ -63,10 +61,9 @@ def _result(p: np.ndarray, sirs: np.ndarray, iterations: int, settled: bool,
     clamped = p >= params.Pmax * (1.0 - 1e-12)
     free_sirs = sirs[~clamped]
     sir_ok = (abs(free_sirs - gamma_star) / gamma_star <= SIR_TOL).all()
-    return EquilibriumResult(powers=p, sirs=sirs, iterations=iterations,
-                             converged=bool(settled and sir_ok and free_sirs.size),
-                             clamped_users=frozenset(
-                                 clamped.nonzero()[0].tolist()))
+    return EquilibriumResult(p, sirs, iterations,
+                             bool(settled and sir_ok and free_sirs.size),
+                             frozenset(clamped.nonzero()[0].tolist()))
 
 
 def _newton_start(kind: ReceiverKind, S, H, gram: np.ndarray,

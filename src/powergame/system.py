@@ -13,35 +13,36 @@ all results are deterministic functions of (S, h, p, sigma2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable
 
 import numpy as np
 
 from .config import ReceiverKind, SystemParams
 from .efficiency import EfficiencyModel, eff_value
-from .exceptions import SingularSpreadingError, SolverError
+from .exceptions import Record, SingularSpreadingError, SolverError
 
 COND_LIMIT = 1e12  # 1-norm condition number above which S'S is declared singular
 LEAF_ROWS = 64  # _inverse calls LAPACK's inv at or below this many rows
 
 
-@dataclass
-class ChannelRealization:
-    """One draw of spreading sequences and channel amplitude gains."""
+class ChannelRealization(Record, namedtuple("ChannelRealization",
+                                            "S H distances")):
+    """One draw, an immutable named tuple of float arrays: N x K spreading
+    S (unit-norm columns), m x K gains H, each positive and finite, and K
+    distances in m. Its own __new__, which _make and _replace run too,
+    converts and checks in one call, as the drivers build one per trial."""
 
-    S: np.ndarray          # N x K, unit-norm columns
-    H: np.ndarray          # m x K, amplitude gains
-    distances: np.ndarray  # K, meters
+    __slots__ = ()
 
-    def __post_init__(self):
-        self.S = np.asarray(self.S, dtype=float)
-        self.H = np.atleast_2d(np.asarray(self.H, dtype=float))
-        self.distances = np.asarray(self.distances, dtype=float)
-        if self.S.shape[1] != self.H.shape[1]:
+    def __new__(cls, S, H, distances):
+        S = np.asarray(S, dtype=float)
+        H = np.atleast_2d(np.asarray(H, dtype=float))
+        if S.shape[1] != H.shape[1]:
             raise ValueError("S and H disagree on the number of users")
-        if (self.H <= 0).any():
-            raise ValueError("all channel gains must be strictly positive")
+        if not 0.0 < H.min() <= H.max() < math.inf:  # NaN fails both
+            raise ValueError("all channel gains must be positive and finite")
+        return tuple.__new__(cls, (S, H, np.asarray(distances, dtype=float)))
 
 
 def generate_spreading(N: int, K: int, rng: np.random.Generator) -> np.ndarray:
@@ -80,8 +81,8 @@ def rayleigh_scale(distances) -> np.ndarray:
     """Rayleigh scale per user from distance d: the amplitude mean E[h]
     equals 0.3/d^2 (Rayleigh mean = scale * sqrt(pi/2))."""
     d = np.asarray(distances, dtype=float)
-    if (d <= 0).any():
-        raise ValueError("distances must be strictly positive")
+    if not 0.0 < d.min() <= d.max() < math.inf:  # NaN fails both
+        raise ValueError("distances must be positive and finite")
     return 0.3 / d ** 2 * math.sqrt(2.0 / math.pi)
 
 

@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 import types
-from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -234,7 +233,7 @@ class TestConfigErrors:
 
 
 # KEY=VALUE settings, each breaking one value rule of the config
-# dataclasses, and the config key its error names
+# records, and the config key its error names
 VALUE_RULES = [
     ("K=0", "K"), ("N=-2", "N"), ("L=0", "L"), ("L=200", "L"), ("M=0", "M"),
     ("sigma2=0", "sigma2"), ("sigma2=nan", "sigma2"), ("R=inf", "R"),
@@ -249,16 +248,17 @@ VALUE_RULES = [
     # a STEP below the grid's 12-digit rounding repeats a load
     ("alpha_range=1:1.000000000001:1e-13", "alpha_range"),
 ]
-PARAM_KEYS = {f.name for f in fields(SystemParams)}
+PARAM_KEYS = set(SystemParams._fields)
 # config key -> the ScenarioConfig field it sets, where the names differ
 SCENARIO_FIELD = {"seed": "master_seed", "alpha": "alpha_grid",
                   "alpha_range": "alpha_grid"}
 
 
 class TestValueRules:
-    """The config dataclasses hold every value rule and name the key; the
-    CLI converts text and runs the same one-key rules on every value given,
-    so both callers meet the same rule."""
+    """The config records hold every value rule, also on a copy made with
+    _replace, and name the key; the CLI converts text and runs the same
+    one-key rules on every value given, so both callers meet the same
+    rule."""
 
     @pytest.mark.parametrize("setting,key", VALUE_RULES)
     def test_rule_names_its_key_in_cli_and_library(self, setting, key,
@@ -273,15 +273,15 @@ class TestValueRules:
         baseline = parse_config(None, [])
         with pytest.raises(ConfigError) as exc:
             if name in PARAM_KEYS:
-                replace(baseline.params, **{name: value})
+                baseline.params._replace(**{name: value})
             else:
-                replace(baseline, **{SCENARIO_FIELD.get(name, name): value})
+                baseline._replace(**{SCENARIO_FIELD.get(name, name): value})
         assert exc.value.key == key
 
     def test_fields_no_key_sets_name_the_key_that_does(self):
         params = parse_config(None, []).params
         with pytest.raises(ConfigError) as exc:
-            replace(params, m=0)
+            params._replace(m=0)
         assert exc.value.key == "antennas"
         with pytest.raises(ConfigError) as exc:
             EfficiencyModel(EfficiencyKind.EXP_APPROX, 0)

@@ -11,7 +11,7 @@ from powergame.closedform import (RAYLEIGH_SCALE_1M, check_distance,
                                   mean_square_gain, run_admission_curve,
                                   run_efficiency_curve, run_load_sweep,
                                   run_target_sir_comparison)
-from powergame.config import ScenarioConfig, SweepMode
+from powergame.config import SCENARIO_DEFAULTS, ScenarioConfig, SweepMode
 from powergame.efficiency import EfficiencyKind, EfficiencyModel, eff_value
 from powergame import closedform, experiments
 from powergame.exceptions import ConfigError, InfeasibleLoadError
@@ -418,7 +418,7 @@ class TestAdmissionClosedForm:
 
     def test_matches_quadrature_at_default_radii(self):
         # d^2 uniform on [d_min^2, d_max^2]: a 2M-point midpoint rule
-        d_min, d_max = ScenarioConfig.d_min, ScenarioConfig.d_max
+        d_min, d_max = SCENARIO_DEFAULTS["d_min"], SCENARIO_DEFAULTS["d_max"]
         points = 2_000_000
         step = (d_max ** 2 - d_min ** 2) / points
         u = d_min ** 2 + step * (np.arange(points) + 0.5)

@@ -646,6 +646,23 @@ class TestNewtonBalance:
             result.powers, sweeps.powers,
             rtol=settle_rtol(engine, result, h2, gamma_star))
 
+    @pytest.mark.parametrize("u,budget,clamped", [
+        (47, 170, {7}), (233, 70, {6}), (437, 105, {3, 4}), (729, 60, {7}),
+        (848, 300, {7})])
+    def test_mixed_sign_steps_stay_in_budget(self, u, budget, clamped, model,
+                                             gamma_star):
+        # rho(g* F) is 1.04 to 1.22 on these N = 100, K = 8 draws too, but
+        # the first steps put only some free users below 0, so no pass
+        # restarts at Pmax: they crawl to the capped balance in 83, 34, 52,
+        # 28 and 148 passes. Each budget is about twice that, so a solver
+        # that takes fewer passes still meets it
+        params = make_params(K=8)
+        realization = draw_realization(trial_rng(0, 100, 0, u, 0), 100, 8)
+        result = solve_equilibrium(realization, MF, params, model,
+                                   max_iter=5000, gamma_star=gamma_star)
+        assert result.converged and result.clamped_users == clamped
+        assert result.iterations <= budget
+
     @staticmethod
     def annulus_draw(N, K, t):
         """Draw t of N x K chips and one-antenna gains for users over the
@@ -815,8 +832,6 @@ class TestVerifyNash:
     @staticmethod
     def deviated_profile(kind, factor, model, gamma_star):
         """A converged equilibrium with user 4's power scaled by factor."""
-        from dataclasses import replace
-
         from powergame.system import make_sir_engine
 
         params = make_params(K=10, N=64)
@@ -829,7 +844,7 @@ class TestVerifyNash:
         engine = make_sir_engine(kind, realization.S.T @ realization.S,
                                  params.sigma2)
         sirs = engine(powers * realization.H[0] ** 2)[0]
-        broken = replace(result, powers=powers, sirs=sirs)
+        broken = result._replace(powers=powers, sirs=sirs)
         return broken, realization, params
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -844,15 +859,13 @@ class TestVerifyNash:
     def test_reads_only_the_powers(self, kind, model, gamma_star):
         # the SIRs left from the equilibrium are stale: only the powers
         # show that user 4 overspends
-        from dataclasses import replace
-
         params = make_params(K=10, N=64)
         realization, result = feasible_instance(
             lambda a: np.random.default_rng((18, a)), kind, params, model,
             gamma_star, 64, 10)
         powers = result.powers.copy()
         powers[4] *= 3.0
-        assert not verify_nash(replace(result, powers=powers), realization,
+        assert not verify_nash(result._replace(powers=powers), realization,
                                kind, params, model)
 
     @pytest.mark.parametrize("m", [1, 2])
@@ -861,8 +874,6 @@ class TestVerifyNash:
                                            monkeypatch):
         # the check reads the SIRs off each filter's weights, so it still
         # gives both verdicts with the solver's balance map gone
-        from dataclasses import replace
-
         params = make_params(K=10, N=64, m=m)
         realization, result = feasible_instance(
             lambda a: np.random.default_rng((18, a)), kind, params, model,
@@ -876,7 +887,7 @@ class TestVerifyNash:
         assert verify_nash(result, realization, kind, params, model)
         powers = result.powers.copy()
         powers[4] *= 3.0
-        assert not verify_nash(replace(result, powers=powers), realization,
+        assert not verify_nash(result._replace(powers=powers), realization,
                                kind, params, model)
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -916,21 +927,17 @@ class TestVerifyNash:
     def test_nonpositive_power_is_a_value_error(self, kind, power, model,
                                                 gamma_star):
         # user 0 is checked first, so no other user's verdict precedes it
-        from dataclasses import replace
-
         profile, realization, params = self.deviated_profile(
             kind, 1.0, model, gamma_star)
         powers = profile.powers.copy()
         powers[0] = power
         with pytest.raises(ValueError):
-            verify_nash(replace(profile, powers=powers), realization, kind,
+            verify_nash(profile._replace(powers=powers), realization, kind,
                         params, model)
 
     def test_users_at_pmax(self, model, gamma_star):
         # an overloaded matched filter clamps users at Pmax, which is their
         # best response; a user raised to Pmax from its balanced power is not
-        from dataclasses import replace
-
         params = make_params(K=30)
         realization = draw_realization(np.random.default_rng(7), 100, 30)
         result = solve_equilibrium(realization, MF, params, model)
@@ -940,7 +947,7 @@ class TestVerifyNash:
             MF, 1.0, model, gamma_star)
         powers = profile.powers.copy()
         powers[4] = params.Pmax
-        assert not verify_nash(replace(profile, powers=powers), realization,
+        assert not verify_nash(profile._replace(powers=powers), realization,
                                MF, params, model)
 
     @pytest.mark.parametrize("factor", [1.0, 3.0])
@@ -1070,15 +1077,13 @@ class TestMultiAntenna:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_verify_nash_rejects_deviation(self, kind, model, gamma_star):
-        from dataclasses import replace
-
         realization, result, params = self.equilibrium(kind, model,
                                                        gamma_star)
         powers = result.powers.copy()
         powers[2] *= 3.0
         gram, h2 = effective_gram(kind, realization.S, realization.H)
         sirs = make_sir_engine(kind, gram, params.sigma2)(powers * h2)[0]
-        broken = replace(result, powers=powers, sirs=sirs)
+        broken = result._replace(powers=powers, sirs=sirs)
         assert not verify_nash(broken, realization, kind, params, model)
 
     @pytest.mark.parametrize("kind", KINDS)

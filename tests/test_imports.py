@@ -3,8 +3,9 @@ reads another module's private (``_name``) attributes, the CLI leaves
 feasibility and every other table decision to the experiment drivers, only
 ``system`` uses the per-user filter reference, every exported name
 resolves, neither importing the package, reading its config types nor
-running `gamma-star` or a closed-form table loads numpy, and a table
-process loads no `logging`.
+running `gamma-star` or a closed-form table loads numpy, no module imports
+`dataclasses`, neither `gamma-star` nor a closed-form table loads
+`inspect`, and a table process loads neither `logging` nor `dataclasses`.
 
 No linter is a dependency, so these stdlib-ast checks stand in for one.
 ``__init__.py`` is skipped (its imports are the package's re-exports), and so
@@ -118,6 +119,15 @@ def test_checker_finds_relative_and_absolute_modules():
                                         "powergame", "asymptotic"}
 
 
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    # every record is a named tuple: dataclasses imports inspect, ast, dis
+    # and tokenize, ~9 ms of a CLI process that starts in ~40 ms
+    source = path.read_text(encoding="utf-8")
+    assert "dataclasses" not in imported_modules(source)
+
+
 def test_cli_leaves_feasibility_to_experiments():
     # the drivers decide which (receiver, m, load) cells a table holds; a CLI
     # that reached the closed forms could grow a second, disagreeing gate,
@@ -211,13 +221,24 @@ def test_gamma_star_process_loads_no_numpy(argv, code):
         assert "config error: K: must be >= 1, got 0\n" in proc.stderr
 
 
-def test_table_process_loads_no_logging():
-    # no handler would show a log record of the drivers, so a table process
-    # does not pay for importing logging
+@pytest.fixture(scope="module")
+def equilibrium_process():
+    """process_imports of a small `equilibrium` table, which loads numpy."""
     proc, imported = process_imports("equilibrium", "--set", "K=5")
     assert proc.returncode == 0, proc.stderr
     assert {"powergame.experiments", "numpy"} <= imported
-    assert "logging" not in imported
+    return imported
+
+
+def test_table_process_loads_no_logging(equilibrium_process):
+    # no handler would show a log record of the drivers, so a table process
+    # does not pay for importing logging
+    assert "logging" not in equilibrium_process
+
+
+def test_table_process_loads_no_dataclasses(equilibrium_process):
+    # numpy imports inspect, but no record is a dataclass
+    assert "dataclasses" not in equilibrium_process
 
 
 @pytest.mark.parametrize("sub", ["admission", "sir-compare",
@@ -231,6 +252,18 @@ def test_closed_form_table_process_loads_no_numpy(sub):
     assert proc.returncode == 0, proc.stderr
     assert "powergame.closedform" in imported
     assert not {"numpy", "powergame.experiments"} & imported
+
+
+@pytest.mark.parametrize("sub", ["gamma-star", "admission", "sir-compare",
+                                 "curve-efficiency", "sweep", "pareto",
+                                 "antennas"])
+def test_closed_form_process_loads_no_inspect(sub):
+    # the records are named tuples, so a process that loads no numpy, which
+    # imports inspect itself, pays for neither dataclasses nor inspect
+    proc, imported = process_imports(sub)
+    assert proc.returncode == 0, proc.stderr
+    assert "powergame.cli" in imported
+    assert not {"dataclasses", "inspect"} & imported
 
 
 def config_reads(source: str):
@@ -274,7 +307,7 @@ def test_checker_finds_ordered_compares():
 
 
 def test_cli_checks_no_config_value():
-    # the config dataclasses hold every value rule; the CLI only converts
+    # the config records hold every value rule; the CLI only converts
     # text, and the alpha-range parser orders numbers only to build its grid
     tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
     assert ordered_compares(tree, skip={"_parse_alpha_range"}) == []

@@ -26,14 +26,16 @@ from powergame.efficiency import (EfficiencyKind, EfficiencyModel,
                                   solve_gamma_star)
 from powergame.exceptions import (PowerGameError, SingularSpreadingError,
                                   SolverError)
-from powergame.game import POWER_TOL, _balance, _newton_start, solve_channel
+from powergame.experiments import trial_rng
+from powergame.game import (POWER_TOL, _balance, _newton_start, solve_channel,
+                            solve_equilibrium)
 from powergame.system import (LEAF_ROWS, ReceiverKind, SystemParams,
                               effective_gram, generate_gains,
                               generate_spreading, make_sir_engine, mmse_sirs,
                               output_sir, receiver_filter, sir_per_watt)
 
-from conftest import (exact_mmse_sirs, settle_rtol, solve_from_engine,
-                      stacked_system)
+from conftest import (draw_realization, exact_mmse_sirs, make_params,
+                      settle_rtol, solve_from_engine, stacked_system)
 
 MF = ReceiverKind.MATCHED_FILTER
 DE = ReceiverKind.DECORRELATOR
@@ -424,6 +426,36 @@ class TestNewtonBalance:
                                   GAMMA_STAR)
         assert np.array_equal(again.powers, result.powers)
         assert again.iterations == result.iterations
+
+
+# (receiver, N, K) of the scale-covariance solves: MF, DE and MMSE below
+# their load limits, MMSE with more users than chips, and MMSE past
+# LEAF_ROWS users, where its directions are Neumann series
+SCALED_SOLVES = [(MF, 100, 12), (DE, 100, 50), (MMSE, 100, 58),
+                 (MMSE, 20, 22), (MMSE, 200, 100)]
+
+
+class TestScaleCovariance:
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(st.sampled_from(SCALED_SOLVES), st.integers(0, 2 ** 16 - 1),
+           st.sampled_from([-20, 20]))
+    def test_powers_scale_with_noise_and_cap(self, case, t, exponent):
+        # the solver holds no absolute power or noise level: sigma2 and Pmax
+        # both scaled by a power of two scale every power by exactly that,
+        # and leave the SIRs, the passes and the clamped set as they were
+        kind, N, K = case
+        realization = draw_realization(trial_rng(0, 11, N, K, t), N, K)
+        scale = 2.0 ** exponent
+        params = make_params(K=K, N=N)
+        base, scaled = (
+            solve_equilibrium(realization, kind, p, MODEL,
+                              gamma_star=GAMMA_STAR)
+            for p in (params, params._replace(sigma2=params.sigma2 * scale,
+                                              Pmax=params.Pmax * scale)))
+        assert np.array_equal(scaled.powers, base.powers * scale)
+        assert np.array_equal(scaled.sirs, base.sirs)
+        assert ((scaled.iterations, scaled.converged, scaled.clamped_users)
+                == (base.iterations, base.converged, base.clamped_users))
 
 
 def _cli_stdout(argv):

@@ -144,6 +144,12 @@ class TestGains:
         with pytest.raises(ValueError):
             generate_gains([100.0, 0.0], 1, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("distance", [0.0, np.inf, np.nan, -np.inf])
+    def test_distance_must_be_positive_and_finite(self, distance):
+        # a NaN distance gave a NaN scale, and an infinite one a zero scale
+        with pytest.raises(ValueError, match="positive and finite"):
+            rayleigh_scale([distance, 100.0])
+
 
 class TestReceiverFilter:
     def test_matched_filter_is_signature(self):
@@ -542,6 +548,20 @@ class TestRealizationValidation:
         with pytest.raises(ValueError):
             ChannelRealization(S=S, H=np.array([[1.0, 0.0]]),
                                distances=np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("gain", [np.inf, np.nan, -np.inf])
+    def test_gain_must_be_finite(self, gain):
+        # an infinite gain reached the MMSE solve, which reported user 0
+        # converged at 0 W, and a NaN one a SolverError blaming Pmax; S is
+        # not scanned, so only the gains are checked
+        realization = draw_realization(np.random.default_rng(24), 20, 4)
+        H = realization.H.copy()
+        H[0, 0] = gain
+        with pytest.raises(ValueError, match="positive and finite"):
+            ChannelRealization(S=realization.S, H=H,
+                               distances=realization.distances)
+        with pytest.raises(ValueError, match="positive and finite"):
+            realization._replace(H=H)
 
     def test_user_count_consistency(self, model):
         S = generate_spreading(8, 2, np.random.default_rng(23))
