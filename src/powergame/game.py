@@ -12,10 +12,10 @@ whose Jacobian is g* dI/drec with the capped users' rows zeroed: they stay
 at Pmax and the others balance rec = g* I(rec) against them, in one step
 for the matched filter (I is affine) and the decorrelator (I is constant),
 monotonically and quadratically for MMSE (I is a minimum of affine maps, so
-concave), whose passes start at the large-system balanced power
-q = g* sigma2 / Gamma. A step that would take a free user out of (0, Pmax)
-is not taken: the pass moves to the best response, or to Pmax where the
-step puts every user below 0. Solves and Nash checks take one Gram each.
+concave). A step that would take a free user out of (0, Pmax) is not taken:
+the pass moves to the best response, or, for the matched filter, to Pmax
+where the step puts a free user below 0. Solves and Nash checks take one
+Gram each.
 """
 
 from __future__ import annotations
@@ -72,23 +72,24 @@ def _newton_start(kind: ReceiverKind, S, H, gram: np.ndarray,
     """The received powers _balance starts from on effective_gram's Gram G
     and gains h2 of spreading S and gains H.
 
-    MMSE starts at the large-system balance (Tse and Hanly, IEEE Trans. IT
-    1999): every user received at q = gamma* sigma2 / Gamma, the load being
-    K/N with m antennas, i.e. rec_k = q / G_kk. On seeded draws at N = 100
-    and 200 below the load limit the mean received power of the finite
-    balance lies within 1-2% of q with one antenna and ~19% above it with
-    two, and Newton settles in one step fewer than from the default start
-    either way. The default start, also MMSE's where the load is infeasible
-    or q / G_kk is not strictly between 0 and Pmax h2, is equal received
-    powers, the weakest user's at INITIAL_POWER_FRACTION of Pmax. MF and DE
-    keep it: from any start they balance in one step.
+    MF and DE start at the noise-only balance min(gamma* sigma2 / G_kk,
+    Pmax h2), gamma* I(0), at or below the equilibrium as I is monotone
+    (Yates 1995); DE's balance is one best response on. MMSE starts at the
+    large-system balance (Tse and Hanly, IEEE Trans. IT 1999), every user
+    received at q = gamma* sigma2 / Gamma, the load being K/N with m
+    antennas, i.e. rec_k = q / G_kk: from it Newton settles one step sooner
+    than from equal powers on seeded draws at N = 100 and 200. Where the
+    load is infeasible or q / G_kk is not strictly between 0 and Pmax h2,
+    MMSE starts at equal received powers, the weakest user's at
+    INITIAL_POWER_FRACTION of Pmax.
     """
-    N, K = np.shape(S)
     # an underflow or overflow only fails a range test, here or a step's
     with np.errstate(all="ignore"):
-        rec = np.full(K, INITIAL_POWER_FRACTION * params.Pmax * h2.min())
         if kind is not ReceiverKind.MMSE:
-            return rec
+            return np.minimum(gamma_star * params.sigma2 / gram.diagonal(),
+                              params.Pmax * h2)
+        N, K = np.shape(S)
+        rec = np.full(K, INITIAL_POWER_FRACTION * params.Pmax * h2.min())
         try:
             q = balanced_received_power(kind, K / N, gamma_star, params.sigma2,
                                         len(np.atleast_2d(H)))
@@ -123,7 +124,7 @@ def _series_direction(step: np.ndarray, residual: np.ndarray,
 
 def _balance(balance: Callable[[np.ndarray], tuple], rec: np.ndarray,
              h2: np.ndarray, params: SystemParams, gamma_star: float,
-             max_iter: int, series: bool) -> EquilibriumResult:
+             max_iter: int, kind: ReceiverKind) -> EquilibriumResult:
     """The capped best-response iteration from the received powers rec
     (_newton_start's), with Newton steps on the capped map
     min(gamma* I(rec), Pmax h2) wherever they land.
@@ -135,21 +136,25 @@ def _balance(balance: Callable[[np.ndarray], tuple], rec: np.ndarray,
     unless a Newton step lands: with step = gamma* dI/drec, its rows zeroed
     where the target is capped, rec + solve(Id - step, target - rec), the
     capped users set at Pmax h2, must put every other user strictly between
-    0 and Pmax h2. A step putting every user below 0 moves the pass to
-    Pmax h2 instead: the balance lies past Pmax, and from above it every
-    step on the capped map lands (I is affine or concave). Any other
-    rejected step holds off the next until the largest relative move has
-    shrunk SHRINK-fold: with more MMSE users than chips, Id - step need not
-    be an M-matrix far from the balance, so feasible draws reject early
-    steps too. With series, every direction is first _series_direction's,
-    and solved where that gives up. A pass is a Newton step, a best
-    response or that move to Pmax, and max_iter caps them. A zero SIR
-    raises InfeasibleUserError and a non-finite one a
-    SolverError naming sigma2; a Pmax h2 that underflows to 0 raises a
-    SolverError naming Pmax before the first pass. A best response that
-    overflows is capped at Pmax.
+    0 and Pmax h2. A rejected matched-filter step that puts a free user
+    below 0 moves the pass to Pmax h2: I is affine with a nonnegative
+    Jacobian B, the step is exact, and (Id - gamma* B_FF)^-1 >= 0 exactly
+    when rho(gamma* B_FF) < 1 (Berman and Plemmons, Nonnegative Matrices in
+    the Mathematical Sciences, ch. 6), so one more user caps; from the
+    noise-only start rounding cannot fake that. Any other rejected step
+    holds off the next until the largest relative move has shrunk
+    SHRINK-fold: with more MMSE users than chips, Id - step need not be an
+    M-matrix far from the balance, so feasible draws reject early steps
+    too. MMSE past LEAF_ROWS users (where _inverse leaves LAPACK too) sums
+    each direction by _series_direction first, solving where that gives
+    up. A pass is a Newton step, a best response or that move to Pmax, and
+    max_iter caps them. A zero SIR raises InfeasibleUserError and a
+    non-finite one a SolverError naming sigma2; a Pmax h2 that underflows
+    to 0 raises a SolverError naming Pmax before the first pass. A best
+    response that overflows is capped at Pmax.
     """
     wait = np.inf  # the largest move at which the next step is tried
+    series = kind is ReceiverKind.MMSE and len(rec) > LEAF_ROWS
     with np.errstate(all="ignore"):
         cap = params.Pmax * h2
         if not cap.min() > 0.0:
@@ -190,9 +195,10 @@ def _balance(balance: Callable[[np.ndarray], tuple], rec: np.ndarray,
             stepped = np.where(capped, cap, rec + direction)
             if ((stepped > 0.0) & (stepped < cap) | capped).all():  # also NaN
                 rec = stepped
-            else:  # every user below 0: the balance lies past Pmax
-                rec, wait = ((cap, np.inf) if (stepped < 0.0).all()
-                             else (target, delta / SHRINK))
+            elif kind is ReceiverKind.MATCHED_FILTER and (stepped < 0.0).any():
+                rec, wait = cap, np.inf  # rho(gamma* B_FF) >= 1: one more caps
+            else:
+                rec, wait = target, delta / SHRINK
         # a capped user's Pmax h2 / h2 can round past Pmax
         powers = np.minimum(rec / h2, params.Pmax)
     return _result(powers, sirs, iterations, bool(delta < POWER_TOL), params,
@@ -205,8 +211,7 @@ def solve_channel(S, H, kind: ReceiverKind, params: SystemParams,
     """SIR-balanced equilibrium for spreading S (N x K) and gains H (m x K).
 
     Any antenna count m: _balance plays on effective_gram(kind, S, H)'s
-    balance map from _newton_start's powers, MMSE past LEAF_ROWS users (where
-    _inverse leaves LAPACK too) with series directions. Stops once the powers
+    balance map from _newton_start's powers. Stops once the powers
     settle or max_iter passes have run; non-convergence is reported through
     the result, not raised, so Monte Carlo harnesses can decide.
     """
@@ -215,8 +220,7 @@ def solve_channel(S, H, kind: ReceiverKind, params: SystemParams,
     gram, h2 = effective_gram(kind, S, H)
     start = _newton_start(kind, S, H, gram, h2, params, gamma_star)
     return _balance(make_sir_engine(kind, gram, params.sigma2), start, h2,
-                    params, gamma_star, max_iter,
-                    kind is ReceiverKind.MMSE and len(h2) > LEAF_ROWS)
+                    params, gamma_star, max_iter, kind)
 
 
 def solve_equilibrium(realization: ChannelRealization, kind: ReceiverKind,

@@ -418,6 +418,24 @@ class TestSubcommands:
         assert any(row[2] == "1.0" for row in rows)
         assert int(rows[0][5]) <= 10
 
+    @pytest.mark.parametrize("seed,Pmax", [(27, "1e16"), (95, "1e16"),
+                                           (232, "1e16"), (131, "1e15"),
+                                           (387, "1e14")])
+    def test_matched_filter_far_below_pmax_converges(self, seed, Pmax,
+                                                     capsys):
+        # balances of at most 5 mW under a Pmax of 1e14 to 1e16 W: from
+        # the noise-only start one Newton step lands on them. A start at a
+        # fraction of Pmax cancelled them to about -eps times the start,
+        # read as a balance past Pmax, and exited 4 after 500 passes
+        assert main(["equilibrium", "--set", "K=8", "--receiver", "MF",
+                     "--set", f"Pmax={Pmax}", "--strict", "--seed",
+                     str(seed)]) == 0
+        rows = [line.split(",") for line in
+                capsys.readouterr().out.splitlines()[1:]]
+        assert len(rows) == 8 and all(row[6] == "true" for row in rows)
+        assert all(float(row[2]) < 1e-2 for row in rows)
+        assert int(rows[0][5]) <= 2
+
     def test_curve_utility_strict_nonconvergence_exits_4(self, capsys):
         args = ["curve-utility", "--set", "max_iter=1"]
         assert main([*args, "--strict"]) == EXIT_NOCONV

@@ -95,7 +95,7 @@ class TestBestResponse:
         # a map without a Jacobian: every pass is a capped best response
         with pytest.raises(InfeasibleUserError):
             _balance(lambda rec: (np.zeros_like(rec), None), np.full(3, 1e-2),
-                     np.ones(3), params, gamma_star, 500, False)
+                     np.ones(3), params, gamma_star, 500, DE)
 
 
 class TestSolveEquilibrium:
@@ -145,7 +145,7 @@ class TestSolveEquilibrium:
         K = 5
         params = make_params(K=K, Pmax=1e-15)
         result = _balance(lambda rec: (1e6 * rec, None), np.full(K, 1e-17),
-                          np.ones(K), params, gamma_star, 500, False)
+                          np.ones(K), params, gamma_star, 500, DE)
         assert result.clamped_users == frozenset(range(K))
         assert np.all(result.powers == params.Pmax)
         assert not result.converged
@@ -156,7 +156,7 @@ class TestSolveEquilibrium:
         sir_per_watt = np.array([0.5, 1e3]) * gamma_star  # user 0: 0.5 g* at Pmax
         result = _balance(lambda rec: (sir_per_watt * rec, None),
                           np.full(2, 1e-2), np.ones(2), params, gamma_star,
-                          500, False)
+                          500, DE)
         assert result.clamped_users == frozenset({0})
         assert result.converged
 
@@ -442,20 +442,34 @@ class TestNewtonBalance:
             return np.zeros_like(rec), lambda: np.zeros((3, 3))
         with pytest.raises(InfeasibleUserError):
             _balance(balance, np.full(3, 1e-2), np.ones(3), params,
-                     gamma_star, max_iter, False)
+                     gamma_star, max_iter, MMSE)
 
     def test_vanishing_noise_names_sigma2(self, model, gamma_star):
-        # a lone user on a noise power of 1e-320 W: its SIR overflows to
-        # inf, and the pass after reads 0/0. That is no zero SIR, so no
-        # InfeasibleUserError: the noise power is what to raise
+        # a lone MMSE user on a noise power of 1e-320 W: at its start,
+        # 1 / (rec + sigma2) overflows and the first pass reads an SIR of
+        # inf / inf. That is no zero SIR, so no InfeasibleUserError: the
+        # noise power is what to raise
         params = make_params(K=1, N=4, sigma2=1e-320)
         with pytest.raises(SolverError) as err:
-            solve_channel(np.ones((4, 1)) / 2, np.array([[1.0]]), MF, params,
-                          model, gamma_star=gamma_star)
+            solve_channel(np.ones((4, 1)) / 2, np.array([[1.0]]), MMSE,
+                          params, model, gamma_star=gamma_star)
         assert not isinstance(err.value, InfeasibleUserError)
         assert str(err.value) == (
             "an SIR is not finite at sigma2=1e-320, the noise vanishing "
             "against the received powers; raise sigma2")
+
+    @pytest.mark.parametrize("kind", [MF, DE])
+    def test_vanishing_noise_leaves_linear_receivers_unsettled(
+            self, kind, model, gamma_star):
+        # the same lone user under MF or DE starts at its noise-only
+        # balance gamma* sigma2 / G_kk, ~6.5e-320 W, a subnormal: the first
+        # best response moves it by less than POWER_TOL, but its SIR lies
+        # ~3e-5 off gamma*, so the solve returns unconverged, raising nothing
+        params = make_params(K=1, N=4, sigma2=1e-320)
+        result = solve_channel(np.ones((4, 1)) / 2, np.array([[1.0]]), kind,
+                               params, model, gamma_star=gamma_star)
+        assert result.iterations == 0 and not result.converged
+        assert 0.0 < result.powers[0] < 1e-319
 
     def test_underflowing_cap_names_pmax(self, model, gamma_star):
         # Pmax h^2 = 1e-320 * 1e-10 rounds to 0 W received: the first best
@@ -472,11 +486,13 @@ class TestNewtonBalance:
 
     def test_singular_newton_system_is_no_balance(self, params, gamma_star):
         # Id - gamma* J = 0: the step has no solution, so the pass moves to
-        # the best response, here the balance itself
+        # the best response, here the balance itself. The step it stands
+        # for lands at 0, not below it, so even the matched filter's
+        # restart at Pmax does not read it as a certificate
         def balance(rec):
             return rec / 1e-3, lambda: np.eye(3) / gamma_star
         result = _balance(balance, np.full(3, 1e-2), np.ones(3), params,
-                          gamma_star, 500, False)
+                          gamma_star, 500, MF)
         assert result.converged and result.iterations == 1
         assert np.array_equal(result.powers, np.full(3, 1e-2 * gamma_star
                                                      / 10.0))
@@ -582,11 +598,13 @@ class TestNewtonBalance:
         assert result.converged and not result.clamped_users
         assert bool(calls) == (kind is MMSE and K > LEAF_ROWS)
         if kind is MF:
-            # one step from the equal start, on the LU of Id - gamma* J
+            # one step from the noise-only balance gamma* sigma2 / G_kk, on
+            # the LU of Id - gamma* J
             S, h2 = realization.S, realization.H[0] ** 2
-            sirs, jacobian = make_sir_engine(MF, S.T @ S, params.sigma2)(
-                np.full(K, 1e-2 * params.Pmax * h2.min()))
-            rec = np.full(K, 1e-2 * params.Pmax * h2.min())
+            gram = S.T @ S
+            rec = np.minimum(gamma_star * params.sigma2 / gram.diagonal(),
+                             params.Pmax * h2)
+            sirs, jacobian = make_sir_engine(MF, gram, params.sigma2)(rec)
             target = gamma_star * rec / sirs
             step = np.linalg.solve(np.eye(K) - gamma_star * jacobian(),
                                    target - rec)
@@ -607,10 +625,12 @@ class TestNewtonBalance:
 
     def test_overloaded_matched_filter_falls_back(self, model, gamma_star,
                                                   monkeypatch):
-        # rho(g* F) >= 1: no positive balance exists and users clamp. A
-        # pass with a capped target builds the capped map's Jacobian too,
-        # but a rejected step hands the passes that follow to best
-        # responses until the largest move has shrunk threefold
+        # rho(g* F) >= 1: no positive balance exists and 21 users clamp.
+        # The first step, from the noise-only balance, puts free users
+        # below 0, which certifies that more users cap, so the pass falls
+        # back to Pmax; from there every pass is a Newton step on the
+        # capped map, 4 passes in all, where best responses between
+        # rejected steps took 20
         params = make_params(K=30)
         realization = draw_realization(np.random.default_rng(7), 100, 30)
         S, h2 = realization.S, realization.H[0] ** 2
@@ -620,15 +640,15 @@ class TestNewtonBalance:
         built = self.count_jacobians(monkeypatch)
         result = solve_equilibrium(realization, MF, params, model,
                                    gamma_star=gamma_star)
-        assert result.clamped_users
-        assert len(built) < result.iterations
+        assert len(result.clamped_users) == 21
+        assert len(built) == result.iterations <= 8
         self.assert_near_sweeps(result, engine, h2, params, gamma_star)
 
     @pytest.mark.parametrize("u,clamped", [(796, {0}), (986, {3})])
     def test_balance_past_pmax_restarts_there(self, u, clamped, model,
                                               gamma_star):
-        # rho(g* F) > 1 on these N = 100, K = 8 draws: the first step lands
-        # every user below 0, the balance lying past Pmax, so the pass
+        # rho(g* F) > 1 on these N = 100, K = 8 draws: the first step puts
+        # free users below 0, which certifies that a user caps, so the pass
         # restarts at Pmax, above the capped equilibrium, instead of
         # crawling up by best responses for 950 and 574 passes
         params = make_params(K=8)
@@ -647,21 +667,38 @@ class TestNewtonBalance:
             rtol=settle_rtol(engine, result, h2, gamma_star))
 
     @pytest.mark.parametrize("u,budget,clamped", [
-        (47, 170, {7}), (233, 70, {6}), (437, 105, {3, 4}), (729, 60, {7}),
-        (848, 300, {7})])
+        (47, 6, {7}), (233, 6, {6}), (437, 6, {3, 4}), (729, 6, {7}),
+        (848, 6, {7})])
     def test_mixed_sign_steps_stay_in_budget(self, u, budget, clamped, model,
                                              gamma_star):
-        # rho(g* F) is 1.04 to 1.22 on these N = 100, K = 8 draws too, but
-        # the first steps put only some free users below 0, so no pass
-        # restarts at Pmax: they crawl to the capped balance in 83, 34, 52,
-        # 28 and 148 passes. Each budget is about twice that, so a solver
-        # that takes fewer passes still meets it
+        # rho(g* F) is 1.04 to 1.22 on these N = 100, K = 8 draws too, and
+        # the first step puts only some free users below 0. One is
+        # certificate enough: the pass restarts at Pmax and the solve
+        # settles in 3 passes, where waiting for every user below 0 crawled
+        # to the capped balance in 83, 34, 52, 28 and 148. Each budget is
+        # about twice the 3 passes
         params = make_params(K=8)
         realization = draw_realization(trial_rng(0, 100, 0, u, 0), 100, 8)
         result = solve_equilibrium(realization, MF, params, model,
                                    max_iter=5000, gamma_star=gamma_star)
         assert result.converged and result.clamped_users == clamped
         assert result.iterations <= budget
+
+    def test_near_singular_draw_stays_in_budget(self, model, gamma_star):
+        # rho(g* F) is 0.9996 on this N = 200, K = 30 draw, and its
+        # uncapped balance puts user 6 past Pmax. No step puts a free user
+        # below 0, so nothing restarts at Pmax; steps that put a user past
+        # Pmax are rejected, and the best responses between them, on a
+        # free block at rho 0.98, take 754 passes, 8 of them Newton steps.
+        # The budget is about twice that: it bounds the crawl, which this
+        # draw documents rather than tightens
+        params = make_params(K=30, N=200)
+        realization = draw_realization(trial_rng(0, 13, 200, 30, 233), 200,
+                                       30)
+        result = solve_equilibrium(realization, MF, params, model,
+                                   max_iter=5000, gamma_star=gamma_star)
+        assert result.converged and result.clamped_users == {6}
+        assert result.iterations <= 1500
 
     @staticmethod
     def annulus_draw(N, K, t):

@@ -17,6 +17,7 @@ from fractions import Fraction
 from random import Random
 
 import numpy as np
+import pytest
 from hypothesis import (assume, example, given, reject, settings,
                         strategies as st)
 
@@ -29,10 +30,10 @@ from powergame.exceptions import (PowerGameError, SingularSpreadingError,
 from powergame.experiments import trial_rng
 from powergame.game import (POWER_TOL, _balance, _newton_start, solve_channel,
                             solve_equilibrium)
-from powergame.system import (LEAF_ROWS, ReceiverKind, SystemParams,
-                              effective_gram, generate_gains,
-                              generate_spreading, make_sir_engine, mmse_sirs,
-                              output_sir, receiver_filter, sir_per_watt)
+from powergame.system import (ReceiverKind, SystemParams, effective_gram,
+                              generate_gains, generate_spreading,
+                              make_sir_engine, mmse_sirs, output_sir,
+                              receiver_filter, sir_per_watt)
 
 from conftest import (draw_realization, exact_mmse_sirs, make_params,
                       settle_rtol, solve_from_engine, stacked_system)
@@ -408,13 +409,12 @@ class TestNewtonBalance:
             engine = make_sir_engine(kind, gram, sigma2)
         except PowerGameError:
             reject()
-        series = kind is MMSE and K > LEAF_ROWS
         try:
             with np.errstate(all="raise"):
                 start = _newton_start(kind, S, H, gram, h2, params,
                                       GAMMA_STAR)
                 result = _balance(engine, start, h2, params, GAMMA_STAR,
-                                  max_iter, series)
+                                  max_iter, kind)
         except PowerGameError:
             return  # a zero SIR or a singular MMSE system, named
         assert np.all((result.powers > 0) & (result.powers <= Pmax))
@@ -456,6 +456,38 @@ class TestScaleCovariance:
         assert np.array_equal(scaled.sirs, base.sirs)
         assert ((scaled.iterations, scaled.converged, scaled.clamped_users)
                 == (base.iterations, base.converged, base.clamped_users))
+
+
+class TestFeasibilityImpliesConvergence:
+    @pytest.mark.parametrize("Pmax", [1.0, 1e8, 1e12, 1e16])
+    @pytest.mark.parametrize("N,K", [(100, 8), (100, 12)])
+    def test_feasible_matched_filter_draws_converge(self, N, K, Pmax):
+        # an MF draw with rho(g* B) < 1 has the uncapped balance
+        # (Id - g* B)^-1 g* sigma2 / G_kk; where that lies below Pmax h2 it
+        # is the equilibrium (Yates 1995), so the solve converges to it
+        # with no user at Pmax, however far above it Pmax lies. 196 of the
+        # 200 draws at K = 8 qualify and 170 at K = 12, at every Pmax
+        params = make_params(K=K, N=N, Pmax=Pmax)
+        feasible = 0
+        for u in range(200):
+            realization = draw_realization(trial_rng(0, 13, N, K, u), N, K)
+            gram, h2 = effective_gram(MF, realization.S, realization.H)
+            engine = make_sir_engine(MF, gram, params.sigma2)
+            step = GAMMA_STAR * engine(h2)[1]()
+            if max(abs(np.linalg.eigvals(step))) >= 1.0:
+                continue
+            balance = np.linalg.solve(np.eye(K) - step, GAMMA_STAR
+                                      * params.sigma2 / gram.diagonal())
+            if not np.all(balance < Pmax * h2):
+                continue
+            feasible += 1
+            result = solve_equilibrium(realization, MF, params, MODEL,
+                                       gamma_star=GAMMA_STAR)
+            assert result.converged and not result.clamped_users, u
+            np.testing.assert_allclose(
+                result.powers, balance / h2,
+                rtol=settle_rtol(engine, result, h2, GAMMA_STAR))
+        assert feasible >= 150
 
 
 def _cli_stdout(argv):
