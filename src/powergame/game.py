@@ -12,10 +12,10 @@ whose Jacobian is g* dI/drec with the capped users' rows zeroed: they stay
 at Pmax and the others balance rec = g* I(rec) against them, in one step
 for the matched filter (I is affine) and the decorrelator (I is constant),
 monotonically and quadratically for MMSE (I is a minimum of affine maps, so
-concave). A step that would take a free user out of (0, Pmax) is not taken:
-the pass moves to the best response, or, for the matched filter, to Pmax
-where the step puts a free user below 0. Solves and Nash checks take one
-Gram each.
+concave). Every matched-filter step lands: one past Pmax is cut there, and
+one that puts a free user at or below 0 restarts at Pmax. An MMSE step that
+would take a free user out of (0, Pmax) is not taken, and the pass moves to
+the best response. Solves and Nash checks take one Gram each.
 """
 
 from __future__ import annotations
@@ -35,9 +35,7 @@ INITIAL_POWER_FRACTION = 1e-2  # starting powers as a fraction of Pmax
 POWER_TOL = 1e-9  # largest relative power change of a settled pass
 SIR_TOL = 1e-6    # relative SIR error allowed for users below Pmax
 NASH_REL_TOL = 1e-6  # relative utility gain a deviation must beat
-# The contraction a Neumann-series term must show against the one before,
-# and the best response's largest move against the one at a rejected Newton
-# step before the next step is tried
+# The contraction a Neumann-series term must show against the one before
 SHRINK = 3.0
 
 
@@ -127,33 +125,36 @@ def _balance(balance: Callable[[np.ndarray], tuple], rec: np.ndarray,
              max_iter: int, kind: ReceiverKind) -> EquilibriumResult:
     """The capped best-response iteration from the received powers rec
     (_newton_start's), with Newton steps on the capped map
-    min(gamma* I(rec), Pmax h2) wherever they land.
+    min(gamma* I(rec), Pmax h2).
 
     balance is make_sir_engine's map rec -> (SIRs, dI/drec). Each pass
     reads it once and forms the capped target min(gamma* rec / SIRs,
     Pmax h2); the powers are settled when the target moves no power by
-    POWER_TOL or more relative. Otherwise the pass moves to the target,
-    unless a Newton step lands: with step = gamma* dI/drec, its rows zeroed
-    where the target is capped, rec + solve(Id - step, target - rec), the
-    capped users set at Pmax h2, must put every other user strictly between
-    0 and Pmax h2. A rejected matched-filter step that puts a free user
-    below 0 moves the pass to Pmax h2: I is affine with a nonnegative
-    Jacobian B, the step is exact, and (Id - gamma* B_FF)^-1 >= 0 exactly
-    when rho(gamma* B_FF) < 1 (Berman and Plemmons, Nonnegative Matrices in
-    the Mathematical Sciences, ch. 6), so one more user caps; from the
-    noise-only start rounding cannot fake that. Any other rejected step
-    holds off the next until the largest relative move has shrunk
-    SHRINK-fold: with more MMSE users than chips, Id - step need not be an
-    M-matrix far from the balance, so feasible draws reject early steps
-    too. MMSE past LEAF_ROWS users (where _inverse leaves LAPACK too) sums
-    each direction by _series_direction first, solving where that gives
-    up. A pass is a Newton step, a best response or that move to Pmax, and
-    max_iter caps them. A zero SIR raises InfeasibleUserError and a
-    non-finite one a SolverError naming sigma2; a Pmax h2 that underflows
-    to 0 raises a SolverError naming Pmax before the first pass. A best
-    response that overflows is capped at Pmax.
+    POWER_TOL or more relative. Otherwise the pass takes a Newton step:
+    with step = gamma* dI/drec, its rows zeroed where the target is capped,
+    rec + solve(Id - step, target - rec), the capped users set at Pmax h2.
+    Where I is constant (the decorrelator) or Id - step is singular, the
+    pass moves to the target instead. MMSE past LEAF_ROWS users (where
+    _inverse leaves LAPACK too) sums each direction by _series_direction
+    first, solving where that gives up.
+
+    Every matched-filter step lands. I is affine with a nonnegative
+    Jacobian B, so the step is exact, and (Id - gamma* B_FF)^-1 >= 0
+    exactly when rho(gamma* B_FF) < 1 (Berman and Plemmons, Nonnegative
+    Matrices in the Mathematical Sciences, ch. 6). The capped balance b
+    has b <= gamma* I(b) and b <= Pmax h2, so a step whose free entries
+    are all > 0, which certifies rho(gamma* B_FF) < 1, lies at or above b,
+    and cut at Pmax h2 it still does. A free entry at or below 0, or NaN,
+    certifies rho(gamma* B_FF) >= 1, so one more user caps, and the pass
+    restarts at Pmax h2, above b too. An MMSE step must put every free
+    user strictly between 0 and Pmax h2; otherwise (with more users than
+    chips, Id - step need not be an M-matrix far from the balance) the
+    pass moves to the target. A pass is a Newton step, a best response or
+    that restart, and max_iter caps them. A zero SIR raises
+    InfeasibleUserError and a non-finite one a SolverError naming sigma2;
+    a Pmax h2 that underflows to 0 raises a SolverError naming Pmax before
+    the first pass. A best response that overflows is capped at Pmax.
     """
-    wait = np.inf  # the largest move at which the next step is tried
     series = kind is ReceiverKind.MMSE and len(rec) > LEAF_ROWS
     with np.errstate(all="ignore"):
         cap = params.Pmax * h2
@@ -174,7 +175,7 @@ def _balance(balance: Callable[[np.ndarray], tuple], rec: np.ndarray,
             delta = (abs(target - rec) / rec).max()
             if delta < POWER_TOL or iterations == max_iter:
                 break
-            if jacobian is None or delta > wait:
+            if jacobian is None:
                 rec = target
                 continue
             # the capped map's Jacobian, gamma* J with the capped users' rows
@@ -190,15 +191,16 @@ def _balance(balance: Callable[[np.ndarray], tuple], rec: np.ndarray,
                 step.flat[::len(rec) + 1] += 1.0
                 try:
                     direction = np.linalg.solve(step, r)
-                except np.linalg.LinAlgError:  # a step to 0, rejected
-                    direction = -rec
+                except np.linalg.LinAlgError:  # singular: the best response
+                    rec = target
+                    continue
             stepped = np.where(capped, cap, rec + direction)
-            if ((stepped > 0.0) & (stepped < cap) | capped).all():  # also NaN
+            if kind is ReceiverKind.MATCHED_FILTER:  # at or above the balance
+                rec = np.minimum(stepped, cap) if (stepped > 0.0).all() else cap
+            elif ((stepped > 0.0) & (stepped < cap) | capped).all():  # also NaN
                 rec = stepped
-            elif kind is ReceiverKind.MATCHED_FILTER and (stepped < 0.0).any():
-                rec, wait = cap, np.inf  # rho(gamma* B_FF) >= 1: one more caps
             else:
-                rec, wait = target, delta / SHRINK
+                rec = target
         # a capped user's Pmax h2 / h2 can round past Pmax
         powers = np.minimum(rec / h2, params.Pmax)
     return _result(powers, sirs, iterations, bool(delta < POWER_TOL), params,

@@ -63,6 +63,16 @@ def draw_realization(rng, N, K, distance=100.0, m=1):
     return ChannelRealization(S=S, H=H, distances=distances)
 
 
+def annulus_realization(rng, N, K):
+    """N x K chips and one-antenna gains for users over the annulus 10 to
+    1000 m, d^2 uniform: received powers ~8 decades apart, the far or faded
+    users at Pmax."""
+    S = generate_spreading(N, K, rng)
+    distances = np.sqrt(rng.uniform(1e2, 1e6, K))
+    return ChannelRealization(S=S, H=generate_gains(distances, 1, rng),
+                              distances=distances)
+
+
 def stacked_system(kind, S, H):
     """The game effective_gram describes, as signatures: the m antennas'
     chips stacked into mN x K columns sbar_k = [h_1k s_k; ...; h_mk s_k]

@@ -75,7 +75,8 @@ SEEDED = (
     "equilibrium --set N=20 --set K=22",
 )
 
-# run once, as written: the error lines README quotes or test_cli pins
+# run once, as written: the error lines README quotes and the runs test_cli
+# pins
 ONCE = (
     "sweep --set distance=1e-200",
     "curve-utility --set distance=1e-200",
@@ -106,6 +107,7 @@ ONCE = (
     "bogus",
     "sweep --seed",
     "sweep --nope 1",
+    "equilibrium --set N=200 --set K=30 --receiver MF --seed 66 --strict",
 )
 
 

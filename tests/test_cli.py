@@ -436,6 +436,19 @@ class TestSubcommands:
         assert all(float(row[2]) < 1e-2 for row in rows)
         assert int(rows[0][5]) <= 2
 
+    @pytest.mark.parametrize("seed", [66, 180])
+    def test_matched_filter_step_past_pmax_converges(self, seed, capsys):
+        # N = 200, K = 30 draws whose first step puts a user past Pmax: cut
+        # at Pmax, the step lies above the capped balance and the next one
+        # lands, in 2 and 3 passes. ~15 ms each
+        assert main(["equilibrium", "--set", "N=200", "--set", "K=30",
+                     "--receiver", "MF", "--strict", "--seed",
+                     str(seed)]) == 0
+        rows = [line.split(",") for line in
+                capsys.readouterr().out.splitlines()[1:]]
+        assert len(rows) == 30 and all(row[6] == "true" for row in rows)
+        assert int(rows[0][5]) <= 4
+
     def test_curve_utility_strict_nonconvergence_exits_4(self, capsys):
         args = ["curve-utility", "--set", "max_iter=1"]
         assert main([*args, "--strict"]) == EXIT_NOCONV

@@ -12,8 +12,9 @@ from powergame.system import (LEAF_ROWS, ChannelRealization, ReceiverKind,
                               generate_spreading, make_sir_engine, output_sir,
                               receiver_filter, sir_per_watt, utility)
 
-from conftest import (best_response_power, draw_realization, make_params,
-                      settle_rtol, solve_from_engine)
+from conftest import (annulus_realization, best_response_power,
+                      draw_realization, make_params, settle_rtol,
+                      solve_from_engine)
 
 MF = ReceiverKind.MATCHED_FILTER
 DE = ReceiverKind.DECORRELATOR
@@ -348,9 +349,9 @@ class TestNewtonBalance:
     def test_overloaded_mmse_hands_best_responses_to_newton(
             self, model, gamma_star, monkeypatch):
         # more MMSE users than chips: a feasible draw whose first Newton
-        # step leaves (0, Pmax). The best response that follows shrinks the
-        # largest move threefold, and Newton takes over from there: 7 map
-        # calls, where restarting the sweeps from equal powers took 98
+        # step leaves (0, Pmax). The pass takes the best response instead,
+        # and the next pass's step lands, Newton taking over from there:
+        # 7 map calls, where restarting the sweeps from equal powers took 98
         calls = []
 
         def counting_engine(*args):
@@ -486,9 +487,9 @@ class TestNewtonBalance:
 
     def test_singular_newton_system_is_no_balance(self, params, gamma_star):
         # Id - gamma* J = 0: the step has no solution, so the pass moves to
-        # the best response, here the balance itself. The step it stands
-        # for lands at 0, not below it, so even the matched filter's
-        # restart at Pmax does not read it as a certificate
+        # the best response, here the balance itself, for the matched filter
+        # too: a singular system certifies nothing, so nothing restarts at
+        # Pmax
         def balance(rec):
             return rec / 1e-3, lambda: np.eye(3) / gamma_star
         result = _balance(balance, np.full(3, 1e-2), np.ones(3), params,
@@ -686,30 +687,16 @@ class TestNewtonBalance:
 
     def test_near_singular_draw_stays_in_budget(self, model, gamma_star):
         # rho(g* F) is 0.9996 on this N = 200, K = 30 draw, and its
-        # uncapped balance puts user 6 past Pmax. No step puts a free user
-        # below 0, so nothing restarts at Pmax; steps that put a user past
-        # Pmax are rejected, and the best responses between them, on a
-        # free block at rho 0.98, take 754 passes, 8 of them Newton steps.
-        # The budget is about twice that: it bounds the crawl, which this
-        # draw documents rather than tightens
+        # uncapped balance puts user 6 past Pmax. The first step from the
+        # noise-only start lands above the capped balance with user 6 past
+        # Pmax; cut there, it is one step from the balance: 2 passes. ~10 ms
         params = make_params(K=30, N=200)
         realization = draw_realization(trial_rng(0, 13, 200, 30, 233), 200,
                                        30)
         result = solve_equilibrium(realization, MF, params, model,
                                    max_iter=5000, gamma_star=gamma_star)
         assert result.converged and result.clamped_users == {6}
-        assert result.iterations <= 1500
-
-    @staticmethod
-    def annulus_draw(N, K, t):
-        """Draw t of N x K chips and one-antenna gains for users over the
-        annulus 10 to 1000 m, d^2 uniform: received powers ~8 decades apart,
-        the far or faded users at Pmax."""
-        rng = trial_rng(0, 11, N, K, t)
-        S = generate_spreading(N, K, rng)
-        distances = np.sqrt(rng.uniform(1e2, 1e6, K))
-        return ChannelRealization(S=S, H=generate_gains(distances, 1, rng),
-                                  distances=distances)
+        assert result.iterations <= 4
 
     @pytest.mark.parametrize("kind,N,K,t,passes", [
         # the passes each took where a pass with a capped user took no
@@ -723,7 +710,8 @@ class TestNewtonBalance:
                                             model, gamma_star):
         # near-far draws with users at Pmax: Newton steps on the capped map
         # hold them there and balance the rest, in the passes pinned
-        realization = self.annulus_draw(N, K, t)
+        realization = annulus_realization(trial_rng(0, 11, N, K, t), N,
+                                          K)
         params = make_params(K=K, N=N)
         result = solve_equilibrium(realization, kind, params, model,
                                    gamma_star=gamma_star)

@@ -35,8 +35,9 @@ from powergame.system import (ReceiverKind, SystemParams, effective_gram,
                               make_sir_engine, mmse_sirs, output_sir,
                               receiver_filter, sir_per_watt)
 
-from conftest import (draw_realization, exact_mmse_sirs, make_params,
-                      settle_rtol, solve_from_engine, stacked_system)
+from conftest import (annulus_realization, draw_realization, exact_mmse_sirs,
+                      make_params, settle_rtol, solve_from_engine,
+                      stacked_system)
 
 MF = ReceiverKind.MATCHED_FILTER
 DE = ReceiverKind.DECORRELATOR
@@ -488,6 +489,20 @@ class TestFeasibilityImpliesConvergence:
                 result.powers, balance / h2,
                 rtol=settle_rtol(engine, result, h2, GAMMA_STAR))
         assert feasible >= 150
+
+    @pytest.mark.parametrize("N,K", [(100, 8), (100, 16), (200, 30)])
+    def test_annulus_matched_filter_draws_settle_fast(self, N, K):
+        # users over the annulus 10 to 1000 m, the far ones at Pmax: from
+        # the noise-only start every matched-filter step, cut at Pmax where
+        # it passes it, lies at or above the capped balance, so each of
+        # 300 draws settles within a few steps (at most 3, 7 and 8 passes).
+        # ~0.4 s in all
+        params = make_params(K=K, N=N)
+        for t in range(300):
+            realization = annulus_realization(trial_rng(0, 11, N, K, t), N, K)
+            result = solve_equilibrium(realization, MF, params, MODEL,
+                                       gamma_star=GAMMA_STAR)
+            assert result.converged and result.iterations <= 10, t
 
 
 def _cli_stdout(argv):
